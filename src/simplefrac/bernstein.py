@@ -20,13 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import supremum_on_grid
-from .cheb import ChebKind, chebyshev_points, eval_cheb
+from .cheb import ChebKind, eval_cheb
 from .config import DEFAULTS
 from .errors import DomainError, TheoremRangeError
 from .extremal import (
     FixedPoleClass,
     _canonical_poles,
     _f_and_fa,
+    _norm_grid,
+    _weight,
     build_extremal_weighted,
 )
 
@@ -136,20 +138,18 @@ def check_corollary(poly: RootedPolynomial, tol: float | None = None) -> Corolla
     """
     tol = DEFAULTS.supnorm_xtol if tol is None else tol
     n = poly.n
-    grid = chebyshev_points(max(DEFAULTS.supnorm_grid_per_degree * n, DEFAULTS.supnorm_min_grid))
+    grid = _norm_grid(n)
 
     def absderiv_w(x):
-        x = np.asarray(x, dtype=float)
         _, der = poly.value_and_derivative(x)
-        w = np.sqrt(np.clip((1.0 - x) * (1.0 + x), 0.0, None))
-        return np.abs(der) * w
+        return np.abs(der) * _weight(x)
 
     def absderiv(x):
-        _, der = poly.value_and_derivative(np.asarray(x, dtype=float))
+        _, der = poly.value_and_derivative(x)
         return np.abs(der)
 
     def neg_absval(x):
-        val, _ = poly.value_and_derivative(np.asarray(x, dtype=float))
+        val, _ = poly.value_and_derivative(x)
         return -np.abs(val)
 
     lhs_w, _ = supremum_on_grid(absderiv_w, grid, tol)
@@ -227,7 +227,7 @@ def witness_ratio_empirical(n: int, a: float, which: int, tol: float | None = No
     quadrature.
     """
     tol = DEFAULTS.supnorm_xtol if tol is None else tol
-    grid1 = chebyshev_points(max(DEFAULTS.supnorm_grid_per_degree * n, DEFAULTS.supnorm_min_grid))
+    grid1 = _norm_grid(n)
     if which == 1:
         # evaluate the shifted Chebyshev witness in closed form: its
         # derivative is n*U_{n-1}, and min |T_n(x) - T_n(a)| = T_n(a) - 1;
@@ -236,11 +236,10 @@ def witness_ratio_empirical(n: int, a: float, which: int, tol: float | None = No
         tna = eval_cheb(ChebKind.FIRST_KIND, n, a)
 
         def absderiv_w(x):
-            theta = np.arccos(np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
+            theta = np.arccos(np.clip(x, -1.0, 1.0))
             return n * np.abs(np.sin(n * theta))  # = sqrt(1-x^2) * |n U_{n-1}(x)|
 
         def neg_absp(x):
-            x = np.asarray(x, dtype=float)
             return -np.abs(np.cos(n * np.arccos(np.clip(x, -1.0, 1.0))) - tna)
 
         lhs_w, _ = supremum_on_grid(absderiv_w, grid1, tol)
@@ -253,7 +252,6 @@ def witness_ratio_empirical(n: int, a: float, which: int, tol: float | None = No
         fa = _f_and_fa(n, a)
 
         def neg_absq(x):
-            x = np.asarray(x, dtype=float)
             fx = (
                 np.cos(n * np.arccos(np.clip(x, -1.0, 1.0))) / n
                 - np.cos((n - 2) * np.arccos(np.clip(x, -1.0, 1.0))) / (n - 2)

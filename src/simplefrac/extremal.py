@@ -118,14 +118,6 @@ class LogDerivative:
             abs(z.imag) <= tol and -1.0 - tol <= z.real <= 1.0 + tol for z in self.poles
         )
 
-    def distance_to_segment(self) -> float:
-        """Minimum distance from a pole to [-1, 1]."""
-        dist = math.inf
-        for z in self.poles:
-            dx = max(abs(z.real) - 1.0, 0.0)
-            dist = min(dist, math.hypot(dx, z.imag))
-        return dist
-
     def values_on(self, x):
         """Vectorized pole-sum evaluation (plain float arithmetic).
 
@@ -133,38 +125,72 @@ class LogDerivative:
         gives exactly real output.  For high-cancellation pointwise work use
         :func:`eval_ld`.
         """
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for r in self._reals:
-            total += 1.0 / (x - r)
-        for u, v in self._pairs:
-            d = x - u
-            total += 2.0 * d / (d * d + v * v)
-        return total
-
-    def derivative_on(self, x):
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for r in self._reals:
-            d = x - r
-            total += -1.0 / (d * d)
-        for u, v in self._pairs:
-            d = x - u
-            den = d * d + v * v
-            total += 2.0 * (v * v - d * d) / (den * den)
-        return total
+        return pole_sums(x, self._reals, self._pairs)[0][0]
 
     def second_derivative_on(self, x):
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for r in self._reals:
-            d = x - r
-            total += 2.0 / (d * d * d)
-        for u, v in self._pairs:
-            d = x - u
-            den = d * d + v * v
-            total += -4.0 * d * (3.0 * v * v - d * d) / (den * den * den)
-        return total
+        return pole_sums(x, self._reals, self._pairs, order=2)[0][2]
+
+
+def pole_sums(x, reals, pairs, order: int = 0, dz=None):
+    """Float pole sum rho(x) = sum_k 1/(x - z_k) and its x-derivatives.
+
+    ``reals`` are the real poles and ``pairs`` the (u, v) of the conjugate
+    pairs u +- iv, each pair combined as 2(x-u)/((x-u)^2 + v^2).  Terms are
+    accumulated reals first, then pairs, each in the order given, so the
+    caller's order fixes the rounding.  Returns ``(sums, grads)``: sums is
+    [rho, rho', rho''] up to ``order`` (at most 2), each shaped like x.
+
+    With ``dz`` (one entry per real pole: the derivative of that pole in its
+    parameter) and order <= 1, grads is [d rho/d theta, d rho'/d theta] up to
+    ``order``, with one row per real pole, then two per pair: the center u
+    and the log-offset log v.  Without dz, grads is None.
+    """
+    x = np.asarray(x, dtype=float)
+    col = (-1,) + (1,) * x.ndim
+    nr, npair = len(reals), len(pairs)
+    top = order + (dz is not None)  # highest x-derivative of a term needed
+    rterms = pterms = [()] * (top + 1)
+    if nr:
+        d = x - np.array(reals, dtype=float).reshape(col)
+        rterms = [1.0 / d]
+        if top >= 1:
+            d2 = d * d
+            rterms.append(-1.0 / d2)
+        if top >= 2:
+            d3 = d2 * d
+            rterms.append(2.0 / d3)
+    if npair:
+        u, v = np.array(pairs, dtype=float).reshape(-1, 2).T.reshape((2,) + col)
+        dp = x - u
+        vv = v * v
+        den = dp * dp + vv
+        pterms = [2.0 * dp / den]
+        if top >= 1:
+            den2 = den * den
+            pterms.append(2.0 * (vv - dp * dp) / den2)
+        if top >= 2:
+            den3 = den2 * den
+            pterms.append(-4.0 * dp * (3.0 * v * v - dp * dp) / den3)
+    sums = []
+    for k in range(order + 1):
+        total = np.zeros(x.shape)
+        for t in (*rterms[k], *pterms[k]):
+            total += t
+        sums.append(total)
+    if dz is None:
+        return sums, None
+    dz = np.array(dz, dtype=float).reshape(col)
+    grads = []
+    for k in range(order + 1):
+        g = np.empty((nr + 2 * npair,) + x.shape)
+        if nr:
+            g[:nr] = dz / d2 if k == 0 else -2.0 * dz / d3
+        if npair:
+            g[nr::2] = -pterms[k + 1]
+            g[nr + 1::2] = (-4.0 * dp * v * v / den2 if k == 0
+                            else 4.0 * v * v * (3.0 * dp * dp - v * v) / den3)
+        grads.append(g)
+    return sums, grads
 
 
 @dataclass(frozen=True)
@@ -499,44 +525,41 @@ def verify_pole_annulus(
     )
 
 
-def _norm_grid(degree: int) -> np.ndarray:
-    m = max(DEFAULTS.supnorm_grid_per_degree * degree, DEFAULTS.supnorm_min_grid)
-    return chebyshev_points(m)
+def _norm_grid(degree: int, floor: int | None = None) -> np.ndarray:
+    """Chebyshev scan grid: supnorm_grid_per_degree points per unit degree,
+    and at least ``floor`` (default supnorm_min_grid)."""
+    floor = DEFAULTS.supnorm_min_grid if floor is None else floor
+    return chebyshev_points(max(DEFAULTS.supnorm_grid_per_degree * degree, floor))
 
 
-def _require_clear_segment(rho: LogDerivative):
+def _weight(x):
+    """The weight sqrt(1 - x^2) of the weighted norm, clipped at 0 off [-1, 1]."""
+    return np.sqrt(np.clip((1.0 - x) * (1.0 + x), 0.0, None))
+
+
+def _sup_norm(rho: LogDerivative, tol: float | None, weighted: bool) -> NormEstimate:
+    tol = DEFAULTS.supnorm_xtol if tol is None else float(tol)
+    if tol <= 0.0:
+        raise DomainError(f"refinement tolerance must be positive, got {tol}")
     if rho.has_pole_on_segment():
         raise DomainError("fraction has a pole on [-1, 1]; sup norm undefined")
+
+    def fn(x):
+        y = rho.values_on(x)
+        return np.abs(_weight(x) * y if weighted else y)
+
+    value, loc = supremum_on_grid(fn, _norm_grid(rho.degree), tol)
+    return NormEstimate(value=value, location=loc, weighted=weighted, refinement_tol=tol)
 
 
 def weighted_sup_norm(rho: LogDerivative, tol: float | None = None) -> NormEstimate:
     """max over [-1,1] of |sqrt(1-x^2) * rho(x)| by grid scan + refinement."""
-    tol = DEFAULTS.supnorm_xtol if tol is None else float(tol)
-    if tol <= 0.0:
-        raise DomainError(f"refinement tolerance must be positive, got {tol}")
-    _require_clear_segment(rho)
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        w = np.sqrt(np.clip((1.0 - x) * (1.0 + x), 0.0, None))
-        return np.abs(w * rho.values_on(x))
-
-    value, loc = supremum_on_grid(fn, _norm_grid(rho.degree), tol)
-    return NormEstimate(value=value, location=loc, weighted=True, refinement_tol=tol)
+    return _sup_norm(rho, tol, weighted=True)
 
 
 def sup_norm(rho: LogDerivative, tol: float | None = None) -> NormEstimate:
     """max over [-1,1] of |rho(x)| by grid scan + refinement."""
-    tol = DEFAULTS.supnorm_xtol if tol is None else float(tol)
-    if tol <= 0.0:
-        raise DomainError(f"refinement tolerance must be positive, got {tol}")
-    _require_clear_segment(rho)
-
-    def fn(x):
-        return np.abs(rho.values_on(np.asarray(x, dtype=float)))
-
-    value, loc = supremum_on_grid(fn, _norm_grid(rho.degree), tol)
-    return NormEstimate(value=value, location=loc, weighted=False, refinement_tol=tol)
+    return _sup_norm(rho, tol, weighted=False)
 
 
 def dvp_bracket(cls: FixedPoleClass, tol: float | None = None) -> DvpBracket:

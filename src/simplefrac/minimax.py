@@ -26,7 +26,7 @@ from ._optim import local_extrema, supremum_on_grid
 from .cheb import chebyshev_points
 from .config import DEFAULTS
 from .errors import DomainError, ToleranceNotMetError
-from .extremal import AlternanceReport, LogDerivative
+from .extremal import AlternanceReport, LogDerivative, _norm_grid, _weight, pole_sums
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,19 @@ def _weight_fns(weighted: bool):
     if not weighted:
         return (lambda x: np.ones_like(x)), (lambda x: np.zeros_like(x)), (lambda x: np.zeros_like(x))
 
-    def w(x):
-        return np.sqrt(np.clip((1.0 - x) * (1.0 + x), 0.0, None))
-
     def wp(x):
-        return -x / w(x)
+        return -x / _weight(x)
 
     def wpp(x):
-        return -1.0 / w(x) ** 3
+        return -1.0 / _weight(x) ** 3
 
-    return w, wp, wpp
+    return _weight, wp, wpp
 
 
 def _residual_fn(f: TargetFunction, rho: LogDerivative, weighted: bool):
     w, _, _ = _weight_fns(weighted)
 
     def r(x):
-        x = np.asarray(x, dtype=float)
         return w(x) * (f.values_on(x) - rho.values_on(x))
 
     return r
@@ -94,11 +90,6 @@ def _alternating_subsequence(extrema):
         else:
             chosen.append((x, v))
     return chosen
-
-
-def _detection_grid(degree: int, grid_points: int | None = None) -> np.ndarray:
-    m = max(DEFAULTS.supnorm_grid_per_degree * degree, 257, grid_points or 0)
-    return chebyshev_points(m)
 
 
 def residual_alternance(
@@ -127,7 +118,7 @@ def residual_alternance(
         raise DomainError("fraction has a pole on [-1, 1]")
     xtol = DEFAULTS.supnorm_xtol if xtol is None else xtol
     r = _residual_fn(f, rho, weighted)
-    grid = _detection_grid(rho.degree, grid_points)
+    grid = _norm_grid(rho.degree, max(257, grid_points or 0))
     extrema = local_extrema(r, grid, xtol)
     if not extrema:
         return AlternanceReport(points=(), values=(), level=0.0, sign_pattern_ok=False)
@@ -179,16 +170,12 @@ def dvp_lower_bound(f: TargetFunction, rho: LogDerivative, weighted: bool = Fals
     if hyp:
         raise DomainError("; ".join(hyp))
     rep = residual_alternance(f, rho, min_points=n, weighted=weighted)
-    vals = rep.values
-    if len(vals) < n:
+    window = _best_window(list(zip(rep.points, rep.values)), n)
+    if window is None:
         raise DomainError(
-            f"residual shows only {len(vals)} alternating points; need {n}"
+            f"residual shows only {len(rep.values)} alternating points; need {n}"
         )
-    best = 0.0
-    for i in range(len(vals) - n + 1):
-        window_min = min(abs(v) for v in vals[i : i + n])
-        best = max(best, window_min)
-    return best
+    return min(abs(v) for _, v in window)
 
 
 @dataclass(frozen=True)
@@ -267,67 +254,45 @@ class _Shape:
         return len(self.signs) + 2 * self.n_pairs
 
 
-def _poles_from_theta(theta, shape: _Shape) -> tuple[complex, ...]:
-    poles = []
+def _theta_poles(theta, shape: _Shape):
+    """Real poles (the fixed one first) with their derivatives in theta, and
+    the (center, offset) pairs."""
+    reals, dz, pairs = [], [], []
     if shape.fixed_pole is not None:
-        poles.append(complex(shape.fixed_pole, 0.0))
+        reals.append(shape.fixed_pole)
+        dz.append(0.0)
     i = 0
     for s in shape.signs:
-        poles.append(complex(s * (1.0 + math.exp(theta[i])), 0.0))
+        reals.append(s * (1.0 + math.exp(theta[i])))
+        dz.append(s * math.exp(theta[i]))
         i += 1
     for _ in range(shape.n_pairs):
-        c, v = theta[i], math.exp(theta[i + 1])
+        pairs.append((theta[i], math.exp(theta[i + 1])))
+        i += 2
+    return reals, dz, pairs
+
+
+def _poles_from_theta(theta, shape: _Shape) -> tuple[complex, ...]:
+    reals, _, pairs = _theta_poles(theta, shape)
+    poles = [complex(r, 0.0) for r in reals]
+    for c, v in pairs:
         poles.append(complex(c, v))
         poles.append(complex(c, -v))
-        i += 2
     return tuple(poles)
 
 
 def _rho_eval(theta, shape: _Shape, x, want_grad: bool, want_deriv: bool = False):
     """rho(x), optionally d(rho)/d(theta), rho'(x), d(rho')/d(theta)."""
-    x = np.asarray(x, dtype=float)
-    m = x.shape[0]
-    d = shape.dim
-    rho = np.zeros(m)
-    grad = np.zeros((d, m)) if want_grad else None
-    rhop = np.zeros(m) if want_deriv else None
-    gradp = np.zeros((d, m)) if (want_grad and want_deriv) else None
-
-    if shape.fixed_pole is not None:
-        dd = x - shape.fixed_pole
-        rho += 1.0 / dd
-        if want_deriv:
-            rhop += -1.0 / (dd * dd)
-
-    i = 0
-    for s in shape.signs:
-        z = s * (1.0 + math.exp(theta[i]))
-        dd = x - z
-        rho += 1.0 / dd
-        dz = s * math.exp(theta[i])
-        if want_grad:
-            grad[i] = dz / (dd * dd)
-        if want_deriv:
-            rhop += -1.0 / (dd * dd)
-            if want_grad:
-                gradp[i] = -2.0 * dz / (dd * dd * dd)
-        i += 1
-    for _ in range(shape.n_pairs):
-        c, v = theta[i], math.exp(theta[i + 1])
-        dd = x - c
-        den = dd * dd + v * v
-        rho += 2.0 * dd / den
-        gp = 2.0 * (v * v - dd * dd) / (den * den)  # d/dx of the pair term
-        if want_grad:
-            grad[i] = -gp
-            grad[i + 1] = -4.0 * dd * v * v / (den * den)
-        if want_deriv:
-            rhop += gp
-            gpp = -4.0 * dd * (3.0 * v * v - dd * dd) / (den * den * den)
-            if want_grad:
-                gradp[i] = -gpp
-                gradp[i + 1] = 4.0 * v * v * (3.0 * dd * dd - v * v) / (den * den * den)
-        i += 2
+    reals, dz, pairs = _theta_poles(theta, shape)
+    sums, grads = pole_sums(x, reals, pairs, order=int(want_deriv),
+                            dz=dz if want_grad else None)
+    rho, rhop = sums[0], sums[1] if want_deriv else None
+    grad = gradp = None
+    if want_grad:
+        # the fixed pole has no parameter
+        skip = 0 if shape.fixed_pole is None else 1
+        grad = grads[0][skip:]
+        gradp = grads[1][skip:] if want_deriv else None
     return rho, grad, rhop, gradp
 
 
@@ -368,16 +333,12 @@ def _fd_derivs(f: TargetFunction, ts: np.ndarray):
     return fp, fpp
 
 
-def _select_levels(extrema, m_levels, weighted):
-    """Pick m_levels alternating extrema (best min-magnitude window)."""
-    if weighted:
-        extrema = [(x, v) for x, v in extrema if abs(x) < 1.0 - 1e-9]
-    alt = _alternating_subsequence(extrema)
-    if len(alt) < m_levels:
-        return None
+def _best_window(alt, m):
+    """The length-m window of the alternating extrema ``alt`` whose smallest
+    magnitude is largest (the first on ties), or None when len(alt) < m."""
     best, best_min = None, -1.0
-    for i in range(len(alt) - m_levels + 1):
-        window = alt[i : i + m_levels]
+    for i in range(len(alt) - m + 1):
+        window = alt[i : i + m]
         wmin = min(abs(v) for _, v in window)
         if wmin > best_min:
             best, best_min = window, wmin
@@ -400,8 +361,10 @@ def _newton_equioscillate(theta, shape: _Shape, f: TargetFunction, weighted: boo
     r_fn = _residual_fn(f, rho0, weighted)
     grid = chebyshev_points(max(opts.refine_grid, 4 * opts.grid + 1))
     ext = local_extrema(r_fn, grid, DEFAULTS.supnorm_xtol)
+    if weighted:
+        ext = [(x, v) for x, v in ext if abs(x) < 1.0 - 1e-9]
     m_levels = shape.dim + 1
-    window = _select_levels(ext, m_levels, weighted)
+    window = _best_window(_alternating_subsequence(ext), m_levels)
     if window is None:
         return None
     ts = np.array([x for x, _ in window])
@@ -485,7 +448,7 @@ def _refined_error(f: TargetFunction, rho: LogDerivative, weighted: bool, opts: 
     def absr(x):
         return np.abs(r_fn(x))
 
-    grid = chebyshev_points(max(opts.refine_grid, DEFAULTS.supnorm_grid_per_degree * rho.degree))
+    grid = _norm_grid(rho.degree, opts.refine_grid)
     value, _ = supremum_on_grid(absr, grid, min(opts.tol, DEFAULTS.supnorm_xtol))
     return value
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplefrac.cheb import ChebKind, EllipseParam, PointLocation, ellipse_classify, eval_cheb
 from simplefrac.errors import DomainError, EvaluationError, TheoremRangeError
@@ -17,6 +19,7 @@ from simplefrac.extremal import (
     eval_ld,
     extremal_weighted_norm,
     lambda_bounds,
+    pole_sums,
     sup_norm,
     verify_pole_annulus,
     weighted_sup_norm,
@@ -322,3 +325,48 @@ def test_scaling_covariance():
             direct = np.max(np.abs(base.values_on(ys)))
             mapped = LogDerivative(tuple((z - nu) / mu for z in base.poles))
             assert sup_norm(mapped).value / mu == pytest.approx(direct, rel=1e-6)
+
+
+# ---------------------------------------------------------------- pole-sum kernel
+
+def loop_pole_sums(x, reals, pairs, dz):
+    """Reference: one pole at a time, the term formulas of the kernel."""
+    rho, rhop, rhopp = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    grad, gradp = [], []
+    for r, dr in zip(reals, dz):
+        d = x - r
+        rho += 1.0 / d
+        rhop += -1.0 / (d * d)
+        rhopp += 2.0 / (d * d * d)
+        grad.append(dr / (d * d))
+        gradp.append(-2.0 * dr / (d * d * d))
+    for u, v in pairs:
+        d = x - u
+        den = d * d + v * v
+        rho += 2.0 * d / den
+        gp = 2.0 * (v * v - d * d) / (den * den)
+        gpp = -4.0 * d * (3.0 * v * v - d * d) / (den * den * den)
+        rhop += gp
+        rhopp += gpp
+        grad += [-gp, -4.0 * d * v * v / (den * den)]
+        gradp += [-gpp, 4.0 * v * v * (3.0 * d * d - v * v) / (den * den * den)]
+    return [rho, rhop, rhopp], [np.array(grad), np.array(gradp)]
+
+
+real_poles = st.one_of(st.floats(1.05, 5.0), st.floats(-5.0, -1.05))
+
+
+@settings(max_examples=50, deadline=None)
+@given(reals=st.lists(real_poles, max_size=5),
+       pairs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 3.0)), max_size=5),
+       m=st.integers(1, 40))
+def test_pole_sums_match_per_pole_loop(reals, pairs, m):
+    x = np.cos(np.linspace(0.0, math.pi, m))
+    dz = [0.5 * r for r in reals]
+    want_sums, want_grads = loop_pole_sums(x, reals, pairs, dz)
+    sums, grads = pole_sums(x, reals, pairs, order=1, dz=dz)
+    sums2, none = pole_sums(x, reals, pairs, order=2)
+    assert none is None
+    got = sums2 + sums + grads
+    want = want_sums + want_sums[:2] + [g.reshape(-1, m) for g in want_grads]
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
