@@ -147,8 +147,8 @@ def _cmd_borchardt(args) -> tuple[RunReport, int]:
         return rep, code
     if args.n is None:
         raise DomainError("need either --nodes/--poles or --n with --trials")
-    if args.n > 20:
-        raise DomainError(f"size gated at n <= 20, got {args.n}")
+    if args.n > DEFAULTS.permanent_max_n:
+        raise DomainError(f"size gated at n <= {DEFAULTS.permanent_max_n}, got {args.n}")
     batch = cy.borchardt_batch(sizes=[args.n], trials=args.trials, seed=args.seed, tol=tol)
     rep.inputs.update({"n": args.n, "trials": args.trials, "seed": args.seed})
     rep.outputs.update({
@@ -156,8 +156,9 @@ def _cmd_borchardt(args) -> tuple[RunReport, int]:
         "excluded_by_conditioning": batch.excluded,
         "draws": batch.draws,
         "max_rel_residual": batch.max_rel_residual,
-        "min_abs_det_a": batch.min_abs_det_a,
-        "min_normalized_det_a": batch.min_normalized_det_a,
+        # NaN when every draw was routed to the conditioning report
+        "min_abs_det_a": batch.min_abs_det_a if batch.checked else None,
+        "min_normalized_det_a": batch.min_normalized_det_a if batch.checked else None,
         "excluded_max_residual": batch.excluded_max_residual,
         "failures": batch.failures,
     })

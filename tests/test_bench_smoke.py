@@ -2,9 +2,10 @@
 
 The traced run wraps package functions by name from outside
 (``LogDerivative.values_on``, ``_optim.supremum_on_grid(fn, grid, xtol,
-maxiter)`` and ``local_extrema`` in ``_optim`` and ``minimax``), so a rename
-or signature change in the package breaks it; this catches that in the
-unit-test run.  One traced pass at the smallest sizes takes a few seconds.
+maxiter)``, ``local_extrema`` in ``_optim`` and ``minimax``, and
+``cauchy.permanent_ryser``), so a rename or signature change in the package
+breaks it; this catches that in the unit-test run.  One traced pass at the
+smallest sizes takes a few seconds.
 """
 
 import json
@@ -15,12 +16,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_paper_sweep_smoke():
+def traced_smoke(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "paper-sweep",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--smoke", "--seed", "3", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=170,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_traced_paper_sweep_smoke():
+    assert traced_smoke("paper-sweep")["correct"] is True
+
+
+def test_traced_identity_batch_smoke():
+    # the batch must reach the Ryser permanent through the module attribute
+    # that the tracer wraps
+    out = traced_smoke("identity-batch")
     assert out["correct"] is True
+    assert out["metrics"]["cauchy.ryser_calls"]["value"] > 0

@@ -1,10 +1,12 @@
 """Cauchy matrices, determinants, permanents, identity checks, decomposition."""
 
+import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplefrac.cauchy import (
@@ -33,6 +35,53 @@ def permanent_naive(m):
     )
 
 
+def ryser_gray_reference(m):
+    """The unblocked Ryser loop: one Gray-code subset per Python step.
+
+    Returns (permanent, sum of the term magnitudes)."""
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0]
+    rowsums = np.zeros(n, dtype=complex)
+    total = complex(0.0)
+    scale = 0.0
+    prev_gray = 0
+    for k in range(1, 1 << n):
+        gray = k ^ (k >> 1)
+        changed = gray ^ prev_gray
+        j = changed.bit_length() - 1
+        if gray & changed:
+            rowsums += m[:, j]
+        else:
+            rowsums -= m[:, j]
+        prev_gray = gray
+        term = complex(np.prod(rowsums))
+        scale += abs(term)
+        if (n - gray.bit_count()) % 2:
+            total -= term
+        else:
+            total += term
+    return total, scale
+
+
+def ryser_int(m):
+    """Ryser's formula in Python int arithmetic, exact for integer matrices.
+
+    Returns (permanent, sum of the term magnitudes)."""
+    n = len(m)
+    rowsums = [0] * n
+    total = scale = 0
+    gray = 0
+    for k in range(1, 1 << n):
+        j = (k & -k).bit_length() - 1
+        gray ^= 1 << j
+        step = 1 if gray >> j & 1 else -1
+        rowsums = [r + step * row[j] for r, row in zip(rowsums, m)]
+        term = math.prod(rowsums)
+        scale += abs(term)
+        total += -term if (n - gray.bit_count()) % 2 else term
+    return total, scale
+
+
 def test_matrix_entries_worked_example():
     b = matrix_b(PAIR_2x2)
     assert b.tolist() == [[-0.5, 0.5], [1.0 / (0.5 - 2.0), 1.0 / (0.5 + 2.0)]]
@@ -57,6 +106,16 @@ def test_cauchy_pair_validation():
         CauchyPair((0.0, 0.5), (2.0, 1j))  # not conjugate-closed
     with pytest.raises(DomainError):
         CauchyPair((0.0, 0.5), (2.0,))  # size mismatch
+
+
+def test_cauchy_pair_node_on_pole():
+    with pytest.raises(DomainError):
+        CauchyPair((0.25, 0.5), (0.5, 2.0))
+    with pytest.raises(DomainError):
+        CauchyPair((-0.0, 0.5), (0.0, 2.0))  # -0.0 node, +0.0 pole
+    with pytest.raises(DomainError):
+        CauchyPair((0.0, 0.5), (complex(-0.0, -0.0), 2.0))
+    CauchyPair((0.25, 0.5), (0.75, 2.0))  # distinct sets are accepted
 
 
 def test_closed_form_det():
@@ -127,10 +186,56 @@ def test_permanent_worked_examples():
 
 
 def test_permanent_gates():
+    from simplefrac.config import DEFAULTS
+
+    big = DEFAULTS.permanent_max_n + 1
     with pytest.raises(DomainError):
-        permanent_ryser(np.ones((21, 21)))
+        permanent_ryser(np.ones((big, big)))
     with pytest.raises(DomainError):
         permanent_ryser(np.ones((2, 3)))
+    with pytest.raises(DomainError):
+        permanent_ryser(np.ones(3))
+    with pytest.raises(DomainError):
+        permanent_ryser(np.ones((0, 0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(min_value=1, max_value=13), seed=st.integers(min_value=0, max_value=10_000))
+@example(n=10, seed=1)
+@example(n=11, seed=2)
+@example(n=13, seed=3)
+def test_permanent_matches_gray_reference(n, seed):
+    # n = 11..13 puts columns past the 10-column block
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    want, scale = ryser_gray_reference(m)
+    assert abs(permanent_ryser(m) - want) <= 1e-12 * scale
+
+
+def test_permanent_exact_on_small_integers():
+    rng = np.random.default_rng(4)
+    for n in range(1, 15):
+        m = rng.integers(-3, 4, size=(n, n))
+        exact, scale = ryser_int(m.tolist())
+        got = permanent_ryser(m)
+        if 2**n * (3 * n) ** n < 2**53:
+            # every row sum, product and partial sum is an exact double
+            assert got == exact
+        else:
+            # n - 1 roundings per product, then sums over 2^b and 2^(n-b) terms
+            assert abs(got - exact) <= 2 * n * np.finfo(float).eps * scale
+
+
+def test_permanent_working_set_is_blocked():
+    # a single complex vector of 2^18 entries would take 4 MB
+    m = np.random.default_rng(2).normal(size=(18, 18)).astype(complex)
+    tracemalloc.start()
+    try:
+        permanent_ryser(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -209,7 +314,20 @@ def test_komarov_worked_example():
     # both sides equal 1/3 at x = 0
     assert dec.lhs(0.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert dec.rhs(0.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert type(dec.lhs(0.0)) is complex and type(dec.rhs(0.0)) is complex
     assert dec.max_residual() <= 1e-12
+
+
+def test_komarov_vectorized_sides_match_pointwise():
+    dec = komarov_coefficients((2.0, -2.0, 1.5 + 1j, 1.5 - 1j), (3.0, -2.5j, 2.5j))
+    pts = dec.validation_points()
+    assert 0 < len(pts) <= 50
+    lhs, rhs = dec.lhs(pts), dec.rhs(pts)
+    assert lhs.shape == rhs.shape == pts.shape
+    for x, left, right in zip(pts, lhs, rhs):
+        assert left == pytest.approx(dec.lhs(float(x)), rel=1e-14)
+        assert right == pytest.approx(dec.rhs(float(x)), rel=1e-14)
+    assert dec.max_residual() == float(np.max(np.abs(lhs - rhs)))
 
 
 def test_komarov_empty_and_equal():

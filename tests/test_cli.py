@@ -85,6 +85,33 @@ def test_borchardt_size_gate(capsys):
     assert "20" in err
 
 
+def test_borchardt_batch_with_no_checked_draw(capsys):
+    # at n = 10 seed 0 every draw trips a conditioning gate; the minima over
+    # checked draws are undefined and reported as null
+    code, out, _ = run_cli(
+        capsys, "borchardt", "--n", "10", "--trials", "1", "--seed", "0",
+        "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)["outputs"]
+    assert data["checked"] == 0
+    assert data["min_abs_det_a"] is None and data["min_normalized_det_a"] is None
+
+
+def test_borchardt_size_gate_reads_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("permanent_max_n = 21\n")
+    try:
+        code, _, err = run_cli(
+            capsys, "--config", str(cfg),
+            "borchardt", "--n", "21", "--trials", "1", "--seed", "0",
+        )
+        assert code != 2, err
+    finally:
+        from simplefrac.config import Config, apply_config
+        apply_config(Config())
+
+
 def test_komarov_cli(capsys):
     code, out, _ = run_cli(
         capsys, "komarov", "--p-poles", "2,-2", "--q-poles", "3", "--format", "json"
