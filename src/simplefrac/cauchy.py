@@ -15,7 +15,9 @@ common case and keep all the headline quantities real.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +27,18 @@ from .config import DEFAULTS
 from .errors import DomainError, ToleranceNotMetError
 from .extremal import _canonical_poles
 
-# low columns tabulated by permanent_ryser: 2^10 subsets per numpy product
+# low columns tabulated by the Ryser kernel: 2^10 subsets per numpy product
 _RYSER_BLOCK = 10
+# complex entries in one stacked Ryser table (n x matrices x 2^b): 256 KB,
+# the size of one n = 16 permanent's table, so a batch's two tables take no
+# more memory than that permanent does
+_RYSER_TABLE = 1 << 14
+
+# most draws one borchardt_batch chunk holds, which bounds its memory
+_BATCH_CHUNK = 1024
+
+# conditioning flags, in the order conditioning_flags reports them
+CONDITIONING_FLAGS = ("node-separation", "pole-interval-distance", "determinant-conditioning")
 
 
 @dataclass(frozen=True)
@@ -92,21 +104,27 @@ class CauchyPair:
         cond(B) * eps relative accuracy, so no tolerance below that is
         meaningful for them.
         """
-        cfg = DEFAULTS if cfg is None else cfg
-        flags = []
-        ns = sorted(self.nodes)
-        if len(ns) > 1:
-            sep = min(b - a for a, b in zip(ns, ns[1:]))
-            if sep < cfg.node_separation_gate:
-                flags.append("node-separation")
-        for z in self.poles:
-            dx = max(abs(z.real) - 1.0, 0.0)
-            if math.hypot(dx, z.imag) < cfg.pole_interval_gate:
-                flags.append("pole-interval-distance")
-                break
-        if self.size > 1 and np.linalg.cond(matrix_b(self)) > cfg.det_condition_gate:
-            flags.append("determinant-conditioning")
-        return tuple(flags)
+        cond_b = np.linalg.cond(matrix_b(self)) if self.size > 1 else 1.0
+        return _conditioning_flags(self, cond_b, DEFAULTS if cfg is None else cfg)
+
+
+def _conditioning_flags(pair: CauchyPair, cond_b: float, cfg) -> tuple[str, ...]:
+    """The gates of :meth:`CauchyPair.conditioning_flags`, given cond(B)
+    (not consulted for a single node)."""
+    flags = []
+    ns = sorted(pair.nodes)
+    if len(ns) > 1:
+        sep = min(b - a for a, b in zip(ns, ns[1:]))
+        if sep < cfg.node_separation_gate:
+            flags.append("node-separation")
+    for z in pair.poles:
+        dx = max(abs(z.real) - 1.0, 0.0)
+        if math.hypot(dx, z.imag) < cfg.pole_interval_gate:
+            flags.append("pole-interval-distance")
+            break
+    if pair.size > 1 and cond_b > cfg.det_condition_gate:
+        flags.append("determinant-conditioning")
+    return tuple(flags)
 
 
 def matrix_b(pair: CauchyPair) -> np.ndarray:
@@ -149,7 +167,7 @@ def permanent_ryser(m) -> complex:
     then walks only the 2^(n-b) Gray-code subsets of the high columns,
     updating one row-sum vector and folding in a 2^b-wide product per step,
     so the cost is 2^(n-10) Python steps of a 1024-column product, O(2^n n)
-    flops in all.  The working set is three n x 2^b complex arrays (under
+    flops in all.  The working set is two n x 2^b complex tables (under
     1 MB at n = 20), never 2^n rows.  Gated at n <= permanent_max_n.
     """
     m = np.asarray(m, dtype=complex)
@@ -162,27 +180,73 @@ def permanent_ryser(m) -> complex:
         raise DomainError(
             f"permanent gated at n <= {DEFAULTS.permanent_max_n} (exponential cost); got n={n}"
         )
-    b = min(n, _RYSER_BLOCK)
-    low = np.zeros((n, 1 << b), dtype=complex)
+    return _ryser_stack(m[None])[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _ryser_signs(b: int) -> np.ndarray:
+    """(-1)^|L| for the 2^b subsets L of the low columns; read-only."""
     sign_lo = np.ones(1 << b, dtype=complex)
     for k in range(b):
         h = 1 << k
-        low[:, h : 2 * h] = low[:, :h] + m[:, k : k + 1]
         sign_lo[h : 2 * h] = -sign_lo[:h]
-    acc = np.zeros((n, 1), dtype=complex)
-    rows = np.empty_like(low)
+    sign_lo.flags.writeable = False
+    return sign_lo
+
+
+def _ryser_stack(ms: np.ndarray, work: np.ndarray | None = None) -> list[complex]:
+    """Blocked Ryser permanents of a stack of K complex n x n matrices.
+
+    The table of low-subset row sums is laid out rows x (matrix, subset),
+    n x K x 2^b, so one product over axis 0 serves every matrix, and the
+    Gray walk over the high columns updates an n x K row-sum block.  Each
+    matrix's products are then reduced on their own by ``sign_lo @ p``:
+    per element, the arithmetic is that of a single-matrix table, so every
+    permanent is the same bit for bit whatever K is.
+
+    The table is built subset-major, 2^b x (row, matrix), where each
+    doubling step adds one column to a contiguous block, and then copied
+    into place.  ``work``, when it holds two tables, provides that memory:
+    a caller making many calls passes one buffer, so the tables' pages are
+    not faulted in anew each time.
+    """
+    kk, n, _ = ms.shape
+    b = min(n, _RYSER_BLOCK)
+    w = 1 << b
+    size = n * kk * w
+    if work is None or work.size < 2 * size:
+        work = np.empty(2 * size, dtype=complex)
+    low = work[:size].reshape(n, kk, w)
+    spare = work[size : 2 * size]
+    by_subset = spare.reshape(w, n * kk)
+    cols = ms.transpose(2, 1, 0).reshape(n, n * kk)  # cols[k][i * K + m] = ms[m, i, k]
+    by_subset[0] = 0.0
+    for k in range(b):
+        h = 1 << k
+        np.add(by_subset[:h], cols[k], out=by_subset[h : 2 * h])
+    np.copyto(low, by_subset.T.reshape(n, kk, w))
+    sign_lo = _ryser_signs(b)
+    prods = low.prod(axis=0)
     sign = -1.0 if n % 2 else 1.0
-    total = sign * (sign_lo @ low.prod(axis=0))
-    for k in range(1, 1 << (n - b)):
-        j = (k & -k).bit_length() - 1  # the high column Gray step k flips
-        if (k ^ (k >> 1)) >> j & 1:
-            acc[:, 0] += m[:, b + j]
-        else:
-            acc[:, 0] -= m[:, b + j]
-        sign = -sign
-        np.add(low, acc, out=rows)
-        total += sign * (sign_lo @ rows.prod(axis=0))
-    return complex(total)
+    totals = [sign * (sign_lo @ p) for p in prods]
+    if n > b:
+        # high column j of every matrix, shaped like the row-sum block
+        high = cols[b:].reshape(n - b, n, kk, 1)
+        acc = np.zeros((n, kk, 1), dtype=complex)
+        rows = spare.reshape(n, kk, w)
+        prod_rows = list(enumerate(prods))  # views that each step refills
+        for k in range(1, 1 << (n - b)):
+            j = (k & -k).bit_length() - 1  # the high column Gray step k flips
+            if (k ^ (k >> 1)) >> j & 1:
+                acc += high[j]
+            else:
+                acc -= high[j]
+            sign = -sign
+            np.add(low, acc, out=rows)
+            np.multiply.reduce(rows, axis=0, out=prods)
+            for i, p in prod_rows:
+                totals[i] += sign * (sign_lo @ p)
+    return [complex(t) for t in totals]
 
 
 @dataclass(frozen=True)
@@ -203,8 +267,12 @@ def borchardt_check(pair: CauchyPair) -> BorchardtReport:
             f"identity check gated at n <= {DEFAULTS.permanent_max_n}, got n={pair.size}"
         )
     b = matrix_b(pair)
-    lhs = complex(np.linalg.det(b * b))
-    rhs = complex(np.linalg.det(b)) * permanent_ryser(b)
+    return _borchardt_report(np.linalg.det(b * b), np.linalg.det(b), permanent_ryser(b))
+
+
+def _borchardt_report(det_a, det_b, per_b: complex) -> BorchardtReport:
+    lhs = complex(det_a)
+    rhs = complex(det_b) * per_b
     denom = max(abs(lhs), abs(rhs), DEFAULTS.residual_floor)
     return BorchardtReport(lhs=lhs, rhs=rhs, rel_residual=abs(lhs - rhs) / denom)
 
@@ -327,14 +395,29 @@ def komarov_coefficients(p_poles, q_poles, validate: bool = True) -> KomarovDeco
     return dec
 
 
+@functools.lru_cache(maxsize=64)
+def _chebyshev_nodes(n: int) -> np.ndarray:
+    """The n Chebyshev nodes cos((2k+1)pi/(2n)), descending; read-only."""
+    base = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
+    base.flags.writeable = False
+    return base
+
+
 def random_cauchy_pair(n: int, rng: np.random.Generator,
                        min_abs: float = 1.1, max_abs: float = 10.0) -> CauchyPair:
     """Random instance with nodes in [-1, 1] and a conjugate-closed pole set
     with moduli in [min_abs, max_abs].  Draws are deterministic given rng.
 
     Nodes are jittered Chebyshev points (well separated by construction) and
-    pole moduli are log-uniform; that keeps most draws inside the
-    conditioning gates at every size up to 8.
+    pole moduli are log-uniform.  The determinant-conditioning gate still
+    excludes most draws from n = 6 on: the share that passes every gate is
+    about 0.84 / 0.47 / 0.14 / 0.036 / 0.005 / 0.0004 at n = 5..10.
+
+    Each pole attempt takes its 2 * (n_real + n_pairs) doubles from one
+    ``rng.random`` call and maps each as ``rng.uniform(lo, hi)`` does, to
+    lo + (hi - lo) * u: the same values, in the same order, as one
+    ``rng.uniform`` call per value, at a fraction of the cost of either
+    that or ``rng.uniform`` with array bounds.
     """
     if n < 1:
         raise DomainError("need n >= 1")
@@ -342,24 +425,26 @@ def random_cauchy_pair(n: int, rng: np.random.Generator,
         if n == 1:
             nodes = rng.uniform(-1.0, 1.0, size=1)
         else:
-            base = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
-            nodes = np.sort(base + rng.uniform(-0.3 / n, 0.3 / n, size=n))
+            nodes = np.sort(_chebyshev_nodes(n) + rng.uniform(-0.3 / n, 0.3 / n, size=n))
             nodes = np.clip(nodes, -1.0, 1.0)
-        if n == 1 or np.min(np.diff(nodes)) > 1e-6:
+        if n == 1 or np.diff(nodes).min() > 1e-6:
             break
     n_pairs = int(rng.integers(0, n // 2 + 1))
     n_real = n - 2 * n_pairs
     log_lo, log_hi = math.log(min_abs), math.log(max_abs)
+    log_span = log_hi - log_lo
+    theta_lo = 0.1
+    theta_span = (math.pi - 0.1) - theta_lo
     for _ in range(200):
+        # per real pole: log-modulus, sign coin; per pair: log-modulus, angle
+        u = rng.random(2 * (n_real + n_pairs)).tolist()
         poles: list[complex] = []
-        for _ in range(n_real):
-            mag = math.exp(rng.uniform(log_lo, log_hi))
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            poles.append(complex(sign * mag, 0.0))
-        for _ in range(n_pairs):
-            mag = math.exp(rng.uniform(log_lo, log_hi))
-            theta = rng.uniform(0.1, math.pi - 0.1)
-            z = mag * cmath.exp(complex(0.0, theta))
+        for k in range(0, 2 * n_real, 2):
+            mag = math.exp(log_lo + log_span * u[k])
+            poles.append(complex(mag if u[k + 1] < 0.5 else -mag, 0.0))
+        for k in range(2 * n_real, len(u), 2):
+            mag = math.exp(log_lo + log_span * u[k])
+            z = mag * cmath.exp(complex(0.0, theta_lo + theta_span * u[k + 1]))
             poles.append(z)
             poles.append(z.conjugate())
         seps = [
@@ -367,7 +452,7 @@ def random_cauchy_pair(n: int, rng: np.random.Generator,
         ]
         if not seps or min(seps) > 1e-3:
             break
-    return CauchyPair(nodes=tuple(float(c) for c in nodes), poles=tuple(poles))
+    return CauchyPair(nodes=tuple(nodes.tolist()), poles=tuple(poles))
 
 
 @dataclass(frozen=True)
@@ -376,7 +461,9 @@ class BorchardtBatchReport:
 
     min_normalized_det_a is the smallest observed |det A| / |det B|^2 with
     det B from the closed form; it is the scale-free non-vanishing evidence
-    (equal to |per B / det B| when the identity holds).
+    (equal to |per B / det B| when the identity holds).  excluded_by_flag
+    holds one (flag, count) pair per conditioning flag, in the order of
+    CONDITIONING_FLAGS; a draw with several flags counts under each.
     """
 
     trials: int
@@ -389,6 +476,33 @@ class BorchardtBatchReport:
     excluded_max_residual: float
     tol: float
     failures: int
+    excluded_by_flag: tuple[tuple[str, int], ...]
+
+
+def _check_chunk(pairs: list[CauchyPair], work: np.ndarray) -> list[tuple[BorchardtReport, tuple]]:
+    """borchardt_check and conditioning_flags of every pair, with one det,
+    one cond and one Ryser call per size (the Ryser call split so that each
+    table stays within _RYSER_TABLE entries).  Each value equals the
+    per-pair call's bit for bit: the stacked LAPACK calls factor each matrix
+    on its own, and _ryser_stack does each matrix's arithmetic unchanged."""
+    out: list = [None] * len(pairs)
+    by_size: dict[int, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        by_size.setdefault(pair.size, []).append(i)
+    for n, idx in by_size.items():
+        c = np.array([pairs[i].nodes for i in idx], dtype=complex)
+        z = np.array([pairs[i].poles for i in idx], dtype=complex)
+        b = 1.0 / (c[:, :, None] - z[:, None, :])
+        det_a = np.linalg.det(b * b)
+        det_b = np.linalg.det(b)
+        cond_b = np.linalg.cond(b) if n > 1 else np.ones(len(idx))
+        step = max(1, _RYSER_TABLE // (n << min(n, _RYSER_BLOCK)))
+        per_b = [p for k in range(0, len(idx), step)
+                 for p in _ryser_stack(b[k : k + step], work)]
+        for k, i in enumerate(idx):
+            out[i] = (_borchardt_report(det_a[k], det_b[k], per_b[k]),
+                      _conditioning_flags(pairs[i], cond_b[k], DEFAULTS))
+    return out
 
 
 def borchardt_batch(sizes, trials: int, seed: int, tol: float | None = None) -> BorchardtBatchReport:
@@ -397,32 +511,59 @@ def borchardt_batch(sizes, trials: int, seed: int, tol: float | None = None) -> 
     Draws cycle through ``sizes``; instances tripping a conditioning flag are
     routed to the excluded tally (their residuals are reported but never
     asserted on) and replaced by fresh draws, capped at 20x oversampling.
+
+    Draws are made in chunks of k = min(trials - checked, 20 * trials -
+    draws, _BATCH_CHUNK).  A draw adds at most one checked instance, so a
+    loop that drew and checked one instance at a time would make all k of
+    those draws too: the chunks take the same draws from the same random
+    stream.  Each chunk is checked with stacked numpy calls, one per size,
+    and then tallied in draw order, so the report is the one-at-a-time
+    loop's, bit for bit.  Sizes must lie in 1..permanent_max_n and trials
+    must be at least 1.
     """
+    try:
+        sizes = [operator.index(n) for n in sizes]
+        trials = operator.index(trials)
+    except TypeError as exc:
+        raise DomainError(f"sizes and trials must be integers: {exc}") from exc
+    if not sizes:
+        raise DomainError("need at least one size")
+    if trials < 1:
+        raise DomainError(f"need trials >= 1, got {trials}")
+    for n in sizes:
+        if not 1 <= n <= DEFAULTS.permanent_max_n:
+            raise DomainError(
+                f"size gated at 1 <= n <= {DEFAULTS.permanent_max_n} "
+                f"(exponential-cost permanent), got {n}"
+            )
     tol = DEFAULTS.borchardt_tol if tol is None else tol
     rng = np.random.default_rng(seed)
-    sizes = list(sizes)
     checked = excluded = failures = draws = 0
     max_res = 0.0
     max_res_excluded = 0.0
     min_det = math.inf
     min_norm_det = math.inf
+    by_flag = dict.fromkeys(CONDITIONING_FLAGS, 0)
+    work = np.empty(2 * _RYSER_TABLE, dtype=complex)
     while checked < trials and draws < 20 * trials:
-        n = sizes[draws % len(sizes)]
-        draws += 1
-        pair = random_cauchy_pair(n, rng)
-        rep = borchardt_check(pair)
-        if pair.conditioning_flags():
-            excluded += 1
-            max_res_excluded = max(max_res_excluded, rep.rel_residual)
-            continue
-        checked += 1
-        max_res = max(max_res, rep.rel_residual)
-        min_det = min(min_det, abs(rep.lhs))
-        det_b = abs(cauchy_det_closed_form(pair))
-        if det_b > 0.0:
-            min_norm_det = min(min_norm_det, abs(rep.lhs) / (det_b * det_b))
-        if rep.rel_residual > tol:
-            failures += 1
+        k = min(trials - checked, 20 * trials - draws, _BATCH_CHUNK)
+        pairs = [random_cauchy_pair(sizes[(draws + i) % len(sizes)], rng) for i in range(k)]
+        draws += k
+        for pair, (rep, flags) in zip(pairs, _check_chunk(pairs, work)):
+            if flags:
+                excluded += 1
+                max_res_excluded = max(max_res_excluded, rep.rel_residual)
+                for flag in flags:
+                    by_flag[flag] += 1
+                continue
+            checked += 1
+            max_res = max(max_res, rep.rel_residual)
+            min_det = min(min_det, abs(rep.lhs))
+            det_b = abs(cauchy_det_closed_form(pair))
+            if det_b > 0.0:
+                min_norm_det = min(min_norm_det, abs(rep.lhs) / (det_b * det_b))
+            if rep.rel_residual > tol:
+                failures += 1
     return BorchardtBatchReport(
         trials=trials,
         draws=draws,
@@ -434,4 +575,5 @@ def borchardt_batch(sizes, trials: int, seed: int, tol: float | None = None) -> 
         excluded_max_residual=max_res_excluded,
         tol=tol,
         failures=failures,
+        excluded_by_flag=tuple(by_flag.items()),
     )

@@ -147,8 +147,6 @@ def _cmd_borchardt(args) -> tuple[RunReport, int]:
         return rep, code
     if args.n is None:
         raise DomainError("need either --nodes/--poles or --n with --trials")
-    if args.n > DEFAULTS.permanent_max_n:
-        raise DomainError(f"size gated at n <= {DEFAULTS.permanent_max_n}, got {args.n}")
     batch = cy.borchardt_batch(sizes=[args.n], trials=args.trials, seed=args.seed, tol=tol)
     rep.inputs.update({"n": args.n, "trials": args.trials, "seed": args.seed})
     rep.outputs.update({
@@ -160,6 +158,7 @@ def _cmd_borchardt(args) -> tuple[RunReport, int]:
         "min_abs_det_a": batch.min_abs_det_a if batch.checked else None,
         "min_normalized_det_a": batch.min_normalized_det_a if batch.checked else None,
         "excluded_max_residual": batch.excluded_max_residual,
+        "excluded_by_flag": dict(batch.excluded_by_flag),
         "failures": batch.failures,
     })
     code = EXIT_OK if batch.failures == 0 else EXIT_TOLERANCE

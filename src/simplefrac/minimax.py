@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from ._optim import local_extrema, supremum_on_grid
 from .cheb import chebyshev_points
@@ -496,6 +495,10 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None) 
         raise DomainError(f"grid too small: {opts.grid}")
     if opts.starts < 1:
         raise DomainError(f"need at least one start, got {opts.starts}")
+
+    # scipy is imported by the solver alone, so `import simplefrac` does not
+    # pay for it
+    from scipy import optimize as sciopt
 
     rng = np.random.default_rng(opts.seed)
     xg = chebyshev_points(opts.grid)

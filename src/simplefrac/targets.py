@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .cheb import cheb_t
 from .errors import DomainError
@@ -53,6 +52,8 @@ class SampledFunction:
             raise DomainError("sample abscissas must be strictly increasing")
 
     def as_target(self) -> TargetFunction:
+        from scipy.interpolate import CubicSpline  # only the spline path needs scipy
+
         spline = CubicSpline(np.asarray(self.xs), np.asarray(self.ys), bc_type="natural")
         return TargetFunction(
             evaluator=lambda x: spline(x),

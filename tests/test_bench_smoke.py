@@ -31,8 +31,9 @@ def test_traced_paper_sweep_smoke():
 
 
 def test_traced_identity_batch_smoke():
-    # the batch must reach the Ryser permanent through the module attribute
-    # that the tracer wraps
+    # the ryser ops must reach the permanent through the module attribute
+    # that the tracer wraps; the batch ops run the stacked kernel instead,
+    # and their time shows in cauchy.batch_s
     out = traced_smoke("identity-batch")
     assert out["correct"] is True
     assert out["metrics"]["cauchy.ryser_calls"]["value"] > 0

@@ -1,5 +1,7 @@
 """Cauchy matrices, determinants, permanents, identity checks, decomposition."""
 
+import cmath
+import dataclasses
 import math
 import tracemalloc
 from itertools import permutations
@@ -10,7 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplefrac.cauchy import (
+    CONDITIONING_FLAGS,
+    BorchardtBatchReport,
     CauchyPair,
+    _ryser_stack,
     borchardt_batch,
     borchardt_check,
     cauchy_det_closed_form,
@@ -22,6 +27,7 @@ from simplefrac.cauchy import (
     permanent_ryser,
     random_cauchy_pair,
 )
+from simplefrac.config import DEFAULTS
 from simplefrac.errors import DomainError, ToleranceNotMetError
 
 PAIR_2x2 = CauchyPair((0.0, 0.5), (2.0, -2.0))
@@ -80,6 +86,98 @@ def ryser_int(m):
         scale += abs(term)
         total += -term if (n - gray.bit_count()) % 2 else term
     return total, scale
+
+
+def random_cauchy_pair_reference(n, rng, min_abs=1.1, max_abs=10.0):
+    """random_cauchy_pair with one scalar ``rng.uniform`` call per pole
+    uniform and the Chebyshev nodes recomputed per draw."""
+    for _ in range(200):
+        if n == 1:
+            nodes = rng.uniform(-1.0, 1.0, size=1)
+        else:
+            base = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
+            nodes = np.sort(base + rng.uniform(-0.3 / n, 0.3 / n, size=n))
+            nodes = np.clip(nodes, -1.0, 1.0)
+        if n == 1 or np.min(np.diff(nodes)) > 1e-6:
+            break
+    n_pairs = int(rng.integers(0, n // 2 + 1))
+    n_real = n - 2 * n_pairs
+    log_lo, log_hi = math.log(min_abs), math.log(max_abs)
+    for _ in range(200):
+        poles = []
+        for _ in range(n_real):
+            mag = math.exp(rng.uniform(log_lo, log_hi))
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            poles.append(complex(sign * mag, 0.0))
+        for _ in range(n_pairs):
+            mag = math.exp(rng.uniform(log_lo, log_hi))
+            theta = rng.uniform(0.1, math.pi - 0.1)
+            z = mag * cmath.exp(complex(0.0, theta))
+            poles.append(z)
+            poles.append(z.conjugate())
+        seps = [abs(p - q) for i, p in enumerate(poles) for q in poles[i + 1 :]]
+        if not seps or min(seps) > 1e-3:
+            break
+    return CauchyPair(nodes=tuple(float(c) for c in nodes), poles=tuple(poles))
+
+
+def borchardt_batch_serial_reference(sizes, trials, seed, tol=None):
+    """borchardt_batch as one draw, one identity check and one flag check
+    at a time, through the public per-pair functions."""
+    tol = DEFAULTS.borchardt_tol if tol is None else tol
+    rng = np.random.default_rng(seed)
+    sizes = list(sizes)
+    checked = excluded = failures = draws = 0
+    max_res = max_res_excluded = 0.0
+    min_det = min_norm_det = math.inf
+    by_flag = dict.fromkeys(CONDITIONING_FLAGS, 0)
+    while checked < trials and draws < 20 * trials:
+        n = sizes[draws % len(sizes)]
+        draws += 1
+        pair = random_cauchy_pair_reference(n, rng)
+        rep = borchardt_check(pair)
+        flags = pair.conditioning_flags()
+        if flags:
+            excluded += 1
+            max_res_excluded = max(max_res_excluded, rep.rel_residual)
+            for flag in flags:
+                by_flag[flag] += 1
+            continue
+        checked += 1
+        max_res = max(max_res, rep.rel_residual)
+        min_det = min(min_det, abs(rep.lhs))
+        det_b = abs(cauchy_det_closed_form(pair))
+        if det_b > 0.0:
+            min_norm_det = min(min_norm_det, abs(rep.lhs) / (det_b * det_b))
+        if rep.rel_residual > tol:
+            failures += 1
+    return BorchardtBatchReport(
+        trials=trials,
+        draws=draws,
+        checked=checked,
+        excluded=excluded,
+        max_rel_residual=max_res,
+        min_abs_det_a=min_det if checked else float("nan"),
+        min_normalized_det_a=min_norm_det if checked else float("nan"),
+        excluded_max_residual=max_res_excluded,
+        tol=tol,
+        failures=failures,
+        excluded_by_flag=tuple(by_flag.items()),
+    )
+
+
+def exact(value):
+    """A value with every float as its hex string, so == compares bits
+    (and NaN equals NaN)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return (value.real.hex(), value.imag.hex())
+    if isinstance(value, (tuple, list)):
+        return tuple(exact(v) for v in value)
+    if isinstance(value, dict):
+        return {k: exact(v) for k, v in value.items()}
+    return value
 
 
 def test_matrix_entries_worked_example():
@@ -239,6 +337,32 @@ def test_permanent_working_set_is_blocked():
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(min_value=1, max_value=13), k=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=10_000))
+@example(n=12, k=3, seed=0)
+def test_stacked_ryser_matches_single_bit_for_bit(n, k, seed):
+    rng = np.random.default_rng(seed)
+    ms = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    want = [exact(permanent_ryser(m)) for m in ms]
+    assert [exact(p) for p in _ryser_stack(ms)] == want
+    # a caller's buffer, too small or large enough, gives the same values
+    for work in (np.empty(1, dtype=complex), np.empty((2 * k * n) << 10, dtype=complex)):
+        assert [exact(p) for p in _ryser_stack(ms, work)] == want
+
+
+@pytest.mark.parametrize("n,want", [
+    (5, ("-0x1.35060af81e5e8p+5", "-0x1.05b2d1daaaa51p+5")),
+    (11, ("0x1.46af5164bcc3bp+16", "-0x1.b82678c44699cp+14")),
+    (13, ("-0x1.432f757d4c168p+22", "0x1.ac0f48b8bc738p+21")),
+])
+def test_permanent_pinned_bits(n, want):
+    # values of the single-matrix blocked kernel, before stacking
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert exact(permanent_ryser(m)) == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(min_value=1, max_value=5), seed=st.integers(min_value=0, max_value=10_000))
 def test_permanent_matches_naive(n, seed):
     rng = np.random.default_rng(seed)
@@ -303,6 +427,96 @@ def test_batch_runs_and_routes():
     assert rep.failures == 0
     assert rep.max_rel_residual <= 1e-10
     assert rep.min_abs_det_a > 1e-300
+
+
+def test_random_pair_pinned_draws():
+    # draws of the one-scalar-uniform-per-value generator, bit for bit
+    rng = np.random.default_rng(2024)
+    want = {
+        1: (["0x1.681a42b1eea64p-2"], [("0x1.c3f19d49a6899p+0", "0x0.0p+0")]),
+        2: (["-0x1.1de22b1000bdcp-1", "0x1.980962d718e92p-1"],
+            [("0x1.4f0ace30586cap+0", "0x0.0p+0"), ("0x1.376e82ed91a1cp+1", "0x0.0p+0")]),
+        3: (["-0x1.e3d042658639ap-1", "0x1.7ec13e970ae1ep-6", "0x1.c47e7434808a7p-1"],
+            [("0x1.ead0476160fc6p+1", "0x0.0p+0"), ("-0x1.8911c949f7229p+1", "0x0.0p+0"),
+             ("-0x1.9b10aa8146b50p+2", "0x0.0p+0")]),
+        5: (["-0x1.cfe74d85b29e5p-1", "-0x1.3a954ba65618ep-1", "-0x1.c26ca9f2af359p-8",
+             "0x1.1ae760b015eddp-1", "0x1.dc35de078db84p-1"],
+            [("-0x1.01ed2d6e872dbp+1", "0x0.0p+0"),
+             ("0x1.4113ff83cd26dp+0", "0x1.8b370dcce52e6p+0"),
+             ("0x1.4113ff83cd26dp+0", "-0x1.8b370dcce52e6p+0"),
+             ("0x1.fb6b2c2b1cdb4p-4", "0x1.47c2bf7acb717p+0"),
+             ("0x1.fb6b2c2b1cdb4p-4", "-0x1.47c2bf7acb717p+0")]),
+    }
+    for n, (nodes, poles) in want.items():
+        pair = random_cauchy_pair(n, rng)
+        assert exact(pair.nodes) == tuple(nodes)
+        assert exact(pair.poles) == tuple(poles)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(min_value=1, max_value=12), seed=st.integers(min_value=0, max_value=10_000))
+def test_random_pair_matches_scalar_reference(n, seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        a, b = random_cauchy_pair(n, fast), random_cauchy_pair_reference(n, slow)
+        assert exact(a.nodes) == exact(b.nodes) and exact(a.poles) == exact(b.poles)
+
+
+size_lists = st.one_of(
+    st.integers(min_value=1, max_value=11).map(lambda n: [n]),
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sizes=size_lists, trials=st.integers(min_value=1, max_value=12),
+       seed=st.integers(min_value=0, max_value=2**31 - 1))
+@example(sizes=[10], trials=1, seed=0)
+@example(sizes=[3, 9, 5], trials=12, seed=1)
+@example(sizes=[12, 2], trials=3, seed=0)
+@example(sizes=list(range(1, 7)), trials=150, seed=3)
+def test_batch_matches_serial_reference(sizes, trials, seed):
+    got = dataclasses.asdict(borchardt_batch(sizes, trials, seed))
+    want = dataclasses.asdict(borchardt_batch_serial_reference(sizes, trials, seed))
+    assert exact(got) == exact(want)
+
+
+def test_batch_excluded_by_flag():
+    rep = borchardt_batch([6], 20, 0)
+    counts = dict(rep.excluded_by_flag)
+    assert tuple(counts) == CONDITIONING_FLAGS
+    assert rep.excluded > 0
+    # every excluded draw carries at least one flag; at n = 6 the
+    # determinant-conditioning gate is the one that fires
+    assert rep.excluded <= sum(counts.values())
+    assert counts["determinant-conditioning"] == rep.excluded
+
+
+@pytest.mark.parametrize("sizes,trials", [
+    ([], 5),
+    ([3], 0),
+    ([3], -2),
+    ([0], 5),
+    ([2, DEFAULTS.permanent_max_n + 1], 5),
+    ([2.5], 5),
+])
+def test_batch_rejects_bad_input(sizes, trials):
+    with pytest.raises(DomainError):
+        borchardt_batch(sizes, trials, 0)
+
+
+def test_batch_working_set_is_bounded():
+    # the stacked tables are capped at two _RYSER_TABLE buffers (512 KB), as
+    # for one n = 16 permanent; stacking a chunk's 20 tables at n = 10
+    # would take 6.5 MB
+    borchardt_batch([10], 20, 0)
+    tracemalloc.start()
+    try:
+        borchardt_batch([10], 20, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------- decomposition

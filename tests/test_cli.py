@@ -96,6 +96,26 @@ def test_borchardt_batch_with_no_checked_draw(capsys):
     data = json.loads(out)["outputs"]
     assert data["checked"] == 0
     assert data["min_abs_det_a"] is None and data["min_normalized_det_a"] is None
+    assert data["excluded_by_flag"] == {
+        "node-separation": 0, "pole-interval-distance": 0, "determinant-conditioning": 20,
+    }
+
+
+@pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "3", "--trials", "0")])
+def test_borchardt_batch_rejects_bad_input(capsys, argv):
+    code, _, err = run_cli(capsys, "borchardt", *argv)
+    assert code == 2
+    assert "error" in err
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported by the solver and the spline target only
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, simplefrac; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_borchardt_size_gate_reads_config(capsys, tmp_path):
