@@ -1,10 +1,16 @@
-"""Double-double scalar arithmetic for cancellation-prone kernels.
+"""Double-double arithmetic for cancellation-prone kernels.
 
 A value is an unevaluated sum ``(hi, lo)`` of two floats with
 ``|lo| <= ulp(hi)/2``, giving roughly 32 significant digits.  Only the
 handful of operations the evaluation kernels need are provided; inputs are
 assumed well inside the binary64 exponent range (the splitter overflows
 beyond ~1e292).
+
+Every operation is a fixed sequence of IEEE + - * / (Dekker's error-free
+transformations), with no branch on the data, so each works elementwise on
+numpy arrays as well as on floats, and a point gets the same bits alone or
+inside an array: ``hi`` and ``lo`` may be floats or arrays that broadcast
+together.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import supremum_on_grid
+from ._optim import suprema_on_grid, supremum_on_grid
 from .cheb import ChebKind, eval_cheb
 from .config import DEFAULTS
 from .errors import DomainError, TheoremRangeError
@@ -82,33 +82,25 @@ class RootedPolynomial:
                     "pass force=True for the weighted-only range"
                 )
         object.__setattr__(self, "cofactor_roots", canon)
+        # the real and quadratic factors, in the order the product rule takes them
+        reals = tuple(z.real for z in canon if z.imag == 0.0)
+        object.__setattr__(self, "_reals", (self.a,) + reals)
+        object.__setattr__(self, "_pairs", tuple((z.real, z.imag) for z in canon if z.imag > 0.0))
 
     @property
     def n(self) -> int:
         return len(self.cofactor_roots) + 1
 
-    def _factors(self):
-        reals = [self.a]
-        pairs = []
-        seen = set()
-        for z in self.cofactor_roots:
-            if z.imag == 0.0:
-                reals.append(z.real)
-            elif z.imag > 0.0:
-                pairs.append((z.real, z.imag))
-        return reals, pairs
-
     def value_and_derivative(self, x):
         """P(x) and P'(x) by the product rule over real/quadratic factors."""
         x = np.asarray(x, dtype=float)
-        reals, pairs = self._factors()
         val = np.full_like(x, self.lead)
         der = np.zeros_like(x)
-        for r in reals:
+        for r in self._reals:
             fac = x - r
             der = der * fac + val
             val = val * fac
-        for u, v in pairs:
+        for u, v in self._pairs:
             d = x - u
             fac = d * d + v * v
             der = der * fac + val * (2.0 * d)
@@ -130,7 +122,8 @@ def check_corollary(poly: RootedPolynomial, tol: float | None = None) -> Corolla
     """Evaluate both derivative bounds on a concrete polynomial.
 
     The three extremal quantities (weighted and plain sup of |P'|, min of
-    |P|) come from the shared grid + golden-section engine.  Evaluation is
+    |P|) come from one multi-row scan of the shared grid + golden-section
+    engine, all three rows from one product-rule pass.  Evaluation is
     from the root representation, so polynomials whose derivative sits many
     orders of magnitude below |P| on the segment (the extremal witnesses at
     large degree) lose accuracy to root rounding; use
@@ -140,21 +133,12 @@ def check_corollary(poly: RootedPolynomial, tol: float | None = None) -> Corolla
     n = poly.n
     grid = _norm_grid(n)
 
-    def absderiv_w(x):
-        _, der = poly.value_and_derivative(x)
-        return np.abs(der) * _weight(x)
+    def rows(x):
+        val, der = poly.value_and_derivative(x)
+        absder = np.abs(der)
+        return np.array([absder * _weight(x), absder, -np.abs(val)])
 
-    def absderiv(x):
-        _, der = poly.value_and_derivative(x)
-        return np.abs(der)
-
-    def neg_absval(x):
-        val, _ = poly.value_and_derivative(x)
-        return -np.abs(val)
-
-    lhs_w, _ = supremum_on_grid(absderiv_w, grid, tol)
-    lhs_u, _ = supremum_on_grid(absderiv, grid, tol)
-    neg_min, _ = supremum_on_grid(neg_absval, grid, tol)
+    (lhs_w, _), (lhs_u, _), (neg_min, _) = suprema_on_grid(rows, grid, tol)
     min_abs_p = -neg_min
 
     tn = eval_cheb(ChebKind.FIRST_KIND, n, poly.a)
@@ -240,15 +224,12 @@ def witness_ratio_empirical(n: int, a: float, which: int, tol: float | None = No
         # T_n(a) is large
         tna = eval_cheb(ChebKind.FIRST_KIND, n, a)
 
-        def absderiv_w(x):
+        def rows(x):
             theta = np.arccos(np.clip(x, -1.0, 1.0))
-            return n * np.abs(np.sin(n * theta))  # = sqrt(1-x^2) * |n U_{n-1}(x)|
+            # sqrt(1-x^2) * |n U_{n-1}(x)|, and -|T_n(x) - T_n(a)|
+            return np.array([n * np.abs(np.sin(n * theta)), -np.abs(np.cos(n * theta) - tna)])
 
-        def neg_absp(x):
-            return -np.abs(np.cos(n * np.arccos(np.clip(x, -1.0, 1.0))) - tna)
-
-        lhs_w, _ = supremum_on_grid(absderiv_w, grid1, tol)
-        neg_min, _ = supremum_on_grid(neg_absp, grid1, tol)
+        (lhs_w, _), (neg_min, _) = suprema_on_grid(rows, grid1, tol)
         min_p = -neg_min
         return n * min_p / math.sqrt((tna - 1.0) * (tna + 1.0)) / lhs_w
     if which == 2:

@@ -421,6 +421,11 @@ def random_cauchy_pair(n: int, rng: np.random.Generator,
     """
     if n < 1:
         raise DomainError("need n >= 1")
+    if not 0.0 < min_abs <= max_abs < math.inf:
+        raise DomainError(
+            f"pole moduli need 0 < min_abs <= max_abs < inf, got min_abs={min_abs!r}, "
+            f"max_abs={max_abs!r}"
+        )
     for _ in range(200):
         if n == 1:
             nodes = rng.uniform(-1.0, 1.0, size=1)

@@ -66,14 +66,15 @@ def _require_finite_scalar(z) -> complex:
     return z
 
 
-def _cheb_recurrence_dd(kind: ChebKind, n: int, x: float) -> float:
-    """Three-term recurrence in double-double arithmetic, real argument."""
+def _cheb_recurrence_dd(kind: ChebKind, n: int, x):
+    """Three-term recurrence in double-double arithmetic at a real point or
+    elementwise over a float array of points (the same bits either way)."""
     if kind is ChebKind.FIRST_KIND:
         prev, cur = (1.0, 0.0), (x, 0.0)
     else:
         prev, cur = (1.0, 0.0), (2.0 * x, 0.0)
     if n == 0:
-        return _dd.dd_to_float(prev)
+        return np.ones_like(x) if isinstance(x, np.ndarray) else _dd.dd_to_float(prev)
     twox = 2.0 * x  # exact
     for _ in range(n - 1):
         cur, prev = _dd.dd_sub(_dd.dd_mul_f(cur, twox), prev), cur
@@ -114,7 +115,9 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
     Real arguments run through the compensated recurrence (a few ulp up to
     n = 64); complex arguments use the exponential form with the branch of
     sqrt(z^2-1) cut along [-1, 1] and normalized to +1 at z = sqrt(2).
-    Returns a float for real input, complex otherwise.
+    Returns a float for real input, complex otherwise.  Raises DomainError,
+    naming log |T_n(z)| (or log |U_n(z)|), where w^n of the exponential form
+    overflows a float: at z = 3 that is from n = 403 on.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"degree must be a non-negative integer, got {n!r}")
@@ -122,11 +125,24 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
     if kind not in (ChebKind.FIRST_KIND, ChebKind.SECOND_KIND):
         raise DomainError(f"unknown Chebyshev kind {kind!r}")
     zc = _require_finite_scalar(z)
-    if zc.imag != 0.0:
-        return _cheb_exponential(kind, n, zc)
     x = zc.real
-    if abs(x) > 1.0 and n * math.log(abs(x) + math.sqrt(x * x - 1.0)) > _DD_LOG_LIMIT:
-        return complex(_cheb_exponential(kind, n, complex(x))).real
+    try:
+        if zc.imag != 0.0:
+            return _cheb_exponential(kind, n, zc)
+        if abs(x) > 1.0 and n * math.log(abs(x) + math.sqrt(x * x - 1.0)) > _DD_LOG_LIMIT:
+            return complex(_cheb_exponential(kind, n, complex(x))).real
+    except OverflowError:
+        # |w| >= 1 on the branch used, and w^-n is negligible beside w^n here
+        w = zc + _sqrt_branch(zc)
+        lw = abs(math.log(abs(w)))
+        if kind is ChebKind.FIRST_KIND:
+            name, log_val = "T", n * lw - math.log(2.0)
+        else:
+            name, log_val = "U", (n + 1) * lw - math.log(abs(w - 1.0 / w))
+        raise DomainError(
+            f"{name}_{n} out of range at z = {z}: w^n overflows a float, "
+            f"log |{name}_{n}(z)| = {log_val:.6f}"
+        ) from None
     return _cheb_recurrence_dd(kind, n, x)
 
 
@@ -191,8 +207,9 @@ def solve_t_equals(n: int, c: float, *, residual_tol: float | None = None) -> li
     """All n solutions of T_n(x) = c in (-1, 1), ascending.
 
     Requires |c| < 1, which makes the roots simple and interior.  Roots come
-    from the arccos representation and one Newton polish; each satisfies
-    |T_n(x) - c| <= residual_tol.
+    from the arccos representation and two Newton steps, all roots together;
+    each satisfies |T_n(x) - c| <= residual_tol, and otherwise the first
+    failing root in enumeration order is reported.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"degree must be a positive integer, got {n!r}")
@@ -215,25 +232,22 @@ def solve_t_equals(n: int, c: float, *, residual_tol: float | None = None) -> li
             f"expected {n} roots of T_{n}(x) = {c}, enumerated {len(thetas)}"
         )
 
-    roots = []
-    for theta in thetas:
-        xr = math.cos(theta)
-        for _ in range(2):
-            tn = _cheb_recurrence_dd(ChebKind.FIRST_KIND, n, xr)
-            un1 = _cheb_recurrence_dd(ChebKind.SECOND_KIND, n - 1, xr)
-            deriv = n * un1
-            if deriv == 0.0:
-                break
-            xr -= (tn - c) / deriv
-        resid = _cheb_recurrence_dd(ChebKind.FIRST_KIND, n, xr) - c
-        if abs(resid) > tol:
-            raise ToleranceNotMetError(
-                f"root polish stalled at x={xr} with |T_n(x)-c|={abs(resid):.3e}",
-                best=xr,
-            )
-        roots.append(xr)
-    roots.sort()
-    return roots
+    xr = np.array([math.cos(theta) for theta in thetas])
+    live = np.ones(n, dtype=bool)  # a root whose derivative vanishes stops moving
+    for _ in range(2):
+        tn = _cheb_recurrence_dd(ChebKind.FIRST_KIND, n, xr)
+        deriv = n * _cheb_recurrence_dd(ChebKind.SECOND_KIND, n - 1, xr)
+        live &= deriv != 0.0
+        xr -= np.divide(tn - c, deriv, out=np.zeros(n), where=live)
+    resid = np.abs(_cheb_recurrence_dd(ChebKind.FIRST_KIND, n, xr) - c)
+    bad = np.flatnonzero(resid > tol)
+    if len(bad):
+        x0 = float(xr[bad[0]])
+        raise ToleranceNotMetError(
+            f"root polish stalled at x={x0} with |T_n(x)-c|={resid[bad[0]]:.3e}",
+            best=x0,
+        )
+    return sorted(xr.tolist())
 
 
 def ellipse_classify(ellipse: EllipseParam, z, tol: float | None = None) -> EllipseClassification:

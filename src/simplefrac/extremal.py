@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -272,22 +273,33 @@ class DvpBracket(NamedTuple):
     weak_equiv_ratio: float
 
 
-def eval_ld(rho: LogDerivative, x: float, proximity_tol: float | None = None) -> float:
-    """Pointwise pole-sum value of the fraction at real x.
+def eval_ld(rho: LogDerivative, x, proximity_tol: float | None = None):
+    """Pointwise pole-sum value of the fraction at a real x or at each point
+    of a 1-D array x.
 
     Conjugate pairs are combined analytically as 2(x-u)/((x-u)^2+v^2) and the
     terms are evaluated and accumulated in compensated (double-double)
     arithmetic, so the result stays accurate even when the sum is many orders
-    of magnitude below the individual terms.  Rejects x closer than
-    ``proximity_tol`` to a pole.
+    of magnitude below the individual terms.  The arithmetic is elementwise,
+    so a point gets the same bits alone or in an array.  Returns a float for
+    scalar x and an ndarray for an array.  Rejects a non-finite point, and a
+    point closer than ``proximity_tol`` to a pole; for an array, the first
+    point that fails either check is reported.
     """
     tol = DEFAULTS.pole_proximity_tol if proximity_tol is None else proximity_tol
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"non-finite evaluation point {x!r}")
-    for z in rho.poles:
-        if abs(complex(x, 0.0) - z) <= tol:
-            raise EvaluationError(f"evaluation point {x} is within {tol} of pole {z}")
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise DomainError(f"evaluation points must form a scalar or a 1-D array, got {xs.shape}")
+    x = np.atleast_1d(xs)
+    poles = np.array(rho.poles)
+    near = np.hypot(x[:, None] - poles.real, 0.0 - poles.imag) <= tol
+    bad = ~np.isfinite(x) | near.any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not math.isfinite(x[i]):
+            raise DomainError(f"non-finite evaluation point {float(x[i])!r}")
+        z = rho.poles[int(np.argmax(near[i]))]
+        raise EvaluationError(f"evaluation point {float(x[i])} is within {tol} of pole {z}")
     acc = (0.0, 0.0)
     one = (1.0, 0.0)
     for r in rho._reals:
@@ -297,18 +309,30 @@ def eval_ld(rho: LogDerivative, x: float, proximity_tol: float | None = None) ->
         den = _dd.dd_add(_dd.dd_sqr(d), _dd.two_prod(v, v))
         num = (2.0 * d[0], 2.0 * d[1])
         acc = _dd.dd_add(acc, _dd.dd_div(num, den))
-    return _dd.dd_to_float(acc)
+    value = _dd.dd_to_float(acc)
+    return float(value[0]) if xs.ndim == 0 else value
 
 
 def _weighted_level(n: int, a: float) -> float:
-    """n / sqrt(T_n(a)^2 - 1) through the stable circle-radius form."""
+    """n / sqrt(T_n(a)^2 - 1) through the stable circle-radius form.
+
+    Raises TheoremRangeError where the level is below the smallest normal
+    float (at a = 3, from n = 406 on) rather than return a subnormal or 0.
+    """
     r = a + math.sqrt(a * a - 1.0)
     nlr = n * math.log(r)
     if nlr < 350.0:
         rn = r**n
         return 2.0 * n / (rn - 1.0 / rn)
     # log-domain tail; the r^(-2n) correction has already underflowed
-    return 2.0 * n * math.exp(-nlr)
+    level = 2.0 * n * math.exp(-nlr)
+    if level < sys.float_info.min:
+        raise TheoremRangeError(
+            f"the weighted level n/sqrt(T_n(a)^2 - 1) = exp({math.log(2.0 * n) - nlr:.6f}) "
+            f"is below the smallest normal float at n={n}, a={a}: "
+            f"log T_n(a) = {nlr - math.log(2.0):.6f}"
+        )
+    return level
 
 
 def extremal_weighted_norm(cls: FixedPoleClass) -> float:
@@ -368,10 +392,8 @@ def alternance_points_weighted(
     tna = rho.tna
     c = 1.0 / tna if math.isfinite(tna) else 0.0
     points = solve_t_equals(n, c)
-    values = []
-    for x in points:
-        w = math.sqrt(max(1.0 - x * x, 0.0))
-        values.append(w * eval_ld(rho, x))
+    xs = np.array(points)
+    values = (np.sqrt(np.maximum(1.0 - xs * xs, 0.0)) * eval_ld(rho, xs)).tolist()
     level = rho.level
     signs_ok = all(values[i] * values[i + 1] < 0.0 for i in range(len(values) - 1))
     j = np.arange(n + 1)
@@ -593,8 +615,7 @@ def dvp_bracket(cls: FixedPoleClass, tol: float | None = None) -> DvpBracket:
         )
     j = np.arange(n)
     points = np.sin(np.pi * (n - 1 - 2 * j) / (2 * (n - 1)))
-    lams = [abs(eval_ld(candidate, float(x))) for x in points]
-    lower = min(lams)
+    lower = min(np.abs(eval_ld(candidate, points)).tolist())
     upper = sup_norm(candidate, tol).value
     tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
     tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, a)

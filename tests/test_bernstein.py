@@ -1,11 +1,16 @@
 """Derivative lower bounds and their asymptotic-precision witnesses."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from simplefrac._optim import supremum_on_grid
 from simplefrac.bernstein import (
+    CorollaryReport,
     RootedPolynomial,
     asymptotic_ratios,
     check_corollary,
@@ -14,7 +19,68 @@ from simplefrac.bernstein import (
     witness_first_kind,
     witness_ratio_empirical,
 )
-from simplefrac.errors import DomainError, TheoremRangeError
+from simplefrac.cheb import ChebKind, eval_cheb
+from simplefrac.config import DEFAULTS
+from simplefrac.errors import DomainError, TheoremRangeError, ToleranceNotMetError
+from simplefrac.extremal import _norm_grid, _weight
+
+
+def check_corollary_reference(poly, tol=None):
+    """Reference: one engine scan per extremal quantity, three in all."""
+    tol = DEFAULTS.supnorm_xtol if tol is None else tol
+    n = poly.n
+    grid = _norm_grid(n)
+    lhs_w, _ = supremum_on_grid(
+        lambda x: np.abs(poly.value_and_derivative(x)[1]) * _weight(x), grid, tol)
+    lhs_u, _ = supremum_on_grid(lambda x: np.abs(poly.value_and_derivative(x)[1]), grid, tol)
+    neg_min, _ = supremum_on_grid(lambda x: -np.abs(poly.value_and_derivative(x)[0]), grid, tol)
+    min_abs_p = -neg_min
+    tn = eval_cheb(ChebKind.FIRST_KIND, n, poly.a)
+    tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, poly.a) if n >= 2 else 1.0
+    rhs_w = n * min_abs_p / math.sqrt((tn - 1.0) * (tn + 1.0))
+    rhs_u = 2.0 * n * min_abs_p / (tn - tn2 + 3.0)
+    return CorollaryReport(lhs_w=lhs_w, rhs_w=rhs_w, lhs_u=lhs_u, rhs_u=rhs_u,
+                           both_hold=(lhs_w >= rhs_w) and (lhs_u >= rhs_u),
+                           min_abs_p=min_abs_p)
+
+
+def witness_one_reference(n, a, tol=None):
+    """Reference: the first witness ratio from two separate scans."""
+    tol = DEFAULTS.supnorm_xtol if tol is None else tol
+    grid = _norm_grid(n)
+    tna = eval_cheb(ChebKind.FIRST_KIND, n, a)
+    lhs_w, _ = supremum_on_grid(
+        lambda x: n * np.abs(np.sin(n * np.arccos(np.clip(x, -1.0, 1.0)))), grid, tol)
+    neg_min, _ = supremum_on_grid(
+        lambda x: -np.abs(np.cos(n * np.arccos(np.clip(x, -1.0, 1.0))) - tna), grid, tol)
+    return n * -neg_min / math.sqrt((tna - 1.0) * (tna + 1.0)) / lhs_w
+
+
+def hexed(fn):
+    """Fields or value as float.hex, or the error's type, message and best."""
+    try:
+        out = fn()
+    except ToleranceNotMetError as exc:
+        return type(exc), str(exc), [float(b).hex() for b in exc.best]
+    if dataclasses.is_dataclass(out):
+        return [v if isinstance(v, bool) else float(v).hex() for v in dataclasses.astuple(out)]
+    return float(out).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), a=st.sampled_from([1.5, 2.0, 2.5, 3.0, 5.0]),
+       seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([None, 1e-6, 1e-17]))
+def test_one_scan_corollary_matches_three_scans(n, a, seed, tol):
+    poly = random_rooted_polynomial(n, a, np.random.default_rng(seed))
+    got = hexed(lambda: check_corollary(poly, tol))
+    assert got == hexed(lambda: check_corollary_reference(poly, tol))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 90), a=st.floats(1.05, 8.0), tol=st.sampled_from([None, 1e-6, 1e-17]))
+def test_one_scan_first_witness_matches_two_scans(n, a, tol):
+    got = hexed(lambda: witness_ratio_empirical(n, a, 1, tol))
+    assert got == hexed(lambda: witness_one_reference(n, a, tol))
 
 
 def test_shifted_cheb_degree_two_example():
@@ -122,3 +188,9 @@ def test_random_admissible_instances_hold():
         a = float(rng.choice([2.5, 3.0, 5.0]))
         rep = check_corollary(random_rooted_polynomial(n, a, rng))
         assert rep.both_hold
+
+
+def test_asymptotic_ratios_past_the_float_range_raise():
+    assert asymptotic_ratios(402, 3.0).r1 == 1.0
+    with pytest.raises(DomainError, match=r"log \|T_403\(z\)\| = 709\.69"):
+        asymptotic_ratios(403, 3.0)

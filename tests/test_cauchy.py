@@ -462,6 +462,27 @@ def test_random_pair_matches_scalar_reference(n, seed):
         assert exact(a.nodes) == exact(b.nodes) and exact(a.poles) == exact(b.poles)
 
 
+@pytest.mark.parametrize("min_abs,max_abs", [
+    (0.0, 10.0),  # log(0): once a raw math domain error
+    (-1.0, 10.0),
+    (1.1, math.inf),  # once caught only later, as a non-finite pole
+    (math.nan, 10.0),
+    (1.1, math.nan),
+    (5.0, 2.0),  # once drew moduli in [2, 5] without a word
+])
+def test_random_pair_rejects_bad_moduli(min_abs, max_abs):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="0 < min_abs <= max_abs < inf"):
+        random_cauchy_pair(4, rng, min_abs=min_abs, max_abs=max_abs)
+    assert rng.bit_generator.state == state  # rejected before any draw
+
+
+def test_random_pair_equal_moduli_bounds():
+    pair = random_cauchy_pair(5, np.random.default_rng(1), min_abs=2.0, max_abs=2.0)
+    assert all(abs(abs(z) - 2.0) <= 1e-15 for z in pair.poles)
+
+
 size_lists = st.one_of(
     st.integers(min_value=1, max_value=11).map(lambda n: [n]),
     st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4),

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplefrac import _dd, cheb
 from simplefrac.cheb import (
     ChebKind,
+    _cheb_recurrence_dd,
     EllipseParam,
     PointLocation,
     cheb_t,
@@ -21,7 +23,8 @@ from simplefrac.cheb import (
     joukowski,
     solve_t_equals,
 )
-from simplefrac.errors import DomainError
+from simplefrac.config import DEFAULTS
+from simplefrac.errors import DomainError, ToleranceNotMetError
 
 T, U = ChebKind.FIRST_KIND, ChebKind.SECOND_KIND
 
@@ -149,6 +152,104 @@ def test_solve_t_equals_domain_errors():
             solve_t_equals(3, c)
     with pytest.raises(DomainError):
         solve_t_equals(0, 0.5)
+
+
+def cheb_recurrence_dd_reference(kind, n, x):
+    """Reference: the scalar double-double recurrence at one float point."""
+    prev, cur = (1.0, 0.0), ((x, 0.0) if kind is T else (2.0 * x, 0.0))
+    if n == 0:
+        return _dd.dd_to_float(prev)
+    twox = 2.0 * x
+    for _ in range(n - 1):
+        cur, prev = _dd.dd_sub(_dd.dd_mul_f(cur, twox), prev), cur
+    return _dd.dd_to_float(cur)
+
+
+def solve_t_equals_reference(n, c, residual_tol=None, rec=cheb_recurrence_dd_reference):
+    """Reference: enumerate the arccos roots and polish them one at a time."""
+    tol = DEFAULTS.solve_t_residual_tol if residual_tol is None else residual_tol
+    theta0 = math.acos(c)
+    thetas = [(theta0 + 2.0 * math.pi * k) / n
+              for k in range(int((n * math.pi - theta0) // (2.0 * math.pi)) + 1)]
+    thetas += [(2.0 * math.pi * k - theta0) / n
+               for k in range(1, int((n * math.pi + theta0) // (2.0 * math.pi)) + 1)]
+    roots = []
+    for theta in thetas:
+        xr = math.cos(theta)
+        for _ in range(2):
+            tn = rec(T, n, xr)
+            deriv = n * rec(U, n - 1, xr)
+            if deriv == 0.0:
+                break
+            xr -= (tn - c) / deriv
+        resid = rec(T, n, xr) - c
+        if abs(resid) > tol:
+            raise ToleranceNotMetError(
+                f"root polish stalled at x={xr} with |T_n(x)-c|={abs(resid):.3e}", best=xr)
+        roots.append(xr)
+    roots.sort()
+    return roots
+
+
+def outcome(fn, *args, **kwargs):
+    """A result, or the type, message and best of the error, floats as hex."""
+    try:
+        return [float(v).hex() for v in fn(*args, **kwargs)]
+    except ToleranceNotMetError as exc:
+        return type(exc), str(exc), float(exc.best).hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from([T, U]), n=st.integers(0, 90),
+       xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12))
+def test_array_recurrence_matches_scalar_loop(kind, n, xs):
+    got = _cheb_recurrence_dd(kind, n, np.array(xs))
+    assert got.shape == (len(xs),)
+    want = [cheb_recurrence_dd_reference(kind, n, x) for x in xs]
+    assert [float(v).hex() for v in got] == [v.hex() for v in want]
+    assert _cheb_recurrence_dd(kind, n, xs[0]).hex() == want[0].hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 120), c=st.floats(-0.999999, 0.999999),
+       tol=st.sampled_from([None, 1e-15, 1e-16, 3e-17, 0.0]))
+def test_batched_polish_matches_per_root_loop(n, c, tol):
+    # tight tolerances make some roots fail: the error must name the same
+    # root, with the same message and best, as the per-root loop
+    got = outcome(solve_t_equals, n, c, residual_tol=tol)
+    assert got == outcome(solve_t_equals_reference, n, c, tol)
+
+
+def test_batched_polish_masks_a_zero_derivative(monkeypatch):
+    # a root whose derivative vanishes stays where it is, as under the
+    # per-root loop's break, and its division is never evaluated: a
+    # RuntimeWarning would fail this test
+    n, c = 5, 0.3
+    x0 = math.cos(math.acos(c) / n)  # where the first root starts
+
+    def flat_at_x0(kind, m, x, rec=cheb._cheb_recurrence_dd):
+        v = rec(kind, m, x)
+        return np.where(np.asarray(x) == x0, 0.0, v) if kind is U else v
+
+    monkeypatch.setattr(cheb, "_cheb_recurrence_dd", flat_at_x0)
+    got = solve_t_equals(n, c, residual_tol=1.0)
+    def flat_reference(kind, m, x):
+        return float(flat_at_x0(kind, m, x, cheb_recurrence_dd_reference))
+
+    want = solve_t_equals_reference(n, c, 1.0, rec=flat_reference)
+    assert x0 in got
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_eval_cheb_overflow_is_a_domain_error():
+    # at a = 3 the exponential form's w^n overflows from n = 403 on
+    assert math.isfinite(eval_cheb(T, 402, 3.0))
+    with pytest.raises(DomainError, match=r"log \|T_403\(z\)\| = 709\.69"):
+        eval_cheb(T, 403, 3.0)
+    with pytest.raises(DomainError, match=r"log \|U_403\(z\)\|"):
+        eval_cheb(U, 403, -3.0)
+    with pytest.raises(DomainError, match=r"log \|T_403\(z\)\|"):
+        eval_cheb(T, 403, 3.0 + 1.0j)
 
 
 def test_ellipse_examples():

@@ -49,6 +49,14 @@ def test_extremal_range_gate_and_force(capsys):
     assert json.loads(out)["diagnostics"]
 
 
+def test_extremal_past_the_float_range_is_a_usage_error(capsys):
+    # T_403(3) overflows the exponential form: an error line, not a traceback
+    code, out, err = run_cli(capsys, "extremal", "--n", "403", "--a", "3", "--weighted")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: T_403 out of range") and "log |T_403(z)| = 709.69" in err
+
+
 def test_json_round_trip_byte_identical(capsys):
     _, out, _ = run_cli(
         capsys, "extremal", "--n", "3", "--a", "2.5", "--weighted", "--format", "json"

@@ -1,13 +1,16 @@
 """Extremal fractions: constructions, norms, alternance, brackets."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from simplefrac import _dd
 from simplefrac.cheb import ChebKind, EllipseParam, PointLocation, ellipse_classify, eval_cheb
+from simplefrac.config import DEFAULTS
 from simplefrac.errors import DomainError, EvaluationError, TheoremRangeError
 from simplefrac.extremal import (
     FixedPoleClass,
@@ -102,7 +105,30 @@ def test_weighted_norm_vanishes_for_large_pole():
     values = [extremal_weighted_norm(FixedPoleClass(1, a)) for a in (2.0, 10.0, 1e4, 1e8)]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-7
-    assert extremal_weighted_norm(FixedPoleClass(200, 500.0)) == 0.0  # log-domain tail
+    # the log-domain tail: 400 * exp(-1381.6) is no float, so the level raises
+    # rather than underflow to a silent 0
+    with pytest.raises(TheoremRangeError, match="smallest normal float"):
+        extremal_weighted_norm(FixedPoleClass(200, 500.0))
+
+
+def test_closed_forms_past_the_float_range_raise():
+    # at a = 3, w^n of T_n(a) overflows from n = 403 on: every closed form
+    # that needs T_n(a) raises a DomainError naming log T_n(a)
+    below, above = FixedPoleClass(402, 3.0), FixedPoleClass(403, 3.0)
+    assert math.isfinite(build_extremal_weighted(below).tna)
+    assert 0.0 < lambda_bounds(below).lower <= lambda_bounds(below).upper
+    for fn in (build_extremal_weighted, lambda_bounds, alternance_points_weighted):
+        with pytest.raises(DomainError, match=r"log \|T_403\(z\)\| = 709\.69"):
+            fn(above)
+
+
+def test_weighted_level_never_underflows():
+    # the level n/sqrt(T_n(a)^2 - 1) at a = 3 is a normal float up to n = 405
+    level = extremal_weighted_norm(FixedPoleClass(405, 3.0))
+    assert sys.float_info.min <= level < 1e-307
+    for n in (406, 423):
+        with pytest.raises(TheoremRangeError, match="smallest normal float"):
+            extremal_weighted_norm(FixedPoleClass(n, 3.0))
 
 
 def test_sup_norm_examples():
@@ -273,6 +299,74 @@ def test_eval_ld_examples():
 def test_eval_ld_pole_proximity_error():
     with pytest.raises(EvaluationError):
         eval_ld(LogDerivative((2.0,)), 2.0 + 5e-15)
+
+
+def eval_ld_reference(rho, x, proximity_tol=None):
+    """Reference: the scalar compensated pole sum at one point."""
+    tol = DEFAULTS.pole_proximity_tol if proximity_tol is None else proximity_tol
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"non-finite evaluation point {x!r}")
+    for z in rho.poles:
+        if abs(complex(x, 0.0) - z) <= tol:
+            raise EvaluationError(f"evaluation point {x} is within {tol} of pole {z}")
+    acc = (0.0, 0.0)
+    for r in rho._reals:
+        acc = _dd.dd_add(acc, _dd.dd_div((1.0, 0.0), _dd.two_diff(x, r)))
+    for u, v in rho._pairs:
+        d = _dd.two_diff(x, u)
+        den = _dd.dd_add(_dd.dd_sqr(d), _dd.two_prod(v, v))
+        acc = _dd.dd_add(acc, _dd.dd_div((2.0 * d[0], 2.0 * d[1]), den))
+    return _dd.dd_to_float(acc)
+
+
+def ld_outcome(fn):
+    try:
+        return [float(v).hex() for v in fn()]
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(reals=st.lists(st.floats(-3.0, 3.0), max_size=5),
+       pairs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(1e-3, 3.0)), max_size=5),
+       xs=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([math.nan, -math.inf])),
+                   min_size=1, max_size=10),
+       hit=st.integers(-1, 9))
+def test_eval_ld_array_matches_per_point_loop(reals, pairs, xs, hit):
+    poles = [complex(r) for r in reals]
+    for u, v in pairs:
+        poles += [complex(u, v), complex(u, -v)]
+    assume(poles)
+    rho = LogDerivative(tuple(poles))
+    if 0 <= hit < len(xs) and reals:
+        xs[hit] = reals[0] + 5e-15  # within the proximity gate of a pole
+    got = ld_outcome(lambda: eval_ld(rho, np.array(xs)))
+    assert got == ld_outcome(lambda: [eval_ld_reference(rho, x) for x in xs])
+    tol = DEFAULTS.pole_proximity_tol
+    ok = [x for x in xs if math.isfinite(x) and all(abs(complex(x) - z) > tol for z in poles)]
+    for x in ok[:3]:
+        assert eval_ld(rho, x).hex() == eval_ld_reference(rho, x).hex()
+
+
+def test_eval_ld_reports_the_first_bad_point():
+    rho = LogDerivative((2.0, -0.5))
+    with pytest.raises(EvaluationError, match="point -0.5 is within"):
+        eval_ld(rho, np.array([0.0, -0.5, math.nan]))
+    with pytest.raises(DomainError, match="non-finite evaluation point nan"):
+        eval_ld(rho, np.array([0.0, math.nan, -0.5]))
+
+
+def test_eval_ld_shapes():
+    rho = LogDerivative((2.0, complex(0.5, 1.0), complex(0.5, -1.0)))
+    assert type(eval_ld(rho, 0.25)) is float
+    assert type(eval_ld(rho, np.float64(0.25))) is float
+    got = eval_ld(rho, np.array([0.25, -0.5]))
+    assert isinstance(got, np.ndarray) and got.shape == (2,)
+    assert got[0] == eval_ld(rho, 0.25)
+    assert eval_ld(rho, np.array([])).shape == (0,)
+    with pytest.raises(DomainError, match="1-D"):
+        eval_ld(rho, np.zeros((2, 2)))
 
 
 def test_log_derivative_validation():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplefrac._optim import _golden_refine, local_extrema, supremum_on_grid
+from simplefrac._optim import _golden_refine, local_extrema, suprema_on_grid, supremum_on_grid
 from simplefrac.cheb import chebyshev_points
 from simplefrac.errors import ToleranceNotMetError
 from simplefrac.extremal import LogDerivative, weighted_sup_norm
@@ -140,6 +140,54 @@ def test_sup_and_extrema_match_scalar_reference(coeffs, pole, m):
     got = supremum_on_grid(fn, grid, 1e-10)
     assert bits([got]) == bits([ref_supremum(fn, grid, 1e-10)])
     assert bits(local_extrema(fn, grid, 1e-10)) == bits(ref_extrema(fn, grid, 1e-10))
+
+
+def counted(fn):
+    def wrapper(x):
+        wrapper.calls += 1
+        return fn(x)
+    wrapper.calls = 0
+    return wrapper
+
+
+# rows that tie (a plateau, a constant), are NaN everywhere or in places,
+# or are plain rational functions
+SPECIAL_ROWS = {
+    "plateau": lambda x: np.minimum(1.0, 2.0 - 4.0 * x * x),
+    "constant": lambda x: 0.0 * x + 3.0,
+    "nan": lambda x: np.full_like(x, math.nan),
+    "nan-left": lambda x: np.where(x < -0.2, math.nan, 1.0 - x * x),
+    "ramp": lambda x: 1.0 * x,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.one_of(st.sampled_from(sorted(SPECIAL_ROWS)),
+                               st.tuples(coeff_lists, poles)), min_size=1, max_size=4),
+       m=st.integers(2, 80), xtol=st.sampled_from([1e-10, 1e-6, 0.05]))
+def test_suprema_rows_match_one_row_scans(rows, m, xtol):
+    fns = [SPECIAL_ROWS[r] if isinstance(r, str) else rational(*r) for r in rows]
+    grid = chebyshev_points(m)
+    multi = counted(lambda x: np.array([f(x) for f in fns]))
+    got = suprema_on_grid(multi, grid, xtol)
+    singles = [counted(f) for f in fns]
+    want = [supremum_on_grid(f, grid, xtol) for f in singles]
+    assert bits(got) == bits(want)
+    # one evaluation per refinement step serves every row
+    assert multi.calls == max(f.calls for f in singles)
+
+
+def test_suprema_failure_names_the_first_stuck_row():
+    # the NaN row has no peak to refine; the parabola's bracket cannot
+    # shrink below 1e-17, and the error is the one its own scan raises
+    grid = chebyshev_points(33)
+    rows = [SPECIAL_ROWS["nan"], rational([-1.0, 0.5, 2.0], 3.0)]
+    with pytest.raises(ToleranceNotMetError) as multi:
+        suprema_on_grid(lambda x: np.array([f(x) for f in rows]), grid, 1e-17)
+    with pytest.raises(ToleranceNotMetError) as single:
+        supremum_on_grid(rows[1], grid, 1e-17)
+    assert str(multi.value) == str(single.value)
+    assert bits([multi.value.best]) == bits([single.value.best])
 
 
 def test_ties_resolve_to_the_leftmost_point():
