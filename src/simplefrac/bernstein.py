@@ -15,19 +15,20 @@ how tight the bounds are as the degree grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
 from ._optim import suprema_on_grid, supremum_on_grid
 from .cheb import ChebKind, eval_cheb
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import DomainError, TheoremRangeError
 from .extremal import (
     FixedPoleClass,
     _canonical_poles,
     _f_and_fa,
     _norm_grid,
+    _on_segment,
     _weight,
     build_extremal_weighted,
 )
@@ -47,27 +48,26 @@ class RootedPolynomial:
     The unweighted inequality is stated for n >= 4 and a above
     :func:`corollary_min_a`; ``force=True`` skips those gates (the weighted
     inequality already holds for a > sqrt(2), n >= 1) but still requires
-    a > 1 and a conjugate-closed cofactor with no root on the segment.
+    a > 1 and a conjugate-closed cofactor with no root within
+    ``cfg.pole_on_segment_tol`` of the segment (``cfg`` is init-only).
     """
 
     a: float
     cofactor_roots: tuple[complex, ...]
     lead: float = 1.0
     force: bool = False
+    _: KW_ONLY
+    cfg: InitVar[Config] = DEFAULTS
 
-    def __post_init__(self):
+    def __post_init__(self, cfg: Config):
         if not (math.isfinite(self.a) and self.a > 1.0):
             raise DomainError(f"distinguished root must satisfy a > 1, got {self.a}")
         if self.lead == 0.0 or not math.isfinite(self.lead):
             raise DomainError(f"leading coefficient must be finite nonzero, got {self.lead}")
         roots = tuple(complex(z) for z in self.cofactor_roots)
-        if roots:
-            canon, _, _ = _canonical_poles(roots)
-        else:
-            canon = ()
-        tol = DEFAULTS.pole_on_segment_tol
+        canon = _canonical_poles(roots)[0] if roots else ()
         for z in canon:
-            if abs(z.imag) <= tol and -1.0 - tol <= z.real <= 1.0 + tol:
+            if _on_segment(z, cfg):
                 raise DomainError(f"cofactor root {z} lies on [-1, 1]")
         n = len(canon) + 1
         if not self.force:
@@ -118,27 +118,27 @@ class CorollaryReport:
     min_abs_p: float
 
 
-def check_corollary(poly: RootedPolynomial, tol: float | None = None) -> CorollaryReport:
+def check_corollary(poly: RootedPolynomial, *, cfg: Config = DEFAULTS) -> CorollaryReport:
     """Evaluate both derivative bounds on a concrete polynomial.
 
     The three extremal quantities (weighted and plain sup of |P'|, min of
     |P|) come from one multi-row scan of the shared grid + golden-section
-    engine, all three rows from one product-rule pass.  Evaluation is
+    engine, refined to cfg.supnorm_xtol, all three rows from one
+    product-rule pass.  Evaluation is
     from the root representation, so polynomials whose derivative sits many
     orders of magnitude below |P| on the segment (the extremal witnesses at
     large degree) lose accuracy to root rounding; use
     :func:`witness_ratio_empirical` for those families.
     """
-    tol = DEFAULTS.supnorm_xtol if tol is None else tol
     n = poly.n
-    grid = _norm_grid(n)
+    grid = _norm_grid(n, cfg)
 
     def rows(x):
         val, der = poly.value_and_derivative(x)
         absder = np.abs(der)
         return np.array([absder * _weight(x), absder, -np.abs(val)])
 
-    (lhs_w, _), (lhs_u, _), (neg_min, _) = suprema_on_grid(rows, grid, tol)
+    (lhs_w, _), (lhs_u, _), (neg_min, _) = suprema_on_grid(rows, grid, cfg.supnorm_xtol)
     min_abs_p = -neg_min
 
     tn = eval_cheb(ChebKind.FIRST_KIND, n, poly.a)
@@ -198,16 +198,19 @@ def asymptotic_ratios(n: int, a: float, force: bool = False) -> AsymptoticRatios
     return AsymptoticRatios(r1=r1, r2_lower=r2)
 
 
-def witness_first_kind(n: int, a: float, force: bool = False) -> RootedPolynomial:
+def witness_first_kind(n: int, a: float, force: bool = False, *,
+                       cfg: Config = DEFAULTS) -> RootedPolynomial:
     """The shifted Chebyshev witness T_n(x) - T_n(a) as a rooted polynomial
     (roots via the closed-form construction, leading coefficient 2^(n-1))."""
     rho = build_extremal_weighted(FixedPoleClass(n, a), force=True)
     cof = [z for z in rho.poles if z != complex(a, 0.0)]
-    return RootedPolynomial(a=a, cofactor_roots=tuple(cof), lead=2.0 ** (n - 1), force=force)
+    return RootedPolynomial(a=a, cofactor_roots=tuple(cof), lead=2.0 ** (n - 1), force=force,
+                            cfg=cfg)
 
 
-def witness_ratio_empirical(n: int, a: float, which: int, tol: float | None = None) -> float:
-    """Measured bound-to-derivative-norm ratio of a witness family.
+def witness_ratio_empirical(n: int, a: float, which: int, *, cfg: Config = DEFAULTS) -> float:
+    """Measured bound-to-derivative-norm ratio of a witness family, from
+    scans refined to cfg.supnorm_xtol.
 
     which=1: rhs_w / lhs_w for the shifted Chebyshev polynomial (should
     reproduce r1).  which=2: the unweighted ratio for the integrated
@@ -215,8 +218,8 @@ def witness_ratio_empirical(n: int, a: float, which: int, tol: float | None = No
     modulus is evaluated from the closed antiderivative form rather than
     quadrature.
     """
-    tol = DEFAULTS.supnorm_xtol if tol is None else tol
-    grid1 = _norm_grid(n)
+    tol = cfg.supnorm_xtol
+    grid1 = _norm_grid(n, cfg)
     if which == 1:
         # evaluate the shifted Chebyshev witness in closed form: its
         # derivative is n*U_{n-1}, and min |T_n(x) - T_n(a)| = T_n(a) - 1;
@@ -238,10 +241,8 @@ def witness_ratio_empirical(n: int, a: float, which: int, tol: float | None = No
         fa = _f_and_fa(n, a)
 
         def neg_absq(x):
-            fx = (
-                np.cos(n * np.arccos(np.clip(x, -1.0, 1.0))) / n
-                - np.cos((n - 2) * np.arccos(np.clip(x, -1.0, 1.0))) / (n - 2)
-            )
+            theta = np.arccos(np.clip(x, -1.0, 1.0))
+            fx = np.cos(n * theta) / n - np.cos((n - 2) * theta) / (n - 2)
             return -np.abs(0.5 * (fx - fa))
 
         neg_min, _ = supremum_on_grid(neg_absq, grid1, tol)
@@ -253,7 +254,8 @@ def witness_ratio_empirical(n: int, a: float, which: int, tol: float | None = No
     raise DomainError(f"witness index must be 1 or 2, got {which!r}")
 
 
-def random_rooted_polynomial(n: int, a: float, rng: np.random.Generator) -> RootedPolynomial:
+def random_rooted_polynomial(n: int, a: float, rng: np.random.Generator, *,
+                             cfg: Config = DEFAULTS) -> RootedPolynomial:
     """Random admissible instance: cofactor roots sampled on ellipses E_p
     with p >= 1.3 (hence outside E_1.2, never on the segment)."""
     if n < 2:
@@ -271,4 +273,4 @@ def random_rooted_polynomial(n: int, a: float, rng: np.random.Generator) -> Root
         mag = rng.uniform(1.3, 3.0)
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
         roots.append(complex(sign * mag, 0.0))
-    return RootedPolynomial(a=a, cofactor_roots=tuple(roots), force=True)
+    return RootedPolynomial(a=a, cofactor_roots=tuple(roots), force=True, cfg=cfg)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheb import chebyshev_points
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import DomainError, ToleranceNotMetError
 from .extremal import _canonical_poles
 
@@ -94,7 +94,7 @@ class CauchyPair:
             out.append("|z_k| <= 1 for some pole (need |z_k| > 1)")
         return tuple(out)
 
-    def conditioning_flags(self, cfg=None) -> tuple[str, ...]:
+    def conditioning_flags(self, cfg: Config = DEFAULTS) -> tuple[str, ...]:
         """Ill-conditioning markers that route an instance to the
         conditioning report instead of pass/fail assertions.
 
@@ -105,10 +105,10 @@ class CauchyPair:
         meaningful for them.
         """
         cond_b = np.linalg.cond(matrix_b(self)) if self.size > 1 else 1.0
-        return _conditioning_flags(self, cond_b, DEFAULTS if cfg is None else cfg)
+        return _conditioning_flags(self, cond_b, cfg)
 
 
-def _conditioning_flags(pair: CauchyPair, cond_b: float, cfg) -> tuple[str, ...]:
+def _conditioning_flags(pair: CauchyPair, cond_b: float, cfg: Config) -> tuple[str, ...]:
     """The gates of :meth:`CauchyPair.conditioning_flags`, given cond(B)
     (not consulted for a single node)."""
     flags = []
@@ -157,7 +157,7 @@ def cauchy_det_closed_form(pair: CauchyPair) -> complex:
     return num / den
 
 
-def permanent_ryser(m) -> complex:
+def permanent_ryser(m, *, cfg: Config = DEFAULTS) -> complex:
     """Exact permanent by Ryser's inclusion-exclusion, blocked over columns.
 
     per M = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} m_ij over column
@@ -168,17 +168,22 @@ def permanent_ryser(m) -> complex:
     updating one row-sum vector and folding in a 2^b-wide product per step,
     so the cost is 2^(n-10) Python steps of a 1024-column product, O(2^n n)
     flops in all.  The working set is two n x 2^b complex tables (under
-    1 MB at n = 20), never 2^n rows.  Gated at n <= permanent_max_n.
+    1 MB at n = 20), never 2^n rows.  Gated at n <= cfg.permanent_max_n.
     """
+    return _permanent(m, cfg)
+
+
+def _permanent(m, cfg: Config) -> complex:
+    """permanent_ryser, for the package's own calls."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"permanent needs a square matrix, got shape {m.shape}")
     n = m.shape[0]
     if n == 0:
         raise DomainError("permanent of an empty matrix is not defined here")
-    if n > DEFAULTS.permanent_max_n:
+    if n > cfg.permanent_max_n:
         raise DomainError(
-            f"permanent gated at n <= {DEFAULTS.permanent_max_n} (exponential cost); got n={n}"
+            f"permanent gated at n <= {cfg.permanent_max_n} (exponential cost); got n={n}"
         )
     return _ryser_stack(m[None])[0]
 
@@ -256,28 +261,28 @@ class BorchardtReport:
     rel_residual: float
 
 
-def borchardt_check(pair: CauchyPair) -> BorchardtReport:
+def borchardt_check(pair: CauchyPair, *, cfg: Config = DEFAULTS) -> BorchardtReport:
     """Compare det A against det B * per B.
 
     lhs comes from an LU factorization of A, rhs from the LU determinant of
     B times the Ryser permanent; the relative residual is normalized by
-    max(|lhs|, |rhs|, floor)."""
-    if pair.size > DEFAULTS.permanent_max_n:
+    max(|lhs|, |rhs|, cfg.residual_floor)."""
+    if pair.size > cfg.permanent_max_n:
         raise DomainError(
-            f"identity check gated at n <= {DEFAULTS.permanent_max_n}, got n={pair.size}"
+            f"identity check gated at n <= {cfg.permanent_max_n}, got n={pair.size}"
         )
     b = matrix_b(pair)
-    return _borchardt_report(np.linalg.det(b * b), np.linalg.det(b), permanent_ryser(b))
+    return _borchardt_report(np.linalg.det(b * b), np.linalg.det(b), _permanent(b, cfg), cfg)
 
 
-def _borchardt_report(det_a, det_b, per_b: complex) -> BorchardtReport:
+def _borchardt_report(det_a, det_b, per_b: complex, cfg: Config) -> BorchardtReport:
     lhs = complex(det_a)
     rhs = complex(det_b) * per_b
-    denom = max(abs(lhs), abs(rhs), DEFAULTS.residual_floor)
+    denom = max(abs(lhs), abs(rhs), cfg.residual_floor)
     return BorchardtReport(lhs=lhs, rhs=rhs, rel_residual=abs(lhs - rhs) / denom)
 
 
-def permanent_of_pair(pair: CauchyPair) -> complex:
+def permanent_of_pair(pair: CauchyPair, *, cfg: Config = DEFAULTS) -> complex:
     """Permanent of B through the determinant identity det A / det B.
 
     This is the cheap production route; it falls back to Ryser when det B
@@ -285,7 +290,7 @@ def permanent_of_pair(pair: CauchyPair) -> complex:
     b = matrix_b(pair)
     det_b = complex(np.linalg.det(b))
     if det_b == 0.0:
-        return permanent_ryser(b)
+        return _permanent(b, cfg)
     return complex(np.linalg.det(b * b)) / det_b
 
 
@@ -350,25 +355,25 @@ class KomarovDecomposition:
         out = ratio * (np.asarray(self.gamma, dtype=complex) / (d * d)).sum(axis=-1)
         return _scalar_or_array(out)
 
-    def validation_points(self, count: int | None = None, margin: float | None = None):
-        """Points of [-1, 1] at least ``margin`` away from every pole."""
-        count = DEFAULTS.komarov_points if count is None else count
-        margin = DEFAULTS.komarov_margin if margin is None else margin
-        pts = chebyshev_points(count)
-        far = np.abs(_diffs(pts, self.p_poles + self.q_poles)) >= margin
+    def validation_points(self, *, cfg: Config = DEFAULTS):
+        """Those of cfg.komarov_points Chebyshev points of [-1, 1] that lie
+        at least cfg.komarov_margin away from every pole."""
+        pts = chebyshev_points(cfg.komarov_points)
+        far = np.abs(_diffs(pts, self.p_poles + self.q_poles)) >= cfg.komarov_margin
         return pts[far.all(axis=1)]
 
-    def max_residual(self, points=None) -> float:
-        pts = self.validation_points() if points is None else np.asarray(points)
+    def max_residual(self, points=None, *, cfg: Config = DEFAULTS) -> float:
+        pts = self.validation_points(cfg=cfg) if points is None else np.asarray(points)
         return float(np.max(np.abs(self.lhs(pts) - self.rhs(pts))))
 
 
-def komarov_coefficients(p_poles, q_poles, validate: bool = True) -> KomarovDecomposition:
+def komarov_coefficients(p_poles, q_poles, validate: bool = True, *,
+                         cfg: Config = DEFAULTS) -> KomarovDecomposition:
     """Coefficients gamma_k = q(z_k) / p'(z_k) of the residue decomposition.
 
     Requires the p-poles simple (pairwise distinct) and no more q-poles than
-    p-poles.  With ``validate`` the identity residual is checked on sample
-    points of [-1, 1] bounded away from the poles.
+    p-poles.  With ``validate`` the identity residual must stay within
+    cfg.komarov_tol on the sample points of [-1, 1] away from the poles.
     """
     p = tuple(complex(z) for z in p_poles)
     q = tuple(complex(z) for z in q_poles)
@@ -385,11 +390,11 @@ def komarov_coefficients(p_poles, q_poles, validate: bool = True) -> KomarovDeco
     )
     dec = KomarovDecomposition(gamma=gamma, p_poles=p, q_poles=q)
     if validate:
-        resid = dec.max_residual()
-        if resid > DEFAULTS.komarov_tol:
+        resid = dec.max_residual(cfg=cfg)
+        if resid > cfg.komarov_tol:
             raise ToleranceNotMetError(
                 f"decomposition identity residual {resid:.3e} exceeds "
-                f"{DEFAULTS.komarov_tol:.1e}",
+                f"{cfg.komarov_tol:.1e}",
                 best=dec,
             )
     return dec
@@ -484,7 +489,8 @@ class BorchardtBatchReport:
     excluded_by_flag: tuple[tuple[str, int], ...]
 
 
-def _check_chunk(pairs: list[CauchyPair], work: np.ndarray) -> list[tuple[BorchardtReport, tuple]]:
+def _check_chunk(pairs: list[CauchyPair], work: np.ndarray,
+                 cfg: Config) -> list[tuple[BorchardtReport, tuple]]:
     """borchardt_check and conditioning_flags of every pair, with one det,
     one cond and one Ryser call per size (the Ryser call split so that each
     table stays within _RYSER_TABLE entries).  Each value equals the
@@ -505,17 +511,19 @@ def _check_chunk(pairs: list[CauchyPair], work: np.ndarray) -> list[tuple[Borcha
         per_b = [p for k in range(0, len(idx), step)
                  for p in _ryser_stack(b[k : k + step], work)]
         for k, i in enumerate(idx):
-            out[i] = (_borchardt_report(det_a[k], det_b[k], per_b[k]),
-                      _conditioning_flags(pairs[i], cond_b[k], DEFAULTS))
+            out[i] = (_borchardt_report(det_a[k], det_b[k], per_b[k], cfg),
+                      _conditioning_flags(pairs[i], cond_b[k], cfg))
     return out
 
 
-def borchardt_batch(sizes, trials: int, seed: int, tol: float | None = None) -> BorchardtBatchReport:
+def borchardt_batch(sizes, trials: int, seed: int, *,
+                    cfg: Config = DEFAULTS) -> BorchardtBatchReport:
     """Run the identity check on ``trials`` well-conditioned random instances.
 
     Draws cycle through ``sizes``; instances tripping a conditioning flag are
     routed to the excluded tally (their residuals are reported but never
     asserted on) and replaced by fresh draws, capped at 20x oversampling.
+    A checked instance fails when its residual exceeds cfg.borchardt_tol.
 
     Draws are made in chunks of k = min(trials - checked, 20 * trials -
     draws, _BATCH_CHUNK).  A draw adds at most one checked instance, so a
@@ -523,7 +531,7 @@ def borchardt_batch(sizes, trials: int, seed: int, tol: float | None = None) -> 
     those draws too: the chunks take the same draws from the same random
     stream.  Each chunk is checked with stacked numpy calls, one per size,
     and then tallied in draw order, so the report is the one-at-a-time
-    loop's, bit for bit.  Sizes must lie in 1..permanent_max_n and trials
+    loop's, bit for bit.  Sizes must lie in 1..cfg.permanent_max_n and trials
     must be at least 1.
     """
     try:
@@ -536,12 +544,12 @@ def borchardt_batch(sizes, trials: int, seed: int, tol: float | None = None) -> 
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
     for n in sizes:
-        if not 1 <= n <= DEFAULTS.permanent_max_n:
+        if not 1 <= n <= cfg.permanent_max_n:
             raise DomainError(
-                f"size gated at 1 <= n <= {DEFAULTS.permanent_max_n} "
+                f"size gated at 1 <= n <= {cfg.permanent_max_n} "
                 f"(exponential-cost permanent), got {n}"
             )
-    tol = DEFAULTS.borchardt_tol if tol is None else tol
+    tol = cfg.borchardt_tol
     rng = np.random.default_rng(seed)
     checked = excluded = failures = draws = 0
     max_res = 0.0
@@ -554,7 +562,7 @@ def borchardt_batch(sizes, trials: int, seed: int, tol: float | None = None) -> 
         k = min(trials - checked, 20 * trials - draws, _BATCH_CHUNK)
         pairs = [random_cauchy_pair(sizes[(draws + i) % len(sizes)], rng) for i in range(k)]
         draws += k
-        for pair, (rep, flags) in zip(pairs, _check_chunk(pairs, work)):
+        for pair, (rep, flags) in zip(pairs, _check_chunk(pairs, work, cfg)):
             if flags:
                 excluded += 1
                 max_res_excluded = max(max_res_excluded, rep.rel_residual)

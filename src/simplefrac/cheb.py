@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _dd
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import DomainError, ToleranceNotMetError
 
 
@@ -102,7 +102,11 @@ def _cheb_exponential(kind: ChebKind, n: int, z: complex) -> complex:
         sign = 1.0 if z.real >= 0 else (-1.0) ** n
         return complex(sign * (n + 1))
     wn1 = wn * w
-    return (wn1 - 1.0 / wn1) / denom
+    # w^(n+1) may overflow where U_n does not; w^-(n+1) is then negligible
+    val = (wn1 - 1.0 / wn1) / denom if cmath.isfinite(wn1) else wn * (w / denom)
+    if not cmath.isfinite(val):
+        raise OverflowError  # complex arithmetic overflows to inf silently
+    return val
 
 
 # degree * log(|x|+sqrt(x^2-1)) beyond this would overflow the dd splitter
@@ -115,9 +119,9 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
     Real arguments run through the compensated recurrence (a few ulp up to
     n = 64); complex arguments use the exponential form with the branch of
     sqrt(z^2-1) cut along [-1, 1] and normalized to +1 at z = sqrt(2).
-    Returns a float for real input, complex otherwise.  Raises DomainError,
-    naming log |T_n(z)| (or log |U_n(z)|), where w^n of the exponential form
-    overflows a float: at z = 3 that is from n = 403 on.
+    Returns a float for real input, complex otherwise, never inf.  Raises
+    DomainError, naming log |T_n(z)| (or log |U_n(z)|), where the value
+    overflows a float: at z = 3 that is from n = 403 on, for either kind.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"degree must be a non-negative integer, got {n!r}")
@@ -198,18 +202,16 @@ def joukowski(w) -> float | complex:
     val = 0.5 * (wc + 1.0 / wc)
     if isinstance(w, complex) or (isinstance(w, np.generic) and np.iscomplexobj(w)):
         return val
-    if wc.imag == 0.0 and not isinstance(w, complex):
-        return val.real
-    return val
+    return val.real if wc.imag == 0.0 else val
 
 
-def solve_t_equals(n: int, c: float, *, residual_tol: float | None = None) -> list[float]:
+def solve_t_equals(n: int, c: float, *, cfg: Config = DEFAULTS) -> list[float]:
     """All n solutions of T_n(x) = c in (-1, 1), ascending.
 
     Requires |c| < 1, which makes the roots simple and interior.  Roots come
     from the arccos representation and two Newton steps, all roots together;
-    each satisfies |T_n(x) - c| <= residual_tol, and otherwise the first
-    failing root in enumeration order is reported.
+    each satisfies |T_n(x) - c| <= cfg.solve_t_residual_tol, and otherwise
+    the first failing root in enumeration order is reported.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"degree must be a positive integer, got {n!r}")
@@ -217,7 +219,7 @@ def solve_t_equals(n: int, c: float, *, residual_tol: float | None = None) -> li
     c = float(c)
     if not math.isfinite(c) or abs(c) >= 1.0:
         raise DomainError(f"solve_t_equals requires |c| < 1, got c={c}")
-    tol = DEFAULTS.solve_t_residual_tol if residual_tol is None else residual_tol
+    tol = cfg.solve_t_residual_tol
 
     theta0 = math.acos(c)
     thetas = []
@@ -250,15 +252,13 @@ def solve_t_equals(n: int, c: float, *, residual_tol: float | None = None) -> li
     return sorted(xr.tolist())
 
 
-def ellipse_classify(ellipse: EllipseParam, z, tol: float | None = None) -> EllipseClassification:
+def ellipse_classify(ellipse: EllipseParam, z, *, cfg: Config = DEFAULTS) -> EllipseClassification:
     """Classify z against the ellipse via the canonical-form residual
-    re^2/p^2 + im^2/(p^2-1) - 1."""
-    if tol is None:
-        tol = DEFAULTS.ellipse_on_tol
+    re^2/p^2 + im^2/(p^2-1) - 1; |residual| <= cfg.ellipse_on_tol is ON."""
     zc = _require_finite_scalar(z)
     p2 = ellipse.p * ellipse.p
     residual = zc.real * zc.real / p2 + zc.imag * zc.imag / (p2 - 1.0) - 1.0
-    if abs(residual) <= tol:
+    if abs(residual) <= cfg.ellipse_on_tol:
         loc = PointLocation.ON
     elif residual < 0.0:
         loc = PointLocation.INSIDE

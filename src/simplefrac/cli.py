@@ -4,13 +4,15 @@ Every subcommand performs one computation and emits a single RunReport in
 json, csv, or human format.  Exit codes: 0 success, 1 tolerance or
 assertion failure, 2 usage or domain error, 3 certification failure (with
 --require-certificate).  A key=value configuration file named by the
-SIMPLEFRAC_CONFIG environment variable (or --config) overrides tolerance
-defaults; explicit flags override the file.
+SIMPLEFRAC_CONFIG environment variable, then one named by --config, override
+tolerance defaults, and --tol overrides both; the Config built once from them
+is passed to every call, and its non-default fields are reported.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -20,11 +22,12 @@ from . import bernstein as bn
 from . import cauchy as cy
 from . import minimax as mx
 from .cheb import EllipseParam, chebyshev_points, ellipse_classify
-from .config import DEFAULTS, ENV_VAR, apply_config, load_config
+from .config import ENV_VAR, Config, load_config, non_defaults
 from .errors import DomainError, SimplefracError, TheoremRangeError, ToleranceNotMetError
 from .extremal import (
     FixedPoleClass,
     LogDerivative,
+    _weight,
     alternance_points_weighted,
     build_candidate_unweighted,
     build_extremal_weighted,
@@ -52,16 +55,7 @@ def _values_arg(text: str) -> str:
     return text
 
 
-def _alternance_dict(rep) -> dict:
-    return {
-        "points": list(rep.points),
-        "values": list(rep.values),
-        "level": rep.level,
-        "sign_pattern_ok": rep.sign_pattern_ok,
-    }
-
-
-def _cmd_extremal(args) -> tuple[RunReport, int]:
+def _cmd_extremal(args, cfg: Config) -> tuple[RunReport, int]:
     cls = FixedPoleClass(args.n, args.a)
     rep = RunReport(command="extremal", inputs={
         "n": args.n, "a": args.a, "weighted": bool(args.weighted), "force": bool(args.force),
@@ -73,16 +67,17 @@ def _cmd_extremal(args) -> tuple[RunReport, int]:
         )
     ea = EllipseParam(cls.a)
     rep.outputs["poles"] = list(rho.poles)
-    rep.outputs["ellipse_residuals"] = [ellipse_classify(ea, z).residual for z in rho.poles]
+    rep.outputs["ellipse_residuals"] = [ellipse_classify(ea, z, cfg=cfg).residual
+                                        for z in rho.poles]
     if args.weighted:
-        alt, zeros = alternance_points_weighted(cls)
+        alt, zeros = alternance_points_weighted(cls, cfg=cfg)
         rep.outputs["norm"] = extremal_weighted_norm(cls)
         rep.outputs["norm_kind"] = "weighted"
-        rep.outputs["alternance"] = _alternance_dict(alt)
+        rep.outputs["alternance"] = dataclasses.asdict(alt)
         rep.outputs["weighted_zeros"] = list(zeros)
-        measured = weighted_sup_norm(rho, args.tol)
+        measured = weighted_sup_norm(rho, cfg=cfg)
     else:
-        measured = sup_norm(rho, args.tol)
+        measured = sup_norm(rho, cfg=cfg)
         rep.outputs["norm"] = measured.value
         rep.outputs["norm_kind"] = "unweighted"
     rep.outputs["measured_norm"] = measured.value
@@ -90,12 +85,12 @@ def _cmd_extremal(args) -> tuple[RunReport, int]:
     return rep, EXIT_OK
 
 
-def _cmd_candidate(args) -> tuple[RunReport, int]:
+def _cmd_candidate(args, cfg: Config) -> tuple[RunReport, int]:
     cls = FixedPoleClass(args.n, args.a)
     rep = RunReport(command="candidate", inputs={"n": args.n, "a": args.a})
-    cand = build_candidate_unweighted(cls)
+    cand = build_candidate_unweighted(cls, cfg=cfg)
     bounds = lambda_bounds(cls)
-    annulus = verify_pole_annulus(cls, cand)
+    annulus = verify_pole_annulus(cls, cand, cfg=cfg)
     rep.outputs["poles"] = list(cand.poles)
     rep.outputs["lambda_lower"] = bounds.lower
     rep.outputs["lambda_upper"] = bounds.upper
@@ -108,7 +103,7 @@ def _cmd_candidate(args) -> tuple[RunReport, int]:
         "min_abs_pole": annulus.min_abs_pole,
     }
     try:
-        bracket = dvp_bracket(cls, args.tol)
+        bracket = dvp_bracket(cls, cfg=cfg)
         rep.outputs["bracket"] = {
             "lower": bracket.lower,
             "upper": bracket.upper,
@@ -119,9 +114,8 @@ def _cmd_candidate(args) -> tuple[RunReport, int]:
     return rep, EXIT_OK
 
 
-def _cmd_borchardt(args) -> tuple[RunReport, int]:
-    tol = DEFAULTS.borchardt_tol if args.tol is None else args.tol
-    rep = RunReport(command="borchardt", inputs={"tol": tol})
+def _cmd_borchardt(args, cfg: Config) -> tuple[RunReport, int]:
+    rep = RunReport(command="borchardt", inputs={"tol": cfg.borchardt_tol})
     if args.nodes is not None or args.poles is not None:
         if args.nodes is None or args.poles is None:
             raise DomainError("--nodes and --poles must be given together")
@@ -131,7 +125,7 @@ def _cmd_borchardt(args) -> tuple[RunReport, int]:
         nodes = tuple(z.real for z in node_values)
         poles = parse_pole_list(_values_arg(args.poles))
         pair = cy.CauchyPair(nodes=nodes, poles=poles)
-        check = cy.borchardt_check(pair)
+        check = cy.borchardt_check(pair, cfg=cfg)
         witness = cy.nonvanishing_witness(pair)
         rep.inputs.update({"nodes": list(nodes), "poles": list(poles)})
         rep.outputs.update({
@@ -141,13 +135,13 @@ def _cmd_borchardt(args) -> tuple[RunReport, int]:
             "abs_det_a": witness.abs_det_a,
             "conditions_ok": witness.conditions_ok,
             "violations": list(witness.violations),
-            "conditioning_flags": list(pair.conditioning_flags()),
+            "conditioning_flags": list(pair.conditioning_flags(cfg)),
         })
-        code = EXIT_OK if check.rel_residual <= tol else EXIT_TOLERANCE
+        code = EXIT_OK if check.rel_residual <= cfg.borchardt_tol else EXIT_TOLERANCE
         return rep, code
     if args.n is None:
         raise DomainError("need either --nodes/--poles or --n with --trials")
-    batch = cy.borchardt_batch(sizes=[args.n], trials=args.trials, seed=args.seed, tol=tol)
+    batch = cy.borchardt_batch(sizes=[args.n], trials=args.trials, seed=args.seed, cfg=cfg)
     rep.inputs.update({"n": args.n, "trials": args.trials, "seed": args.seed})
     rep.outputs.update({
         "checked": batch.checked,
@@ -165,24 +159,23 @@ def _cmd_borchardt(args) -> tuple[RunReport, int]:
     return rep, code
 
 
-def _cmd_komarov(args) -> tuple[RunReport, int]:
+def _cmd_komarov(args, cfg: Config) -> tuple[RunReport, int]:
     p = parse_pole_list(_values_arg(args.p_poles))
     q = parse_pole_list(_values_arg(args.q_poles)) if args.q_poles else ()
-    tol = DEFAULTS.komarov_tol if args.tol is None else args.tol
     dec = cy.komarov_coefficients(p, q, validate=False)
-    resid = dec.max_residual()
+    resid = dec.max_residual(cfg=cfg)
     rep = RunReport(command="komarov", inputs={
-        "p_poles": list(p), "q_poles": list(q), "tol": tol,
+        "p_poles": list(p), "q_poles": list(q), "tol": cfg.komarov_tol,
     })
     rep.outputs.update({
         "gamma": list(dec.gamma),
         "max_identity_residual": resid,
-        "validation_points": len(dec.validation_points()),
+        "validation_points": len(dec.validation_points(cfg=cfg)),
     })
-    return rep, EXIT_OK if resid <= tol else EXIT_TOLERANCE
+    return rep, EXIT_OK if resid <= cfg.komarov_tol else EXIT_TOLERANCE
 
 
-def _cmd_approx(args) -> tuple[RunReport, int]:
+def _cmd_approx(args, cfg: Config) -> tuple[RunReport, int]:
     target = parse_target(args.target)
     opts = mx.ApproxOptions(
         grid=args.grid,
@@ -192,7 +185,7 @@ def _cmd_approx(args) -> tuple[RunReport, int]:
         weighted=args.weighted,
         fixed_pole=args.fixed_pole,
     )
-    result = mx.solve_best_ld(target, args.n, opts)
+    result = mx.solve_best_ld(target, args.n, opts, cfg=cfg)
     rep = RunReport(command="approx", inputs={
         "target": args.target, "n": args.n, "seed": args.seed,
         "starts": args.starts, "grid": args.grid, "tol": args.tol,
@@ -206,7 +199,7 @@ def _cmd_approx(args) -> tuple[RunReport, int]:
         "certified": result.certified,
         "gap": result.gap,
         "dvp_lower": result.dvp_lower,
-        "alternance": _alternance_dict(result.alternance),
+        "alternance": dataclasses.asdict(result.alternance),
     })
     rep.diagnostics.extend(result.diagnostics)
     if args.require_certificate and not result.certified:
@@ -214,22 +207,22 @@ def _cmd_approx(args) -> tuple[RunReport, int]:
     return rep, EXIT_OK
 
 
-def _cmd_bernstein(args) -> tuple[RunReport, int]:
+def _cmd_bernstein(args, cfg: Config) -> tuple[RunReport, int]:
     rep = RunReport(command="bernstein", inputs={
         "n": args.n, "a": args.a, "force": bool(args.force),
     })
     if args.cofactor:
         roots = parse_pole_list(_values_arg(args.cofactor))
         poly = bn.RootedPolynomial(a=args.a, cofactor_roots=roots,
-                                   lead=args.lead, force=args.force)
+                                   lead=args.lead, force=args.force, cfg=cfg)
         rep.inputs["cofactor"] = list(roots)
     else:
         rng = np.random.default_rng(args.seed)
-        poly = bn.random_rooted_polynomial(args.n, args.a, rng)
+        poly = bn.random_rooted_polynomial(args.n, args.a, rng, cfg=cfg)
         rep.inputs["seed"] = args.seed
     if poly.n != args.n:
         raise DomainError(f"--n {args.n} does not match 1 + #cofactor = {poly.n}")
-    check = bn.check_corollary(poly, args.tol)
+    check = bn.check_corollary(poly, cfg=cfg)
     rep.outputs.update({
         "lhs_weighted": check.lhs_w,
         "rhs_weighted": check.rhs_w,
@@ -244,7 +237,7 @@ def _cmd_bernstein(args) -> tuple[RunReport, int]:
     return rep, EXIT_OK if check.both_hold else EXIT_TOLERANCE
 
 
-def _cmd_sample(args) -> tuple[RunReport, int]:
+def _cmd_sample(args, cfg: Config) -> tuple[RunReport, int]:
     if args.grid < 2:
         raise DomainError(f"need --grid >= 2, got {args.grid}")
     xs = chebyshev_points(args.grid)
@@ -253,30 +246,28 @@ def _cmd_sample(args) -> tuple[RunReport, int]:
     })
     header = "x,value"
     weight_col = None
-    if args.what == "extremal-weighted":
+    if args.what in ("extremal-weighted", "candidate"):
         if args.n is None or args.a is None:
-            raise DomainError("sample extremal-weighted needs --n and --a")
+            raise DomainError(f"sample {args.what} needs --n and --a")
+        rep.inputs.update({"n": args.n, "a": args.a})
+    if args.what == "extremal-weighted":
         rho = build_extremal_weighted(FixedPoleClass(args.n, args.a), force=args.force)
         values = rho.values_on(xs)
-        weight_col = np.sqrt(np.clip((1.0 - xs) * (1.0 + xs), 0.0, None)) * values
+        weight_col = _weight(xs) * values
         header = "x,value,weight_value"
-        rep.inputs.update({"n": args.n, "a": args.a})
     elif args.what == "candidate":
-        if args.n is None or args.a is None:
-            raise DomainError("sample candidate needs --n and --a")
-        cand = build_candidate_unweighted(FixedPoleClass(args.n, args.a))
+        cand = build_candidate_unweighted(FixedPoleClass(args.n, args.a), cfg=cfg)
         values = cand.values_on(xs)
-        rep.inputs.update({"n": args.n, "a": args.a})
     elif args.what == "residual":
         if args.target is None or args.poles is None:
             raise DomainError("sample residual needs --target and --poles")
         target = parse_target(args.target)
         rho = LogDerivative(parse_pole_list(_values_arg(args.poles)))
-        if rho.has_pole_on_segment():
+        if rho.has_pole_on_segment(cfg=cfg):
             raise DomainError("fraction has a pole on [-1, 1]")
         values = target.values_on(xs) - rho.values_on(xs)
         if args.weighted:
-            weight_col = np.sqrt(np.clip((1.0 - xs) * (1.0 + xs), 0.0, None)) * values
+            weight_col = _weight(xs) * values
             header = "x,value,weight_value"
         rep.inputs.update({"target": args.target, "poles": args.poles})
     else:
@@ -314,8 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help=f"key=value tolerance file (after ${ENV_VAR})")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, handler, tol_field=None):
         p.add_argument("--format", choices=("json", "csv", "human"), default="human")
+        if tol_field:
+            p.add_argument("--tol", type=float, default=None, help=f"sets {tol_field}")
+        p.set_defaults(handler=handler, tol_field=tol_field)
 
     p = sub.add_parser("extremal", help="weighted-extremal fraction of the fixed-pole class")
     p.add_argument("--n", type=int, required=True)
@@ -324,16 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report the weighted norm and its alternance")
     p.add_argument("--force", action="store_true",
                    help="allow 1 < a <= sqrt(2) (outside theorem hypotheses)")
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_extremal)
+    common(p, _cmd_extremal, "supnorm_xtol")
 
     p = sub.add_parser("candidate", help="unweighted-norm candidate fraction and bracket")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_candidate)
+    common(p, _cmd_candidate, "supnorm_xtol")
 
     p = sub.add_parser("borchardt", help="determinant-permanent identity checks")
     p.add_argument("--n", type=int, default=None)
@@ -341,16 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nodes", help="comma list or file of real nodes")
     p.add_argument("--poles", help="comma list or file of complex poles")
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_borchardt)
+    common(p, _cmd_borchardt, "borchardt_tol")
 
     p = sub.add_parser("komarov", help="residue decomposition of a difference of fractions")
     p.add_argument("--p-poles", required=True, dest="p_poles")
     p.add_argument("--q-poles", default="", dest="q_poles")
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_komarov)
+    common(p, _cmd_komarov, "komarov_tol")
 
     p = sub.add_parser("approx", help="best uniform approximation by a fraction")
     p.add_argument("--target", required=True,
@@ -363,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--fixed-pole", type=float, default=None, dest="fixed_pole")
     p.add_argument("--require-certificate", action="store_true")
-    common(p)
-    p.set_defaults(handler=_cmd_approx)
+    common(p, _cmd_approx)
 
     p = sub.add_parser("bernstein", help="derivative lower bounds on rooted polynomials")
     p.add_argument("--n", type=int, required=True)
@@ -373,9 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lead", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_bernstein)
+    common(p, _cmd_bernstein, "supnorm_xtol")
 
     p = sub.add_parser("sample", help="plot-ready CSV samples")
     p.add_argument("--what", choices=("extremal-weighted", "candidate", "residual"),
@@ -388,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poles")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--force", action="store_true")
-    common(p)
-    p.set_defaults(handler=_cmd_sample)
+    common(p, _cmd_sample)
 
     return parser
 
@@ -401,8 +383,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        apply_config(load_config(args.config))
-        report, code = args.handler(args)
+        cfg = load_config(args.config)
+        if args.tol_field and args.tol is not None:
+            cfg = dataclasses.replace(cfg, **{args.tol_field: args.tol})
+        report, code = args.handler(args, cfg)
+        if changed := non_defaults(cfg):
+            report.inputs["config"] = changed
     except ToleranceNotMetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE

@@ -1,9 +1,11 @@
 """Tolerance defaults and configuration-file handling.
 
-Every numerical gate in the package reads its default from :data:`DEFAULTS`
-rather than a hard-coded literal.  A ``key=value`` file named by the
-``SIMPLEFRAC_CONFIG`` environment variable (or an explicit path) overrides the
-defaults; command-line flags override the file.
+Every numerical gate reads its threshold from the frozen :class:`Config`
+passed down as the keyword-only ``cfg``, whose default is the constant
+:data:`DEFAULTS`; other thresholds come from a new value such as
+``dataclasses.replace(DEFAULTS, borchardt_tol=1e-12)``.  :func:`load_config`
+applies a ``key=value`` file named by ``SIMPLEFRAC_CONFIG``, then an explicit
+path; command-line flags override both.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import DomainError
 ENV_VAR = "SIMPLEFRAC_CONFIG"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     # ellipse membership: |canonical residual| below this counts as "on"
     ellipse_on_tol: float = 1e-12
@@ -94,7 +96,8 @@ def load_config(path: str | None = None) -> Config:
     return dataclasses.replace(Config(), **overrides)
 
 
-def apply_config(cfg: Config) -> None:
-    """Copy cfg onto the shared DEFAULTS instance (CLI startup hook)."""
-    for f in dataclasses.fields(Config):
-        setattr(DEFAULTS, f.name, getattr(cfg, f.name))
+def non_defaults(cfg: Config) -> dict[str, float]:
+    """The fields of cfg that differ from ``Config()``, by name."""
+    base = dataclasses.asdict(Config())
+    return {k: v for k, v in dataclasses.asdict(cfg).items() if v != base[k]}
+

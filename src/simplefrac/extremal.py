@@ -40,7 +40,7 @@ from .cheb import (
     eval_cheb,
     solve_t_equals,
 )
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import (
     DomainError,
     EvaluationError,
@@ -97,6 +97,17 @@ def _canonical_poles(raw, match_tol: float = 1e-8):
     return tuple(canon), tuple(sorted(reals)), tuple(sorted(pairs))
 
 
+def _on_segment(z: complex, cfg: Config) -> bool:
+    """Whether z lies within cfg.pole_on_segment_tol of [-1, 1]."""
+    tol = cfg.pole_on_segment_tol
+    return abs(z.imag) <= tol and -1.0 - tol <= z.real <= 1.0 + tol
+
+
+def _min_pole_separation(poles) -> float:
+    """Smallest pairwise distance |p - q| of the poles (inf for one pole)."""
+    return min((abs(p - q) for i, p in enumerate(poles) for q in poles[i + 1 :]), default=math.inf)
+
+
 @dataclass(frozen=True)
 class LogDerivative:
     """Simple partial fraction sum_k 1/(x - z_k), conjugate-closed poles."""
@@ -113,11 +124,8 @@ class LogDerivative:
     def degree(self) -> int:
         return len(self.poles)
 
-    def has_pole_on_segment(self, tol: float | None = None) -> bool:
-        tol = DEFAULTS.pole_on_segment_tol if tol is None else tol
-        return any(
-            abs(z.imag) <= tol and -1.0 - tol <= z.real <= 1.0 + tol for z in self.poles
-        )
+    def has_pole_on_segment(self, *, cfg: Config = DEFAULTS) -> bool:
+        return any(_on_segment(z, cfg) for z in self.poles)
 
     def values_on(self, x):
         """Vectorized pole-sum evaluation (plain float arithmetic).
@@ -273,7 +281,7 @@ class DvpBracket(NamedTuple):
     weak_equiv_ratio: float
 
 
-def eval_ld(rho: LogDerivative, x, proximity_tol: float | None = None):
+def eval_ld(rho: LogDerivative, x, *, cfg: Config = DEFAULTS):
     """Pointwise pole-sum value of the fraction at a real x or at each point
     of a 1-D array x.
 
@@ -283,10 +291,10 @@ def eval_ld(rho: LogDerivative, x, proximity_tol: float | None = None):
     of magnitude below the individual terms.  The arithmetic is elementwise,
     so a point gets the same bits alone or in an array.  Returns a float for
     scalar x and an ndarray for an array.  Rejects a non-finite point, and a
-    point closer than ``proximity_tol`` to a pole; for an array, the first
-    point that fails either check is reported.
+    point within ``cfg.pole_proximity_tol`` of a pole; for an array, the
+    first point that fails either check is reported.
     """
-    tol = DEFAULTS.pole_proximity_tol if proximity_tol is None else proximity_tol
+    tol = cfg.pole_proximity_tol
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise DomainError(f"evaluation points must form a scalar or a 1-D array, got {xs.shape}")
@@ -378,7 +386,7 @@ def build_extremal_weighted(cls: FixedPoleClass, force: bool = False) -> Weighte
 
 
 def alternance_points_weighted(
-    cls: FixedPoleClass, force: bool = True
+    cls: FixedPoleClass, force: bool = True, *, cfg: Config = DEFAULTS
 ) -> tuple[AlternanceReport, tuple[float, ...]]:
     """Alternance of the weighted minimizer and the zeros of its weighted form.
 
@@ -391,9 +399,9 @@ def alternance_points_weighted(
     rho = build_extremal_weighted(cls, force=force)
     tna = rho.tna
     c = 1.0 / tna if math.isfinite(tna) else 0.0
-    points = solve_t_equals(n, c)
+    points = solve_t_equals(n, c, cfg=cfg)
     xs = np.array(points)
-    values = (np.sqrt(np.maximum(1.0 - xs * xs, 0.0)) * eval_ld(rho, xs)).tolist()
+    values = (np.sqrt(np.maximum(1.0 - xs * xs, 0.0)) * eval_ld(rho, xs, cfg=cfg)).tolist()
     level = rho.level
     signs_ok = all(values[i] * values[i + 1] < 0.0 for i in range(len(values) - 1))
     j = np.arange(n + 1)
@@ -428,7 +436,7 @@ def _candidate_q(n: int, fa: float, z: complex) -> complex:
 
 
 def build_candidate_unweighted(
-    cls: FixedPoleClass, residual_tol: float | None = None
+    cls: FixedPoleClass, *, cfg: Config = DEFAULTS
 ) -> UnweightedCandidateFraction:
     """Construct the unweighted-norm candidate fraction.
 
@@ -436,7 +444,7 @@ def build_candidate_unweighted(
     (f(x) - f(a))/2 with f(x) = T_n(x)/n - T_{n-2}(x)/(n-2).  Roots come from
     the colleague-matrix solver on the Chebyshev-basis coefficients and are
     polished by Newton steps (the derivative is exactly T_{n-1}); each must
-    pass the residual gate |Q(z)| <= tol * max(1, |T_{n-1}(z)|).
+    pass |Q(z)| <= cfg.candidate_root_residual_tol * max(1, |T_{n-1}(z)|).
     """
     n, a = cls.n, cls.a
     if n < 4:
@@ -445,7 +453,7 @@ def build_candidate_unweighted(
         raise TheoremRangeError(
             f"the unweighted candidate needs a > 1 + 1/n = {1 + 1/n:.6f}, got a={a}"
         )
-    tol = DEFAULTS.candidate_root_residual_tol if residual_tol is None else residual_tol
+    tol = cfg.candidate_root_residual_tol
     fa = _f_and_fa(n, a)
 
     coeffs = np.zeros(n + 1)
@@ -512,25 +520,24 @@ def lambda_bounds(cls: FixedPoleClass) -> LambdaBounds:
 def verify_pole_annulus(
     cls: FixedPoleClass,
     candidate: UnweightedCandidateFraction | None = None,
-    closure_tol: float | None = None,
+    *, cfg: Config = DEFAULTS,
 ) -> PoleAnnulusReport:
     """Check the candidate's poles against the ellipse annulus.
 
-    Every pole must lie in the closure of E_a; when t = a*(3*sqrt(n))^(-1/n)
-    exceeds 1, every pole must also lie strictly outside E_t (reported as
-    None otherwise).  Per-pole canonical-form residuals are returned.
+    Every pole must lie in the closure of E_a (residual <= cfg.ellipse_closure_tol);
+    when t = a*(3*sqrt(n))^(-1/n) exceeds 1, every pole must also lie strictly
+    outside E_t (None otherwise).  Per-pole canonical-form residuals are returned.
     """
     if candidate is None:
-        candidate = build_candidate_unweighted(cls)
-    tol = DEFAULTS.ellipse_closure_tol if closure_tol is None else closure_tol
+        candidate = build_candidate_unweighted(cls, cfg=cfg)
     n, a = cls.n, cls.a
     t = a * (3.0 * math.sqrt(n)) ** (-1.0 / n)
     ea = EllipseParam(a)
-    ea_res = tuple(ellipse_classify(ea, z).residual for z in candidate.poles)
-    all_in = all(res <= tol for res in ea_res)
+    ea_res = tuple(ellipse_classify(ea, z, cfg=cfg).residual for z in candidate.poles)
+    all_in = all(res <= cfg.ellipse_closure_tol for res in ea_res)
     if t > 1.0:
         et = EllipseParam(t)
-        et_cls = [ellipse_classify(et, z) for z in candidate.poles]
+        et_cls = [ellipse_classify(et, z, cfg=cfg) for z in candidate.poles]
         et_res = tuple(c.residual for c in et_cls)
         all_out = all(c.location is PointLocation.OUTSIDE for c in et_cls)
     else:
@@ -547,11 +554,11 @@ def verify_pole_annulus(
     )
 
 
-def _norm_grid(degree: int, floor: int | None = None) -> np.ndarray:
-    """Chebyshev scan grid: supnorm_grid_per_degree points per unit degree,
-    and at least ``floor`` (default supnorm_min_grid)."""
-    floor = DEFAULTS.supnorm_min_grid if floor is None else floor
-    return chebyshev_points(max(DEFAULTS.supnorm_grid_per_degree * degree, floor))
+def _norm_grid(degree: int, cfg: Config, floor: int | None = None) -> np.ndarray:
+    """Chebyshev scan grid: cfg.supnorm_grid_per_degree points per unit
+    degree, and at least ``floor`` (default cfg.supnorm_min_grid)."""
+    floor = cfg.supnorm_min_grid if floor is None else floor
+    return chebyshev_points(max(cfg.supnorm_grid_per_degree * degree, floor))
 
 
 def _weight(x):
@@ -559,32 +566,32 @@ def _weight(x):
     return np.sqrt(np.clip((1.0 - x) * (1.0 + x), 0.0, None))
 
 
-def _sup_norm(rho: LogDerivative, tol: float | None, weighted: bool) -> NormEstimate:
-    tol = DEFAULTS.supnorm_xtol if tol is None else float(tol)
+def _sup_norm(rho: LogDerivative, cfg: Config, weighted: bool) -> NormEstimate:
+    tol = float(cfg.supnorm_xtol)
     if tol <= 0.0:
         raise DomainError(f"refinement tolerance must be positive, got {tol}")
-    if rho.has_pole_on_segment():
+    if rho.has_pole_on_segment(cfg=cfg):
         raise DomainError("fraction has a pole on [-1, 1]; sup norm undefined")
 
     def fn(x):
         y = rho.values_on(x)
         return np.abs(_weight(x) * y if weighted else y)
 
-    value, loc = supremum_on_grid(fn, _norm_grid(rho.degree), tol)
+    value, loc = supremum_on_grid(fn, _norm_grid(rho.degree, cfg), tol)
     return NormEstimate(value=value, location=loc, weighted=weighted, refinement_tol=tol)
 
 
-def weighted_sup_norm(rho: LogDerivative, tol: float | None = None) -> NormEstimate:
-    """max over [-1,1] of |sqrt(1-x^2) * rho(x)| by grid scan + refinement."""
-    return _sup_norm(rho, tol, weighted=True)
+def weighted_sup_norm(rho: LogDerivative, *, cfg: Config = DEFAULTS) -> NormEstimate:
+    """max over [-1,1] of |sqrt(1-x^2) * rho(x)|, refined to cfg.supnorm_xtol."""
+    return _sup_norm(rho, cfg, weighted=True)
 
 
-def sup_norm(rho: LogDerivative, tol: float | None = None) -> NormEstimate:
-    """max over [-1,1] of |rho(x)| by grid scan + refinement."""
-    return _sup_norm(rho, tol, weighted=False)
+def sup_norm(rho: LogDerivative, *, cfg: Config = DEFAULTS) -> NormEstimate:
+    """max over [-1,1] of |rho(x)| by grid scan + refinement to cfg.supnorm_xtol."""
+    return _sup_norm(rho, cfg, weighted=False)
 
 
-def dvp_bracket(cls: FixedPoleClass, tol: float | None = None) -> DvpBracket:
+def dvp_bracket(cls: FixedPoleClass, *, cfg: Config = DEFAULTS) -> DvpBracket:
     """Two-sided bracket for the least unweighted deviation of the class.
 
     lower is the smallest magnitude of the candidate at the alternation
@@ -600,23 +607,18 @@ def dvp_bracket(cls: FixedPoleClass, tol: float | None = None) -> DvpBracket:
         raise TheoremRangeError(
             f"the deviation bracket needs a > sqrt(2)*(3*sqrt(n))^(1/n) = {a_min:.6f}, got a={a}"
         )
-    candidate = build_candidate_unweighted(cls)
-    seps = [
-        abs(p - q)
-        for i, p in enumerate(candidate.poles)
-        for q in candidate.poles[i + 1 :]
-    ]
-    if seps and min(seps) <= DEFAULTS.min_pole_separation:
+    candidate = build_candidate_unweighted(cls, cfg=cfg)
+    if _min_pole_separation(candidate.poles) <= cfg.min_pole_separation:
         raise DomainError("candidate poles are not pairwise distinct")
-    annulus = verify_pole_annulus(cls, candidate)
+    annulus = verify_pole_annulus(cls, candidate, cfg=cfg)
     if annulus.min_abs_pole <= 1.0:
         raise TheoremRangeError(
             f"bracket hypotheses need every |z_k| > 1; min |z_k| = {annulus.min_abs_pole:.6f}"
         )
     j = np.arange(n)
     points = np.sin(np.pi * (n - 1 - 2 * j) / (2 * (n - 1)))
-    lower = min(np.abs(eval_ld(candidate, points)).tolist())
-    upper = sup_norm(candidate, tol).value
+    lower = min(np.abs(eval_ld(candidate, points, cfg=cfg)).tolist())
+    upper = sup_norm(candidate, cfg=cfg).value
     tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
     tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, a)
     ratio = upper * (tn - tn2) / (2.0 * n)

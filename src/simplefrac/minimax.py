@@ -23,9 +23,10 @@ import numpy as np
 
 from ._optim import local_extrema, supremum_on_grid
 from .cheb import chebyshev_points
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import DomainError, ToleranceNotMetError
-from .extremal import AlternanceReport, LogDerivative, _norm_grid, _weight, pole_sums
+from .extremal import (AlternanceReport, LogDerivative, _min_pole_separation, _norm_grid,
+                       _weight, pole_sums)
 
 
 @dataclass(frozen=True)
@@ -97,14 +98,16 @@ def residual_alternance(
     min_points: int,
     weighted: bool = False,
     level_rtol: float | None = None,
-    xtol: float | None = None,
     grid_points: int | None = None,
+    *,
+    cfg: Config = DEFAULTS,
 ) -> AlternanceReport:
     """Sign-alternating extrema of the residual f - rho.
 
     Local extrema are located on a dense Chebyshev grid (at least 257 points
     and 30 per unit degree; raise ``grid_points`` for targets with finer
-    structure) and refined by golden section; the report carries the longest
+    structure) and refined by golden section to cfg.supnorm_xtol; the
+    report carries the longest
     sign-alternating subsequence and the sup-norm level.  With ``level_rtol``
     set, only extrema within that relative distance of the sup norm
     participate (the equioscillation-certificate reading); by default every
@@ -113,17 +116,16 @@ def residual_alternance(
     """
     if min_points < 1:
         raise DomainError(f"min_points must be positive, got {min_points}")
-    if rho.has_pole_on_segment():
+    if rho.has_pole_on_segment(cfg=cfg):
         raise DomainError("fraction has a pole on [-1, 1]")
-    xtol = DEFAULTS.supnorm_xtol if xtol is None else xtol
     r = _residual_fn(f, rho, weighted)
-    grid = _norm_grid(rho.degree, max(257, grid_points or 0))
-    extrema = local_extrema(r, grid, xtol)
+    grid = _norm_grid(rho.degree, cfg, max(257, grid_points or 0))
+    extrema = local_extrema(r, grid, cfg.supnorm_xtol)
     if not extrema:
         return AlternanceReport(points=(), values=(), level=0.0, sign_pattern_ok=False)
     level = max(abs(v) for _, v in extrema)
     scale = 1.0 + float(np.max(np.abs(f.values_on(grid))))
-    if level <= DEFAULTS.degenerate_residual_tol * scale:
+    if level <= cfg.degenerate_residual_tol * scale:
         return AlternanceReport(points=(), values=(), level=level, sign_pattern_ok=False)
     pool = extrema
     if level_rtol is not None:
@@ -137,25 +139,22 @@ def residual_alternance(
     )
 
 
-def _check_pole_hypotheses(rho: LogDerivative) -> list[str]:
+def _check_pole_hypotheses(rho: LogDerivative, cfg: Config) -> list[str]:
     reasons = []
-    poles = rho.poles
-    sep = min(
-        (abs(p - q) for i, p in enumerate(poles) for q in poles[i + 1 :]),
-        default=math.inf,
-    )
-    if sep <= DEFAULTS.min_pole_separation:
+    sep = _min_pole_separation(rho.poles)
+    if sep <= cfg.min_pole_separation:
         reasons.append(
             f"poles not pairwise distinct (min separation {sep:.3e} <= "
-            f"{DEFAULTS.min_pole_separation:.1e})"
+            f"{cfg.min_pole_separation:.1e})"
         )
-    min_abs = min(abs(z) for z in poles)
+    min_abs = min(abs(z) for z in rho.poles)
     if min_abs <= 1.0:
         reasons.append(f"|z_k| <= 1 for some pole (min |z_k| = {min_abs:.6f})")
     return reasons
 
 
-def dvp_lower_bound(f: TargetFunction, rho: LogDerivative, weighted: bool = False) -> float:
+def dvp_lower_bound(f: TargetFunction, rho: LogDerivative, weighted: bool = False, *,
+                    cfg: Config = DEFAULTS) -> float:
     """Lower bound on the best deviation from n sign-alternating residual
     values (n = degree of rho).
 
@@ -165,10 +164,10 @@ def dvp_lower_bound(f: TargetFunction, rho: LogDerivative, weighted: bool = Fals
     residual shows fewer than n alternating points.
     """
     n = rho.degree
-    hyp = _check_pole_hypotheses(rho)
+    hyp = _check_pole_hypotheses(rho, cfg)
     if hyp:
         raise DomainError("; ".join(hyp))
-    rep = residual_alternance(f, rho, min_points=n, weighted=weighted)
+    rep = residual_alternance(f, rho, min_points=n, weighted=weighted, cfg=cfg)
     window = _best_window(list(zip(rep.points, rep.values)), n)
     if window is None:
         raise DomainError(
@@ -186,24 +185,23 @@ class CertificateReport:
 def certify_optimality(
     f: TargetFunction,
     rho: LogDerivative,
-    level_rtol: float | None = None,
+    *,
+    cfg: Config = DEFAULTS,
 ) -> CertificateReport:
     """Alternance certificate for best uniform approximation.
 
     Certified iff (i) the poles are pairwise distinct, (ii) every pole lies
     strictly outside the closed unit disk (|z_k| = 1 counts as failure), and
     (iii) the residual shows at least n+1 sign-alternating extrema whose
-    magnitudes sit within ``level_rtol`` (default 1e-3, relative) of the sup
+    magnitudes sit within cfg.certify_level_rtol (relative) of the sup
     norm.  Under (i) and (ii) the criterion is both necessary and
     sufficient, and the certified fraction is the unique optimum; without
     them best approximations can be non-unique and nothing is claimed.
     """
-    level_rtol = DEFAULTS.certify_level_rtol if level_rtol is None else level_rtol
-    reasons = _check_pole_hypotheses(rho)
+    reasons = _check_pole_hypotheses(rho, cfg)
     try:
-        rep = residual_alternance(
-            f, rho, min_points=rho.degree + 1, level_rtol=level_rtol
-        )
+        rep = residual_alternance(f, rho, min_points=rho.degree + 1,
+                                  level_rtol=cfg.certify_level_rtol, cfg=cfg)
         if not rep.sign_pattern_ok:
             reasons.append(
                 f"found {len(rep.points)} near-level alternating extrema; "
@@ -345,7 +343,7 @@ def _best_window(alt, m):
 
 
 def _newton_equioscillate(theta, shape: _Shape, f: TargetFunction, weighted: bool,
-                          opts: ApproxOptions, scale: float):
+                          opts: ApproxOptions, scale: float, cfg: Config):
     """Damped Newton solve of the equioscillation system in (poles, t, h).
 
     Levels: R(t_i) = sigma*(-1)^i h for all m = dim+1 points; stationarity
@@ -355,11 +353,11 @@ def _newton_equioscillate(theta, shape: _Shape, f: TargetFunction, weighted: boo
     """
     w, wp, wpp = _weight_fns(weighted)
     rho0 = LogDerivative(_poles_from_theta(theta, shape))
-    if rho0.has_pole_on_segment():
+    if rho0.has_pole_on_segment(cfg=cfg):
         return None
     r_fn = _residual_fn(f, rho0, weighted)
     grid = chebyshev_points(max(opts.refine_grid, 4 * opts.grid + 1))
-    ext = local_extrema(r_fn, grid, DEFAULTS.supnorm_xtol)
+    ext = local_extrema(r_fn, grid, cfg.supnorm_xtol)
     if weighted:
         ext = [(x, v) for x, v in ext if abs(x) < 1.0 - 1e-9]
     m_levels = shape.dim + 1
@@ -390,14 +388,10 @@ def _newton_equioscillate(theta, shape: _Shape, f: TargetFunction, weighted: boo
         J = np.zeros((m_levels + k, dim + k + 1))
         # level equations
         J[:m_levels, :dim] = (-wv[None, :] * grad).T
-        ti = 0
-        for i in range(m_levels):
-            if interior[i]:
-                J[i, dim + ti] = big_rp[i]
-                ti += 1
+        idx = np.flatnonzero(interior)
+        J[idx, dim + np.arange(k)] = big_rp[idx]
         J[:m_levels, dim + k] = -signs
         # stationarity equations at interior points
-        idx = np.flatnonzero(interior)
         rho2 = LogDerivative(_poles_from_theta(theta, shape)).second_derivative_on(ts[idx])
         big_rpp = wppv[idx] * res[idx] + 2.0 * wpv[idx] * resp[idx] + wv[idx] * (fpp[idx] - rho2)
         for row, i in enumerate(idx):
@@ -441,14 +435,15 @@ def _newton_equioscillate(theta, shape: _Shape, f: TargetFunction, weighted: boo
     return theta
 
 
-def _refined_error(f: TargetFunction, rho: LogDerivative, weighted: bool, opts: ApproxOptions):
+def _refined_error(f: TargetFunction, rho: LogDerivative, weighted: bool, opts: ApproxOptions,
+                   cfg: Config):
     r_fn = _residual_fn(f, rho, weighted)
 
     def absr(x):
         return np.abs(r_fn(x))
 
-    grid = _norm_grid(rho.degree, opts.refine_grid)
-    value, _ = supremum_on_grid(absr, grid, min(opts.tol, DEFAULTS.supnorm_xtol))
+    grid = _norm_grid(rho.degree, cfg, opts.refine_grid)
+    value, _ = supremum_on_grid(absr, grid, min(opts.tol, cfg.supnorm_xtol))
     return value
 
 
@@ -465,7 +460,8 @@ def _project_poles(rho: LogDerivative) -> LogDerivative:
     return LogDerivative(tuple(out)) if changed else rho
 
 
-def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None) -> ApproxResult:
+def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, *,
+                  cfg: Config = DEFAULTS) -> ApproxResult:
     """Approximate f on [-1, 1] by a degree-n logarithmic derivative.
 
     Phase 1 minimizes the residual p-norm on a Chebyshev grid with
@@ -480,7 +476,8 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None) 
     With ``opts.weighted`` the residual carries the sqrt(1-x^2) weight and
     ``opts.fixed_pole`` pins one real pole; the optimality certificate and
     the lower bound are specific to the unweighted free-pole problem, so
-    those runs always come back uncertified (with a diagnostic).
+    those runs always come back uncertified (with a diagnostic).  ``cfg``
+    supplies every tolerance the phases and the certificate use.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"degree must be a positive integer, got {n!r}")
@@ -543,8 +540,7 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None) 
         # representable targets: finish with a least-squares polish
         r_now = wg * (fg - _rho_eval(theta, shape, xg, want_grad=False)[0])
         if float(np.max(np.abs(r_now))) <= opts.polish_rtol * scale:
-            lo = np.array([b[0] for b in param_bounds(shape)])
-            hi = np.array([b[1] for b in param_bounds(shape)])
+            lo, hi = np.array(param_bounds(shape)).T
 
             def residvec(th):
                 rho, _, _, _ = _rho_eval(np.clip(th, lo, hi), shape, xg, want_grad=False)
@@ -566,18 +562,18 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None) 
         except DomainError:
             diagnostics.append(f"start {start}: invalid pole set; discarded")
             continue
-        if rho1.has_pole_on_segment():
+        if rho1.has_pole_on_segment(cfg=cfg):
             diagnostics.append(f"start {start}: pole drifted onto [-1, 1]; discarded")
             continue
-        err1 = _refined_error(f, rho1, opts.weighted, opts)
+        err1 = _refined_error(f, rho1, opts.weighted, opts, cfg)
         cand_err, cand_rho = err1, rho1
 
-        theta2 = _newton_equioscillate(theta, shape, f, opts.weighted, opts, scale)
+        theta2 = _newton_equioscillate(theta, shape, f, opts.weighted, opts, scale, cfg)
         if theta2 is not None:
             try:
                 rho2 = _project_poles(LogDerivative(_poles_from_theta(theta2, shape)))
-                if not rho2.has_pole_on_segment():
-                    err2 = _refined_error(f, rho2, opts.weighted, opts)
+                if not rho2.has_pole_on_segment(cfg=cfg):
+                    err2 = _refined_error(f, rho2, opts.weighted, opts, cfg)
                     if err2 < cand_err:
                         cand_err, cand_rho = err2, rho2
             except DomainError:
@@ -592,7 +588,7 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None) 
     error, _, rho = best
     alternance = residual_alternance(
         f, rho, min_points=n_free + 1, weighted=opts.weighted,
-        grid_points=opts.refine_grid,
+        grid_points=opts.refine_grid, cfg=cfg,
     )
 
     certified = False
@@ -603,11 +599,11 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None) 
             "problem only; result labeled heuristic"
         )
     else:
-        cert = certify_optimality(f, rho)
+        cert = certify_optimality(f, rho, cfg=cfg)
         certified = cert.certified
         diagnostics.extend(cert.reasons)
         try:
-            dvp = dvp_lower_bound(f, rho)
+            dvp = dvp_lower_bound(f, rho, cfg=cfg)
         except DomainError as exc:
             diagnostics.append(f"lower bound unavailable: {exc}")
     if not certified:

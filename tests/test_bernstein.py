@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ from simplefrac.errors import DomainError, TheoremRangeError, ToleranceNotMetErr
 from simplefrac.extremal import _norm_grid, _weight
 
 
-def check_corollary_reference(poly, tol=None):
+def check_corollary_reference(poly, cfg=DEFAULTS):
     """Reference: one engine scan per extremal quantity, three in all."""
-    tol = DEFAULTS.supnorm_xtol if tol is None else tol
+    tol = cfg.supnorm_xtol
     n = poly.n
-    grid = _norm_grid(n)
+    grid = _norm_grid(n, cfg)
     lhs_w, _ = supremum_on_grid(
         lambda x: np.abs(poly.value_and_derivative(x)[1]) * _weight(x), grid, tol)
     lhs_u, _ = supremum_on_grid(lambda x: np.abs(poly.value_and_derivative(x)[1]), grid, tol)
@@ -44,10 +45,10 @@ def check_corollary_reference(poly, tol=None):
                            min_abs_p=min_abs_p)
 
 
-def witness_one_reference(n, a, tol=None):
+def witness_one_reference(n, a, cfg=DEFAULTS):
     """Reference: the first witness ratio from two separate scans."""
-    tol = DEFAULTS.supnorm_xtol if tol is None else tol
-    grid = _norm_grid(n)
+    tol = cfg.supnorm_xtol
+    grid = _norm_grid(n, cfg)
     tna = eval_cheb(ChebKind.FIRST_KIND, n, a)
     lhs_w, _ = supremum_on_grid(
         lambda x: n * np.abs(np.sin(n * np.arccos(np.clip(x, -1.0, 1.0)))), grid, tol)
@@ -72,15 +73,17 @@ def hexed(fn):
        seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([None, 1e-6, 1e-17]))
 def test_one_scan_corollary_matches_three_scans(n, a, seed, tol):
     poly = random_rooted_polynomial(n, a, np.random.default_rng(seed))
-    got = hexed(lambda: check_corollary(poly, tol))
-    assert got == hexed(lambda: check_corollary_reference(poly, tol))
+    cfg = DEFAULTS if tol is None else replace(DEFAULTS, supnorm_xtol=tol)
+    got = hexed(lambda: check_corollary(poly, cfg=cfg))
+    assert got == hexed(lambda: check_corollary_reference(poly, cfg))
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 90), a=st.floats(1.05, 8.0), tol=st.sampled_from([None, 1e-6, 1e-17]))
 def test_one_scan_first_witness_matches_two_scans(n, a, tol):
-    got = hexed(lambda: witness_ratio_empirical(n, a, 1, tol))
-    assert got == hexed(lambda: witness_one_reference(n, a, tol))
+    cfg = DEFAULTS if tol is None else replace(DEFAULTS, supnorm_xtol=tol)
+    got = hexed(lambda: witness_ratio_empirical(n, a, 1, cfg=cfg))
+    assert got == hexed(lambda: witness_one_reference(n, a, cfg))
 
 
 def test_shifted_cheb_degree_two_example():

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -121,10 +122,10 @@ def random_cauchy_pair_reference(n, rng, min_abs=1.1, max_abs=10.0):
     return CauchyPair(nodes=tuple(float(c) for c in nodes), poles=tuple(poles))
 
 
-def borchardt_batch_serial_reference(sizes, trials, seed, tol=None):
+def borchardt_batch_serial_reference(sizes, trials, seed):
     """borchardt_batch as one draw, one identity check and one flag check
     at a time, through the public per-pair functions."""
-    tol = DEFAULTS.borchardt_tol if tol is None else tol
+    tol = DEFAULTS.borchardt_tol
     rng = np.random.default_rng(seed)
     sizes = list(sizes)
     checked = excluded = failures = draws = 0
@@ -284,8 +285,6 @@ def test_permanent_worked_examples():
 
 
 def test_permanent_gates():
-    from simplefrac.config import DEFAULTS
-
     big = DEFAULTS.permanent_max_n + 1
     with pytest.raises(DomainError):
         permanent_ryser(np.ones((big, big)))
@@ -615,13 +614,6 @@ def test_komarov_random_identity():
 
 
 def test_komarov_validate_raises_on_loose_tolerance():
-    # with an absurdly tight runtime tolerance the validation gate must fire
-    from simplefrac.config import DEFAULTS
-
-    old = DEFAULTS.komarov_tol
-    DEFAULTS.komarov_tol = 1e-30
-    try:
-        with pytest.raises(ToleranceNotMetError):
-            komarov_coefficients((2.0, -2.0, 1.7), (3.0,))
-    finally:
-        DEFAULTS.komarov_tol = old
+    # with an absurdly tight tolerance the validation gate must fire
+    with pytest.raises(ToleranceNotMetError):
+        komarov_coefficients((2.0, -2.0, 1.7), (3.0,), cfg=replace(DEFAULTS, komarov_tol=1e-30))

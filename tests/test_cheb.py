@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -165,9 +167,9 @@ def cheb_recurrence_dd_reference(kind, n, x):
     return _dd.dd_to_float(cur)
 
 
-def solve_t_equals_reference(n, c, residual_tol=None, rec=cheb_recurrence_dd_reference):
+def solve_t_equals_reference(n, c, cfg=DEFAULTS, rec=cheb_recurrence_dd_reference):
     """Reference: enumerate the arccos roots and polish them one at a time."""
-    tol = DEFAULTS.solve_t_residual_tol if residual_tol is None else residual_tol
+    tol = cfg.solve_t_residual_tol
     theta0 = math.acos(c)
     thetas = [(theta0 + 2.0 * math.pi * k) / n
               for k in range(int((n * math.pi - theta0) // (2.0 * math.pi)) + 1)]
@@ -216,8 +218,9 @@ def test_array_recurrence_matches_scalar_loop(kind, n, xs):
 def test_batched_polish_matches_per_root_loop(n, c, tol):
     # tight tolerances make some roots fail: the error must name the same
     # root, with the same message and best, as the per-root loop
-    got = outcome(solve_t_equals, n, c, residual_tol=tol)
-    assert got == outcome(solve_t_equals_reference, n, c, tol)
+    cfg = DEFAULTS if tol is None else replace(DEFAULTS, solve_t_residual_tol=tol)
+    got = outcome(solve_t_equals, n, c, cfg=cfg)
+    assert got == outcome(solve_t_equals_reference, n, c, cfg)
 
 
 def test_batched_polish_masks_a_zero_derivative(monkeypatch):
@@ -232,11 +235,12 @@ def test_batched_polish_masks_a_zero_derivative(monkeypatch):
         return np.where(np.asarray(x) == x0, 0.0, v) if kind is U else v
 
     monkeypatch.setattr(cheb, "_cheb_recurrence_dd", flat_at_x0)
-    got = solve_t_equals(n, c, residual_tol=1.0)
+    loose = replace(DEFAULTS, solve_t_residual_tol=1.0)
+    got = solve_t_equals(n, c, cfg=loose)
     def flat_reference(kind, m, x):
         return float(flat_at_x0(kind, m, x, cheb_recurrence_dd_reference))
 
-    want = solve_t_equals_reference(n, c, 1.0, rec=flat_reference)
+    want = solve_t_equals_reference(n, c, loose, rec=flat_reference)
     assert x0 in got
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -250,6 +254,23 @@ def test_eval_cheb_overflow_is_a_domain_error():
         eval_cheb(U, 403, -3.0)
     with pytest.raises(DomainError, match=r"log \|T_403\(z\)\|"):
         eval_cheb(T, 403, 3.0 + 1.0j)
+
+
+def test_second_kind_near_the_float_limit_is_finite_or_an_error():
+    # U_402(3) ~ e^708.7 is a float although w^403 of the exponential form is
+    # not; U_403(3) is not a float.  Exact values: U_{k+1}(3) = 6 U_k - U_{k-1}
+    exact = [1, 6]
+    while len(exact) <= 403:
+        exact.append(6 * exact[-1] - exact[-2])
+    for n in (401, 402):
+        for x in (3.0, -3.0):
+            got = eval_cheb(U, n, x)
+            assert math.isfinite(got)
+            assert got == pytest.approx((-1) ** (n * (x < 0)) * float(exact[n]), rel=1e-12)
+    assert math.log(exact[403]) > math.log(sys.float_info.max)
+    for x in (3.0, -3.0):
+        with pytest.raises(DomainError, match=r"log \|U_403\(z\)\| = 710\.4169"):
+            eval_cheb(U, 403, x)
 
 
 def test_ellipse_examples():

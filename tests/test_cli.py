@@ -129,15 +129,11 @@ def test_import_does_not_load_scipy():
 def test_borchardt_size_gate_reads_config(capsys, tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("permanent_max_n = 21\n")
-    try:
-        code, _, err = run_cli(
-            capsys, "--config", str(cfg),
-            "borchardt", "--n", "21", "--trials", "1", "--seed", "0",
-        )
-        assert code != 2, err
-    finally:
-        from simplefrac.config import Config, apply_config
-        apply_config(Config())
+    code, _, err = run_cli(
+        capsys, "--config", str(cfg),
+        "borchardt", "--n", "21", "--trials", "1", "--seed", "0",
+    )
+    assert code != 2, err
 
 
 def test_komarov_cli(capsys):
@@ -331,21 +327,30 @@ def test_config_file_and_env(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg"
     cfg.write_text("borchardt_tol = 1e-20\n")
     monkeypatch.setenv("SIMPLEFRAC_CONFIG", str(cfg))
-    try:
-        code, _, _ = run_cli(
-            capsys, "borchardt", "--nodes", "0,0.5", "--poles", "2,-2"
-        )
-        assert code == 1  # residual ~4e-16 > 1e-20
-        # explicit flag overrides the file
-        code, _, _ = run_cli(
-            capsys, "borchardt", "--nodes", "0,0.5", "--poles", "2,-2",
-            "--tol", "1e-10",
-        )
-        assert code == 0
-    finally:
-        monkeypatch.delenv("SIMPLEFRAC_CONFIG")
-        from simplefrac.config import Config, apply_config
-        apply_config(Config())
+    code, _, _ = run_cli(
+        capsys, "borchardt", "--nodes", "0,0.5", "--poles", "2,-2"
+    )
+    assert code == 1  # residual ~4e-16 > 1e-20
+    # explicit flag overrides the file
+    code, _, _ = run_cli(
+        capsys, "borchardt", "--nodes", "0,0.5", "--poles", "2,-2",
+        "--tol", "1e-10",
+    )
+    assert code == 0
+
+
+def test_config_run_reports_its_key(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("SIMPLEFRAC_CONFIG", raising=False)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("komarov_points = 40\n")
+    argv = ("komarov", "--p-poles", "2,-2", "--q-poles", "3", "--format", "json")
+    _, out, _ = run_cli(capsys, *argv)
+    assert "config" not in json.loads(out)["inputs"]
+    code, out, _ = run_cli(capsys, "--config", str(cfg), *argv)
+    data = json.loads(out)
+    assert code == 0
+    assert data["inputs"]["config"] == {"komarov_points": 40}
+    assert data["outputs"]["validation_points"] == 40  # the run used it
 
 
 def test_config_rejects_unknown_key(tmp_path):

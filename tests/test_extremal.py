@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_weighted_poles_on_ellipse():
         rho = build_extremal_weighted(FixedPoleClass(n, a), force=True)
         ea = EllipseParam(a)
         for z in rho.poles:
-            c = ellipse_classify(ea, z, tol=1e-10)
+            c = ellipse_classify(ea, z, cfg=replace(DEFAULTS, ellipse_on_tol=1e-10))
             assert c.location is PointLocation.ON, (n, a, z, c.residual)
 
 
@@ -133,11 +134,11 @@ def test_weighted_level_never_underflows():
 
 def test_sup_norm_examples():
     rho = LogDerivative((2.0,))
-    w = weighted_sup_norm(rho, 1e-10)
+    w = weighted_sup_norm(rho, cfg=replace(DEFAULTS, supnorm_xtol=1e-10))
     assert w.value == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-10)
     assert w.location == pytest.approx(0.5, abs=1e-6)
     assert w.weighted
-    u = sup_norm(rho, 1e-10)
+    u = sup_norm(rho, cfg=replace(DEFAULTS, supnorm_xtol=1e-10))
     assert u.value == pytest.approx(1.0, abs=1e-12)
     assert u.location == 1.0
     assert not u.weighted
@@ -147,14 +148,14 @@ def test_sup_norm_rejects_pole_on_segment():
     with pytest.raises(DomainError):
         sup_norm(LogDerivative((0.5,)))
     with pytest.raises(DomainError):
-        weighted_sup_norm(LogDerivative((2.0,)), 0.0)
+        weighted_sup_norm(LogDerivative((2.0,)), cfg=replace(DEFAULTS, supnorm_xtol=0.0))
 
 
 def test_sup_norm_unreachable_tolerance_carries_best():
     from simplefrac.errors import ToleranceNotMetError
 
     with pytest.raises(ToleranceNotMetError) as excinfo:
-        weighted_sup_norm(LogDerivative((2.0,)), 1e-300)
+        weighted_sup_norm(LogDerivative((2.0,)), cfg=replace(DEFAULTS, supnorm_xtol=1e-300))
     x, value = excinfo.value.best
     assert value == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
 
@@ -301,9 +302,9 @@ def test_eval_ld_pole_proximity_error():
         eval_ld(LogDerivative((2.0,)), 2.0 + 5e-15)
 
 
-def eval_ld_reference(rho, x, proximity_tol=None):
+def eval_ld_reference(rho, x):
     """Reference: the scalar compensated pole sum at one point."""
-    tol = DEFAULTS.pole_proximity_tol if proximity_tol is None else proximity_tol
+    tol = DEFAULTS.pole_proximity_tol
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"non-finite evaluation point {x!r}")

@@ -7,6 +7,7 @@ evaluates them on a scalar or inside an array.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from simplefrac._optim import _golden_refine, local_extrema, suprema_on_grid, supremum_on_grid
 from simplefrac.cheb import chebyshev_points
+from simplefrac.config import DEFAULTS
 from simplefrac.errors import ToleranceNotMetError
 from simplefrac.extremal import LogDerivative, weighted_sup_norm
 
@@ -226,7 +228,7 @@ def test_weighted_sup_norm_tolerance_not_met():
     # golden section cannot shrink a bracket near x = 0.5 below one ulp
     # (1.1e-16), so the tolerance is never met; best is plain floats
     with pytest.raises(ToleranceNotMetError) as excinfo:
-        weighted_sup_norm(LogDerivative((2.0,)), tol=1e-17)
+        weighted_sup_norm(LogDerivative((2.0,)), cfg=replace(DEFAULTS, supnorm_xtol=1e-17))
     best = excinfo.value.best
     assert type(best) is tuple and len(best) == 2
     assert all(type(b) is float for b in best)
