@@ -25,7 +25,7 @@ import numpy as np
 from .cheb import chebyshev_points
 from .config import DEFAULTS, Config
 from .errors import DomainError, ToleranceNotMetError
-from .extremal import _canonical_poles
+from .extremal import _conjugate_halves
 
 # low columns tabulated by the Ryser kernel: 2^10 subsets per numpy product
 _RYSER_BLOCK = 10
@@ -65,7 +65,7 @@ class CauchyPair:
                 raise DomainError(f"non-finite node {c!r}")
         poles = tuple(complex(z) for z in self.poles)
         # validate conjugate closure without touching the given column order
-        _canonical_poles(poles)
+        _conjugate_halves(poles)
         if len(poles) != len(nodes):
             raise DomainError(
                 f"node and pole counts differ: {len(nodes)} vs {len(poles)}"

@@ -67,9 +67,10 @@ class FixedPoleClass:
         object.__setattr__(self, "a", float(self.a))
 
 
-def _canonical_poles(raw, match_tol: float = 1e-8):
-    """Sort poles, enforce conjugate closure, and split into reals/pairs."""
-    poles = [complex(z) for z in raw]
+def _conjugate_halves(poles, match_tol: float = 1e-8):
+    """Check that complex poles are nonempty, finite and closed under
+    conjugation; return the reals and the upper and lower halves, sorted so
+    that zip(upper, lower) pairs each pole with its conjugate."""
     if not poles:
         raise DomainError("a logarithmic derivative needs at least one pole")
     for z in poles:
@@ -80,13 +81,20 @@ def _canonical_poles(raw, match_tol: float = 1e-8):
     lower = sorted((z for z in poles if z.imag < 0.0), key=lambda z: (z.real, -z.imag))
     if len(upper) != len(lower):
         raise DomainError("pole multiset is not closed under complex conjugation")
-    pairs: list[tuple[float, float]] = []
     for zu, zl in zip(upper, lower):
         if abs(zu - zl.conjugate()) > match_tol * max(1.0, abs(zu)):
             raise DomainError(
                 f"pole multiset is not closed under complex conjugation: "
                 f"{zu!r} has no conjugate partner"
             )
+    return reals, upper, lower
+
+
+def _canonical_poles(raw, match_tol: float = 1e-8):
+    """Sort poles, enforce conjugate closure, and split into reals/pairs."""
+    reals, upper, lower = _conjugate_halves([complex(z) for z in raw], match_tol)
+    pairs: list[tuple[float, float]] = []
+    for zu, zl in zip(upper, lower):
         mid = 0.5 * (zu + zl.conjugate())
         pairs.append((mid.real, abs(mid.imag)))
     canon = [complex(r, 0.0) for r in reals]
@@ -117,6 +125,12 @@ class LogDerivative:
     def __post_init__(self):
         canon, reals, pairs = _canonical_poles(self.poles)
         object.__setattr__(self, "poles", canon)
+        # the kernel's float arrays, built once: (n_real,) and (n_pairs, 2),
+        # read-only so the frozen value cannot change through them
+        reals = np.array(reals, dtype=float)
+        pairs = np.array(pairs, dtype=float).reshape(-1, 2)
+        reals.flags.writeable = False
+        pairs.flags.writeable = False
         object.__setattr__(self, "_reals", reals)
         object.__setattr__(self, "_pairs", pairs)
 
@@ -140,14 +154,37 @@ class LogDerivative:
         return pole_sums(x, self._reals, self._pairs, order=2)[0][2]
 
 
+def _row_sums(terms):
+    """Sum the rows of a C-ordered (terms, points) array in row order from +0.0.
+
+    At two or more points ``np.add.reduce`` over axis 0 adds row after row
+    into its start value, each point on its own.  At one point the
+    reduction runs along a contiguous column, where numpy switches to
+    pairwise summation (other bits from 9 rows on), so that case takes the
+    last running sum instead.  A running sum starts from the first row, not
+    from 0.0; adding +0.0 turns the -0.0 of an all -0.0 column into the +0.0
+    that a sum from 0.0 gives.
+    """
+    if terms.shape[1] == 1 and len(terms):
+        return np.add.accumulate(terms, axis=0)[-1] + 0.0
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
 def pole_sums(x, reals, pairs, order: int = 0, dz=None):
     """Float pole sum rho(x) = sum_k 1/(x - z_k) and its x-derivatives.
 
     ``reals`` are the real poles and ``pairs`` the (u, v) of the conjugate
-    pairs u +- iv, each pair combined as 2(x-u)/((x-u)^2 + v^2).  Terms are
-    accumulated reals first, then pairs, each in the order given, so the
-    caller's order fixes the rounding.  Returns ``(sums, grads)``: sums is
-    [rho, rho', rho''] up to ``order`` (at most 2), each shaped like x.
+    pairs u +- iv, each pair combined as 2(x-u)/((x-u)^2 + v^2).  Returns
+    ``(sums, grads)``: sums is [rho, rho', rho''] up to ``order`` (at most
+    2), each shaped like x.
+
+    Summation order, the contract that fixes every bit: at each point the
+    terms are added one at a time, starting from +0.0, reals first, then
+    pairs, each in the order given.  All terms are written into one stacked
+    (terms, points) array and summed with no Python step per pole; the sum
+    of one point is formed differently from that of many (see
+    ``_row_sums``), so a point gets the same bits alone, in a 0-d x, or in
+    a grid of any size.
 
     With ``dz`` (one entry per real pole: the derivative of that pole in its
     parameter) and order <= 1, grads is [d rho/d theta, d rho'/d theta] up to
@@ -155,50 +192,48 @@ def pole_sums(x, reals, pairs, order: int = 0, dz=None):
     and the log-offset log v.  Without dz, grads is None.
     """
     x = np.asarray(x, dtype=float)
-    col = (-1,) + (1,) * x.ndim
+    xr = x.reshape(1, -1)
     nr, npair = len(reals), len(pairs)
     top = order + (dz is not None)  # highest x-derivative of a term needed
-    rterms = pterms = [()] * (top + 1)
+    # terms[k] holds the k-th x-derivative of every term: reals, then pairs
+    terms = np.empty((top + 1, nr + npair, xr.shape[1]))
     if nr:
-        d = x - np.array(reals, dtype=float).reshape(col)
-        rterms = [1.0 / d]
+        rt = terms[:, :nr]
+        d = xr - np.asarray(reals, dtype=float).reshape(-1, 1)
+        np.divide(1.0, d, out=rt[0])
         if top >= 1:
             d2 = d * d
-            rterms.append(-1.0 / d2)
+            np.divide(-1.0, d2, out=rt[1])
         if top >= 2:
             d3 = d2 * d
-            rterms.append(2.0 / d3)
+            np.divide(2.0, d3, out=rt[2])
     if npair:
-        u, v = np.array(pairs, dtype=float).reshape(-1, 2).T.reshape((2,) + col)
-        dp = x - u
+        pt = terms[:, nr:]
+        u, v = np.asarray(pairs, dtype=float).reshape(-1, 2).T[:, :, None]
+        dp = xr - u
         vv = v * v
         den = dp * dp + vv
-        pterms = [2.0 * dp / den]
+        np.divide(2.0 * dp, den, out=pt[0])
         if top >= 1:
             den2 = den * den
-            pterms.append(2.0 * (vv - dp * dp) / den2)
+            np.divide(2.0 * (vv - dp * dp), den2, out=pt[1])
         if top >= 2:
             den3 = den2 * den
-            pterms.append(-4.0 * dp * (3.0 * v * v - dp * dp) / den3)
-    sums = []
-    for k in range(order + 1):
-        total = np.zeros(x.shape)
-        for t in (*rterms[k], *pterms[k]):
-            total += t
-        sums.append(total)
+            np.divide(-4.0 * dp * (3.0 * v * v - dp * dp), den3, out=pt[2])
+    sums = [_row_sums(terms[k]).reshape(x.shape) for k in range(order + 1)]
     if dz is None:
         return sums, None
-    dz = np.array(dz, dtype=float).reshape(col)
+    dz = np.asarray(dz, dtype=float).reshape(-1, 1)
     grads = []
     for k in range(order + 1):
-        g = np.empty((nr + 2 * npair,) + x.shape)
+        g = np.empty((nr + 2 * npair, xr.shape[1]))
         if nr:
             g[:nr] = dz / d2 if k == 0 else -2.0 * dz / d3
         if npair:
-            g[nr::2] = -pterms[k + 1]
+            g[nr::2] = -pt[k + 1]
             g[nr + 1::2] = (-4.0 * dp * v * v / den2 if k == 0
                             else 4.0 * v * v * (3.0 * dp * dp - v * v) / den3)
-        grads.append(g)
+        grads.append(g.reshape((nr + 2 * npair,) + x.shape))
     return sums, grads
 
 
@@ -310,9 +345,9 @@ def eval_ld(rho: LogDerivative, x, *, cfg: Config = DEFAULTS):
         raise EvaluationError(f"evaluation point {float(x[i])} is within {tol} of pole {z}")
     acc = (0.0, 0.0)
     one = (1.0, 0.0)
-    for r in rho._reals:
+    for r in rho._reals.tolist():
         acc = _dd.dd_add(acc, _dd.dd_div(one, _dd.two_diff(x, r)))
-    for u, v in rho._pairs:
+    for u, v in rho._pairs.tolist():
         d = _dd.two_diff(x, u)
         den = _dd.dd_add(_dd.dd_sqr(d), _dd.two_prod(v, v))
         num = (2.0 * d[0], 2.0 * d[1])

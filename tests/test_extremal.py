@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplefrac import _dd
@@ -445,23 +445,52 @@ def loop_pole_sums(x, reals, pairs, dz):
         rhopp += gpp
         grad += [-gp, -4.0 * d * v * v / (den * den)]
         gradp += [-gpp, 4.0 * v * v * (3.0 * d * d - v * v) / (den * den * den)]
-    return [rho, rhop, rhopp], [np.array(grad), np.array(gradp)]
+    rows = (len(grad),) + np.shape(x)
+    return [rho, rhop, rhopp], [np.array(grad).reshape(rows), np.array(gradp).reshape(rows)]
 
 
 real_poles = st.one_of(st.floats(1.05, 5.0), st.floats(-5.0, -1.05))
+many_reals = [1.5, -2.0, 3.25, -1.1, 4.0, 2.2, -3.3, 1.05, -4.75]
 
 
 @settings(max_examples=50, deadline=None)
-@given(reals=st.lists(real_poles, max_size=5),
-       pairs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 3.0)), max_size=5),
+@given(reals=st.lists(real_poles, max_size=20),
+       pairs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 3.0)), max_size=20),
        m=st.integers(1, 40))
+@example(reals=many_reals, pairs=[(0.5, 0.25), (-1.5, 2.0)], m=1)  # one point, 11 rows
+@example(reals=[], pairs=[], m=3)  # no poles
+@example(reals=[], pairs=[(0.0, 1.0), (0.0, 2.0)], m=2)  # -0.0 terms at x = -0.0
 def test_pole_sums_match_per_pole_loop(reals, pairs, m):
-    x = np.cos(np.linspace(0.0, math.pi, m))
+    # a single point is summed apart from a grid (numpy would pair its
+    # terms up), so it is checked as a 1-point array and as a 0-d x; an
+    # empty x has no points at all.  At x = -0.0 a pair centred at 0 gives
+    # the term -0.0, and a sum from +0.0 must still read +0.0.
+    grid = np.cos(np.linspace(0.0, math.pi, m))
     dz = [0.5 * r for r in reals]
-    want_sums, want_grads = loop_pole_sums(x, reals, pairs, dz)
-    sums, grads = pole_sums(x, reals, pairs, order=1, dz=dz)
-    sums2, none = pole_sums(x, reals, pairs, order=2)
-    assert none is None
-    got = sums2 + sums + grads
-    want = want_sums + want_sums[:2] + [g.reshape(-1, m) for g in want_grads]
-    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    for x in (grid, grid[0], grid[:0], np.array([-0.0]), np.array([-0.0, -0.0])):
+        want_sums, want_grads = loop_pole_sums(x, reals, pairs, dz)
+        sums, grads = pole_sums(x, reals, pairs, order=1, dz=dz)
+        sums2, none = pole_sums(x, reals, pairs, order=2)
+        assert none is None
+        got = sums2 + sums + grads
+        want = want_sums + want_sums[:2] + want_grads
+        assert [a.shape for a in got] == [b.shape for b in want]
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def test_cached_pole_arrays():
+    rho = LogDerivative((2.0, complex(0.5, 1.5), -3.0, complex(0.5, -1.5)))
+    same = LogDerivative((complex(0.5, -1.5), -3.0, complex(0.5, 1.5), 2.0))
+    # the arrays are not fields: equality, hash and repr see the poles only
+    assert rho == same and hash(rho) == hash(same)
+    assert repr(rho) == f"LogDerivative(poles={rho.poles!r})"
+    assert rho._reals.tolist() == [-3.0, 2.0] and rho._pairs.tolist() == [[0.5, 1.5]]
+    for arr in (rho._reals, rho._pairs):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    moved = replace(rho, poles=(4.0, complex(-1.0, 2.0), complex(-1.0, -2.0)))
+    assert moved._reals.tolist() == [4.0] and moved._pairs.tolist() == [[-1.0, 2.0]]
+    assert not moved._reals.flags.writeable and not moved._pairs.flags.writeable
+    x = np.linspace(-1.0, 1.0, 5)
+    assert moved.values_on(x).tobytes() == LogDerivative(moved.poles).values_on(x).tobytes()
+    assert rho.values_on(x).tobytes() == same.values_on(x).tobytes()

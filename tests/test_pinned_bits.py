@@ -7,10 +7,18 @@ one multi-row extremum scan).  Batching reorders no arithmetic, so not one
 bit may move.  The sizes n in {4, 8, 16}, a in {2, 3, 5} lie below the
 degrees where ``eval_ld`` and the colleague solve lose accuracy.
 
+The ``generic`` entries pin the float pole-sum kernel ``pole_sums`` through
+plain ``LogDerivative`` fractions, which (unlike the closed forms) have no
+evaluator of their own: sup norms, ``values_on`` at one point and on a
+1,920-point grid, and the solver's θ-gradients at 129 points.  They were
+computed while the kernel still summed one pole per Python step; arrays are
+pinned by the SHA-256 of their float64 bytes.
+
 To regenerate the file (only ever on purpose): ``python
 tests/test_pinned_bits.py`` with ``src`` on the path.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -19,15 +27,30 @@ import numpy as np
 import pytest
 
 from simplefrac.bernstein import check_corollary, random_rooted_polynomial, witness_ratio_empirical
+from simplefrac.cheb import chebyshev_points
 from simplefrac.errors import SimplefracError
-from simplefrac.extremal import FixedPoleClass, alternance_points_weighted, dvp_bracket
+from simplefrac.extremal import (
+    FixedPoleClass,
+    LogDerivative,
+    alternance_points_weighted,
+    build_extremal_weighted,
+    dvp_bracket,
+    pole_sums,
+    sup_norm,
+    weighted_sup_norm,
+)
 
 PINNED = Path(__file__).with_name("pinned_bits.json")
 SIZES = [(n, a) for n in (4, 8, 16) for a in (2.0, 3.0, 5.0)]
+GENERIC = (8, 64)
 
 
 def hexes(values):
     return [float(v).hex() for v in values]
+
+
+def digest(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()
 
 
 def paper_outputs(n: int, a: float) -> dict:
@@ -45,12 +68,60 @@ def paper_outputs(n: int, a: float) -> dict:
     return out
 
 
+def perturbed_fraction(n: int) -> LogDerivative:
+    """The weighted extremal at a = 2, every pole but 2 moved by a seeded
+    relative amount: a plain LogDerivative, evaluated by the pole sum."""
+    rng = np.random.default_rng([n, 11])
+    delta = 10.0 ** rng.uniform(-3, -1)
+    poles = [complex(2.0, 0.0)]
+    for z in build_extremal_weighted(FixedPoleClass(n, 2.0)).poles:
+        if z.imag > 0.0:
+            w = complex(z.real * (1.0 + delta * rng.uniform(-1, 1)),
+                        z.imag * (1.0 + delta * rng.uniform(-1, 1)))
+            poles += [w, w.conjugate()]
+        elif z.imag == 0.0 and z.real != 2.0:
+            poles.append(complex(z.real * (1.0 + delta * rng.uniform(-1, 1)), 0.0))
+    return LogDerivative(tuple(poles))
+
+
+def generic_outputs(n: int) -> dict:
+    rho = perturbed_fraction(n)
+    out = {}
+    for name, norm in (("weighted_sup_norm", weighted_sup_norm), ("sup_norm", sup_norm)):
+        est = norm(rho)
+        out[name] = hexes([est.value, est.location])
+    out["values_on_point"] = hexes(rho.values_on(np.array([0.3])))
+    out["values_on_grid"] = digest(rho.values_on(chebyshev_points(1920)))
+    return out
+
+
+def solver_pole_sums() -> str:
+    """rho, rho' and their θ-gradients at the solver's 129 grid points, for
+    a start of its shape: three real poles sign*(1+e^s) and one pair."""
+    s = np.random.default_rng(129).uniform(-2.0, 1.0, 3)
+    reals = [sign * (1.0 + np.exp(t)) for sign, t in zip((1.0, -1.0, 1.0), s)]
+    dz = [sign * np.exp(t) for sign, t in zip((1.0, -1.0, 1.0), s)]
+    sums, grads = pole_sums(chebyshev_points(129), reals, [(0.25, np.exp(-0.5))], order=1, dz=dz)
+    return digest(np.concatenate([np.ravel(a) for a in sums + grads]))
+
+
 @pytest.mark.parametrize("n,a", SIZES)
 def test_paper_outputs_pinned(n, a):
     assert paper_outputs(n, a) == json.loads(PINNED.read_text())[f"{n},{a:g}"]
 
 
+@pytest.mark.parametrize("n", GENERIC)
+def test_generic_pole_sums_pinned(n):
+    assert generic_outputs(n) == json.loads(PINNED.read_text())[f"generic,{n}"]
+
+
+def test_solver_pole_sums_pinned():
+    assert solver_pole_sums() == json.loads(PINNED.read_text())["pole_sums,129"]
+
+
 if __name__ == "__main__":
     table = {f"{n},{a:g}": paper_outputs(n, a) for n, a in SIZES}
+    table.update({f"generic,{n}": generic_outputs(n) for n in GENERIC})
+    table["pole_sums,129"] = solver_pole_sums()
     PINNED.write_text(json.dumps(table, indent=1) + "\n")
     sys.stdout.write(f"wrote {PINNED}\n")
