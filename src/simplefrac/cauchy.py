@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -104,34 +105,40 @@ class CauchyPair:
         cond(B) * eps relative accuracy, so no tolerance below that is
         meaningful for them.
         """
-        cond_b = np.linalg.cond(matrix_b(self)) if self.size > 1 else 1.0
-        return _conditioning_flags(self, cond_b, cfg)
+        nodes = np.array([self.nodes])
+        poles = np.array([self.poles], dtype=complex)
+        return _flag_rows(nodes, poles, _cauchy_b(nodes, poles), cfg)[0]
 
 
-def _conditioning_flags(pair: CauchyPair, cond_b: float, cfg: Config) -> tuple[str, ...]:
-    """The gates of :meth:`CauchyPair.conditioning_flags`, given cond(B)
-    (not consulted for a single node)."""
-    flags = []
-    ns = sorted(pair.nodes)
-    if len(ns) > 1:
-        sep = min(b - a for a, b in zip(ns, ns[1:]))
-        if sep < cfg.node_separation_gate:
-            flags.append("node-separation")
-    for z in pair.poles:
-        dx = max(abs(z.real) - 1.0, 0.0)
-        if math.hypot(dx, z.imag) < cfg.pole_interval_gate:
-            flags.append("pole-interval-distance")
-            break
-    if pair.size > 1 and cond_b > cfg.det_condition_gate:
-        flags.append("determinant-conditioning")
-    return tuple(flags)
+def _flag_rows(nodes: np.ndarray, poles: np.ndarray, b: np.ndarray,
+               cfg: Config) -> list[tuple[str, ...]]:
+    """The conditioning flags of K pairs of one size n, given as nodes
+    (K, n), poles (K, n) and their matrices B (K, n, n): per pair, the names
+    of the gates it trips, in the order of CONDITIONING_FLAGS.  Node
+    separation and cond(B) are not consulted for a single node."""
+    k, n = nodes.shape
+    hits = np.zeros((k, len(CONDITIONING_FLAGS)), dtype=bool)
+    if n > 1:
+        sep = np.diff(np.sort(nodes, axis=1), axis=1).min(axis=1)
+        hits[:, 0] = sep < cfg.node_separation_gate
+        hits[:, 2] = np.linalg.cond(b) > cfg.det_condition_gate
+    # np.hypot and math.hypot can round an ulp apart, which only a pole
+    # within an ulp of the gate would show
+    dist = np.hypot(np.maximum(np.abs(poles.real) - 1.0, 0.0), poles.imag)
+    hits[:, 1] = (dist < cfg.pole_interval_gate).any(axis=1)
+    return [tuple(itertools.compress(CONDITIONING_FLAGS, row)) for row in hits.tolist()]
+
+
+def _cauchy_b(nodes, poles) -> np.ndarray:
+    """B[..., j, k] = 1/(c_j - z_k) for nodes and poles of shape (..., n)."""
+    c = np.asarray(nodes, dtype=complex)[..., :, None]
+    z = np.asarray(poles, dtype=complex)[..., None, :]
+    return 1.0 / (c - z)
 
 
 def matrix_b(pair: CauchyPair) -> np.ndarray:
     """B[j,k] = 1/(c_j - z_k)."""
-    c = np.asarray(pair.nodes, dtype=complex)[:, None]
-    z = np.asarray(pair.poles, dtype=complex)[None, :]
-    return 1.0 / (c - z)
+    return _cauchy_b(pair.nodes, pair.poles)
 
 
 def matrix_a(pair: CauchyPair) -> np.ndarray:
@@ -400,12 +407,88 @@ def komarov_coefficients(p_poles, q_poles, validate: bool = True, *,
     return dec
 
 
+# up to this size the Chebyshev gaps exceed the jitter span 0.6/n (by at
+# least 7e-4, at n = 16), so no jittered node set needs a redraw
+_JITTER_SAFE_N = 16
+
+
 @functools.lru_cache(maxsize=64)
-def _chebyshev_nodes(n: int) -> np.ndarray:
-    """The n Chebyshev nodes cos((2k+1)pi/(2n)), descending; read-only."""
-    base = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
+def _node_layout(n: int) -> tuple[np.ndarray, float]:
+    """Centres and jitter half-width of n random nodes: a single node is
+    uniform on [-1, 1), and n > 1 nodes are the Chebyshev nodes
+    cos((2k+1)pi/(2n)), descending, each moved by less than 0.3/n.  The
+    centres are read-only."""
+    if n == 1:
+        base, half = np.zeros(1), 1.0
+    else:
+        base, half = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n)), 0.3 / n
     base.flags.writeable = False
-    return base
+    return base, half
+
+
+def _jittered_nodes(base: np.ndarray, jitter: np.ndarray) -> np.ndarray:
+    """Sorted base + jitter, clipped to [-1, 1], along the last axis."""
+    return np.clip(np.sort(base + jitter, axis=-1), -1.0, 1.0)
+
+
+def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1,
+                max_abs: float = 10.0) -> dict[int, tuple[list[int], np.ndarray, np.ndarray]]:
+    """One random pair per size in ``ns``, drawn in order as
+    :func:`random_cauchy_pair` describes.
+
+    Returns, per size n, the indices into ``ns`` of its draws with their
+    nodes (K, n) and poles (K, n), stacked in draw order.  Each draw makes
+    the RNG calls of a single one, so the pairs do not depend on how many
+    share the call; the nodes of all draws of a size are formed at once.  A
+    draw whose node or pole retries run out is validated as a CauchyPair,
+    which raises the DomainError a single draw would.
+    """
+    log_lo = math.log(min_abs)
+    log_span = math.log(max_abs) - log_lo
+    theta_lo = 0.1
+    theta_span = (math.pi - 0.1) - theta_lo
+    drawn: dict[int, tuple[list[int], list, list]] = {}
+    for i, n in enumerate(ns):
+        base, half = _node_layout(n)
+        spent = False
+        for _ in range(200):
+            jitter = rng.uniform(-half, half, size=n)
+            if n <= _JITTER_SAFE_N or np.diff(_jittered_nodes(base, jitter)).min() > 1e-6:
+                break
+        else:
+            spent = True
+        n_pairs = int(rng.integers(0, n // 2 + 1))
+        n_real = n - 2 * n_pairs
+        for _ in range(200):
+            # per real pole: log-modulus, sign coin; per pair: log-modulus, angle
+            u = rng.random(2 * (n_real + n_pairs)).tolist()
+            poles: list[complex] = []
+            for k in range(0, 2 * n_real, 2):
+                mag = math.exp(log_lo + log_span * u[k])
+                poles.append(complex(mag if u[k + 1] < 0.5 else -mag, 0.0))
+            for k in range(2 * n_real, len(u), 2):
+                mag = math.exp(log_lo + log_span * u[k])
+                z = mag * cmath.exp(complex(0.0, theta_lo + theta_span * u[k + 1]))
+                poles.append(z)
+                poles.append(z.conjugate())
+            seps = [
+                abs(p - q) for j, p in enumerate(poles) for q in poles[j + 1 :]
+            ]
+            if not seps or min(seps) > 1e-3:
+                break
+        else:
+            spent = True
+        if spent:
+            CauchyPair(tuple(_jittered_nodes(base, jitter).tolist()), tuple(poles))
+        idx, jitters, pole_rows = drawn.setdefault(n, ([], [], []))
+        idx.append(i)
+        jitters.append(jitter)
+        pole_rows.append(poles)
+    return {
+        n: (idx, _jittered_nodes(_node_layout(n)[0], np.array(jitters)),
+            np.array(pole_rows, dtype=complex))
+        for n, (idx, jitters, pole_rows) in drawn.items()
+    }
 
 
 def random_cauchy_pair(n: int, rng: np.random.Generator,
@@ -418,11 +501,16 @@ def random_cauchy_pair(n: int, rng: np.random.Generator,
     excludes most draws from n = 6 on: the share that passes every gate is
     about 0.84 / 0.47 / 0.14 / 0.036 / 0.005 / 0.0004 at n = 5..10.
 
-    Each pole attempt takes its 2 * (n_real + n_pairs) doubles from one
-    ``rng.random`` call and maps each as ``rng.uniform(lo, hi)`` does, to
-    lo + (hi - lo) * u: the same values, in the same order, as one
-    ``rng.uniform`` call per value, at a fraction of the cost of either
-    that or ``rng.uniform`` with array bounds.
+    A draw makes three kinds of RNG call, in this order: one
+    ``rng.uniform(size=n)`` for the node jitter (redrawn, from n = 17 on,
+    while two nodes lie within 1e-6; up to n = 16 that cannot happen), one
+    ``rng.integers`` for the number of conjugate pairs, and one
+    ``rng.random`` of 2 * (n_real + n_pairs) doubles per pole attempt
+    (redrawn while two poles lie within 1e-3).  Each of those doubles is
+    mapped as ``rng.uniform(lo, hi)`` does, to lo + (hi - lo) * u: the same
+    values, in the same order, as one ``rng.uniform`` call per value, at a
+    fraction of the cost.  This is the one-draw case of the chunk drawer
+    that :func:`borchardt_batch` uses, so a batch draws these same pairs.
     """
     if n < 1:
         raise DomainError("need n >= 1")
@@ -431,38 +519,8 @@ def random_cauchy_pair(n: int, rng: np.random.Generator,
             f"pole moduli need 0 < min_abs <= max_abs < inf, got min_abs={min_abs!r}, "
             f"max_abs={max_abs!r}"
         )
-    for _ in range(200):
-        if n == 1:
-            nodes = rng.uniform(-1.0, 1.0, size=1)
-        else:
-            nodes = np.sort(_chebyshev_nodes(n) + rng.uniform(-0.3 / n, 0.3 / n, size=n))
-            nodes = np.clip(nodes, -1.0, 1.0)
-        if n == 1 or np.diff(nodes).min() > 1e-6:
-            break
-    n_pairs = int(rng.integers(0, n // 2 + 1))
-    n_real = n - 2 * n_pairs
-    log_lo, log_hi = math.log(min_abs), math.log(max_abs)
-    log_span = log_hi - log_lo
-    theta_lo = 0.1
-    theta_span = (math.pi - 0.1) - theta_lo
-    for _ in range(200):
-        # per real pole: log-modulus, sign coin; per pair: log-modulus, angle
-        u = rng.random(2 * (n_real + n_pairs)).tolist()
-        poles: list[complex] = []
-        for k in range(0, 2 * n_real, 2):
-            mag = math.exp(log_lo + log_span * u[k])
-            poles.append(complex(mag if u[k + 1] < 0.5 else -mag, 0.0))
-        for k in range(2 * n_real, len(u), 2):
-            mag = math.exp(log_lo + log_span * u[k])
-            z = mag * cmath.exp(complex(0.0, theta_lo + theta_span * u[k + 1]))
-            poles.append(z)
-            poles.append(z.conjugate())
-        seps = [
-            abs(p - q) for i, p in enumerate(poles) for q in poles[i + 1 :]
-        ]
-        if not seps or min(seps) > 1e-3:
-            break
-    return CauchyPair(nodes=tuple(nodes.tolist()), poles=tuple(poles))
+    ((_, nodes, poles),) = _draw_pairs([n], rng, min_abs, max_abs).values()
+    return CauchyPair(nodes=tuple(nodes[0].tolist()), poles=tuple(poles[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -489,30 +547,27 @@ class BorchardtBatchReport:
     excluded_by_flag: tuple[tuple[str, int], ...]
 
 
-def _check_chunk(pairs: list[CauchyPair], work: np.ndarray,
-                 cfg: Config) -> list[tuple[BorchardtReport, tuple]]:
-    """borchardt_check and conditioning_flags of every pair, with one det,
-    one cond and one Ryser call per size (the Ryser call split so that each
-    table stays within _RYSER_TABLE entries).  Each value equals the
-    per-pair call's bit for bit: the stacked LAPACK calls factor each matrix
-    on its own, and _ryser_stack does each matrix's arithmetic unchanged."""
-    out: list = [None] * len(pairs)
-    by_size: dict[int, list[int]] = {}
-    for i, pair in enumerate(pairs):
-        by_size.setdefault(pair.size, []).append(i)
-    for n, idx in by_size.items():
-        c = np.array([pairs[i].nodes for i in idx], dtype=complex)
-        z = np.array([pairs[i].poles for i in idx], dtype=complex)
-        b = 1.0 / (c[:, :, None] - z[:, None, :])
+def _check_chunk(drawn: dict[int, tuple[list[int], np.ndarray, np.ndarray]], k: int,
+                 work: np.ndarray, cfg: Config) -> list[tuple]:
+    """borchardt_check and conditioning_flags of the k draws of a chunk, as
+    _draw_pairs returns them, with one det, one cond, one flag and one Ryser
+    call per size (the Ryser call split so that each table stays within
+    _RYSER_TABLE entries).  Returns, per draw in draw order, its report,
+    flags, nodes and poles.  Each value equals the per-pair call's bit for
+    bit: the stacked LAPACK calls factor each matrix on its own, and
+    _ryser_stack does each matrix's arithmetic unchanged."""
+    out: list = [None] * k
+    for n, (idx, nodes, poles) in drawn.items():
+        b = _cauchy_b(nodes, poles)
         det_a = np.linalg.det(b * b)
         det_b = np.linalg.det(b)
-        cond_b = np.linalg.cond(b) if n > 1 else np.ones(len(idx))
         step = max(1, _RYSER_TABLE // (n << min(n, _RYSER_BLOCK)))
-        per_b = [p for k in range(0, len(idx), step)
-                 for p in _ryser_stack(b[k : k + step], work)]
-        for k, i in enumerate(idx):
-            out[i] = (_borchardt_report(det_a[k], det_b[k], per_b[k], cfg),
-                      _conditioning_flags(pairs[i], cond_b[k], cfg))
+        per_b = [p for r in range(0, len(idx), step)
+                 for p in _ryser_stack(b[r : r + step], work)]
+        flags = _flag_rows(nodes, poles, b, cfg)
+        for r, i in enumerate(idx):
+            out[i] = (_borchardt_report(det_a[r], det_b[r], per_b[r], cfg), flags[r],
+                      nodes[r], poles[r])
     return out
 
 
@@ -529,10 +584,13 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
     draws, _BATCH_CHUNK).  A draw adds at most one checked instance, so a
     loop that drew and checked one instance at a time would make all k of
     those draws too: the chunks take the same draws from the same random
-    stream.  Each chunk is checked with stacked numpy calls, one per size,
-    and then tallied in draw order, so the report is the one-at-a-time
-    loop's, bit for bit.  Sizes must lie in 1..cfg.permanent_max_n and trials
-    must be at least 1.
+    stream.  A chunk's draws of each size are held as (K, n) node and pole
+    arrays, the pairs :func:`random_cauchy_pair` would return, and are
+    checked and flagged with stacked numpy calls, one per size; a
+    :class:`CauchyPair` is built only for a checked draw, whose closed-form
+    determinant it feeds.  The chunk is then tallied in draw order, so the
+    report is the one-at-a-time loop's, bit for bit.  Sizes must lie in
+    1..cfg.permanent_max_n and trials must be at least 1.
     """
     try:
         sizes = [operator.index(n) for n in sizes]
@@ -560,9 +618,9 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
     work = np.empty(2 * _RYSER_TABLE, dtype=complex)
     while checked < trials and draws < 20 * trials:
         k = min(trials - checked, 20 * trials - draws, _BATCH_CHUNK)
-        pairs = [random_cauchy_pair(sizes[(draws + i) % len(sizes)], rng) for i in range(k)]
+        drawn = _draw_pairs([sizes[(draws + i) % len(sizes)] for i in range(k)], rng)
         draws += k
-        for pair, (rep, flags) in zip(pairs, _check_chunk(pairs, work, cfg)):
+        for rep, flags, nodes, poles in _check_chunk(drawn, k, work, cfg):
             if flags:
                 excluded += 1
                 max_res_excluded = max(max_res_excluded, rep.rel_residual)
@@ -572,6 +630,7 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
             checked += 1
             max_res = max(max_res, rep.rel_residual)
             min_det = min(min_det, abs(rep.lhs))
+            pair = CauchyPair(tuple(nodes.tolist()), tuple(poles.tolist()))
             det_b = abs(cauchy_det_closed_form(pair))
             if det_b > 0.0:
                 min_norm_det = min(min_norm_det, abs(rep.lhs) / (det_b * det_b))

@@ -209,9 +209,13 @@ def solve_t_equals(n: int, c: float, *, cfg: Config = DEFAULTS) -> list[float]:
     """All n solutions of T_n(x) = c in (-1, 1), ascending.
 
     Requires |c| < 1, which makes the roots simple and interior.  Roots come
-    from the arccos representation and two Newton steps, all roots together;
-    each satisfies |T_n(x) - c| <= cfg.solve_t_residual_tol, and otherwise
-    the first failing root in enumeration order is reported.
+    from the arccos representation and two Newton steps, all roots together.
+    Each is gated on backward error,
+    |T_n(x) - c| <= cfg.solve_t_residual_tol * (1 + |x T_n'(x)|), with T_n'
+    from the last Newton step: near +-1, |T_n'| is about n^2, and one ulp of
+    x moves T_n by about n^2 eps there, so an absolute gate would reject
+    correctly rounded roots from n of about 60 on.  Otherwise the first
+    failing root in enumeration order is reported.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"degree must be a positive integer, got {n!r}")
@@ -242,11 +246,13 @@ def solve_t_equals(n: int, c: float, *, cfg: Config = DEFAULTS) -> list[float]:
         live &= deriv != 0.0
         xr -= np.divide(tn - c, deriv, out=np.zeros(n), where=live)
     resid = np.abs(_cheb_recurrence_dd(ChebKind.FIRST_KIND, n, xr) - c)
-    bad = np.flatnonzero(resid > tol)
+    bound = tol * (1.0 + np.abs(xr * deriv))
+    bad = np.flatnonzero(resid > bound)
     if len(bad):
-        x0 = float(xr[bad[0]])
+        i = bad[0]
+        x0 = float(xr[i])
         raise ToleranceNotMetError(
-            f"root polish stalled at x={x0} with |T_n(x)-c|={resid[bad[0]]:.3e}",
+            f"root polish stalled at x={x0} with |T_n(x)-c|={resid[i]:.3e} > {bound[i]:.3e}",
             best=x0,
         )
     return sorted(xr.tolist())

@@ -25,7 +25,7 @@ class Config:
     ellipse_on_tol: float = 1e-12
     # closure membership for pole-localization reports
     ellipse_closure_tol: float = 1e-10
-    # residual gate for roots of T_n(x) = c
+    # backward-error gate for roots of T_n(x) = c, relative to 1 + |x T_n'(x)|
     solve_t_residual_tol: float = 1e-13
     # Newton acceptance gate for candidate poles, relative to max(1, |Q'|)
     candidate_root_residual_tol: float = 1e-10

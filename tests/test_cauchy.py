@@ -13,9 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplefrac.cauchy import (
+    _JITTER_SAFE_N,
     CONDITIONING_FLAGS,
     BorchardtBatchReport,
     CauchyPair,
+    _cauchy_b,
+    _flag_rows,
+    _node_layout,
     _ryser_stack,
     borchardt_batch,
     borchardt_check,
@@ -120,6 +124,21 @@ def random_cauchy_pair_reference(n, rng, min_abs=1.1, max_abs=10.0):
         if not seps or min(seps) > 1e-3:
             break
     return CauchyPair(nodes=tuple(float(c) for c in nodes), poles=tuple(poles))
+
+
+def conditioning_flags_reference(pair, cfg=DEFAULTS):
+    """The conditioning gates of one pair, in Python scalars."""
+    flags = []
+    ns = sorted(pair.nodes)
+    if len(ns) > 1 and min(b - a for a, b in zip(ns, ns[1:])) < cfg.node_separation_gate:
+        flags.append("node-separation")
+    for z in pair.poles:
+        if math.hypot(max(abs(z.real) - 1.0, 0.0), z.imag) < cfg.pole_interval_gate:
+            flags.append("pole-interval-distance")
+            break
+    if pair.size > 1 and np.linalg.cond(matrix_b(pair)) > cfg.det_condition_gate:
+        flags.append("determinant-conditioning")
+    return tuple(flags)
 
 
 def borchardt_batch_serial_reference(sizes, trials, seed):
@@ -453,12 +472,45 @@ def test_random_pair_pinned_draws():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(n=st.integers(min_value=1, max_value=12), seed=st.integers(min_value=0, max_value=10_000))
+@given(n=st.integers(min_value=1, max_value=20), seed=st.integers(min_value=0, max_value=10_000))
 def test_random_pair_matches_scalar_reference(n, seed):
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
         a, b = random_cauchy_pair(n, fast), random_cauchy_pair_reference(n, slow)
         assert exact(a.nodes) == exact(b.nodes) and exact(a.poles) == exact(b.poles)
+
+
+def equal_moduli_outcome(draw, rng):
+    """A pair's nodes and poles as hex, or the type and message of its error,
+    for a size-3 draw with every pole modulus 2."""
+    try:
+        pair = draw(3, rng, min_abs=2.0, max_abs=2.0)
+    except DomainError as exc:
+        return DomainError, str(exc)
+    return "pair", exact(pair.nodes), exact(pair.poles)
+
+
+def test_random_pair_spent_retries_match_scalar_reference():
+    # with equal moduli, two real poles of one sign coincide: every pole
+    # attempt is redrawn, and the spent draw raises as it always did
+    outcomes = set()
+    for seed in range(6):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = equal_moduli_outcome(random_cauchy_pair, fast)
+        assert got == equal_moduli_outcome(random_cauchy_pair_reference, slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
+        outcomes.add(got[0])
+    assert outcomes == {"pair", DomainError}
+
+
+def test_jitter_cannot_redraw_nodes_up_to_sixteen():
+    # up to _JITTER_SAFE_N the smallest Chebyshev gap beats the jitter span,
+    # and the second node stays below 1, where the first may be clipped, so
+    # no two nodes come within the redraw distance 1e-6
+    for n in range(2, 21):
+        base, half = _node_layout(n)
+        margin = min(np.min(-np.diff(base)) - 2.0 * half, 1.0 - (base[1] + half))
+        assert (margin > 1e-6) == (n <= _JITTER_SAFE_N)
 
 
 @pytest.mark.parametrize("min_abs,max_abs", [
@@ -495,6 +547,10 @@ size_lists = st.one_of(
 @example(sizes=[3, 9, 5], trials=12, seed=1)
 @example(sizes=[12, 2], trials=3, seed=0)
 @example(sizes=list(range(1, 7)), trials=150, seed=3)
+@example(sizes=[16], trials=1, seed=0)  # largest size whose nodes are never redrawn
+@example(sizes=[17], trials=1, seed=0)
+@example(sizes=[20], trials=1, seed=0)
+@example(sizes=[17, 3], trials=1, seed=0)
 def test_batch_matches_serial_reference(sizes, trials, seed):
     got = dataclasses.asdict(borchardt_batch(sizes, trials, seed))
     want = dataclasses.asdict(borchardt_batch_serial_reference(sizes, trials, seed))
@@ -510,6 +566,70 @@ def test_batch_excluded_by_flag():
     # determinant-conditioning gate is the one that fires
     assert rep.excluded <= sum(counts.values())
     assert counts["determinant-conditioning"] == rep.excluded
+
+
+CHEB8 = tuple(math.cos(math.pi * (2 * k + 1) / 16) for k in range(8))
+FLAG_PAIRS = {
+    "one node": [CauchyPair((0.3,), (2.5,)), CauchyPair((-0.7,), (-1.02,))],
+    "three nodes": [
+        CauchyPair((-0.5, 0.0, 0.5), (3.0, 2j, -2j)),
+        CauchyPair((0.0, 1e-4, 0.5), (3.0, 2j, -2j)),  # nodes 1e-4 apart
+        CauchyPair((-0.5, 0.0, 0.5), (1.02, 2j, -2j)),  # a pole at 1.02
+        CauchyPair((-0.5, 0.0, 0.5), (-3.0, complex(0.4, 1.5), complex(0.4, -1.5))),
+        CauchyPair((0.0, 1e-4, 0.5), (3.0, complex(0.9, 0.01), complex(0.9, -0.01))),
+    ],
+    "eight nodes": [
+        CauchyPair(CHEB8, (5.0, 6.0, 7.0, 8.0, -5.0, -6.0, -7.0, -8.0)),  # cond(B) > 1e5
+        CauchyPair(CHEB8, tuple(1.5 * cmath.exp(1j * math.pi * (2 * k + 1) / 8)
+                                for k in range(8))),
+    ],
+}
+
+
+@pytest.mark.parametrize("pairs", FLAG_PAIRS.values(), ids=FLAG_PAIRS)
+def test_flag_rows_match_per_pair_reference(pairs):
+    want = [conditioning_flags_reference(p) for p in pairs]
+    assert any(want) and not all(want)  # the chunk mixes flagged and clean pairs
+    nodes = np.array([p.nodes for p in pairs])
+    poles = np.array([p.poles for p in pairs])
+    assert _flag_rows(nodes, poles, _cauchy_b(nodes, poles), DEFAULTS) == want
+    assert [p.conditioning_flags() for p in pairs] == want
+
+
+def test_every_flag_fires_on_its_hand_built_pair():
+    fired = {f for pairs in FLAG_PAIRS.values() for p in pairs for f in p.conditioning_flags()}
+    assert fired == set(CONDITIONING_FLAGS)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(min_value=1, max_value=12), seed=st.integers(min_value=0, max_value=10_000),
+       gate=st.sampled_from([DEFAULTS.pole_interval_gate, 0.3, 2.0]))
+def test_flag_rows_match_per_pair_reference_on_draws(n, seed, gate):
+    # wider pole gates make the pole flag fire on random draws too
+    cfg = replace(DEFAULTS, pole_interval_gate=gate)
+    rng = np.random.default_rng(seed)
+    pairs = [random_cauchy_pair(n, rng) for _ in range(12)]
+    nodes = np.array([p.nodes for p in pairs])
+    poles = np.array([p.poles for p in pairs])
+    got = _flag_rows(nodes, poles, _cauchy_b(nodes, poles), cfg)
+    assert got == [conditioning_flags_reference(p, cfg) for p in pairs]
+
+
+def test_batch_builds_pairs_only_for_checked_draws(monkeypatch):
+    built = []
+    post_init = CauchyPair.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CauchyPair, "__post_init__", counting)
+    rep = borchardt_batch([10], 20, 0)
+    assert rep.draws == 400 and rep.checked == 0
+    assert built == []
+    rep = borchardt_batch([3], 20, 0)
+    assert rep.checked == 20
+    assert len(built) <= rep.checked
 
 
 @pytest.mark.parametrize("sizes,trials", [

@@ -168,7 +168,8 @@ def cheb_recurrence_dd_reference(kind, n, x):
 
 
 def solve_t_equals_reference(n, c, cfg=DEFAULTS, rec=cheb_recurrence_dd_reference):
-    """Reference: enumerate the arccos roots and polish them one at a time."""
+    """Reference: enumerate the arccos roots and polish them one at a time,
+    gating each on backward error."""
     tol = cfg.solve_t_residual_tol
     theta0 = math.acos(c)
     thetas = [(theta0 + 2.0 * math.pi * k) / n
@@ -185,9 +186,11 @@ def solve_t_equals_reference(n, c, cfg=DEFAULTS, rec=cheb_recurrence_dd_referenc
                 break
             xr -= (tn - c) / deriv
         resid = rec(T, n, xr) - c
-        if abs(resid) > tol:
+        bound = tol * (1.0 + abs(xr * deriv))  # deriv of the last step
+        if abs(resid) > bound:
             raise ToleranceNotMetError(
-                f"root polish stalled at x={xr} with |T_n(x)-c|={abs(resid):.3e}", best=xr)
+                f"root polish stalled at x={xr} with |T_n(x)-c|={abs(resid):.3e} > {bound:.3e}",
+                best=xr)
         roots.append(xr)
     roots.sort()
     return roots

@@ -192,6 +192,25 @@ def test_equioscillation_across_grid():
                 assert abs(abs(v) - level) <= 1e-10
 
 
+def test_alternance_points_at_high_degree():
+    # near +-1 one ulp of x moves T_n by about n^2 eps, so from n = 59 on an
+    # absolute 1e-13 gate on |T_n(x) - c| rejected correctly rounded roots
+    for a in (2.0, 3.0, 5.0):
+        for n in range(2, 130):
+            rep, _ = alternance_points_weighted(FixedPoleClass(n, a))
+            assert len(rep.points) == n
+    mpmath = pytest.importorskip("mpmath")
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(60):
+        for a in (2, 3):
+            for n in (59, 61, 66, 129, 402):
+                rep, _ = alternance_points_weighted(FixedPoleClass(n, float(a)))
+                # the n roots of T_n(x) = 1/T_n(a): cos((theta0 + 2 pi k)/n)
+                theta0 = mpmath.acos(1 / mpmath.cosh(n * mpmath.acosh(a)))
+                exact = sorted(mpmath.cos((theta0 + 2 * mpmath.pi * k) / n) for k in range(n))
+                assert max(abs(mpmath.mpf(x) - e) for x, e in zip(rep.points, exact)) <= eps
+
+
 # ---------------------------------------------------------------- candidates
 
 def test_candidate_4_3_quartic_oracle():
