@@ -342,8 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    help="CSV file or builtin (zero, abs, cheb:K, ld:POLES, ldcheb:POLES:EPS:K)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0, help="seed of the start perturbations")
+    p.add_argument("--starts", type=int, default=8,
+                   help="Newton starts: the Lawson fit's poles, then seeded perturbations "
+                        "of them (more starts never give a worse answer)")
     p.add_argument("--grid", type=int, default=129)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--weighted", action="store_true")

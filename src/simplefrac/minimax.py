@@ -1,16 +1,19 @@
 """Best uniform approximation by logarithmic derivatives on [-1, 1].
 
-The solver is heuristic-with-certificate: a multistart smooth-minimax
-descent (p-norm continuation over pole coordinates) followed by a damped
-Newton solve of the equioscillation system, then an a-posteriori optimality
-check.  The certificate is the alternance criterion: for a fraction with
+The solver is heuristic-with-certificate: a deterministic linearized
+Lawson fit of P'/P (the start of AAA-Lawson, Nakatsukasa and Trefethen,
+SIAM J. Sci. Comput. 42, 2020) gives start poles, a damped Newton solve of
+the equioscillation system runs from them and from seeded perturbations of
+them, then an a-posteriori optimality check.  The solver needs numpy
+only.  The certificate is the alternance criterion: for a fraction with
 pairwise-distinct poles all outside the closed unit disk, optimality is
 equivalent to n+1 sign-alternating extremal points of the residual, and the
 optimum is then unique.  Outside those pole hypotheses best approximations
 can be non-unique, so uncertified results are labeled heuristic.
 
-A de-la-Vallee-Poussin-style lower bound derived from any n sign-alternating
-residual values brackets the achievable error and yields the reported gap.
+A de-la-Vallee-Poussin-style lower bound derived from any n+1
+sign-alternating residual values brackets the achievable error and yields
+the reported gap.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import numpy as np
 from ._optim import local_extrema, supremum_on_grid
 from .cheb import chebyshev_points
 from .config import DEFAULTS, Config
-from .errors import DomainError, ToleranceNotMetError
-from .extremal import (AlternanceReport, LogDerivative, _min_pole_separation, _norm_grid,
-                       _weight, pole_sums)
+from .errors import DomainError, SimplefracError, ToleranceNotMetError
+from .extremal import (AlternanceReport, FixedPoleClass, LogDerivative, _min_pole_separation,
+                       _norm_grid, _on_segment, _weight, build_extremal_weighted, pole_sums)
 
 
 @dataclass(frozen=True)
@@ -55,16 +58,10 @@ class TargetFunction:
 
 
 def _weight_fns(weighted: bool):
+    """The residual weight (sqrt(1 - x^2), or 1) and its first two derivatives."""
     if not weighted:
         return (lambda x: np.ones_like(x)), (lambda x: np.zeros_like(x)), (lambda x: np.zeros_like(x))
-
-    def wp(x):
-        return -x / _weight(x)
-
-    def wpp(x):
-        return -1.0 / _weight(x) ** 3
-
-    return _weight, wp, wpp
+    return _weight, (lambda x: -x / _weight(x)), (lambda x: -1.0 / _weight(x) ** 3)
 
 
 def _residual_fn(f: TargetFunction, rho: LogDerivative, weighted: bool):
@@ -154,24 +151,28 @@ def _check_pole_hypotheses(rho: LogDerivative, cfg: Config) -> list[str]:
 
 
 def dvp_lower_bound(f: TargetFunction, rho: LogDerivative, weighted: bool = False, *,
-                    cfg: Config = DEFAULTS) -> float:
-    """Lower bound on the best deviation from n sign-alternating residual
-    values (n = degree of rho).
+                    free: bool = False, cfg: Config = DEFAULTS) -> float:
+    """Lower bound on the best deviation from sign-alternating residual
+    values.
 
-    Requires pairwise-distinct poles outside the closed unit disk.  Among
-    the detected alternating extrema, the length-n window with the largest
-    minimum magnitude is used; that minimum is the bound.  Raises when the
-    residual shows fewer than n alternating points.
+    With one of rho's n poles fixed (the fixed-pole class) the bound takes
+    n alternating values; with ``free`` (all n poles free, the problem
+    solve_best_ld solves) it takes n + 1, as in the alternance criterion:
+    n values alone can sit above the true optimum there.  Requires
+    pairwise-distinct poles outside the closed unit disk.  Among the
+    detected alternating extrema, the window of that length with the
+    largest minimum magnitude is used; that minimum is the bound.  Raises
+    when the residual shows too few alternating points.
     """
-    n = rho.degree
+    need = rho.degree + (1 if free else 0)
     hyp = _check_pole_hypotheses(rho, cfg)
     if hyp:
         raise DomainError("; ".join(hyp))
-    rep = residual_alternance(f, rho, min_points=n, weighted=weighted, cfg=cfg)
-    window = _best_window(list(zip(rep.points, rep.values)), n)
+    rep = residual_alternance(f, rho, min_points=need, weighted=weighted, cfg=cfg)
+    window = _best_window(list(zip(rep.points, rep.values)), need)
     if window is None:
         raise DomainError(
-            f"residual shows only {len(rep.values)} alternating points; need {n}"
+            f"residual shows only {len(rep.values)} alternating points; need {need}"
         )
     return min(abs(v) for _, v in window)
 
@@ -214,15 +215,22 @@ def certify_optimality(
 
 @dataclass(frozen=True)
 class ApproxOptions:
+    """Options of solve_best_ld.
+
+    ``starts`` counts Newton starts: start 0 is the Lawson fit's poles, and
+    starts 1, 2, ... perturb them by draws taken in order from
+    ``default_rng(seed)``, so more starts never give a worse answer.  The
+    Lawson fit and the sup-norm refinement use ``refine_grid`` points, and
+    Newton scans max(refine_grid, 4 grid + 1).
+    """
+
     grid: int = 129
     starts: int = 8
     seed: int = 0
     tol: float = 1e-10
     weighted: bool = False
     fixed_pole: float | None = None
-    p_schedule: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256)
     newton_max_iter: int = 40
-    polish_rtol: float = 1e-7
     refine_grid: int = 513
 
 
@@ -254,28 +262,21 @@ class _Shape:
 def _theta_poles(theta, shape: _Shape):
     """Real poles (the fixed one first) with their derivatives in theta, and
     the (center, offset) pairs."""
-    reals, dz, pairs = [], [], []
+    reals, dz = [], []
     if shape.fixed_pole is not None:
         reals.append(shape.fixed_pole)
         dz.append(0.0)
-    i = 0
-    for s in shape.signs:
-        reals.append(s * (1.0 + math.exp(theta[i])))
-        dz.append(s * math.exp(theta[i]))
-        i += 1
-    for _ in range(shape.n_pairs):
-        pairs.append((theta[i], math.exp(theta[i + 1])))
-        i += 2
+    for s, t in zip(shape.signs, theta):
+        reals.append(s * (1.0 + math.exp(t)))
+        dz.append(s * math.exp(t))
+    pairs = [(theta[i], math.exp(theta[i + 1])) for i in range(len(shape.signs), shape.dim, 2)]
     return reals, dz, pairs
 
 
 def _poles_from_theta(theta, shape: _Shape) -> tuple[complex, ...]:
     reals, _, pairs = _theta_poles(theta, shape)
-    poles = [complex(r, 0.0) for r in reals]
-    for c, v in pairs:
-        poles.append(complex(c, v))
-        poles.append(complex(c, -v))
-    return tuple(poles)
+    return tuple(complex(r, 0.0) for r in reals) + tuple(
+        z for c, v in pairs for z in (complex(c, v), complex(c, -v)))
 
 
 def _rho_eval(theta, shape: _Shape, x, want_grad: bool, want_deriv: bool = False):
@@ -293,41 +294,92 @@ def _rho_eval(theta, shape: _Shape, x, want_grad: bool, want_deriv: bool = False
     return rho, grad, rhop, gradp
 
 
-def _pnorm_objective(theta, shape: _Shape, xg, fg, wg, p):
-    rho, grad, _, _ = _rho_eval(theta, shape, xg, want_grad=True)
-    r = wg * (fg - rho)
-    dr = -wg[None, :] * grad
-    mx = float(np.max(np.abs(r)))
-    if mx == 0.0:
-        return 0.0, np.zeros(shape.dim)
-    u = np.abs(r) / mx
-    up = u**p
-    ssum = float(np.sum(up))
-    phi = mx * ssum ** (1.0 / p)
-    coef = ssum ** (1.0 / p - 1.0) * u ** (p - 1) * np.sign(r)
-    return phi, dr @ coef
+def _param_bounds(shape: _Shape):
+    """Box (lo, hi) for theta.  s <= 40 caps real poles near 2.4e17
+    (numerically a pole at infinity); s >= -30 keeps 1 + e^s strictly above
+    1 in binary64 so a pole can never round onto the segment endpoint."""
+    lo = [-30.0] * len(shape.signs) + [-8.0, -30.0] * shape.n_pairs
+    hi = [40.0] * len(shape.signs) + [8.0, 40.0] * shape.n_pairs
+    return np.array(lo), np.array(hi)
 
 
-def _start_theta(cfg_index: int, n_free: int, rng: np.random.Generator):
-    """Deterministic draw of one start's pole layout and initial parameters."""
-    configs = [(n_free - 2 * k, k) for k in range(n_free // 2 + 1)]
-    n_real, n_pairs = configs[cfg_index % len(configs)]
-    signs = tuple(1.0 if rng.uniform() < 0.5 else -1.0 for _ in range(n_real))
-    theta = []
-    for _ in range(n_real):
-        theta.append(rng.normal(0.3, 0.8))
-    for _ in range(n_pairs):
-        theta.append(rng.uniform(-0.9, 0.9))
-        theta.append(rng.normal(-0.3, 0.8))
-    return signs, n_pairs, np.asarray(theta)
+def _theta_from_poles(poles, fixed_pole: float | None):
+    """Shape and in-box theta of free poles off the segment (real ones with
+    |z| > 1, pairs given by either member)."""
+    reals = [z.real for z in poles if z.imag == 0.0]
+    pairs = [(z.real, z.imag) for z in poles if z.imag > 0.0]
+    shape = _Shape(signs=tuple(math.copysign(1.0, r) for r in reals), n_pairs=len(pairs),
+                   fixed_pole=fixed_pole)
+    theta = [math.log(abs(r) - 1.0) for r in reals] + [t for c, v in pairs for t in (c, math.log(v))]
+    lo, hi = _param_bounds(shape)
+    return shape, np.clip(theta, lo, hi)
+
+
+# Lawson stops after _LAWSON_MAX_ITER iterations, or once its best grid
+# error has not fallen by a relative _LAWSON_STALL_RTOL for
+# _LAWSON_STALL_ITER iterations in a row.
+_LAWSON_MAX_ITER = 100
+_LAWSON_STALL_ITER = 40
+_LAWSON_STALL_RTOL = 1e-3
+# standard deviation of the theta perturbations of starts 1, 2, ...
+_PERTURB_SIGMA = 0.3
+
+
+def _lawson_poles(x, g, w, m: int, cfg: Config):
+    """Linearized Lawson fit of P'/P to g on the points x, with weight w.
+
+    P = T_m + sum_{k<m} c_k T_k (scaling P leaves P'/P alone); each iteration
+    solves min |w (g P - P') sqrt(lam) / P_prev| for c by least squares, with
+    Sanathanan-Koerner weights 1/|P_prev| and Lawson weights
+    lam <- lam |w (g - P'/P)|.  Returns the chebroots of the iterate of least
+    grid error among those with no pole on the segment (or None), and a
+    one-line summary.
+    """
+    from numpy.polynomial import chebyshev as C
+
+    vander = C.chebvander(x, m)
+    deriv = C.chebval(x, C.chebder(np.eye(m + 1))).T  # T_k' on x, by Clenshaw
+    # rows of g T_k - T_k', and one reused buffer for their weighted copy
+    lin = g[:, None] * vander - deriv
+    scaled = np.empty_like(lin)
+    lam = np.full(x.size, 1.0 / x.size)
+    p_prev = np.ones(x.size)
+    coef = np.ones(m + 1)
+    best_err, best_poles, stall, why = math.inf, None, 0, "iteration cap"
+    for it in range(1, _LAWSON_MAX_ITER + 1):
+        np.multiply(lin, (w * np.sqrt(lam) / p_prev)[:, None], out=scaled)
+        coef[:m], _, rank, _ = np.linalg.lstsq(scaled[:, :m], -scaled[:, m], rcond=None)
+        p = vander @ coef
+        if rank < m or not np.all(np.isfinite(p)) or np.any(p == 0.0):
+            why = "breakdown: singular least-squares system or P = 0 on the grid"
+            break
+        err_vec = np.abs(w * (g - (deriv @ coef) / p))
+        err = float(np.max(err_vec))
+        stall = 0 if err < best_err * (1.0 - _LAWSON_STALL_RTOL) else stall + 1
+        if err < best_err:
+            roots = C.chebroots(coef)
+            if not any(_on_segment(complex(z), cfg) for z in roots):
+                best_err, best_poles = err, tuple(complex(z) for z in roots)
+        total = float(np.sum(lam * err_vec))
+        if stall >= _LAWSON_STALL_ITER or total == 0.0:
+            why = "stalled"
+            break
+        lam *= err_vec / total
+        p_prev = np.abs(p)
+    return best_poles, f"lawson: {it} iterations ({why}), best grid error {best_err:.6e}"
 
 
 def _fd_derivs(f: TargetFunction, ts: np.ndarray):
-    """Central-difference f' and f'' at the points ts."""
+    """Finite-difference f' and f'' at the points ts of [-1, 1], on stencils
+    clamped to [-1, 1] (one-sided at the ends for f', shifted inward for f''),
+    so the target is never evaluated outside it."""
     h1, h2 = 1e-6, 1e-5
-    fp = (f.values_on(ts + h1) - f.values_on(ts - h1)) / (2.0 * h1)
-    fpp = (f.values_on(ts + h2) - 2.0 * f.values_on(ts) + f.values_on(ts - h2)) / (h2 * h2)
-    return fp, fpp
+    lo, hi = np.maximum(ts - h1, -1.0), np.minimum(ts + h1, 1.0)
+    fp = (f.values_on(hi) - f.values_on(lo)) / (hi - lo)
+    mid = np.clip(ts, -1.0 + h2, 1.0 - h2)
+    lo, hi = np.maximum(mid - h2, -1.0), np.minimum(mid + h2, 1.0)
+    fl, fm, fh = f.values_on(lo), f.values_on(mid), f.values_on(hi)
+    return fp, 2.0 * ((fh - fm) / (hi - mid) - (fm - fl) / (mid - lo)) / (hi - lo)
 
 
 def _best_window(alt, m):
@@ -372,6 +424,7 @@ def _newton_equioscillate(theta, shape: _Shape, f: TargetFunction, weighted: boo
     h = float(np.mean([abs(v) for _, v in window]))
 
     theta = np.array(theta, dtype=float)
+    lo, hi = _param_bounds(shape)
     for _ in range(opts.newton_max_iter):
         k = int(np.sum(interior))
         rho, grad, rhop, gradp = _rho_eval(theta, shape, ts, want_grad=True, want_deriv=True)
@@ -394,9 +447,8 @@ def _newton_equioscillate(theta, shape: _Shape, f: TargetFunction, weighted: boo
         # stationarity equations at interior points
         rho2 = LogDerivative(_poles_from_theta(theta, shape)).second_derivative_on(ts[idx])
         big_rpp = wppv[idx] * res[idx] + 2.0 * wpv[idx] * resp[idx] + wv[idx] * (fpp[idx] - rho2)
-        for row, i in enumerate(idx):
-            J[m_levels + row, :dim] = -(wpv[i] * grad[:, i] + wv[i] * gradp[:, i])
-            J[m_levels + row, dim + row] = big_rpp[row]
+        J[m_levels:, :dim] = -(wpv[idx] * grad[:, idx] + wv[idx] * gradp[:, idx]).T
+        J[m_levels + np.arange(k), dim + np.arange(k)] = big_rpp
 
         fnorm = float(np.max(np.abs(F)))
         if fnorm <= 1e-13 * max(1.0, abs(h), scale):
@@ -405,32 +457,26 @@ def _newton_equioscillate(theta, shape: _Shape, f: TargetFunction, weighted: boo
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             return None
+        if not np.all(np.isfinite(delta)):
+            return None
 
-        def apply(step):
-            th = theta + step * delta[:dim]
-            tnew = ts.copy()
-            tnew[interior] = np.clip(
-                ts[interior] + step * delta[dim : dim + k], -1.0 + 1e-12, 1.0 - 1e-12
-            )
-            hnew = h + step * delta[dim + k]
-            return th, tnew, hnew
-
-        accepted = False
+        # backtrack; theta steps are clipped to the box, so exp() cannot overflow
         for step in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            th, tnew, hnew = apply(step)
+            th = np.clip(theta + step * delta[:dim], lo, hi)
+            tnew = ts.copy()
+            tnew[idx] = np.clip(ts[idx] + step * delta[dim : dim + k], -1.0 + 1e-12, 1.0 - 1e-12)
+            hnew = h + step * delta[dim + k]
             if np.any(np.diff(tnew) <= 0.0):
                 continue
             rho_n, _, rhop_n, _ = _rho_eval(th, shape, tnew, want_grad=False, want_deriv=True)
             fv = f.values_on(tnew)
             fpn, _ = _fd_derivs(f, tnew)
-            big_rn = w(tnew) * (fv - rho_n)
             big_rpn = wp(tnew) * (fv - rho_n) + w(tnew) * (fpn - rhop_n)
-            fn = np.concatenate([big_rn - signs * hnew, big_rpn[np.flatnonzero(interior)]])
+            fn = np.concatenate([w(tnew) * (fv - rho_n) - signs * hnew, big_rpn[idx]])
             if float(np.max(np.abs(fn))) < fnorm:
                 theta, ts, h = th, tnew, hnew
-                accepted = True
                 break
-        if not accepted:
+        else:
             break
     return theta
 
@@ -438,40 +484,29 @@ def _newton_equioscillate(theta, shape: _Shape, f: TargetFunction, weighted: boo
 def _refined_error(f: TargetFunction, rho: LogDerivative, weighted: bool, opts: ApproxOptions,
                    cfg: Config):
     r_fn = _residual_fn(f, rho, weighted)
-
-    def absr(x):
-        return np.abs(r_fn(x))
-
     grid = _norm_grid(rho.degree, cfg, opts.refine_grid)
-    value, _ = supremum_on_grid(absr, grid, min(opts.tol, cfg.supnorm_xtol))
-    return value
+    return supremum_on_grid(lambda x: np.abs(r_fn(x)), grid, min(opts.tol, cfg.supnorm_xtol))[0]
 
 
-def _project_poles(rho: LogDerivative) -> LogDerivative:
-    """Hard projection: push any pole with |z| <= 1 just outside the disk."""
-    out = []
-    changed = False
-    for z in rho.poles:
-        if abs(z) <= 1.0 and z.imag != 0.0:
-            out.append(z / abs(z) * (1.0 + 1e-9))
-            changed = True
-        else:
-            out.append(z)
-    return LogDerivative(tuple(out)) if changed else rho
+def _project_poles(poles) -> tuple[complex, ...]:
+    """Hard projection: push any non-real pole with |z| <= 1 just outside the disk."""
+    return tuple(z / abs(z) * (1.0 + 1e-9) if abs(z) <= 1.0 and z.imag != 0.0 else z for z in poles)
 
 
 def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, *,
                   cfg: Config = DEFAULTS) -> ApproxResult:
     """Approximate f on [-1, 1] by a degree-n logarithmic derivative.
 
-    Phase 1 minimizes the residual p-norm on a Chebyshev grid with
-    p-continuation over pole coordinates (real poles as sign*(1+e^s),
-    conjugate pairs as center plus log-offset), multistarted from the seed;
-    exactly representable targets get a final least-squares polish.  Phase 2
-    runs the damped-Newton equioscillation solve per start and keeps
-    whatever refines the sup error.  The best result is certified through
-    the alternance criterion and bracketed from below by the
-    de-la-Vallee-Poussin-style bound; the relative bracket width is the gap.
+    Phase 1 is one deterministic linearized Lawson fit (see _lawson_poles;
+    exact for representable targets), or, if it has no pole layout off the
+    segment, the poles of the weighted extremal at a = 2.  Phase 2 runs the
+    damped-Newton equioscillation solve from those poles (start 0) and from
+    ``opts.starts`` - 1 seeded perturbations; a start that raises is
+    discarded with a diagnostic.  The least refined sup error among the
+    start layout, the fraction with all free poles far away and the Newton
+    outputs wins; it is certified through the alternance criterion and
+    bracketed from below by the de-la-Vallee-Poussin-style bound; the
+    relative bracket width is the gap.
 
     With ``opts.weighted`` the residual carries the sqrt(1-x^2) weight and
     ``opts.fixed_pole`` pins one real pole; the optimality certificate and
@@ -493,99 +528,61 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
     if opts.starts < 1:
         raise DomainError(f"need at least one start, got {opts.starts}")
 
-    # scipy is imported by the solver alone, so `import simplefrac` does not
-    # pay for it
-    from scipy import optimize as sciopt
-
+    x = chebyshev_points(opts.refine_grid)
+    fx = f.values_on(x)
+    scale = 1.0 + float(np.max(np.abs(fx)))
+    fixed = () if opts.fixed_pole is None else (complex(opts.fixed_pole),)
+    g = fx if opts.fixed_pole is None else fx - 1.0 / (x - opts.fixed_pole)
+    try:
+        poles, summary = _lawson_poles(x, g, _weight_fns(opts.weighted)[0](x), n_free, cfg)
+    except np.linalg.LinAlgError as exc:
+        poles, summary = None, f"lawson: {exc}"
+    diagnostics: list[str] = [summary]
+    if poles is None:
+        poles = build_extremal_weighted(FixedPoleClass(n_free, 2.0)).poles
+        diagnostics.append(f"lawson: no admissible pole layout; starting from the poles "
+                           f"of the weighted extremal of degree {n_free} at a = 2")
+    # every free pole at the box's far end makes rho numerically 0, so no
+    # answer is worse than the trivial one
+    far = tuple(complex((-1.0) ** k * (1.0 + math.exp(40.0))) for k in range(n_free))
+    candidates = [("far poles", fixed + far), ("start layout", fixed + poles)]
+    shape, theta0 = _theta_from_poles(poles, opts.fixed_pole)
+    lo, hi = _param_bounds(shape)
     rng = np.random.default_rng(opts.seed)
-    xg = chebyshev_points(opts.grid)
-    fg = f.values_on(xg)
-    wfun, _, _ = _weight_fns(opts.weighted)
-    wg = wfun(xg)
-    scale = 1.0 + float(np.max(np.abs(fg)))
-
-    def param_bounds(shape: _Shape):
-        # s <= 40 caps real poles near 2.4e17 (numerically a pole at
-        # infinity); s >= -30 keeps 1 + e^s strictly above 1 in binary64 so
-        # a pole can never round onto the segment endpoint
-        out = [(-30.0, 40.0)] * len(shape.signs)
-        out += [(-8.0, 8.0), (-30.0, 40.0)] * shape.n_pairs
-        return out
-
-    diagnostics: list[str] = []
-    best: tuple[float, int, LogDerivative] | None = None
-
+    no_window = []
     for start in range(opts.starts):
-        signs, n_pairs, theta = _start_theta(start, n_free, rng)
-        shape = _Shape(signs=signs, n_pairs=n_pairs, fixed_pole=opts.fixed_pole)
-        ok = True
-        for p in opts.p_schedule:
-            res = sciopt.minimize(
-                _pnorm_objective,
-                theta,
-                args=(shape, xg, fg, wg, p),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=param_bounds(shape),
-                options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-14},
-            )
-            if not np.all(np.isfinite(res.x)):
-                ok = False
-                break
-            theta = res.x
-        if not ok:
-            diagnostics.append(f"start {start}: continuation diverged; discarded")
-            continue
-
-        # representable targets: finish with a least-squares polish
-        r_now = wg * (fg - _rho_eval(theta, shape, xg, want_grad=False)[0])
-        if float(np.max(np.abs(r_now))) <= opts.polish_rtol * scale:
-            lo, hi = np.array(param_bounds(shape)).T
-
-            def residvec(th):
-                rho, _, _, _ = _rho_eval(np.clip(th, lo, hi), shape, xg, want_grad=False)
-                return wg * (fg - rho)
-
-            def residjac(th):
-                _, grad, _, _ = _rho_eval(np.clip(th, lo, hi), shape, xg, want_grad=True)
-                return (-wg[None, :] * grad).T
-
-            ls = sciopt.least_squares(
-                residvec, theta, jac=residjac, method="lm",
-                xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400,
-            )
-            if np.all(np.isfinite(ls.x)):
-                theta = np.clip(ls.x, lo, hi)
-
+        theta = theta0
+        if start > 0:
+            theta = np.clip(theta0 + _PERTURB_SIGMA * rng.standard_normal(shape.dim), lo, hi)
         try:
-            rho1 = _project_poles(LogDerivative(_poles_from_theta(theta, shape)))
-        except DomainError:
-            diagnostics.append(f"start {start}: invalid pole set; discarded")
+            theta = _newton_equioscillate(theta, shape, f, opts.weighted, opts, scale, cfg)
+        except (SimplefracError, np.linalg.LinAlgError) as exc:
+            diagnostics.append(f"start {start}: {exc}; discarded")
             continue
-        if rho1.has_pole_on_segment(cfg=cfg):
-            diagnostics.append(f"start {start}: pole drifted onto [-1, 1]; discarded")
+        if theta is None:
+            no_window.append(str(start))
+        else:
+            candidates.append((f"start {start}", _project_poles(_poles_from_theta(theta, shape))))
+    if no_window:
+        diagnostics.append(f"starts {', '.join(no_window)}: no alternating window for Newton; discarded")
+
+    best: tuple[float, LogDerivative, str] | None = None
+    for label, cand in candidates:
+        try:
+            rho = LogDerivative(cand)
+            if rho.has_pole_on_segment(cfg=cfg):
+                diagnostics.append(f"{label}: pole on [-1, 1]; discarded")
+                continue
+            err = _refined_error(f, rho, opts.weighted, opts, cfg)
+        except SimplefracError as exc:
+            diagnostics.append(f"{label}: {exc}; discarded")
             continue
-        err1 = _refined_error(f, rho1, opts.weighted, opts, cfg)
-        cand_err, cand_rho = err1, rho1
-
-        theta2 = _newton_equioscillate(theta, shape, f, opts.weighted, opts, scale, cfg)
-        if theta2 is not None:
-            try:
-                rho2 = _project_poles(LogDerivative(_poles_from_theta(theta2, shape)))
-                if not rho2.has_pole_on_segment(cfg=cfg):
-                    err2 = _refined_error(f, rho2, opts.weighted, opts, cfg)
-                    if err2 < cand_err:
-                        cand_err, cand_rho = err2, rho2
-            except DomainError:
-                pass
-
-        if best is None or cand_err < best[0]:
-            best = (cand_err, start, cand_rho)
-
+        if best is None or err < best[0]:
+            best = (err, rho, label)
     if best is None:
         raise ToleranceNotMetError("no start produced a valid pole configuration")
-
-    error, _, rho = best
+    error, rho, label = best
+    diagnostics.append(f"best: {label}")
     alternance = residual_alternance(
         f, rho, min_points=n_free + 1, weighted=opts.weighted,
         grid_points=opts.refine_grid, cfg=cfg,
@@ -603,7 +600,7 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
         certified = cert.certified
         diagnostics.extend(cert.reasons)
         try:
-            dvp = dvp_lower_bound(f, rho, cfg=cfg)
+            dvp = dvp_lower_bound(f, rho, free=True, cfg=cfg)
         except DomainError as exc:
             diagnostics.append(f"lower bound unavailable: {exc}")
     if not certified:

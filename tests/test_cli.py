@@ -117,11 +117,10 @@ def test_borchardt_batch_rejects_bad_input(capsys, argv):
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported by the solver and the spline target only
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, simplefrac; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, timeout=60,
-    )
+    # scipy is imported by the spline target only; the solver needs numpy alone
+    code = ("import sys, numpy, simplefrac as sf; "
+            "sf.solve_best_ld(sf.TargetFunction(numpy.abs), 3); print('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -154,6 +153,15 @@ def test_approx_representable(capsys):
     )
     assert code == 0
     assert json.loads(out)["outputs"]["error"] <= 1e-8
+
+
+def test_approx_weighted_abs_does_not_overflow(capsys):
+    code, out, _ = run_cli(
+        capsys, "approx", "--target", "abs", "--n", "2", "--starts", "2", "--weighted",
+        "--format", "json",
+    )
+    assert code == 0
+    assert math.isfinite(json.loads(out)["outputs"]["error"])
 
 
 def test_approx_requires_certificate_paths(capsys):

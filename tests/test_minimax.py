@@ -1,10 +1,16 @@
 """Approximation solver, alternance detection, certificates, lower bounds."""
 
+import cmath
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from simplefrac.cheb import cheb_t
-from simplefrac.errors import DomainError
+from simplefrac.errors import DomainError, SimplefracError
 from simplefrac.extremal import (
     FixedPoleClass,
     LogDerivative,
@@ -22,6 +28,7 @@ from simplefrac.minimax import (
     residual_alternance,
     solve_best_ld,
 )
+from simplefrac.targets import SampledFunction, parse_pole_list, parse_target
 
 ZERO = TargetFunction(evaluator=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                       description="zero")
@@ -93,6 +100,23 @@ def test_dvp_requires_alternation():
     rho = LogDerivative((2.0, 3.0))
     with pytest.raises(DomainError):
         dvp_lower_bound(ZERO, rho)
+
+
+def test_dvp_free_poles_need_n_plus_1_points():
+    # the best degree-6 deviation of f = rho* + 1e-3 T_6 is 1e-3, yet f - rho
+    # alternates 6 times above it: 6 values do not bound the free problem
+    star = "(1.7551651237807455+0.958851077208406j),(1.7551651237807455-0.958851077208406j)," \
+           "(1.0806046117362795+1.682941969615793j),(1.0806046117362795-1.682941969615793j)," \
+           "(1.6209069176044193+2.5244129544236893j),(1.6209069176044193-2.5244129544236893j)"
+    f = parse_target(f"ldcheb:{star}:1e-3:6")
+    rho = LogDerivative((0.7957331470656419 - 3.262980454724443j, 0.7957331470656419 + 3.262980454724443j,
+                         0.91430251667373 - 1.4531621928018927j, 0.91430251667373 + 1.4531621928018927j,
+                         1.647083212564056 - 0.7245835863663531j, 1.647083212564056 + 0.7245835863663531j))
+    assert dvp_lower_bound(f, rho) > 1.1e-3
+    with pytest.raises(DomainError, match="need 7"):
+        dvp_lower_bound(f, rho, free=True)
+    assert dvp_lower_bound(f, LogDerivative(parse_pole_list(star)),
+                           free=True) == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_dvp_requires_pole_hypotheses():
@@ -193,6 +217,122 @@ def test_solver_input_validation():
         solve_best_ld(ZERO, 2, ApproxOptions(fixed_pole=0.5))
     with pytest.raises(DomainError):
         solve_best_ld(ZERO, 2, ApproxOptions(starts=0))
+
+
+def test_solver_zero_target_falls_back():
+    # f = 0 makes the linearized system singular, so the starts fall back to
+    # a fixed layout, and the fraction with far poles (rho ~ 0) wins
+    res = solve_best_ld(ZERO, 2, ApproxOptions(starts=2))
+    assert any("no admissible pole layout" in d for d in res.diagnostics)
+    assert res.error <= 1e-15
+    assert not res.certified
+
+
+def test_solver_clips_newton_steps_to_the_box():
+    # an unclipped Newton step overflowed math.exp in the pole map here
+    res = solve_best_ld(TargetFunction(lambda x: np.abs(np.asarray(x, float)), "abs"), 2,
+                        ApproxOptions(starts=2, weighted=True))
+    assert math.isfinite(res.error)
+    assert not res.rho.has_pole_on_segment()
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_solver_never_evaluates_target_off_segment(n):
+    # finite differences at the ends once sampled sqrt(1 + x) below -1
+    seen = []
+
+    def sqrt1px(x):
+        x = np.asarray(x, dtype=float)
+        if x.size:
+            seen.append((float(np.min(x)), float(np.max(x))))
+        return np.sqrt(1.0 + x)
+
+    res = solve_best_ld(TargetFunction(sqrt1px, "sqrt(1+x)"), n)
+    assert min(lo for lo, _ in seen) >= -1.0
+    assert max(hi for _, hi in seen) <= 1.0
+    assert res.dvp_lower <= res.error
+
+
+def _spline_target(seed):
+    rng = np.random.default_rng(seed)
+    xs = np.cos(np.pi * (np.arange(25) + np.r_[0.0, rng.uniform(-0.3, 0.3, 23), 0.0]) / 24)[::-1]
+    ys = np.polynomial.chebyshev.chebval(xs, rng.normal(0.0, 1.0, 5) / np.arange(1, 6))
+    return SampledFunction(xs=tuple(float(x) for x in xs),
+                           ys=tuple(float(y) for y in ys)).as_target()
+
+
+def _zoo_target(name, seed):
+    if name == "abs":
+        return TargetFunction(lambda x: np.abs(np.asarray(x, float)), name)
+    if name == "exp":
+        return TargetFunction(np.exp, name)
+    if name == "sqrt1px":
+        return TargetFunction(lambda x: np.sqrt(1.0 + np.asarray(x, float)), name)
+    if name.startswith("cos"):
+        k = int(name[3:])
+        return TargetFunction(lambda x: np.cos(k * np.asarray(x, float)), name)
+    if name == "spline":
+        return _spline_target(seed)
+    return parse_target(name)
+
+
+ZOO_NAMES = ["abs", "exp", "sqrt1px", "spline", "ldcheb:2,-2:1e-3:3",
+             "ldcheb:2,-2,1.5+1j,1.5-1j:1e-2:5"] + [f"cos{k}" for k in range(1, 7)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(ZOO_NAMES), n=st.integers(2, 8), weighted=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_solver_is_total_over_target_zoo(name, n, weighted, seed):
+    target = _zoo_target(name, seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            res = solve_best_ld(target, n, ApproxOptions(starts=2, seed=seed, weighted=weighted))
+        except SimplefracError:
+            res = None
+    assert [str(w.message) for w in caught] == []
+    if res is not None:
+        assert res.dvp_lower <= res.error
+
+
+@pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 5.0])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_solver_weighted_fixed_pole_zero_target_closed_form(n, a):
+    res = solve_best_ld(ZERO, n, ApproxOptions(weighted=True, fixed_pole=a))
+    assert res.error == pytest.approx(n / math.sqrt(cheb_t(n, a) ** 2 - 1.0), abs=1e-7)
+
+
+@st.composite
+def known_answers(draw):
+    """Pairwise-distinct conjugate-closed poles with |z_k| in [1.2, 3]."""
+    n = draw(st.sampled_from([3, 4, 6]))
+    n_pairs = draw(st.integers(0, n // 2))
+    poles = [complex(draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.2, 3.0)), 0.0)
+             for _ in range(n - 2 * n_pairs)]
+    for _ in range(n_pairs):
+        z = cmath.rect(draw(st.floats(1.2, 3.0)), draw(st.floats(0.15, math.pi - 0.15)))
+        poles += [z, z.conjugate()]
+    assume(min(abs(p - q) for i, p in enumerate(poles) for q in poles[i + 1:]) > 0.05)
+    return n, tuple(poles), draw(st.sampled_from([n, n + 1]))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(case=known_answers())
+def test_solver_known_answers_from_alternance(case):
+    # f - rho* = eps T_K alternates K + 1 >= n + 1 times at level eps, so rho*
+    # is the unique best approximation and the least deviation is eps
+    n, poles, k = case
+    eps = 1e-3
+    spec = "ldcheb:" + ",".join(repr(z) for z in poles) + f":{eps!r}:{k}"
+    res = solve_best_ld(parse_target(spec), n)
+    assert res.dvp_lower <= eps * (1.0 + 1e-9)
+    assert eps <= res.error * (1.0 + 1e-9)
+    if res.certified:
+        assert abs(res.error - eps) <= 1e-6 * eps
+        key = lambda z: (z.real, z.imag)  # noqa: E731
+        got, want = sorted(res.rho.poles, key=key), sorted(poles, key=key)
+        assert max(abs(p - q) for p, q in zip(got, want)) <= 1e-6
 
 
 def test_target_function_scalar_fallback():
