@@ -344,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="seed of the start perturbations")
     p.add_argument("--starts", type=int, default=8,
-                   help="Newton starts: the Lawson fit's poles, then seeded perturbations "
-                        "of them (more starts never give a worse answer)")
+                   help="Newton starts: the Lawson fit, then seeded perturbations "
+                        "of its poles (more starts never give a worse answer)")
     p.add_argument("--grid", type=int, default=129)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--weighted", action="store_true")

@@ -148,10 +148,7 @@ class LogDerivative:
         gives exactly real output.  For high-cancellation pointwise work use
         :func:`eval_ld`.
         """
-        return pole_sums(x, self._reals, self._pairs)[0][0]
-
-    def second_derivative_on(self, x):
-        return pole_sums(x, self._reals, self._pairs, order=2)[0][2]
+        return pole_sums(x, self._reals, self._pairs)
 
 
 def _row_sums(terms):
@@ -170,13 +167,11 @@ def _row_sums(terms):
     return np.add.reduce(terms, axis=0, initial=0.0)
 
 
-def pole_sums(x, reals, pairs, order: int = 0, dz=None):
-    """Float pole sum rho(x) = sum_k 1/(x - z_k) and its x-derivatives.
+def pole_sums(x, reals, pairs):
+    """Float pole sum rho(x) = sum_k 1/(x - z_k), shaped like x.
 
     ``reals`` are the real poles and ``pairs`` the (u, v) of the conjugate
-    pairs u +- iv, each pair combined as 2(x-u)/((x-u)^2 + v^2).  Returns
-    ``(sums, grads)``: sums is [rho, rho', rho''] up to ``order`` (at most
-    2), each shaped like x.
+    pairs u +- iv, each pair combined as 2(x-u)/((x-u)^2 + v^2).
 
     Summation order, the contract that fixes every bit: at each point the
     terms are added one at a time, starting from +0.0, reals first, then
@@ -185,56 +180,18 @@ def pole_sums(x, reals, pairs, order: int = 0, dz=None):
     of one point is formed differently from that of many (see
     ``_row_sums``), so a point gets the same bits alone, in a 0-d x, or in
     a grid of any size.
-
-    With ``dz`` (one entry per real pole: the derivative of that pole in its
-    parameter) and order <= 1, grads is [d rho/d theta, d rho'/d theta] up to
-    ``order``, with one row per real pole, then two per pair: the center u
-    and the log-offset log v.  Without dz, grads is None.
     """
     x = np.asarray(x, dtype=float)
     xr = x.reshape(1, -1)
-    nr, npair = len(reals), len(pairs)
-    top = order + (dz is not None)  # highest x-derivative of a term needed
-    # terms[k] holds the k-th x-derivative of every term: reals, then pairs
-    terms = np.empty((top + 1, nr + npair, xr.shape[1]))
+    nr = len(reals)
+    terms = np.empty((nr + len(pairs), xr.shape[1]))
     if nr:
-        rt = terms[:, :nr]
-        d = xr - np.asarray(reals, dtype=float).reshape(-1, 1)
-        np.divide(1.0, d, out=rt[0])
-        if top >= 1:
-            d2 = d * d
-            np.divide(-1.0, d2, out=rt[1])
-        if top >= 2:
-            d3 = d2 * d
-            np.divide(2.0, d3, out=rt[2])
-    if npair:
-        pt = terms[:, nr:]
+        np.divide(1.0, xr - np.asarray(reals, dtype=float).reshape(-1, 1), out=terms[:nr])
+    if len(pairs):
         u, v = np.asarray(pairs, dtype=float).reshape(-1, 2).T[:, :, None]
         dp = xr - u
-        vv = v * v
-        den = dp * dp + vv
-        np.divide(2.0 * dp, den, out=pt[0])
-        if top >= 1:
-            den2 = den * den
-            np.divide(2.0 * (vv - dp * dp), den2, out=pt[1])
-        if top >= 2:
-            den3 = den2 * den
-            np.divide(-4.0 * dp * (3.0 * v * v - dp * dp), den3, out=pt[2])
-    sums = [_row_sums(terms[k]).reshape(x.shape) for k in range(order + 1)]
-    if dz is None:
-        return sums, None
-    dz = np.asarray(dz, dtype=float).reshape(-1, 1)
-    grads = []
-    for k in range(order + 1):
-        g = np.empty((nr + 2 * npair, xr.shape[1]))
-        if nr:
-            g[:nr] = dz / d2 if k == 0 else -2.0 * dz / d3
-        if npair:
-            g[nr::2] = -pt[k + 1]
-            g[nr + 1::2] = (-4.0 * dp * v * v / den2 if k == 0
-                            else 4.0 * v * v * (3.0 * dp * dp - v * v) / den3)
-        grads.append(g.reshape((nr + 2 * npair,) + x.shape))
-    return sums, grads
+        np.divide(2.0 * dp, dp * dp + v * v, out=terms[nr:])
+    return _row_sums(terms).reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Best uniform approximation by logarithmic derivatives on [-1, 1].
 
 The solver is heuristic-with-certificate: a deterministic linearized
-Lawson fit of P'/P (the start of AAA-Lawson, Nakatsukasa and Trefethen,
-SIAM J. Sci. Comput. 42, 2020) gives start poles, a damped Newton solve of
-the equioscillation system runs from them and from seeded perturbations of
-them, then an a-posteriori optimality check.  The solver needs numpy
-only.  The certificate is the alternance criterion: for a fraction with
+Lawson fit of rho = P'/P (the start of AAA-Lawson, Nakatsukasa and
+Trefethen, SIAM J. Sci. Comput. 42, 2020) gives the Chebyshev coefficients
+of P, a damped Newton solve of the equioscillation system runs on those
+coefficients and on seeded perturbations of their poles, then an
+a-posteriori optimality check.  The solver needs numpy only.  The
+certificate is the alternance criterion: for a fraction with
 pairwise-distinct poles all outside the closed unit disk, optimality is
 equivalent to n+1 sign-alternating extremal points of the residual, and the
 optimum is then unique.  Outside those pole hypotheses best approximations
@@ -29,7 +30,7 @@ from .cheb import chebyshev_points
 from .config import DEFAULTS, Config
 from .errors import DomainError, SimplefracError, ToleranceNotMetError
 from .extremal import (AlternanceReport, FixedPoleClass, LogDerivative, _min_pole_separation,
-                       _norm_grid, _on_segment, _weight, build_extremal_weighted, pole_sums)
+                       _norm_grid, _on_segment, _weight, build_extremal_weighted)
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,8 @@ def certify_optimality(
 class ApproxOptions:
     """Options of solve_best_ld.
 
-    ``starts`` counts Newton starts: start 0 is the Lawson fit's poles, and
-    starts 1, 2, ... perturb them by draws taken in order from
+    ``starts`` counts Newton starts: start 0 is the Lawson fit, and starts
+    1, 2, ... perturb its poles by draws taken in order from
     ``default_rng(seed)``, so more starts never give a worse answer.  The
     Lawson fit and the sup-norm refinement use ``refine_grid`` points, and
     Newton scans max(refine_grid, 4 grid + 1).
@@ -245,74 +246,58 @@ class ApproxResult:
     diagnostics: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class _Shape:
-    """Start-specific pole parametrization: real poles as sign*(1+e^s),
-    conjugate pairs as (center, log-offset)."""
+def _cheb_basis(x, m: int):
+    """T_k^(j)(x) for k <= m (m >= 1) and j <= 3, shaped (4, points, m + 1).
 
-    signs: tuple[float, ...]
-    n_pairs: int
-    fixed_pole: float | None
-
-    @property
-    def dim(self) -> int:
-        return len(self.signs) + 2 * self.n_pairs
-
-
-def _theta_poles(theta, shape: _Shape):
-    """Real poles (the fixed one first) with their derivatives in theta, and
-    the (center, offset) pairs."""
-    reals, dz = [], []
-    if shape.fixed_pole is not None:
-        reals.append(shape.fixed_pole)
-        dz.append(0.0)
-    for s, t in zip(shape.signs, theta):
-        reals.append(s * (1.0 + math.exp(t)))
-        dz.append(s * math.exp(t))
-    pairs = [(theta[i], math.exp(theta[i + 1])) for i in range(len(shape.signs), shape.dim, 2)]
-    return reals, dz, pairs
+    Differentiating T_{k+1} = 2x T_k - T_{k-1} j times gives the recurrence
+    T_{k+1}^(j) = 2x T_k^(j) + 2j T_k^(j-1) - T_{k-1}^(j).
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    t = np.zeros((m + 1, 4, x.size))
+    t[0, 0] = 1.0
+    t[1, 0], t[1, 1] = x, 1.0
+    two_j = np.array([[2.0], [4.0], [6.0]])
+    for k in range(1, m):
+        t[k + 1] = 2.0 * x * t[k] - t[k - 1]
+        t[k + 1, 1:] += two_j * t[k, :3]
+    return t.transpose(1, 2, 0)
 
 
-def _poles_from_theta(theta, shape: _Shape) -> tuple[complex, ...]:
-    reals, _, pairs = _theta_poles(theta, shape)
-    return tuple(complex(r, 0.0) for r in reals) + tuple(
-        z for c, v in pairs for z in (complex(c, v), complex(c, -v)))
+def _cheb_poles(coef) -> tuple[complex, ...]:
+    """The free poles of rho = P'/P: the roots of P = sum_k coef_k T_k."""
+    return tuple(complex(z) for z in np.polynomial.chebyshev.chebroots(coef))
 
 
-def _rho_eval(theta, shape: _Shape, x, want_grad: bool, want_deriv: bool = False):
-    """rho(x), optionally d(rho)/d(theta), rho'(x), d(rho')/d(theta)."""
-    reals, dz, pairs = _theta_poles(theta, shape)
-    sums, grads = pole_sums(x, reals, pairs, order=int(want_deriv),
-                            dz=dz if want_grad else None)
-    rho, rhop = sums[0], sums[1] if want_deriv else None
-    grad = gradp = None
-    if want_grad:
-        # the fixed pole has no parameter
-        skip = 0 if shape.fixed_pole is None else 1
-        grad = grads[0][skip:]
-        gradp = grads[1][skip:] if want_deriv else None
-    return rho, grad, rhop, gradp
+def _coef_from_poles(poles) -> np.ndarray:
+    """Chebyshev coefficients of prod_k (x - z_k), scaled to a leading
+    coefficient of 1 (scaling P leaves P'/P alone)."""
+    coef = np.polynomial.chebyshev.chebfromroots(poles).real
+    return coef / coef[-1]
 
 
-def _param_bounds(shape: _Shape):
-    """Box (lo, hi) for theta.  s <= 40 caps real poles near 2.4e17
-    (numerically a pole at infinity); s >= -30 keeps 1 + e^s strictly above
-    1 in binary64 so a pole can never round onto the segment endpoint."""
-    lo = [-30.0] * len(shape.signs) + [-8.0, -30.0] * shape.n_pairs
-    hi = [40.0] * len(shape.signs) + [8.0, 40.0] * shape.n_pairs
-    return np.array(lo), np.array(hi)
+def _rho_from_coef(coef, x, fixed_pole: float | None, grad: bool = False):
+    """rho = P'/P, plus 1/(x - a) for a fixed pole a, with rho' and rho''
+    at the points x, for P = sum_k coef_k T_k; or None where P = 0 or a
+    value is not finite.
 
-
-def _theta_from_poles(poles, fixed_pole: float | None):
-    """Shape and in-box theta of free poles off the segment (real ones with
-    |z| > 1, pairs given by either member)."""
-    reals = [z.real for z in poles if z.imag == 0.0]
-    pairs = [(z.real, z.imag) for z in poles if z.imag > 0.0]
-    shape = _Shape(signs=tuple(math.copysign(1.0, r) for r in reals), n_pairs=len(pairs),
-                   fixed_pole=fixed_pole)
-    theta = [math.log(abs(r) - 1.0) for r in reals] + [t for c, v in pairs for t in (c, math.log(v))]
-    lo, hi = _param_bounds(shape)
-    return shape, np.clip(theta, lo, hi)
+    With ``grad``, also d(rho)/dc_k and d(rho')/dc_k for the free
+    coefficients c_k (all but the leading one), shaped (points, m).  With
+    q_j = P^(j)/P: rho = q_1, rho' = q_2 - q_1^2, rho'' = q_3 - 3 q_1 q_2 +
+    2 q_1^3 and dq_j/dc_k = (T_k^(j) - q_j T_k)/P.
+    """
+    t = _cheb_basis(x, len(coef) - 1)
+    with np.errstate(all="ignore"):
+        p, p1, p2, p3 = t @ coef
+        q1, q2, q3 = p1 / p, p2 / p, p3 / p
+        out = [q1, q2 - q1 * q1, q3 - q1 * (3.0 * q2 - 2.0 * q1 * q1)]
+        if fixed_pole is not None:
+            d = 1.0 / (x - fixed_pole)
+            out = [out[0] + d, out[1] - d * d, out[2] + 2.0 * d * d * d]
+        if grad:
+            t0, t1, t2 = t[:3, :, :-1]
+            g = (t1 - q1[:, None] * t0) / p[:, None]
+            out += [g, (t2 - q2[:, None] * t0) / p[:, None] - 2.0 * q1[:, None] * g]
+    return out if all(np.isfinite(a).all() for a in out) else None
 
 
 # Lawson stops after _LAWSON_MAX_ITER iterations, or once its best grid
@@ -321,31 +306,28 @@ def _theta_from_poles(poles, fixed_pole: float | None):
 _LAWSON_MAX_ITER = 100
 _LAWSON_STALL_ITER = 40
 _LAWSON_STALL_RTOL = 1e-3
-# standard deviation of the theta perturbations of starts 1, 2, ...
+# standard deviation of the pole-coordinate perturbations of starts 1, 2, ...
 _PERTURB_SIGMA = 0.3
 
 
-def _lawson_poles(x, g, w, m: int, cfg: Config):
+def _lawson_fit(x, g, w, m: int, cfg: Config):
     """Linearized Lawson fit of P'/P to g on the points x, with weight w.
 
     P = T_m + sum_{k<m} c_k T_k (scaling P leaves P'/P alone); each iteration
     solves min |w (g P - P') sqrt(lam) / P_prev| for c by least squares, with
     Sanathanan-Koerner weights 1/|P_prev| and Lawson weights
-    lam <- lam |w (g - P'/P)|.  Returns the chebroots of the iterate of least
-    grid error among those with no pole on the segment (or None), and a
-    one-line summary.
+    lam <- lam |w (g - P'/P)|.  Returns the coefficients of the iterate of
+    least grid error among those with no pole on the segment (or None), and
+    a one-line summary.
     """
-    from numpy.polynomial import chebyshev as C
-
-    vander = C.chebvander(x, m)
-    deriv = C.chebval(x, C.chebder(np.eye(m + 1))).T  # T_k' on x, by Clenshaw
+    vander, deriv = _cheb_basis(x, m)[:2]
     # rows of g T_k - T_k', and one reused buffer for their weighted copy
     lin = g[:, None] * vander - deriv
     scaled = np.empty_like(lin)
     lam = np.full(x.size, 1.0 / x.size)
     p_prev = np.ones(x.size)
     coef = np.ones(m + 1)
-    best_err, best_poles, stall, why = math.inf, None, 0, "iteration cap"
+    best_err, best_coef, stall, why = math.inf, None, 0, "iteration cap"
     for it in range(1, _LAWSON_MAX_ITER + 1):
         np.multiply(lin, (w * np.sqrt(lam) / p_prev)[:, None], out=scaled)
         coef[:m], _, rank, _ = np.linalg.lstsq(scaled[:, :m], -scaled[:, m], rcond=None)
@@ -356,17 +338,27 @@ def _lawson_poles(x, g, w, m: int, cfg: Config):
         err_vec = np.abs(w * (g - (deriv @ coef) / p))
         err = float(np.max(err_vec))
         stall = 0 if err < best_err * (1.0 - _LAWSON_STALL_RTOL) else stall + 1
-        if err < best_err:
-            roots = C.chebroots(coef)
-            if not any(_on_segment(complex(z), cfg) for z in roots):
-                best_err, best_poles = err, tuple(complex(z) for z in roots)
+        if err < best_err and not any(_on_segment(z, cfg) for z in _cheb_poles(coef)):
+            best_err, best_coef = err, coef.copy()
         total = float(np.sum(lam * err_vec))
         if stall >= _LAWSON_STALL_ITER or total == 0.0:
             why = "stalled"
             break
         lam *= err_vec / total
         p_prev = np.abs(p)
-    return best_poles, f"lawson: {it} iterations ({why}), best grid error {best_err:.6e}"
+    return best_coef, f"lawson: {it} iterations ({why}), best grid error {best_err:.6e}"
+
+
+def _perturbed_poles(poles, d) -> list[complex]:
+    """The poles moved by the draws d, in order: |r| - 1 of each real pole r
+    scaled by e^d, then each pair's centre shifted by d and its imaginary
+    part scaled by e^d."""
+    reals = [z.real for z in poles if z.imag == 0.0]
+    out = [math.copysign(1.0 + (abs(r) - 1.0) * math.exp(s), r) for r, s in zip(reals, d)]
+    for z, du, dv in zip([z for z in poles if z.imag > 0.0], d[len(reals)::2], d[len(reals) + 1::2]):
+        moved = complex(z.real + du, z.imag * math.exp(dv))
+        out += [moved, moved.conjugate()]
+    return out
 
 
 def _fd_derivs(f: TargetFunction, ts: np.ndarray):
@@ -394,61 +386,66 @@ def _best_window(alt, m):
     return best
 
 
-def _newton_equioscillate(theta, shape: _Shape, f: TargetFunction, weighted: bool,
-                          opts: ApproxOptions, scale: float, cfg: Config):
-    """Damped Newton solve of the equioscillation system in (poles, t, h).
+def _newton_equioscillate(coef, f: TargetFunction, opts: ApproxOptions, scale: float,
+                          cfg: Config):
+    """Damped Newton solve of the equioscillation system in (c, t, h), where
+    c are the free Chebyshev coefficients of P (rho = P'/P, plus the fixed
+    pole if any).
 
     Levels: R(t_i) = sigma*(-1)^i h for all m = dim+1 points; stationarity
     R'(t_i) = 0 at interior points.  Boundary points (unweighted runs only)
     keep their level equation but are not unknowns.  Returns the improved
-    theta or None when the structure is not there.
+    coefficients or None when the structure is not there.
     """
-    w, wp, wpp = _weight_fns(weighted)
-    rho0 = LogDerivative(_poles_from_theta(theta, shape))
+    w, wp, wpp = _weight_fns(opts.weighted)
+    fixed = () if opts.fixed_pole is None else (complex(opts.fixed_pole),)
+    rho0 = LogDerivative(fixed + _cheb_poles(coef))
     if rho0.has_pole_on_segment(cfg=cfg):
         return None
-    r_fn = _residual_fn(f, rho0, weighted)
+    r_fn = _residual_fn(f, rho0, opts.weighted)
     grid = chebyshev_points(max(opts.refine_grid, 4 * opts.grid + 1))
     ext = local_extrema(r_fn, grid, cfg.supnorm_xtol)
-    if weighted:
+    if opts.weighted:
         ext = [(x, v) for x, v in ext if abs(x) < 1.0 - 1e-9]
-    m_levels = shape.dim + 1
+    dim = len(coef) - 1
+    m_levels = dim + 1
     window = _best_window(_alternating_subsequence(ext), m_levels)
     if window is None:
         return None
     ts = np.array([x for x, _ in window])
     sigma = math.copysign(1.0, window[0][1])
     signs = sigma * (-1.0) ** np.arange(m_levels)
-    boundary = np.abs(ts) >= 1.0 - 1e-11
-    interior = ~boundary
+    idx = np.flatnonzero(np.abs(ts) < 1.0 - 1e-11)  # interior points
+    k = idx.size
     h = float(np.mean([abs(v) for _, v in window]))
 
-    theta = np.array(theta, dtype=float)
-    lo, hi = _param_bounds(shape)
-    for _ in range(opts.newton_max_iter):
-        k = int(np.sum(interior))
-        rho, grad, rhop, gradp = _rho_eval(theta, shape, ts, want_grad=True, want_deriv=True)
-        fvals = f.values_on(ts)
-        fp, fpp = _fd_derivs(f, ts)
-        wv, wpv, wppv = w(ts), wp(ts), wpp(ts)
-        res = fvals - rho
-        resp = fp - rhop
-        big_r = wv * res
-        big_rp = wpv * res + wv * resp
+    def residuals(c, t, grad=False):
+        """R = w (f - rho) and R' at t, then f - rho, f' - rho', f'' and the
+        _rho_from_coef values; None where those are not finite."""
+        ev = _rho_from_coef(c, t, opts.fixed_pole, grad)
+        if ev is None:
+            return None
+        fp, fpp = _fd_derivs(f, t)
+        res, resp = f.values_on(t) - ev[0], fp - ev[1]
+        return w(t) * res, wp(t) * res + w(t) * resp, res, resp, fpp, ev
 
-        F = np.concatenate([big_r - signs * h, big_rp[interior]])
-        dim = shape.dim
+    coef = np.array(coef, dtype=float)
+    for _ in range(opts.newton_max_iter):
+        rows = residuals(coef, ts, grad=True)
+        if rows is None:
+            break
+        big_r, big_rp, res, resp, fpp, (_, _, rhopp, grad, gradp) = rows
+        wv, wpv = w(ts), wp(ts)
+        F = np.concatenate([big_r - signs * h, big_rp[idx]])
         J = np.zeros((m_levels + k, dim + k + 1))
         # level equations
-        J[:m_levels, :dim] = (-wv[None, :] * grad).T
-        idx = np.flatnonzero(interior)
+        J[:m_levels, :dim] = -wv[:, None] * grad
         J[idx, dim + np.arange(k)] = big_rp[idx]
         J[:m_levels, dim + k] = -signs
         # stationarity equations at interior points
-        rho2 = LogDerivative(_poles_from_theta(theta, shape)).second_derivative_on(ts[idx])
-        big_rpp = wppv[idx] * res[idx] + 2.0 * wpv[idx] * resp[idx] + wv[idx] * (fpp[idx] - rho2)
-        J[m_levels:, :dim] = -(wpv[idx] * grad[:, idx] + wv[idx] * gradp[:, idx]).T
-        J[m_levels + np.arange(k), dim + np.arange(k)] = big_rpp
+        big_rpp = wpp(ts) * res + 2.0 * wpv * resp + wv * (fpp - rhopp)
+        J[m_levels:, :dim] = -(wpv[:, None] * grad + wv[:, None] * gradp)[idx]
+        J[m_levels + np.arange(k), dim + np.arange(k)] = big_rpp[idx]
 
         fnorm = float(np.max(np.abs(F)))
         if fnorm <= 1e-13 * max(1.0, abs(h), scale):
@@ -460,25 +457,37 @@ def _newton_equioscillate(theta, shape: _Shape, f: TargetFunction, weighted: boo
         if not np.all(np.isfinite(delta)):
             return None
 
-        # backtrack; theta steps are clipped to the box, so exp() cannot overflow
+        # backtrack; a trial step with P = 0 or a non-finite rho is rejected
         for step in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            th = np.clip(theta + step * delta[:dim], lo, hi)
+            cnew = coef.copy()
+            cnew[:dim] += step * delta[:dim]
             tnew = ts.copy()
             tnew[idx] = np.clip(ts[idx] + step * delta[dim : dim + k], -1.0 + 1e-12, 1.0 - 1e-12)
             hnew = h + step * delta[dim + k]
             if np.any(np.diff(tnew) <= 0.0):
                 continue
-            rho_n, _, rhop_n, _ = _rho_eval(th, shape, tnew, want_grad=False, want_deriv=True)
-            fv = f.values_on(tnew)
-            fpn, _ = _fd_derivs(f, tnew)
-            big_rpn = wp(tnew) * (fv - rho_n) + w(tnew) * (fpn - rhop_n)
-            fn = np.concatenate([w(tnew) * (fv - rho_n) - signs * hnew, big_rpn[idx]])
+            rows = residuals(cnew, tnew)
+            if rows is None:
+                continue
+            fn = np.concatenate([rows[0] - signs * hnew, rows[1][idx]])
             if float(np.max(np.abs(fn))) < fnorm:
-                theta, ts, h = th, tnew, hnew
+                coef, ts, h = cnew, tnew, hnew
                 break
         else:
+            # no step lowers F, whose stationarity rows carry the noise of
+            # _fd_derivs: settle the levels at the current t and stop
+            try:
+                dl = np.linalg.solve(J[:m_levels, np.r_[:dim, dim + k]], -F[:m_levels])
+            except np.linalg.LinAlgError:
+                break
+            cnew = coef.copy()
+            cnew[:dim] += dl[:dim]
+            rows = residuals(cnew, ts)
+            if rows is not None and (np.max(np.abs(rows[0] - signs * (h + dl[-1])))
+                                     < np.max(np.abs(F[:m_levels]))):
+                coef = cnew
             break
-    return theta
+    return coef
 
 
 def _refined_error(f: TargetFunction, rho: LogDerivative, weighted: bool, opts: ApproxOptions,
@@ -497,12 +506,13 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
                   cfg: Config = DEFAULTS) -> ApproxResult:
     """Approximate f on [-1, 1] by a degree-n logarithmic derivative.
 
-    Phase 1 is one deterministic linearized Lawson fit (see _lawson_poles;
-    exact for representable targets), or, if it has no pole layout off the
-    segment, the poles of the weighted extremal at a = 2.  Phase 2 runs the
-    damped-Newton equioscillation solve from those poles (start 0) and from
-    ``opts.starts`` - 1 seeded perturbations; a start that raises is
-    discarded with a diagnostic.  The least refined sup error among the
+    Phase 1 is one deterministic linearized Lawson fit of P'/P (see
+    _lawson_fit; exact for representable targets), or, if it has no pole
+    layout off the segment, P with the poles of the weighted extremal at
+    a = 2.  Phase 2 runs the damped-Newton equioscillation solve on P's
+    Chebyshev coefficients from that P (start 0) and from ``opts.starts`` - 1
+    seeded perturbations of its poles; a start that raises is discarded
+    with a diagnostic.  The least refined sup error among the
     start layout, the fraction with all free poles far away and the Newton
     outputs wins; it is certified through the alternance criterion and
     bracketed from below by the de-la-Vallee-Poussin-style bound; the
@@ -534,35 +544,34 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
     fixed = () if opts.fixed_pole is None else (complex(opts.fixed_pole),)
     g = fx if opts.fixed_pole is None else fx - 1.0 / (x - opts.fixed_pole)
     try:
-        poles, summary = _lawson_poles(x, g, _weight_fns(opts.weighted)[0](x), n_free, cfg)
+        coef0, summary = _lawson_fit(x, g, _weight_fns(opts.weighted)[0](x), n_free, cfg)
     except np.linalg.LinAlgError as exc:
-        poles, summary = None, f"lawson: {exc}"
+        coef0, summary = None, f"lawson: {exc}"
     diagnostics: list[str] = [summary]
-    if poles is None:
-        poles = build_extremal_weighted(FixedPoleClass(n_free, 2.0)).poles
+    if coef0 is None:
+        coef0 = _coef_from_poles(build_extremal_weighted(FixedPoleClass(n_free, 2.0)).poles)
         diagnostics.append(f"lawson: no admissible pole layout; starting from the poles "
                            f"of the weighted extremal of degree {n_free} at a = 2")
-    # every free pole at the box's far end makes rho numerically 0, so no
+    poles = _cheb_poles(coef0)
+    # free poles at +-(1 + e^40), about 2.4e17, make rho numerically 0, so no
     # answer is worse than the trivial one
     far = tuple(complex((-1.0) ** k * (1.0 + math.exp(40.0))) for k in range(n_free))
     candidates = [("far poles", fixed + far), ("start layout", fixed + poles)]
-    shape, theta0 = _theta_from_poles(poles, opts.fixed_pole)
-    lo, hi = _param_bounds(shape)
     rng = np.random.default_rng(opts.seed)
     no_window = []
     for start in range(opts.starts):
-        theta = theta0
+        coef = coef0
         if start > 0:
-            theta = np.clip(theta0 + _PERTURB_SIGMA * rng.standard_normal(shape.dim), lo, hi)
+            coef = _coef_from_poles(_perturbed_poles(poles, _PERTURB_SIGMA * rng.standard_normal(n_free)))
         try:
-            theta = _newton_equioscillate(theta, shape, f, opts.weighted, opts, scale, cfg)
+            coef = _newton_equioscillate(coef, f, opts, scale, cfg)
         except (SimplefracError, np.linalg.LinAlgError) as exc:
             diagnostics.append(f"start {start}: {exc}; discarded")
             continue
-        if theta is None:
+        if coef is None:
             no_window.append(str(start))
         else:
-            candidates.append((f"start {start}", _project_poles(_poles_from_theta(theta, shape))))
+            candidates.append((f"start {start}", _project_poles(fixed + _cheb_poles(coef))))
     if no_window:
         diagnostics.append(f"starts {', '.join(no_window)}: no alternating window for Newton; discarded")
 

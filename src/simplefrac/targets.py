@@ -52,13 +52,41 @@ class SampledFunction:
             raise DomainError("sample abscissas must be strictly increasing")
 
     def as_target(self) -> TargetFunction:
-        from scipy.interpolate import CubicSpline  # only the spline path needs scipy
-
-        spline = CubicSpline(np.asarray(self.xs), np.asarray(self.ys), bc_type="natural")
         return TargetFunction(
-            evaluator=lambda x: spline(x),
+            evaluator=_natural_spline(self.xs, self.ys),
             description=f"cubic interpolant of {len(self.xs)} samples",
         )
+
+
+def _natural_spline(xs, ys):
+    """The natural cubic spline through (xs, ys), as a vectorized callable.
+
+    Its second derivatives m_i (zero at both ends) solve the tridiagonal
+    system h_{i-1} m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_i m_{i+1} =
+    6 (s_i - s_{i-1}), with h_i the steps and s_i the slopes, by one Thomas
+    sweep.  Points outside the samples take the end cubics.
+    """
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    diag, rhs = 2.0 * (h[:-1] + h[1:]), 6.0 * np.diff(slope)
+    for i in range(1, diag.size):  # forward elimination
+        w = h[i] / diag[i - 1]
+        diag[i] -= w * h[i]
+        rhs[i] -= w * rhs[i - 1]
+    m = np.zeros(x.size)
+    for i in range(diag.size - 1, -1, -1):  # back substitution
+        m[i + 1] = (rhs[i] - h[i + 1] * m[i + 2]) / diag[i]
+    b = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    c2, c3 = 0.5 * m[:-1], np.diff(m) / (6.0 * h)
+
+    def spline(t):
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(x[1:-1], t, side="right")  # piece index, end pieces extended
+        d = t - x[i]
+        return y[i] + d * (b[i] + d * (c2[i] + d * c3[i]))
+
+    return spline
 
 
 def load_sampled_csv(path: str) -> SampledFunction:
@@ -95,6 +123,14 @@ def parse_pole_list(text: str) -> tuple[complex, ...]:
         raise DomainError(f"malformed pole list {text!r}: {exc}") from exc
 
 
+def _segment_free_ld(poles: str, spec: str) -> LogDerivative:
+    """The fraction with the listed poles; a target has none on [-1, 1]."""
+    rho = LogDerivative(parse_pole_list(poles))
+    if rho.has_pole_on_segment():
+        raise DomainError(f"target {spec!r} has a pole on [-1, 1]")
+    return rho
+
+
 def parse_target(spec: str) -> TargetFunction:
     """Resolve a --target argument: a CSV path or a built-in name."""
     if os.path.isfile(spec):
@@ -115,13 +151,12 @@ def parse_target(spec: str) -> TargetFunction:
             raise DomainError(f"cheb:K needs K >= 0, got {k}")
         return TargetFunction(evaluator=lambda x, k=k: cheb_t(k, x), description=spec)
     if name == "ld":
-        rho = LogDerivative(parse_pole_list(rest))
-        return TargetFunction(evaluator=rho.values_on, description=spec)
+        return TargetFunction(evaluator=_segment_free_ld(rest, spec).values_on, description=spec)
     if name == "ldcheb":
         parts = rest.rsplit(":", 2)
         if len(parts) != 3:
             raise DomainError(f"ldcheb needs 'ldcheb:POLES:EPS:K', got {spec!r}")
-        rho = LogDerivative(parse_pole_list(parts[0]))
+        rho = _segment_free_ld(parts[0], spec)
         try:
             eps = float(parts[1])
             k = int(parts[2])

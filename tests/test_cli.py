@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -117,9 +118,11 @@ def test_borchardt_batch_rejects_bad_input(capsys, argv):
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported by the spline target only; the solver needs numpy alone
+    # the package needs numpy alone: the solver, and the spline targets too
     code = ("import sys, numpy, simplefrac as sf; "
-            "sf.solve_best_ld(sf.TargetFunction(numpy.abs), 3); print('scipy' in sys.modules)")
+            "sf.solve_best_ld(sf.TargetFunction(numpy.abs), 3); "
+            "spline = sf.SampledFunction(xs=(-1.0, -0.2, 0.3, 1.0), ys=(1.0, 0.0, 0.5, 2.0)); "
+            "sf.solve_best_ld(spline.as_target(), 2); print('scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -213,6 +216,16 @@ def test_approx_malformed_target(capsys):
     code, _, err = run_cli(capsys, "approx", "--target", "nonsense:1", "--n", "2")
     assert code == 2
     assert "unknown target" in err
+
+
+@pytest.mark.parametrize("target", ["ld:0", "ldcheb:0.5,-3:1e-3:3"])
+def test_approx_rejects_target_with_pole_on_segment(capsys, target):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "approx", "--target", target, "--n", "2")
+    assert code == 2
+    assert "pole on [-1, 1]" in err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_sample_extremal(capsys, tmp_path):

@@ -17,12 +17,15 @@ from simplefrac.extremal import (
     alternance_points_weighted,
     build_candidate_unweighted,
     build_extremal_weighted,
+    dvp_bracket,
     extremal_weighted_norm,
     lambda_bounds,
 )
 from simplefrac.minimax import (
     ApproxOptions,
     TargetFunction,
+    _coef_from_poles,
+    _rho_from_coef,
     certify_optimality,
     dvp_lower_bound,
     residual_alternance,
@@ -229,7 +232,8 @@ def test_solver_zero_target_falls_back():
 
 
 def test_solver_clips_newton_steps_to_the_box():
-    # an unclipped Newton step overflowed math.exp in the pole map here
+    # a Newton step once overflowed math.exp in a pole map here; Newton now
+    # runs on P's Chebyshev coefficients and rejects non-finite trial steps
     res = solve_best_ld(TargetFunction(lambda x: np.abs(np.asarray(x, float)), "abs"), 2,
                         ApproxOptions(starts=2, weighted=True))
     assert math.isfinite(res.error)
@@ -303,18 +307,34 @@ def test_solver_weighted_fixed_pole_zero_target_closed_form(n, a):
     assert res.error == pytest.approx(n / math.sqrt(cheb_t(n, a) ** 2 - 1.0), abs=1e-7)
 
 
-@st.composite
-def known_answers(draw):
-    """Pairwise-distinct conjugate-closed poles with |z_k| in [1.2, 3]."""
-    n = draw(st.sampled_from([3, 4, 6]))
+@pytest.mark.parametrize("n,a", [(n, a) for a in (3.0, 5.0) for n in (4, 5, 6, 8)]
+                         + [(6, 2.0), (8, 2.0)])
+def test_solver_fixed_pole_zero_target_within_dvp_bracket(n, a):
+    # the least unweighted deviation of the fixed-pole class lies in
+    # dvp_bracket, so the solver's error must too (dvp_bracket needs larger
+    # a at n = 4 and 5)
+    res = solve_best_ld(ZERO, n, ApproxOptions(fixed_pole=a))
+    lower, upper, _ = dvp_bracket(FixedPoleClass(n, a))
+    assert lower <= res.error * (1.0 + 1e-9)
+    assert res.error <= upper * (1.0 + 1e-6)
+
+
+def _outside_poles(draw, n):
+    """n pairwise-distinct conjugate-closed poles with |z_k| in [1.2, 3]."""
     n_pairs = draw(st.integers(0, n // 2))
     poles = [complex(draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.2, 3.0)), 0.0)
              for _ in range(n - 2 * n_pairs)]
     for _ in range(n_pairs):
         z = cmath.rect(draw(st.floats(1.2, 3.0)), draw(st.floats(0.15, math.pi - 0.15)))
         poles += [z, z.conjugate()]
-    assume(min(abs(p - q) for i, p in enumerate(poles) for q in poles[i + 1:]) > 0.05)
-    return n, tuple(poles), draw(st.sampled_from([n, n + 1]))
+    assume(min((abs(p - q) for i, p in enumerate(poles) for q in poles[i + 1:]), default=1.0) > 0.05)
+    return tuple(poles)
+
+
+@st.composite
+def known_answers(draw):
+    n = draw(st.sampled_from([3, 4, 6]))
+    return n, _outside_poles(draw, n), draw(st.sampled_from([n, n + 1]))
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
@@ -333,6 +353,35 @@ def test_solver_known_answers_from_alternance(case):
         key = lambda z: (z.real, z.imag)  # noqa: E731
         got, want = sorted(res.rho.poles, key=key), sorted(poles, key=key)
         assert max(abs(p - q) for p, q in zip(got, want)) <= 1e-6
+
+
+def _close(got, want, rtol=1e-5):
+    return np.max(np.abs(got - want)) <= rtol * (1e-12 + np.max(np.abs(want)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 8), fixed=st.sampled_from([None, 2.5, -1.5]))
+def test_coefficient_evaluator_matches_poles_and_differences(data, n, fixed):
+    # rho = P'/P (+ 1/(x - a)) from P's Chebyshev coefficients: rho against
+    # the pole sum, its x-derivatives and c-gradients against central
+    # differences
+    poles = _outside_poles(data.draw, n)
+    coef = _coef_from_poles(poles)
+    x = np.linspace(-1.0, 1.0, 9)
+    rho, rhop, rhopp, grad, gradp = _rho_from_coef(coef, x, fixed, grad=True)
+    assert _close(rho, LogDerivative(poles + ((fixed,) if fixed else ())).values_on(x), 1e-9)
+    hx = 1e-5
+    up, down = _rho_from_coef(coef, x + hx, fixed), _rho_from_coef(coef, x - hx, fixed)
+    assert _close(rhop, (up[0] - down[0]) / (2.0 * hx))
+    assert _close(rhopp, (up[1] - down[1]) / (2.0 * hx))
+    assert grad.shape == gradp.shape == (x.size, n)
+    hc = 1e-6 * np.max(np.abs(coef))
+    for k in range(n):
+        step = np.zeros_like(coef)
+        step[k] = hc
+        up, down = _rho_from_coef(coef + step, x, fixed), _rho_from_coef(coef - step, x, fixed)
+        assert _close(grad[:, k], (up[0] - down[0]) / (2.0 * hc))
+        assert _close(gradp[:, k], (up[1] - down[1]) / (2.0 * hc))
 
 
 def test_target_function_scalar_fallback():

@@ -9,10 +9,10 @@ degrees where ``eval_ld`` and the colleague solve lose accuracy.
 
 The ``generic`` entries pin the float pole-sum kernel ``pole_sums`` through
 plain ``LogDerivative`` fractions, which (unlike the closed forms) have no
-evaluator of their own: sup norms, ``values_on`` at one point and on a
-1,920-point grid, and the solver's θ-gradients at 129 points.  They were
-computed while the kernel still summed one pole per Python step; arrays are
-pinned by the SHA-256 of their float64 bytes.
+evaluator of their own: sup norms, and ``values_on`` at one point and on
+a 1,920-point grid.  They were computed while the kernel still summed one
+pole per Python step; arrays are pinned by the SHA-256 of their float64
+bytes.
 
 To regenerate the file (only ever on purpose): ``python
 tests/test_pinned_bits.py`` with ``src`` on the path.
@@ -35,7 +35,6 @@ from simplefrac.extremal import (
     alternance_points_weighted,
     build_extremal_weighted,
     dvp_bracket,
-    pole_sums,
     sup_norm,
     weighted_sup_norm,
 )
@@ -95,16 +94,6 @@ def generic_outputs(n: int) -> dict:
     return out
 
 
-def solver_pole_sums() -> str:
-    """rho, rho' and their θ-gradients at the solver's 129 grid points, for
-    a start of its shape: three real poles sign*(1+e^s) and one pair."""
-    s = np.random.default_rng(129).uniform(-2.0, 1.0, 3)
-    reals = [sign * (1.0 + np.exp(t)) for sign, t in zip((1.0, -1.0, 1.0), s)]
-    dz = [sign * np.exp(t) for sign, t in zip((1.0, -1.0, 1.0), s)]
-    sums, grads = pole_sums(chebyshev_points(129), reals, [(0.25, np.exp(-0.5))], order=1, dz=dz)
-    return digest(np.concatenate([np.ravel(a) for a in sums + grads]))
-
-
 @pytest.mark.parametrize("n,a", SIZES)
 def test_paper_outputs_pinned(n, a):
     assert paper_outputs(n, a) == json.loads(PINNED.read_text())[f"{n},{a:g}"]
@@ -115,13 +104,8 @@ def test_generic_pole_sums_pinned(n):
     assert generic_outputs(n) == json.loads(PINNED.read_text())[f"generic,{n}"]
 
 
-def test_solver_pole_sums_pinned():
-    assert solver_pole_sums() == json.loads(PINNED.read_text())["pole_sums,129"]
-
-
 if __name__ == "__main__":
     table = {f"{n},{a:g}": paper_outputs(n, a) for n, a in SIZES}
     table.update({f"generic,{n}": generic_outputs(n) for n in GENERIC})
-    table["pole_sums,129"] = solver_pole_sums()
     PINNED.write_text(json.dumps(table, indent=1) + "\n")
     sys.stdout.write(f"wrote {PINNED}\n")

@@ -35,6 +35,18 @@ def test_sampled_function_two_rows_is_linear():
     assert t.values_on(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 40, 400])
+def test_sampled_function_matches_scipy_natural_spline(n):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(n)
+    xs = np.sort(rng.uniform(-0.9, 0.9, n))  # leaves both ends to extrapolate
+    ys = rng.normal(0.0, 1.0, n)
+    t = np.linspace(-1.0, 1.0, 1001)
+    want = interpolate.CubicSpline(xs, ys, bc_type="natural")(t)
+    got = SampledFunction(xs=tuple(xs.tolist()), ys=tuple(ys.tolist())).as_target().values_on(t)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_load_sampled_csv_with_header(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("x,value\n-1.0,2.0\n0.0,0.0\n1.0,2.0\n")
