@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="seed of the start perturbations")
     p.add_argument("--starts", type=int, default=8,
-                   help="Newton starts: the Lawson fit, then seeded perturbations "
+                   help="exchange starts: the Lawson fit, then seeded perturbations "
                         "of its poles (more starts never give a worse answer)")
     p.add_argument("--grid", type=int, default=129)
     p.add_argument("--tol", type=float, default=1e-10)

@@ -3,14 +3,19 @@
 The solver is heuristic-with-certificate: a deterministic linearized
 Lawson fit of rho = P'/P (the start of AAA-Lawson, Nakatsukasa and
 Trefethen, SIAM J. Sci. Comput. 42, 2020) gives the Chebyshev coefficients
-of P, a damped Newton solve of the equioscillation system runs on those
+of P; a Remez exchange on the alternance reference runs on those
 coefficients and on seeded perturbations of their poles, then an
-a-posteriori optimality check.  The solver needs numpy only.  The
-certificate is the alternance criterion: for a fraction with
-pairwise-distinct poles all outside the closed unit disk, optimality is
-equivalent to n+1 sign-alternating extremal points of the residual, and the
-optimum is then unique.  Outside those pole hypotheses best approximations
-can be non-unique, so uncertified results are labeled heuristic.
+a-posteriori optimality check.  The solver needs numpy only, and target
+values only (no derivatives).  The certificate is the alternance
+criterion: for a fraction with pairwise-distinct poles all outside the
+closed unit disk, optimality is equivalent to n+1 sign-alternating
+extremal points of the residual, and the optimum is then unique.  The
+exchange is that criterion turned into an iteration: solve the level
+equations on an n+1 point reference, then move the reference to the new
+residual's extrema, with the safeguards of Filip, Nakatsukasa, Trefethen
+and Beckermann (SIAM J. Sci. Comput. 40, 2018): keep a step only if the
+sup level falls.  Outside those pole hypotheses best approximations can be
+non-unique, so uncertified results are labeled heuristic.
 
 A de-la-Vallee-Poussin-style lower bound derived from any n+1
 sign-alternating residual values brackets the achievable error and yields
@@ -58,15 +63,13 @@ class TargetFunction:
         return out
 
 
-def _weight_fns(weighted: bool):
-    """The residual weight (sqrt(1 - x^2), or 1) and its first two derivatives."""
-    if not weighted:
-        return (lambda x: np.ones_like(x)), (lambda x: np.zeros_like(x)), (lambda x: np.zeros_like(x))
-    return _weight, (lambda x: -x / _weight(x)), (lambda x: -1.0 / _weight(x) ** 3)
+def _weight_fn(weighted: bool):
+    """The residual weight: sqrt(1 - x^2), or 1."""
+    return _weight if weighted else np.ones_like
 
 
 def _residual_fn(f: TargetFunction, rho: LogDerivative, weighted: bool):
-    w, _, _ = _weight_fns(weighted)
+    w = _weight_fn(weighted)
 
     def r(x):
         return w(x) * (f.values_on(x) - rho.values_on(x))
@@ -218,11 +221,11 @@ def certify_optimality(
 class ApproxOptions:
     """Options of solve_best_ld.
 
-    ``starts`` counts Newton starts: start 0 is the Lawson fit, and starts
-    1, 2, ... perturb its poles by draws taken in order from
+    ``starts`` counts exchange starts: start 0 is the Lawson fit, and
+    starts 1, 2, ... perturb its poles by draws taken in order from
     ``default_rng(seed)``, so more starts never give a worse answer.  The
     Lawson fit and the sup-norm refinement use ``refine_grid`` points, and
-    Newton scans max(refine_grid, 4 grid + 1).
+    the exchange scans max(refine_grid, 4 grid + 1).
     """
 
     grid: int = 129
@@ -231,7 +234,6 @@ class ApproxOptions:
     tol: float = 1e-10
     weighted: bool = False
     fixed_pole: float | None = None
-    newton_max_iter: int = 40
     refine_grid: int = 513
 
 
@@ -247,19 +249,18 @@ class ApproxResult:
 
 
 def _cheb_basis(x, m: int):
-    """T_k^(j)(x) for k <= m (m >= 1) and j <= 3, shaped (4, points, m + 1).
+    """T_k(x) and T_k'(x) for k <= m (m >= 1), shaped (2, points, m + 1).
 
-    Differentiating T_{k+1} = 2x T_k - T_{k-1} j times gives the recurrence
-    T_{k+1}^(j) = 2x T_k^(j) + 2j T_k^(j-1) - T_{k-1}^(j).
+    Differentiating T_{k+1} = 2x T_k - T_{k-1} gives the recurrence
+    T_{k+1}' = 2x T_k' + 2 T_k - T_{k-1}'.
     """
     x = np.asarray(x, dtype=float).ravel()
-    t = np.zeros((m + 1, 4, x.size))
+    t = np.zeros((m + 1, 2, x.size))
     t[0, 0] = 1.0
     t[1, 0], t[1, 1] = x, 1.0
-    two_j = np.array([[2.0], [4.0], [6.0]])
     for k in range(1, m):
         t[k + 1] = 2.0 * x * t[k] - t[k - 1]
-        t[k + 1, 1:] += two_j * t[k, :3]
+        t[k + 1, 1] += 2.0 * t[k, 0]
     return t.transpose(1, 2, 0)
 
 
@@ -276,27 +277,22 @@ def _coef_from_poles(poles) -> np.ndarray:
 
 
 def _rho_from_coef(coef, x, fixed_pole: float | None, grad: bool = False):
-    """rho = P'/P, plus 1/(x - a) for a fixed pole a, with rho' and rho''
-    at the points x, for P = sum_k coef_k T_k; or None where P = 0 or a
-    value is not finite.
+    """[rho] at the points x, for rho = P'/P plus 1/(x - a) for a fixed
+    pole a and P = sum_k coef_k T_k; or None where P = 0 or a value is not
+    finite.
 
-    With ``grad``, also d(rho)/dc_k and d(rho')/dc_k for the free
-    coefficients c_k (all but the leading one), shaped (points, m).  With
-    q_j = P^(j)/P: rho = q_1, rho' = q_2 - q_1^2, rho'' = q_3 - 3 q_1 q_2 +
-    2 q_1^3 and dq_j/dc_k = (T_k^(j) - q_j T_k)/P.
+    With ``grad``, [rho, d(rho)/dc_k] for the free coefficients c_k (all
+    but the leading one), the gradient shaped (points, m):
+    d(rho)/dc_k = (T_k' - (P'/P) T_k)/P.
     """
     t = _cheb_basis(x, len(coef) - 1)
     with np.errstate(all="ignore"):
-        p, p1, p2, p3 = t @ coef
-        q1, q2, q3 = p1 / p, p2 / p, p3 / p
-        out = [q1, q2 - q1 * q1, q3 - q1 * (3.0 * q2 - 2.0 * q1 * q1)]
-        if fixed_pole is not None:
-            d = 1.0 / (x - fixed_pole)
-            out = [out[0] + d, out[1] - d * d, out[2] + 2.0 * d * d * d]
+        p, p1 = t @ coef
+        q1 = p1 / p
+        out = [q1 if fixed_pole is None else q1 + 1.0 / (x - fixed_pole)]
         if grad:
-            t0, t1, t2 = t[:3, :, :-1]
-            g = (t1 - q1[:, None] * t0) / p[:, None]
-            out += [g, (t2 - q2[:, None] * t0) / p[:, None] - 2.0 * q1[:, None] * g]
+            t0, t1 = t[:, :, :-1]
+            out.append((t1 - q1[:, None] * t0) / p[:, None])
     return out if all(np.isfinite(a).all() for a in out) else None
 
 
@@ -308,6 +304,9 @@ _LAWSON_STALL_ITER = 40
 _LAWSON_STALL_RTOL = 1e-3
 # standard deviation of the pole-coordinate perturbations of starts 1, 2, ...
 _PERTURB_SIGMA = 0.3
+# cap on the exchange steps of one start, and on the Newton steps of one
+# level solve
+_MAX_ITER = 40
 
 
 def _lawson_fit(x, g, w, m: int, cfg: Config):
@@ -361,19 +360,6 @@ def _perturbed_poles(poles, d) -> list[complex]:
     return out
 
 
-def _fd_derivs(f: TargetFunction, ts: np.ndarray):
-    """Finite-difference f' and f'' at the points ts of [-1, 1], on stencils
-    clamped to [-1, 1] (one-sided at the ends for f', shifted inward for f''),
-    so the target is never evaluated outside it."""
-    h1, h2 = 1e-6, 1e-5
-    lo, hi = np.maximum(ts - h1, -1.0), np.minimum(ts + h1, 1.0)
-    fp = (f.values_on(hi) - f.values_on(lo)) / (hi - lo)
-    mid = np.clip(ts, -1.0 + h2, 1.0 - h2)
-    lo, hi = np.maximum(mid - h2, -1.0), np.minimum(mid + h2, 1.0)
-    fl, fm, fh = f.values_on(lo), f.values_on(mid), f.values_on(hi)
-    return fp, 2.0 * ((fh - fm) / (hi - mid) - (fm - fl) / (mid - lo)) / (hi - lo)
-
-
 def _best_window(alt, m):
     """The length-m window of the alternating extrema ``alt`` whose smallest
     magnitude is largest (the first on ties), or None when len(alt) < m."""
@@ -386,108 +372,98 @@ def _best_window(alt, m):
     return best
 
 
-def _newton_equioscillate(coef, f: TargetFunction, opts: ApproxOptions, scale: float,
-                          cfg: Config):
-    """Damped Newton solve of the equioscillation system in (c, t, h), where
-    c are the free Chebyshev coefficients of P (rho = P'/P, plus the fixed
-    pole if any).
+def _solve_levels(coef, ts, ft, wt, signs, h: float, fixed_pole: float | None):
+    """Damped Newton solve of the level equations wt (ft - rho(ts)) = signs h
+    for (c, h), the free coefficients of P and the level, from (coef, h).
 
-    Levels: R(t_i) = sigma*(-1)^i h for all m = dim+1 points; stationarity
-    R'(t_i) = 0 at interior points.  Boundary points (unweighted runs only)
-    keep their level equation but are not unknowns.  Returns the improved
-    coefficients or None when the structure is not there.
+    A trial step with P = 0 or a non-finite rho is rejected.  The solve
+    stops once the residual is within a relative 1e-13 of h, or once no
+    step lowers it.
     """
-    w, wp, wpp = _weight_fns(opts.weighted)
-    fixed = () if opts.fixed_pole is None else (complex(opts.fixed_pole),)
-    rho0 = LogDerivative(fixed + _cheb_poles(coef))
-    if rho0.has_pole_on_segment(cfg=cfg):
-        return None
-    r_fn = _residual_fn(f, rho0, opts.weighted)
-    grid = chebyshev_points(max(opts.refine_grid, 4 * opts.grid + 1))
-    ext = local_extrema(r_fn, grid, cfg.supnorm_xtol)
-    if opts.weighted:
-        ext = [(x, v) for x, v in ext if abs(x) < 1.0 - 1e-9]
     dim = len(coef) - 1
-    m_levels = dim + 1
-    window = _best_window(_alternating_subsequence(ext), m_levels)
-    if window is None:
-        return None
-    ts = np.array([x for x, _ in window])
-    sigma = math.copysign(1.0, window[0][1])
-    signs = sigma * (-1.0) ** np.arange(m_levels)
-    idx = np.flatnonzero(np.abs(ts) < 1.0 - 1e-11)  # interior points
-    k = idx.size
-    h = float(np.mean([abs(v) for _, v in window]))
-
-    def residuals(c, t, grad=False):
-        """R = w (f - rho) and R' at t, then f - rho, f' - rho', f'' and the
-        _rho_from_coef values; None where those are not finite."""
-        ev = _rho_from_coef(c, t, opts.fixed_pole, grad)
+    tol = 1e-13 * h
+    for _ in range(_MAX_ITER):
+        ev = _rho_from_coef(coef, ts, fixed_pole, grad=True)
         if ev is None:
-            return None
-        fp, fpp = _fd_derivs(f, t)
-        res, resp = f.values_on(t) - ev[0], fp - ev[1]
-        return w(t) * res, wp(t) * res + w(t) * resp, res, resp, fpp, ev
-
-    coef = np.array(coef, dtype=float)
-    for _ in range(opts.newton_max_iter):
-        rows = residuals(coef, ts, grad=True)
-        if rows is None:
             break
-        big_r, big_rp, res, resp, fpp, (_, _, rhopp, grad, gradp) = rows
-        wv, wpv = w(ts), wp(ts)
-        F = np.concatenate([big_r - signs * h, big_rp[idx]])
-        J = np.zeros((m_levels + k, dim + k + 1))
-        # level equations
-        J[:m_levels, :dim] = -wv[:, None] * grad
-        J[idx, dim + np.arange(k)] = big_rp[idx]
-        J[:m_levels, dim + k] = -signs
-        # stationarity equations at interior points
-        big_rpp = wpp(ts) * res + 2.0 * wpv * resp + wv * (fpp - rhopp)
-        J[m_levels:, :dim] = -(wpv[:, None] * grad + wv[:, None] * gradp)[idx]
-        J[m_levels + np.arange(k), dim + np.arange(k)] = big_rpp[idx]
-
+        F = wt * (ft - ev[0]) - signs * h
         fnorm = float(np.max(np.abs(F)))
-        if fnorm <= 1e-13 * max(1.0, abs(h), scale):
+        if fnorm <= tol:
             break
         try:
-            delta = np.linalg.solve(J, -F)
+            delta = np.linalg.solve(np.column_stack([-wt[:, None] * ev[1], -signs]), -F)
         except np.linalg.LinAlgError:
-            return None
+            break
         if not np.all(np.isfinite(delta)):
-            return None
-
-        # backtrack; a trial step with P = 0 or a non-finite rho is rejected
+            break
         for step in (1.0, 0.5, 0.25, 0.125, 0.0625):
             cnew = coef.copy()
             cnew[:dim] += step * delta[:dim]
-            tnew = ts.copy()
-            tnew[idx] = np.clip(ts[idx] + step * delta[dim : dim + k], -1.0 + 1e-12, 1.0 - 1e-12)
-            hnew = h + step * delta[dim + k]
-            if np.any(np.diff(tnew) <= 0.0):
-                continue
-            rows = residuals(cnew, tnew)
-            if rows is None:
-                continue
-            fn = np.concatenate([rows[0] - signs * hnew, rows[1][idx]])
-            if float(np.max(np.abs(fn))) < fnorm:
-                coef, ts, h = cnew, tnew, hnew
+            hnew = h + step * delta[dim]
+            ev = _rho_from_coef(cnew, ts, fixed_pole)
+            if ev is not None and float(np.max(np.abs(wt * (ft - ev[0]) - signs * hnew))) < fnorm:
+                coef, h = cnew, hnew
                 break
         else:
-            # no step lowers F, whose stationarity rows carry the noise of
-            # _fd_derivs: settle the levels at the current t and stop
-            try:
-                dl = np.linalg.solve(J[:m_levels, np.r_[:dim, dim + k]], -F[:m_levels])
-            except np.linalg.LinAlgError:
-                break
-            cnew = coef.copy()
-            cnew[:dim] += dl[:dim]
-            rows = residuals(cnew, ts)
-            if rows is not None and (np.max(np.abs(rows[0] - signs * (h + dl[-1])))
-                                     < np.max(np.abs(F[:m_levels]))):
-                coef = cnew
             break
     return coef
+
+
+def _exchange(coef, f: TargetFunction, opts: ApproxOptions, cfg: Config):
+    """Remez exchange on the free Chebyshev coefficients c of P (rho = P'/P,
+    plus the fixed pole if any), on a reference of m = len(coef) points.
+
+    Each step scans the local extrema of the residual w (f - rho) and takes
+    the reference t from their alternating window of m points whose
+    smallest magnitude is largest (_best_window).  It stops once that
+    smallest magnitude is within a relative 1e-12 of the scanned sup level,
+    or once the level no longer falls; otherwise it solves the level
+    equations w(t_i)(f(t_i) - rho(t_i)) = sigma (-1)^i h for (c, h) and
+    scans again.  Only target values are used.
+
+    Returns the coefficients of least scanned level, the number of level
+    solves and why the exchange stopped; or None when the start itself has
+    a pole on [-1, 1] or no window.
+    """
+    w = _weight_fn(opts.weighted)
+    fixed = () if opts.fixed_pole is None else (complex(opts.fixed_pole),)
+    grid = chebyshev_points(max(opts.refine_grid, 4 * opts.grid + 1))
+    m = len(coef)
+    coef = np.array(coef, dtype=float)
+    best, steps = None, 0
+    while True:
+        rho = LogDerivative(fixed + _cheb_poles(coef))
+        if rho.has_pole_on_segment(cfg=cfg):
+            why = "pole on [-1, 1]"
+            break
+        ext = local_extrema(_residual_fn(f, rho, opts.weighted), grid, cfg.supnorm_xtol)
+        if opts.weighted:
+            ext = [(x, v) for x, v in ext if abs(x) < 1.0 - 1e-9]
+        level = max((abs(v) for _, v in ext), default=0.0)
+        window = _best_window(_alternating_subsequence(ext), m)
+        if best is None and window is None:
+            return None
+        if best is not None and level >= best[0]:
+            why = "level stopped falling"
+            break
+        best = (level, coef)
+        if window is None:
+            why = "no alternating window"
+            break
+        if min(abs(v) for _, v in window) >= (1.0 - 1e-12) * level:
+            why = "equioscillated"
+            break
+        if steps == _MAX_ITER:
+            why = "step cap"
+            break
+        steps += 1
+        ts = np.array([x for x, _ in window])
+        signs = math.copysign(1.0, window[0][1]) * (-1.0) ** np.arange(m)
+        h = float(np.mean([abs(v) for _, v in window]))
+        coef = _solve_levels(coef, ts, f.values_on(ts), w(ts), signs, h, opts.fixed_pole)
+    if best is None:
+        return None
+    return best[1], steps, why
 
 
 def _refined_error(f: TargetFunction, rho: LogDerivative, weighted: bool, opts: ApproxOptions,
@@ -509,13 +485,14 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
     Phase 1 is one deterministic linearized Lawson fit of P'/P (see
     _lawson_fit; exact for representable targets), or, if it has no pole
     layout off the segment, P with the poles of the weighted extremal at
-    a = 2.  Phase 2 runs the damped-Newton equioscillation solve on P's
-    Chebyshev coefficients from that P (start 0) and from ``opts.starts`` - 1
-    seeded perturbations of its poles; a start that raises is discarded
-    with a diagnostic.  The least refined sup error among the
-    start layout, the fraction with all free poles far away and the Newton
-    outputs wins; it is certified through the alternance criterion and
-    bracketed from below by the de-la-Vallee-Poussin-style bound; the
+    a = 2.  Phase 2 runs the exchange (_exchange) on P's Chebyshev
+    coefficients from that P (start 0) and from ``opts.starts`` - 1 seeded
+    perturbations of its poles; each start that reaches a window reports
+    its exchange steps and why it stopped, and a start that raises is
+    discarded with a diagnostic.  The least refined sup error among the
+    start layout, the fraction with all free poles far away and the
+    exchange outputs wins; it is certified through the alternance criterion
+    and bracketed from below by the de-la-Vallee-Poussin-style bound; the
     relative bracket width is the gap.
 
     With ``opts.weighted`` the residual carries the sqrt(1-x^2) weight and
@@ -540,11 +517,10 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
 
     x = chebyshev_points(opts.refine_grid)
     fx = f.values_on(x)
-    scale = 1.0 + float(np.max(np.abs(fx)))
     fixed = () if opts.fixed_pole is None else (complex(opts.fixed_pole),)
     g = fx if opts.fixed_pole is None else fx - 1.0 / (x - opts.fixed_pole)
     try:
-        coef0, summary = _lawson_fit(x, g, _weight_fns(opts.weighted)[0](x), n_free, cfg)
+        coef0, summary = _lawson_fit(x, g, _weight_fn(opts.weighted)(x), n_free, cfg)
     except np.linalg.LinAlgError as exc:
         coef0, summary = None, f"lawson: {exc}"
     diagnostics: list[str] = [summary]
@@ -564,16 +540,19 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
         if start > 0:
             coef = _coef_from_poles(_perturbed_poles(poles, _PERTURB_SIGMA * rng.standard_normal(n_free)))
         try:
-            coef = _newton_equioscillate(coef, f, opts, scale, cfg)
+            out = _exchange(coef, f, opts, cfg)
         except (SimplefracError, np.linalg.LinAlgError) as exc:
             diagnostics.append(f"start {start}: {exc}; discarded")
             continue
-        if coef is None:
+        if out is None:
             no_window.append(str(start))
-        else:
-            candidates.append((f"start {start}", _project_poles(fixed + _cheb_poles(coef))))
+            continue
+        coef, steps, why = out
+        diagnostics.append(f"start {start}: {steps} exchange step{'' if steps == 1 else 's'}; {why}")
+        candidates.append((f"start {start}", _project_poles(fixed + _cheb_poles(coef))))
     if no_window:
-        diagnostics.append(f"starts {', '.join(no_window)}: no alternating window for Newton; discarded")
+        diagnostics.append(f"starts {', '.join(no_window)}: no alternating window for the exchange; "
+                           "discarded")
 
     best: tuple[float, LogDerivative, str] | None = None
     for label, cand in candidates:

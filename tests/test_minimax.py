@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -257,6 +258,33 @@ def test_solver_never_evaluates_target_off_segment(n):
     assert res.dvp_lower <= res.error
 
 
+def test_solver_cos5x_degree_3_is_certified():
+    # the fraction with far poles (error 1) once won here; the exchange from
+    # the Lawson start reaches the certified optimum, about 0.8774006
+    res = solve_best_ld(_zoo_target("cos5", 0), 3)
+    assert res.certified
+    assert res.error < 0.9
+
+
+def test_solver_reports_every_start():
+    # each start ends in one exchange line, in the aggregate no-window line
+    # or in a discard line, and identical runs give identical diagnostics
+    target = _zoo_target("cos5", 0)
+    res = solve_best_ld(target, 3, ApproxOptions(starts=8, seed=0))
+    assert res.diagnostics == solve_best_ld(target, 3, ApproxOptions(starts=8, seed=0)).diagnostics
+    seen = []
+    for d in res.diagnostics:
+        if m := re.fullmatch(r"start (\d+): \d+ exchange steps?; (equioscillated|level stopped "
+                             r"falling|pole on \[-1, 1\]|no alternating window|step cap)", d):
+            seen.append(int(m[1]))
+        elif m := re.fullmatch(r"starts ([\d, ]+): no alternating window for the exchange; discarded", d):
+            seen += [int(k) for k in m[1].split(", ")]
+        elif m := re.fullmatch(r"start (\d+): .*; discarded", d):
+            seen.append(int(m[1]))
+    assert sorted(seen) == list(range(8))
+    assert any("exchange step" in d for d in res.diagnostics)
+
+
 def _spline_target(seed):
     rng = np.random.default_rng(seed)
     xs = np.cos(np.pi * (np.arange(25) + np.r_[0.0, rng.uniform(-0.3, 0.3, 23), 0.0]) / 24)[::-1]
@@ -316,7 +344,7 @@ def test_solver_fixed_pole_zero_target_within_dvp_bracket(n, a):
     res = solve_best_ld(ZERO, n, ApproxOptions(fixed_pole=a))
     lower, upper, _ = dvp_bracket(FixedPoleClass(n, a))
     assert lower <= res.error * (1.0 + 1e-9)
-    assert res.error <= upper * (1.0 + 1e-6)
+    assert res.error <= upper * (1.0 + 1e-9)
 
 
 def _outside_poles(draw, n):
@@ -337,13 +365,13 @@ def known_answers(draw):
     return n, _outside_poles(draw, n), draw(st.sampled_from([n, n + 1]))
 
 
+@pytest.mark.parametrize("eps", [1e-3, 0.1])
 @settings(max_examples=24, deadline=None, derandomize=True)
 @given(case=known_answers())
-def test_solver_known_answers_from_alternance(case):
+def test_solver_known_answers_from_alternance(eps, case):
     # f - rho* = eps T_K alternates K + 1 >= n + 1 times at level eps, so rho*
     # is the unique best approximation and the least deviation is eps
     n, poles, k = case
-    eps = 1e-3
     spec = "ldcheb:" + ",".join(repr(z) for z in poles) + f":{eps!r}:{k}"
     res = solve_best_ld(parse_target(spec), n)
     assert res.dvp_lower <= eps * (1.0 + 1e-9)
@@ -363,25 +391,19 @@ def _close(got, want, rtol=1e-5):
 @given(data=st.data(), n=st.integers(1, 8), fixed=st.sampled_from([None, 2.5, -1.5]))
 def test_coefficient_evaluator_matches_poles_and_differences(data, n, fixed):
     # rho = P'/P (+ 1/(x - a)) from P's Chebyshev coefficients: rho against
-    # the pole sum, its x-derivatives and c-gradients against central
-    # differences
+    # the pole sum, its c-gradient against central differences
     poles = _outside_poles(data.draw, n)
     coef = _coef_from_poles(poles)
     x = np.linspace(-1.0, 1.0, 9)
-    rho, rhop, rhopp, grad, gradp = _rho_from_coef(coef, x, fixed, grad=True)
+    rho, grad = _rho_from_coef(coef, x, fixed, grad=True)
     assert _close(rho, LogDerivative(poles + ((fixed,) if fixed else ())).values_on(x), 1e-9)
-    hx = 1e-5
-    up, down = _rho_from_coef(coef, x + hx, fixed), _rho_from_coef(coef, x - hx, fixed)
-    assert _close(rhop, (up[0] - down[0]) / (2.0 * hx))
-    assert _close(rhopp, (up[1] - down[1]) / (2.0 * hx))
-    assert grad.shape == gradp.shape == (x.size, n)
+    assert grad.shape == (x.size, n)
     hc = 1e-6 * np.max(np.abs(coef))
     for k in range(n):
         step = np.zeros_like(coef)
         step[k] = hc
         up, down = _rho_from_coef(coef + step, x, fixed), _rho_from_coef(coef - step, x, fixed)
         assert _close(grad[:, k], (up[0] - down[0]) / (2.0 * hc))
-        assert _close(gradp[:, k], (up[1] - down[1]) / (2.0 * hc))
 
 
 def test_target_function_scalar_fallback():
