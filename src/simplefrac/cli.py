@@ -345,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed of the start perturbations")
     p.add_argument("--starts", type=int, default=8,
                    help="exchange starts: the Lawson fit, then seeded perturbations "
-                        "of its poles (more starts never give a worse answer)")
+                        "of its poles (more starts never give a worse answer; the starts "
+                        "after one that equioscillates with poles outside the closed unit "
+                        "disk are skipped, as that start is then the unique optimum)")
     p.add_argument("--grid", type=int, default=129)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--weighted", action="store_true")

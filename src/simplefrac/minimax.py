@@ -14,8 +14,10 @@ exchange is that criterion turned into an iteration: solve the level
 equations on an n+1 point reference, then move the reference to the new
 residual's extrema, with the safeguards of Filip, Nakatsukasa, Trefethen
 and Beckermann (SIAM J. Sci. Comput. 40, 2018): keep a step only if the
-sup level falls.  Outside those pole hypotheses best approximations can be
-non-unique, so uncertified results are labeled heuristic.
+sup level falls.  By the same criterion's uniqueness, once a start of the
+unweighted free-pole problem equioscillates with such poles, the later
+starts are skipped.  Outside those pole hypotheses best approximations can
+be non-unique, so uncertified results are labeled heuristic.
 
 A de-la-Vallee-Poussin-style lower bound derived from any n+1
 sign-alternating residual values brackets the achievable error and yields
@@ -93,6 +95,33 @@ def _alternating_subsequence(extrema):
     return chosen
 
 
+def _alternance_reports(f: TargetFunction, rho: LogDerivative, picks, weighted: bool = False,
+                        grid_points: int | None = None, *, cfg: Config) -> list[AlternanceReport]:
+    """One scan of the residual f - rho, and one report per (min_points,
+    level_rtol) pick in ``picks``; residual_alternance documents the scan
+    and a pick."""
+    if rho.has_pole_on_segment(cfg=cfg):
+        raise DomainError("fraction has a pole on [-1, 1]")
+    grid = _norm_grid(rho.degree, cfg, max(257, grid_points or 0))
+    extrema = local_extrema(_residual_fn(f, rho, weighted), grid, cfg.supnorm_xtol)
+    level = max((abs(v) for _, v in extrema), default=0.0)
+    if extrema and level <= cfg.degenerate_residual_tol * (1.0 + float(np.max(np.abs(f.values_on(grid))))):
+        extrema = []
+    reports = []
+    for min_points, level_rtol in picks:
+        pool = extrema
+        if level_rtol is not None:
+            pool = [(x, v) for x, v in extrema if abs(v) >= (1.0 - level_rtol) * level]
+        chosen = _alternating_subsequence(pool)
+        reports.append(AlternanceReport(
+            points=tuple(x for x, _ in chosen),
+            values=tuple(v for _, v in chosen),
+            level=level,
+            sign_pattern_ok=len(chosen) >= min_points,
+        ))
+    return reports
+
+
 def residual_alternance(
     f: TargetFunction,
     rho: LogDerivative,
@@ -117,27 +146,7 @@ def residual_alternance(
     """
     if min_points < 1:
         raise DomainError(f"min_points must be positive, got {min_points}")
-    if rho.has_pole_on_segment(cfg=cfg):
-        raise DomainError("fraction has a pole on [-1, 1]")
-    r = _residual_fn(f, rho, weighted)
-    grid = _norm_grid(rho.degree, cfg, max(257, grid_points or 0))
-    extrema = local_extrema(r, grid, cfg.supnorm_xtol)
-    if not extrema:
-        return AlternanceReport(points=(), values=(), level=0.0, sign_pattern_ok=False)
-    level = max(abs(v) for _, v in extrema)
-    scale = 1.0 + float(np.max(np.abs(f.values_on(grid))))
-    if level <= cfg.degenerate_residual_tol * scale:
-        return AlternanceReport(points=(), values=(), level=level, sign_pattern_ok=False)
-    pool = extrema
-    if level_rtol is not None:
-        pool = [(x, v) for x, v in extrema if abs(v) >= (1.0 - level_rtol) * level]
-    chosen = _alternating_subsequence(pool)
-    return AlternanceReport(
-        points=tuple(x for x, _ in chosen),
-        values=tuple(v for _, v in chosen),
-        level=level,
-        sign_pattern_ok=len(chosen) >= min_points,
-    )
+    return _alternance_reports(f, rho, [(min_points, level_rtol)], weighted, grid_points, cfg=cfg)[0]
 
 
 def _check_pole_hypotheses(rho: LogDerivative, cfg: Config) -> list[str]:
@@ -152,6 +161,21 @@ def _check_pole_hypotheses(rho: LogDerivative, cfg: Config) -> list[str]:
     if min_abs <= 1.0:
         reasons.append(f"|z_k| <= 1 for some pole (min |z_k| = {min_abs:.6f})")
     return reasons
+
+
+def _lower_bound(hyp: list[str], rep: AlternanceReport | None, need: int) -> float:
+    """The smallest magnitude of the best window of ``need`` alternating
+    extrema (_best_window) in the report ``rep``; raises on the
+    pole-hypothesis faults ``hyp`` (rep is then unused) or when rep has
+    fewer extrema."""
+    if hyp:
+        raise DomainError("; ".join(hyp))
+    window = _best_window(list(zip(rep.points, rep.values)), need)
+    if window is None:
+        raise DomainError(
+            f"residual shows only {len(rep.values)} alternating points; need {need}"
+        )
+    return min(abs(v) for _, v in window)
 
 
 def dvp_lower_bound(f: TargetFunction, rho: LogDerivative, weighted: bool = False, *,
@@ -170,21 +194,22 @@ def dvp_lower_bound(f: TargetFunction, rho: LogDerivative, weighted: bool = Fals
     """
     need = rho.degree + (1 if free else 0)
     hyp = _check_pole_hypotheses(rho, cfg)
-    if hyp:
-        raise DomainError("; ".join(hyp))
-    rep = residual_alternance(f, rho, min_points=need, weighted=weighted, cfg=cfg)
-    window = _best_window(list(zip(rep.points, rep.values)), need)
-    if window is None:
-        raise DomainError(
-            f"residual shows only {len(rep.values)} alternating points; need {need}"
-        )
-    return min(abs(v) for _, v in window)
+    rep = None if hyp else _alternance_reports(f, rho, [(need, None)], weighted, cfg=cfg)[0]
+    return _lower_bound(hyp, rep, need)
 
 
 @dataclass(frozen=True)
 class CertificateReport:
     certified: bool
     reasons: tuple[str, ...]
+
+
+def _certificate(hyp: list[str], rep: AlternanceReport, need: int) -> CertificateReport:
+    """The certificate from the pole-hypothesis faults ``hyp`` and the
+    near-level report ``rep`` of the residual."""
+    if not rep.sign_pattern_ok:
+        hyp = hyp + [f"found {len(rep.points)} near-level alternating extrema; need {need}"]
+    return CertificateReport(certified=not hyp, reasons=tuple(hyp))
 
 
 def certify_optimality(
@@ -203,18 +228,13 @@ def certify_optimality(
     sufficient, and the certified fraction is the unique optimum; without
     them best approximations can be non-unique and nothing is claimed.
     """
-    reasons = _check_pole_hypotheses(rho, cfg)
+    hyp = _check_pole_hypotheses(rho, cfg)
+    need = rho.degree + 1
     try:
-        rep = residual_alternance(f, rho, min_points=rho.degree + 1,
-                                  level_rtol=cfg.certify_level_rtol, cfg=cfg)
-        if not rep.sign_pattern_ok:
-            reasons.append(
-                f"found {len(rep.points)} near-level alternating extrema; "
-                f"need {rho.degree + 1}"
-            )
+        rep = _alternance_reports(f, rho, [(need, cfg.certify_level_rtol)], cfg=cfg)[0]
     except DomainError as exc:
-        reasons.append(str(exc))
-    return CertificateReport(certified=not reasons, reasons=tuple(reasons))
+        return CertificateReport(certified=False, reasons=tuple(hyp + [str(exc)]))
+    return _certificate(hyp, rep, need)
 
 
 @dataclass(frozen=True)
@@ -223,7 +243,10 @@ class ApproxOptions:
 
     ``starts`` counts exchange starts: start 0 is the Lawson fit, and
     starts 1, 2, ... perturb its poles by draws taken in order from
-    ``default_rng(seed)``, so more starts never give a worse answer.  The
+    ``default_rng(seed)``, so more starts never give a worse answer.  In the
+    unweighted free-pole problem the starts after one that equioscillates
+    with pairwise-distinct poles outside the closed unit disk are skipped:
+    the alternance criterion makes that start the unique optimum.  The
     Lawson fit and the sup-norm refinement use ``refine_grid`` points, and
     the exchange scans max(refine_grid, 4 grid + 1).
     """
@@ -473,11 +496,6 @@ def _refined_error(f: TargetFunction, rho: LogDerivative, weighted: bool, opts: 
     return supremum_on_grid(lambda x: np.abs(r_fn(x)), grid, min(opts.tol, cfg.supnorm_xtol))[0]
 
 
-def _project_poles(poles) -> tuple[complex, ...]:
-    """Hard projection: push any non-real pole with |z| <= 1 just outside the disk."""
-    return tuple(z / abs(z) * (1.0 + 1e-9) if abs(z) <= 1.0 and z.imag != 0.0 else z for z in poles)
-
-
 def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, *,
                   cfg: Config = DEFAULTS) -> ApproxResult:
     """Approximate f on [-1, 1] by a degree-n logarithmic derivative.
@@ -489,11 +507,15 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
     coefficients from that P (start 0) and from ``opts.starts`` - 1 seeded
     perturbations of its poles; each start that reaches a window reports
     its exchange steps and why it stopped, and a start that raises is
-    discarded with a diagnostic.  The least refined sup error among the
-    start layout, the fraction with all free poles far away and the
-    exchange outputs wins; it is certified through the alternance criterion
-    and bracketed from below by the de-la-Vallee-Poussin-style bound; the
-    relative bracket width is the gap.
+    discarded with a diagnostic.  In the unweighted free-pole problem, a
+    start that equioscillates with poles meeting the certificate's
+    hypotheses (_check_pole_hypotheses) is the unique optimum by the
+    alternance criterion, so the later starts are skipped, with one
+    diagnostic naming them.  The least refined sup error among the start
+    layout, the fraction with all free poles far away and the exchange
+    outputs, as the exchange left them, wins; one residual scan of it gives
+    the alternance certificate and the de-la-Vallee-Poussin-style lower
+    bound; the relative bracket width is the gap.
 
     With ``opts.weighted`` the residual carries the sqrt(1-x^2) weight and
     ``opts.fixed_pole`` pins one real pole; the optimality certificate and
@@ -514,6 +536,7 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
         raise DomainError(f"grid too small: {opts.grid}")
     if opts.starts < 1:
         raise DomainError(f"need at least one start, got {opts.starts}")
+    free = not opts.weighted and opts.fixed_pole is None
 
     x = chebyshev_points(opts.refine_grid)
     fx = f.values_on(x)
@@ -534,7 +557,7 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
     far = tuple(complex((-1.0) ** k * (1.0 + math.exp(40.0))) for k in range(n_free))
     candidates = [("far poles", fixed + far), ("start layout", fixed + poles)]
     rng = np.random.default_rng(opts.seed)
-    no_window = []
+    no_window, skipped = [], range(0)
     for start in range(opts.starts):
         coef = coef0
         if start > 0:
@@ -549,10 +572,18 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
             continue
         coef, steps, why = out
         diagnostics.append(f"start {start}: {steps} exchange step{'' if steps == 1 else 's'}; {why}")
-        candidates.append((f"start {start}", _project_poles(fixed + _cheb_poles(coef))))
+        cand = fixed + _cheb_poles(coef)
+        candidates.append((f"start {start}", cand))
+        # the alternance criterion makes this start the unique optimum
+        if why == "equioscillated" and free and not _check_pole_hypotheses(LogDerivative(cand), cfg):
+            skipped = range(start + 1, opts.starts)
+            break
     if no_window:
         diagnostics.append(f"starts {', '.join(no_window)}: no alternating window for the exchange; "
                            "discarded")
+    if skipped:
+        diagnostics.append(f"starts {', '.join(map(str, skipped))}: skipped; start {skipped.start - 1} "
+                           "equioscillates with poles outside the closed unit disk")
 
     best: tuple[float, LogDerivative, str] | None = None
     for label, cand in candidates:
@@ -578,17 +609,20 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
 
     certified = False
     dvp = 0.0
-    if opts.weighted or opts.fixed_pole is not None:
+    if not free:
         diagnostics.append(
             "certificate and lower bound apply to the unweighted free-pole "
             "problem only; result labeled heuristic"
         )
     else:
-        cert = certify_optimality(f, rho, cfg=cfg)
+        # certify_optimality and dvp_lower_bound(free=True), from one scan
+        hyp = _check_pole_hypotheses(rho, cfg)
+        near, alt = _alternance_reports(f, rho, [(n + 1, cfg.certify_level_rtol), (n + 1, None)], cfg=cfg)
+        cert = _certificate(hyp, near, n + 1)
         certified = cert.certified
         diagnostics.extend(cert.reasons)
         try:
-            dvp = dvp_lower_bound(f, rho, free=True, cfg=cfg)
+            dvp = _lower_bound(hyp, alt, n + 1)
         except DomainError as exc:
             diagnostics.append(f"lower bound unavailable: {exc}")
     if not certified:

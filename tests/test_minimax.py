@@ -266,14 +266,11 @@ def test_solver_cos5x_degree_3_is_certified():
     assert res.error < 0.9
 
 
-def test_solver_reports_every_start():
-    # each start ends in one exchange line, in the aggregate no-window line
-    # or in a discard line, and identical runs give identical diagnostics
-    target = _zoo_target("cos5", 0)
-    res = solve_best_ld(target, 3, ApproxOptions(starts=8, seed=0))
-    assert res.diagnostics == solve_best_ld(target, 3, ApproxOptions(starts=8, seed=0)).diagnostics
+def _starts_seen(diagnostics):
+    # the starts a run accounts for: its exchange lines, the aggregate
+    # no-window line, the discard lines and the skip line
     seen = []
-    for d in res.diagnostics:
+    for d in diagnostics:
         if m := re.fullmatch(r"start (\d+): \d+ exchange steps?; (equioscillated|level stopped "
                              r"falling|pole on \[-1, 1\]|no alternating window|step cap)", d):
             seen.append(int(m[1]))
@@ -281,8 +278,85 @@ def test_solver_reports_every_start():
             seen += [int(k) for k in m[1].split(", ")]
         elif m := re.fullmatch(r"start (\d+): .*; discarded", d):
             seen.append(int(m[1]))
-    assert sorted(seen) == list(range(8))
+        elif m := re.fullmatch(r"starts ([\d, ]+): skipped; start \d+ equioscillates with poles "
+                               r"outside the closed unit disk", d):
+            seen += [int(k) for k in m[1].split(", ")]
+    return sorted(seen)
+
+
+def test_solver_reports_every_start():
+    # each start ends in one exchange line, in the aggregate no-window line,
+    # in a discard line or in the skip line, and identical runs give
+    # identical diagnostics
+    target = _zoo_target("cos5", 0)
+    res = solve_best_ld(target, 3, ApproxOptions(starts=8, seed=0))
+    assert res.diagnostics == solve_best_ld(target, 3, ApproxOptions(starts=8, seed=0)).diagnostics
+    assert _starts_seen(res.diagnostics) == list(range(8))
     assert any("exchange step" in d for d in res.diagnostics)
+
+
+def test_solver_stops_at_a_start_that_meets_the_criterion():
+    # start 0 equioscillates with poles outside the closed unit disk, so it
+    # is the unique optimum and the seven later starts cannot improve on it
+    target = _zoo_target("cos5", 0)
+    one = solve_best_ld(target, 3, ApproxOptions(starts=1))
+    eight = solve_best_ld(target, 3, ApproxOptions(starts=8))
+    assert eight.rho.poles == one.rho.poles
+    assert eight.error == one.error
+    assert eight.certified and one.certified
+    assert ("starts 1, 2, 3, 4, 5, 6, 7: skipped; start 0 equioscillates with poles outside "
+            "the closed unit disk") in eight.diagnostics
+
+
+def test_solver_does_not_stop_at_a_pole_inside_the_disk():
+    # e^x at n = 3: the starts equioscillate, but with a pole pair inside
+    # the disk, where the criterion says nothing
+    res = solve_best_ld(_zoo_target("exp", 0), 3)
+    assert not any("skipped" in d for d in res.diagnostics)
+    assert sum("equioscillated" in d for d in res.diagnostics) > 1
+    assert min(abs(z) for z in res.rho.poles) < 1.0
+    assert _starts_seen(res.diagnostics) == list(range(8))
+
+
+@pytest.mark.parametrize("name, n, opts", [("sqrt1px", 3, {"weighted": True}),
+                                           ("cos5", 2, {"fixed_pole": 3.0})])
+def test_solver_weighted_and_fixed_pole_runs_never_stop_early(name, n, opts):
+    # start 0 alone equioscillates and wins with poles outside the closed
+    # unit disk, yet the criterion is for the unweighted free-pole problem
+    target = _zoo_target(name, 0)
+    one = solve_best_ld(target, n, ApproxOptions(starts=1, **opts))
+    assert "best: start 0" in one.diagnostics
+    assert one.diagnostics[1].startswith("start 0: ") and one.diagnostics[1].endswith("equioscillated")
+    assert min(abs(z) for z in one.rho.poles) > 1.0
+    res = solve_best_ld(target, n, ApproxOptions(starts=8, **opts))
+    assert not any("skipped" in d for d in res.diagnostics)
+    assert _starts_seen(res.diagnostics) == list(range(8))
+
+
+@pytest.mark.parametrize("name, n, bound", [("exp", 6, 0.05623), ("cos5", 6, 0.3)])
+def test_solver_keeps_exchange_poles_inside_the_disk(name, n, bound):
+    # an exchange output with poles inside the disk once had them pushed to
+    # |z| = 1 + 1e-9 before the pick, which raised e^x's error at n = 6
+    # from 0.0562216 to 0.168 and cos 5x's from 0.284 to 0.572
+    assert solve_best_ld(_zoo_target(name, 0), n).error < bound
+
+
+@pytest.mark.parametrize("name, n", [("cos5", 3), ("exp", 3), ("abs", 4), ("sqrt1px", 6),
+                                     ("spline", 3), ("ldcheb:2,-2:1e-3:3", 2)])
+def test_solver_certificate_and_bound_match_the_public_checks(name, n):
+    # the solver feeds both from one residual scan; on their own,
+    # certify_optimality and dvp_lower_bound must agree with it exactly
+    target = _zoo_target(name, 1)
+    res = solve_best_ld(target, n)
+    cert = certify_optimality(target, res.rho)
+    assert res.certified == cert.certified
+    i = next(k for k, d in enumerate(res.diagnostics) if d.startswith("best: ")) + 1
+    assert res.diagnostics[i : i + len(cert.reasons)] == cert.reasons
+    try:
+        assert res.dvp_lower == dvp_lower_bound(target, res.rho, free=True)
+    except DomainError as exc:
+        assert res.dvp_lower == 0.0
+        assert f"lower bound unavailable: {exc}" in res.diagnostics
 
 
 def _spline_target(seed):
