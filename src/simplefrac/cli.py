@@ -178,18 +178,15 @@ def _cmd_komarov(args, cfg: Config) -> tuple[RunReport, int]:
 def _cmd_approx(args, cfg: Config) -> tuple[RunReport, int]:
     target = parse_target(args.target)
     opts = mx.ApproxOptions(
-        grid=args.grid,
         starts=args.starts,
         seed=args.seed,
-        tol=args.tol,
         weighted=args.weighted,
         fixed_pole=args.fixed_pole,
     )
     result = mx.solve_best_ld(target, args.n, opts, cfg=cfg)
     rep = RunReport(command="approx", inputs={
         "target": args.target, "n": args.n, "seed": args.seed,
-        "starts": args.starts, "grid": args.grid, "tol": args.tol,
-        "weighted": args.weighted,
+        "starts": args.starts, "weighted": args.weighted,
         "fixed_pole": args.fixed_pole,
         "require_certificate": bool(args.require_certificate),
     })
@@ -345,15 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed of the start perturbations")
     p.add_argument("--starts", type=int, default=8,
                    help="exchange starts: the Lawson fit, then seeded perturbations "
-                        "of its poles (more starts never give a worse answer; the starts "
-                        "after one that equioscillates with poles outside the closed unit "
-                        "disk are skipped, as that start is then the unique optimum)")
-    p.add_argument("--grid", type=int, default=129)
-    p.add_argument("--tol", type=float, default=1e-10)
+                        "of its poles; each start, one with no alternating window "
+                        "included, competes with what its exchange kept (more starts never "
+                        "give a worse answer; the starts after one that equioscillates with "
+                        "poles outside the closed unit disk are skipped, as that start is "
+                        "then the unique optimum)")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--fixed-pole", type=float, default=None, dest="fixed_pole")
     p.add_argument("--require-certificate", action="store_true")
-    common(p, _cmd_approx)
+    common(p, _cmd_approx, "supnorm_xtol")
 
     p = sub.add_parser("bernstein", help="derivative lower bounds on rooted polynomials")
     p.add_argument("--n", type=int, required=True)

@@ -22,6 +22,14 @@ be non-unique, so uncertified results are labeled heuristic.
 A de-la-Vallee-Poussin-style lower bound derived from any n+1
 sign-alternating residual values brackets the achievable error and yields
 the reported gap.
+
+One residual scan serves everything: _scan finds the refined local extrema
+of the residual on one grid, and _pick reads an alternance report off
+them.  The solver scans each fraction it considers once, the exchange's
+own scan of each iterate included, and takes the error, the pick, the
+alternance, the certificate and the bound from those scans;
+residual_alternance, certify_optimality and dvp_lower_bound make the same
+scan on the same grid.
 """
 
 from __future__ import annotations
@@ -32,10 +40,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import local_extrema, supremum_on_grid
+from ._optim import local_extrema
 from .cheb import chebyshev_points
 from .config import DEFAULTS, Config
-from .errors import DomainError, SimplefracError, ToleranceNotMetError
+from .errors import DomainError, SimplefracError
 from .extremal import (AlternanceReport, FixedPoleClass, LogDerivative, _min_pole_separation,
                        _norm_grid, _on_segment, _weight, build_extremal_weighted)
 
@@ -95,31 +103,53 @@ def _alternating_subsequence(extrema):
     return chosen
 
 
-def _alternance_reports(f: TargetFunction, rho: LogDerivative, picks, weighted: bool = False,
-                        grid_points: int | None = None, *, cfg: Config) -> list[AlternanceReport]:
-    """One scan of the residual f - rho, and one report per (min_points,
-    level_rtol) pick in ``picks``; residual_alternance documents the scan
-    and a pick."""
+# points of the Lawson grid, and the floor of the residual scan grid
+_GRID = 513
+
+
+def _scan(f: TargetFunction, rho: LogDerivative, weighted: bool, cfg: Config):
+    """The one residual scan: the local extrema (x, value) of w (f - rho),
+    located on _norm_grid(n, cfg, _GRID) for rho of degree n and refined by
+    golden section to cfg.supnorm_xtol.  Raises DomainError when rho has a
+    pole on [-1, 1]."""
     if rho.has_pole_on_segment(cfg=cfg):
         raise DomainError("fraction has a pole on [-1, 1]")
-    grid = _norm_grid(rho.degree, cfg, max(257, grid_points or 0))
-    extrema = local_extrema(_residual_fn(f, rho, weighted), grid, cfg.supnorm_xtol)
-    level = max((abs(v) for _, v in extrema), default=0.0)
-    if extrema and level <= cfg.degenerate_residual_tol * (1.0 + float(np.max(np.abs(f.values_on(grid))))):
+    return local_extrema(_residual_fn(f, rho, weighted), _norm_grid(rho.degree, cfg, _GRID),
+                         cfg.supnorm_xtol)
+
+
+def _level(extrema) -> float:
+    """The sup level of a scan: its largest extremum magnitude."""
+    return max((abs(v) for _, v in extrema), default=0.0)
+
+
+def _f_max(f: TargetFunction, degree: int, cfg: Config) -> float:
+    """max |f| on the scan grid of a degree-``degree`` fraction."""
+    return float(np.max(np.abs(f.values_on(_norm_grid(degree, cfg, _GRID)))))
+
+
+def _pick(extrema, f_max: float, min_points: int, level_rtol: float | None,
+          cfg: Config) -> AlternanceReport:
+    """The report of one scan: residual_alternance documents the pick;
+    ``f_max`` (_f_max) scales the degenerate-residual rule."""
+    level = _level(extrema)
+    if level <= cfg.degenerate_residual_tol * (1.0 + f_max):
         extrema = []
-    reports = []
-    for min_points, level_rtol in picks:
-        pool = extrema
-        if level_rtol is not None:
-            pool = [(x, v) for x, v in extrema if abs(v) >= (1.0 - level_rtol) * level]
-        chosen = _alternating_subsequence(pool)
-        reports.append(AlternanceReport(
-            points=tuple(x for x, _ in chosen),
-            values=tuple(v for _, v in chosen),
-            level=level,
-            sign_pattern_ok=len(chosen) >= min_points,
-        ))
-    return reports
+    if level_rtol is not None:
+        extrema = [(x, v) for x, v in extrema if abs(v) >= (1.0 - level_rtol) * level]
+    chosen = _alternating_subsequence(extrema)
+    return AlternanceReport(
+        points=tuple(x for x, _ in chosen),
+        values=tuple(v for _, v in chosen),
+        level=level,
+        sign_pattern_ok=len(chosen) >= min_points,
+    )
+
+
+def _report(f: TargetFunction, rho: LogDerivative, min_points: int, level_rtol: float | None,
+            weighted: bool, cfg: Config) -> AlternanceReport:
+    """One scan of the residual f - rho, and one pick from it."""
+    return _pick(_scan(f, rho, weighted, cfg), _f_max(f, rho.degree, cfg), min_points, level_rtol, cfg)
 
 
 def residual_alternance(
@@ -128,25 +158,24 @@ def residual_alternance(
     min_points: int,
     weighted: bool = False,
     level_rtol: float | None = None,
-    grid_points: int | None = None,
     *,
     cfg: Config = DEFAULTS,
 ) -> AlternanceReport:
     """Sign-alternating extrema of the residual f - rho.
 
-    Local extrema are located on a dense Chebyshev grid (at least 257 points
-    and 30 per unit degree; raise ``grid_points`` for targets with finer
-    structure) and refined by golden section to cfg.supnorm_xtol; the
-    report carries the longest
-    sign-alternating subsequence and the sup-norm level.  With ``level_rtol``
-    set, only extrema within that relative distance of the sup norm
-    participate (the equioscillation-certificate reading); by default every
-    alternating extremum counts.  A residual indistinguishable from zero
-    yields an empty report with sign_pattern_ok False.
+    Local extrema are located on the solver's scan grid (a Chebyshev grid of
+    at least 513 points and cfg.supnorm_grid_per_degree per unit degree)
+    and refined by golden section to cfg.supnorm_xtol; the report carries
+    the longest sign-alternating subsequence and the sup-norm level.  With
+    ``level_rtol`` set, only extrema within that relative distance of the
+    sup norm participate (the equioscillation-certificate reading); by
+    default every alternating extremum counts.  A residual indistinguishable
+    from zero (level at most cfg.degenerate_residual_tol times 1 + max |f|
+    on the grid) yields an empty report with sign_pattern_ok False.
     """
     if min_points < 1:
         raise DomainError(f"min_points must be positive, got {min_points}")
-    return _alternance_reports(f, rho, [(min_points, level_rtol)], weighted, grid_points, cfg=cfg)[0]
+    return _report(f, rho, min_points, level_rtol, weighted, cfg)
 
 
 def _check_pole_hypotheses(rho: LogDerivative, cfg: Config) -> list[str]:
@@ -194,7 +223,7 @@ def dvp_lower_bound(f: TargetFunction, rho: LogDerivative, weighted: bool = Fals
     """
     need = rho.degree + (1 if free else 0)
     hyp = _check_pole_hypotheses(rho, cfg)
-    rep = None if hyp else _alternance_reports(f, rho, [(need, None)], weighted, cfg=cfg)[0]
+    rep = None if hyp else _report(f, rho, need, None, weighted, cfg)
     return _lower_bound(hyp, rep, need)
 
 
@@ -231,7 +260,7 @@ def certify_optimality(
     hyp = _check_pole_hypotheses(rho, cfg)
     need = rho.degree + 1
     try:
-        rep = _alternance_reports(f, rho, [(need, cfg.certify_level_rtol)], cfg=cfg)[0]
+        rep = _report(f, rho, need, cfg.certify_level_rtol, False, cfg)
     except DomainError as exc:
         return CertificateReport(certified=False, reasons=tuple(hyp + [str(exc)]))
     return _certificate(hyp, rep, need)
@@ -243,21 +272,21 @@ class ApproxOptions:
 
     ``starts`` counts exchange starts: start 0 is the Lawson fit, and
     starts 1, 2, ... perturb its poles by draws taken in order from
-    ``default_rng(seed)``, so more starts never give a worse answer.  In the
-    unweighted free-pole problem the starts after one that equioscillates
-    with pairwise-distinct poles outside the closed unit disk are skipped:
-    the alternance criterion makes that start the unique optimum.  The
-    Lawson fit and the sup-norm refinement use ``refine_grid`` points, and
-    the exchange scans max(refine_grid, 4 grid + 1).
+    ``default_rng(seed)``, so more starts never give a worse answer.  Each
+    start competes with the best iterate its exchange kept, its start
+    iterate when it had no alternating window.  In the unweighted free-pole
+    problem the starts after one that equioscillates with pairwise-distinct
+    poles outside the closed unit disk are skipped: the alternance criterion
+    makes that start the unique optimum.  Every residual scan runs on the
+    grid of residual_alternance and refines to cfg.supnorm_xtol, so
+    ``cfg.supnorm_xtol`` and ``cfg.supnorm_grid_per_degree`` set its
+    resolution.
     """
 
-    grid: int = 129
     starts: int = 8
     seed: int = 0
-    tol: float = 1e-10
     weighted: bool = False
     fixed_pole: float | None = None
-    refine_grid: int = 513
 
 
 @dataclass(frozen=True)
@@ -436,40 +465,39 @@ def _exchange(coef, f: TargetFunction, opts: ApproxOptions, cfg: Config):
     """Remez exchange on the free Chebyshev coefficients c of P (rho = P'/P,
     plus the fixed pole if any), on a reference of m = len(coef) points.
 
-    Each step scans the local extrema of the residual w (f - rho) and takes
-    the reference t from their alternating window of m points whose
-    smallest magnitude is largest (_best_window).  It stops once that
+    Each iterate is scanned once (_scan), and the reference t is the
+    alternating window of m of its extrema whose smallest magnitude is
+    largest (_best_window; the weighted run leaves out extrema within 1e-9
+    of +-1, where the weight vanishes).  The exchange stops once that
     smallest magnitude is within a relative 1e-12 of the scanned sup level,
-    or once the level no longer falls; otherwise it solves the level
-    equations w(t_i)(f(t_i) - rho(t_i)) = sigma (-1)^i h for (c, h) and
-    scans again.  Only target values are used.
+    once the level no longer falls, or when there is no window; otherwise
+    it solves the level equations w(t_i)(f(t_i) - rho(t_i)) = sigma (-1)^i h
+    for (c, h) and scans again.  Only target values are used.
 
-    Returns the coefficients of least scanned level, the number of level
-    solves and why the exchange stopped; or None when the start itself has
-    a pole on [-1, 1] or no window.
+    Returns (level, rho, extrema) of the iterate of least scanned level,
+    the number of level solves and why the exchange stopped; a start with
+    no window returns its start iterate.  Raises DomainError when the start
+    itself has a pole on [-1, 1].
     """
     w = _weight_fn(opts.weighted)
     fixed = () if opts.fixed_pole is None else (complex(opts.fixed_pole),)
-    grid = chebyshev_points(max(opts.refine_grid, 4 * opts.grid + 1))
     m = len(coef)
     coef = np.array(coef, dtype=float)
     best, steps = None, 0
     while True:
         rho = LogDerivative(fixed + _cheb_poles(coef))
-        if rho.has_pole_on_segment(cfg=cfg):
+        if best is not None and rho.has_pole_on_segment(cfg=cfg):
             why = "pole on [-1, 1]"
             break
-        ext = local_extrema(_residual_fn(f, rho, opts.weighted), grid, cfg.supnorm_xtol)
-        if opts.weighted:
-            ext = [(x, v) for x, v in ext if abs(x) < 1.0 - 1e-9]
-        level = max((abs(v) for _, v in ext), default=0.0)
-        window = _best_window(_alternating_subsequence(ext), m)
-        if best is None and window is None:
-            return None
+        ext = _scan(f, rho, opts.weighted, cfg)
+        level = _level(ext)
         if best is not None and level >= best[0]:
             why = "level stopped falling"
             break
-        best = (level, coef)
+        best = (level, rho, ext)
+        if opts.weighted:
+            ext = [(x, v) for x, v in ext if abs(x) < 1.0 - 1e-9]
+        window = _best_window(_alternating_subsequence(ext), m)
         if window is None:
             why = "no alternating window"
             break
@@ -484,16 +512,7 @@ def _exchange(coef, f: TargetFunction, opts: ApproxOptions, cfg: Config):
         signs = math.copysign(1.0, window[0][1]) * (-1.0) ** np.arange(m)
         h = float(np.mean([abs(v) for _, v in window]))
         coef = _solve_levels(coef, ts, f.values_on(ts), w(ts), signs, h, opts.fixed_pole)
-    if best is None:
-        return None
-    return best[1], steps, why
-
-
-def _refined_error(f: TargetFunction, rho: LogDerivative, weighted: bool, opts: ApproxOptions,
-                   cfg: Config):
-    r_fn = _residual_fn(f, rho, weighted)
-    grid = _norm_grid(rho.degree, cfg, opts.refine_grid)
-    return supremum_on_grid(lambda x: np.abs(r_fn(x)), grid, min(opts.tol, cfg.supnorm_xtol))[0]
+    return best, steps, why
 
 
 def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, *,
@@ -505,17 +524,20 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
     layout off the segment, P with the poles of the weighted extremal at
     a = 2.  Phase 2 runs the exchange (_exchange) on P's Chebyshev
     coefficients from that P (start 0) and from ``opts.starts`` - 1 seeded
-    perturbations of its poles; each start that reaches a window reports
-    its exchange steps and why it stopped, and a start that raises is
-    discarded with a diagnostic.  In the unweighted free-pole problem, a
-    start that equioscillates with poles meeting the certificate's
-    hypotheses (_check_pole_hypotheses) is the unique optimum by the
-    alternance criterion, so the later starts are skipped, with one
-    diagnostic naming them.  The least refined sup error among the start
-    layout, the fraction with all free poles far away and the exchange
-    outputs, as the exchange left them, wins; one residual scan of it gives
-    the alternance certificate and the de-la-Vallee-Poussin-style lower
-    bound; the relative bracket width is the gap.
+    perturbations of its poles; each start reports its exchange steps and
+    why it stopped, and a start that raises is discarded with a diagnostic.
+    In the unweighted free-pole problem, a start that equioscillates with
+    poles meeting the certificate's hypotheses (_check_pole_hypotheses) is
+    the unique optimum by the alternance criterion, so the later starts are
+    skipped, with one diagnostic naming them.
+
+    Every fraction considered is scanned once (_scan): the fraction with
+    all free poles far away, then each exchange iterate.  The least scanned
+    level among the far fraction and each start's output wins (the first on
+    ties), and that level is the error.  The winner's stored scan gives the
+    alternance report (n_free + 1 points), the alternance certificate and
+    the de-la-Vallee-Poussin-style lower bound; the relative bracket width
+    is the gap.
 
     With ``opts.weighted`` the residual carries the sqrt(1-x^2) weight and
     ``opts.fixed_pole`` pins one real pole; the optimality certificate and
@@ -532,13 +554,11 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
         raise DomainError("need at least one free pole")
     if opts.fixed_pole is not None and abs(opts.fixed_pole) <= 1.0:
         raise DomainError(f"fixed pole must satisfy |a| > 1, got {opts.fixed_pole}")
-    if opts.grid < 8:
-        raise DomainError(f"grid too small: {opts.grid}")
     if opts.starts < 1:
         raise DomainError(f"need at least one start, got {opts.starts}")
     free = not opts.weighted and opts.fixed_pole is None
 
-    x = chebyshev_points(opts.refine_grid)
+    x = chebyshev_points(_GRID)
     fx = f.values_on(x)
     fixed = () if opts.fixed_pole is None else (complex(opts.fixed_pole),)
     g = fx if opts.fixed_pole is None else fx - 1.0 / (x - opts.fixed_pole)
@@ -555,58 +575,33 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
     # free poles at +-(1 + e^40), about 2.4e17, make rho numerically 0, so no
     # answer is worse than the trivial one
     far = tuple(complex((-1.0) ** k * (1.0 + math.exp(40.0))) for k in range(n_free))
-    candidates = [("far poles", fixed + far), ("start layout", fixed + poles)]
+    rho = LogDerivative(fixed + far)
+    ext = _scan(f, rho, opts.weighted, cfg)
+    best = (_level(ext), rho, ext, "far poles")
     rng = np.random.default_rng(opts.seed)
-    no_window, skipped = [], range(0)
     for start in range(opts.starts):
         coef = coef0
         if start > 0:
             coef = _coef_from_poles(_perturbed_poles(poles, _PERTURB_SIGMA * rng.standard_normal(n_free)))
         try:
-            out = _exchange(coef, f, opts, cfg)
+            (level, rho, ext), steps, why = _exchange(coef, f, opts, cfg)
         except (SimplefracError, np.linalg.LinAlgError) as exc:
             diagnostics.append(f"start {start}: {exc}; discarded")
             continue
-        if out is None:
-            no_window.append(str(start))
-            continue
-        coef, steps, why = out
         diagnostics.append(f"start {start}: {steps} exchange step{'' if steps == 1 else 's'}; {why}")
-        cand = fixed + _cheb_poles(coef)
-        candidates.append((f"start {start}", cand))
+        if level < best[0]:
+            best = (level, rho, ext, f"start {start}")
         # the alternance criterion makes this start the unique optimum
-        if why == "equioscillated" and free and not _check_pole_hypotheses(LogDerivative(cand), cfg):
-            skipped = range(start + 1, opts.starts)
+        if why == "equioscillated" and free and not _check_pole_hypotheses(rho, cfg):
+            if skipped := range(start + 1, opts.starts):
+                diagnostics.append(f"starts {', '.join(map(str, skipped))}: skipped; start {start} "
+                                   "equioscillates with poles outside the closed unit disk")
             break
-    if no_window:
-        diagnostics.append(f"starts {', '.join(no_window)}: no alternating window for the exchange; "
-                           "discarded")
-    if skipped:
-        diagnostics.append(f"starts {', '.join(map(str, skipped))}: skipped; start {skipped.start - 1} "
-                           "equioscillates with poles outside the closed unit disk")
 
-    best: tuple[float, LogDerivative, str] | None = None
-    for label, cand in candidates:
-        try:
-            rho = LogDerivative(cand)
-            if rho.has_pole_on_segment(cfg=cfg):
-                diagnostics.append(f"{label}: pole on [-1, 1]; discarded")
-                continue
-            err = _refined_error(f, rho, opts.weighted, opts, cfg)
-        except SimplefracError as exc:
-            diagnostics.append(f"{label}: {exc}; discarded")
-            continue
-        if best is None or err < best[0]:
-            best = (err, rho, label)
-    if best is None:
-        raise ToleranceNotMetError("no start produced a valid pole configuration")
-    error, rho, label = best
+    error, rho, ext, label = best
     diagnostics.append(f"best: {label}")
-    alternance = residual_alternance(
-        f, rho, min_points=n_free + 1, weighted=opts.weighted,
-        grid_points=opts.refine_grid, cfg=cfg,
-    )
-
+    f_max = _f_max(f, n, cfg)
+    alternance = _pick(ext, f_max, n_free + 1, None, cfg)
     certified = False
     dvp = 0.0
     if not free:
@@ -615,14 +610,13 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
             "problem only; result labeled heuristic"
         )
     else:
-        # certify_optimality and dvp_lower_bound(free=True), from one scan
+        # certify_optimality and dvp_lower_bound(free=True), from the same scan
         hyp = _check_pole_hypotheses(rho, cfg)
-        near, alt = _alternance_reports(f, rho, [(n + 1, cfg.certify_level_rtol), (n + 1, None)], cfg=cfg)
-        cert = _certificate(hyp, near, n + 1)
+        cert = _certificate(hyp, _pick(ext, f_max, n + 1, cfg.certify_level_rtol, cfg), n + 1)
         certified = cert.certified
         diagnostics.extend(cert.reasons)
         try:
-            dvp = _lower_bound(hyp, alt, n + 1)
+            dvp = _lower_bound(hyp, alternance, n + 1)
         except DomainError as exc:
             diagnostics.append(f"lower bound unavailable: {exc}")
     if not certified:

@@ -212,6 +212,22 @@ def test_approx_csv_target(capsys, tmp_path):
     assert json.loads(out)["outputs"]["error"] <= 1e-3
 
 
+def test_approx_tol_sets_the_scan_tolerance(capsys, monkeypatch):
+    # approx's --tol is the common flag: it sets supnorm_xtol, which every
+    # residual scan of the solver refines to
+    monkeypatch.delenv("SIMPLEFRAC_CONFIG", raising=False)
+    argv = ("approx", "--target", "ldcheb:2,-2:1e-3:3", "--n", "2", "--starts", "2",
+            "--format", "json")
+    _, out, _ = run_cli(capsys, *argv)
+    inputs = json.loads(out)["inputs"]
+    assert "config" not in inputs and "tol" not in inputs and "grid" not in inputs
+    code, out, _ = run_cli(capsys, *argv, "--tol", "1e-12")
+    assert code == 0
+    assert json.loads(out)["inputs"]["config"] == {"supnorm_xtol": 1e-12}
+    code, _, _ = run_cli(capsys, *argv, "--grid", "129")
+    assert code == 2
+
+
 def test_approx_malformed_target(capsys):
     code, _, err = run_cli(capsys, "approx", "--target", "nonsense:1", "--n", "2")
     assert code == 2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from simplefrac import _optim, extremal, minimax
 from simplefrac.cheb import cheb_t
 from simplefrac.errors import DomainError, SimplefracError
 from simplefrac.extremal import (
@@ -267,15 +268,13 @@ def test_solver_cos5x_degree_3_is_certified():
 
 
 def _starts_seen(diagnostics):
-    # the starts a run accounts for: its exchange lines, the aggregate
-    # no-window line, the discard lines and the skip line
+    # the starts a run accounts for: its exchange lines, the discard lines
+    # and the skip line
     seen = []
     for d in diagnostics:
         if m := re.fullmatch(r"start (\d+): \d+ exchange steps?; (equioscillated|level stopped "
                              r"falling|pole on \[-1, 1\]|no alternating window|step cap)", d):
             seen.append(int(m[1]))
-        elif m := re.fullmatch(r"starts ([\d, ]+): no alternating window for the exchange; discarded", d):
-            seen += [int(k) for k in m[1].split(", ")]
         elif m := re.fullmatch(r"start (\d+): .*; discarded", d):
             seen.append(int(m[1]))
         elif m := re.fullmatch(r"starts ([\d, ]+): skipped; start \d+ equioscillates with poles "
@@ -285,9 +284,8 @@ def _starts_seen(diagnostics):
 
 
 def test_solver_reports_every_start():
-    # each start ends in one exchange line, in the aggregate no-window line,
-    # in a discard line or in the skip line, and identical runs give
-    # identical diagnostics
+    # each start ends in one exchange line, in a discard line or in the skip
+    # line, and identical runs give identical diagnostics
     target = _zoo_target("cos5", 0)
     res = solve_best_ld(target, 3, ApproxOptions(starts=8, seed=0))
     assert res.diagnostics == solve_best_ld(target, 3, ApproxOptions(starts=8, seed=0)).diagnostics
@@ -344,10 +342,14 @@ def test_solver_keeps_exchange_poles_inside_the_disk(name, n, bound):
 @pytest.mark.parametrize("name, n", [("cos5", 3), ("exp", 3), ("abs", 4), ("sqrt1px", 6),
                                      ("spline", 3), ("ldcheb:2,-2:1e-3:3", 2)])
 def test_solver_certificate_and_bound_match_the_public_checks(name, n):
-    # the solver feeds both from one residual scan; on their own,
+    # the solver reads the alternance, the certificate and the bound off
+    # the winner's one residual scan; on their own, residual_alternance,
     # certify_optimality and dvp_lower_bound must agree with it exactly
     target = _zoo_target(name, 1)
     res = solve_best_ld(target, n)
+    assert res.alternance == residual_alternance(target, res.rho, n + 1)
+    assert res.error == res.alternance.level
+    assert res.dvp_lower <= res.error
     cert = certify_optimality(target, res.rho)
     assert res.certified == cert.certified
     i = next(k for k, d in enumerate(res.diagnostics) if d.startswith("best: ")) + 1
@@ -357,6 +359,43 @@ def test_solver_certificate_and_bound_match_the_public_checks(name, n):
     except DomainError as exc:
         assert res.dvp_lower == 0.0
         assert f"lower bound unavailable: {exc}" in res.diagnostics
+
+
+def test_solver_start_without_a_window_competes():
+    # e^x at n = 2: start 2's layout has no alternating window; it once
+    # dropped out of the pick, which left the error at 1.6391358
+    res = solve_best_ld(_zoo_target("exp", 0), 2)
+    assert res.error < 1.62
+    assert "start 2: 0 exchange steps; no alternating window" in res.diagnostics
+
+
+@pytest.mark.parametrize("name, n, opts", [("cos5", 3, {}), ("exp", 3, {}),
+                                           ("sqrt1px", 4, {"weighted": True})])
+def test_solver_scans_each_fraction_once(name, n, opts, monkeypatch):
+    # one local_extrema scan for the fraction with far poles, one per
+    # exchange iterate (start iterate plus one per level solve, less a last
+    # iterate with a pole on the segment), and no sup-norm scan at all; the
+    # error is the level of the winner's scan
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _optim.local_extrema(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("supremum_on_grid called")
+
+    monkeypatch.setattr(minimax, "local_extrema", counted)
+    monkeypatch.setattr(_optim, "supremum_on_grid", refused)
+    monkeypatch.setattr(extremal, "supremum_on_grid", refused)
+    res = solve_best_ld(_zoo_target(name, 0), n, ApproxOptions(**opts))
+    assert res.error == res.alternance.level
+    expected = 1
+    for d in res.diagnostics:
+        if m := re.fullmatch(r"start \d+: (\d+) exchange steps?; (.*)", d):
+            expected += int(m[1]) + (0 if m[2] == "pole on [-1, 1]" else 1)
+        assert not re.fullmatch(r"start \d+: .*; discarded", d)
+    assert len(calls) == expected
 
 
 def _spline_target(seed):
@@ -400,6 +439,7 @@ def test_solver_is_total_over_target_zoo(name, n, weighted, seed):
     assert [str(w.message) for w in caught] == []
     if res is not None:
         assert res.dvp_lower <= res.error
+        assert res.error == res.alternance.level
 
 
 @pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 5.0])
