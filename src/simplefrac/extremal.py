@@ -10,10 +10,10 @@ with grid + golden-section refinement, alternance reports, pole-location
 checks against Bernstein ellipses, and the deviation bracket obtained from
 sign-alternating values.
 
-Closed-form fractions carry exact Chebyshev rational evaluators that the
-norm engines use; the generic pole-sum path stays available through
-:func:`eval_ld` (compensated arithmetic) and serves as the independent
-cross-check of the rational forms.
+Closed-form fractions are evaluated only through their exact Chebyshev
+rational forms, never through their rounded poles; the compensated pole sum
+:func:`eval_ld` serves generic fractions.  The candidate's poles come from
+one Newton run in the Joukowski variable, seeded at the weighted poles.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
 from . import _dd
 from ._optim import supremum_on_grid
@@ -210,8 +209,6 @@ class WeightedExtremalFraction(LogDerivative):
     within_theorem_range: bool = True
 
     def values_on(self, x):
-        if not math.isfinite(self.tna):
-            return super().values_on(x)
         x = np.asarray(x, dtype=float)
         return self.n * cheb_u(self.n - 1, x) / (cheb_t(self.n, x) - self.tna)
 
@@ -340,6 +337,24 @@ def extremal_weighted_norm(cls: FixedPoleClass) -> float:
     return _weighted_level(cls.n, cls.a)
 
 
+def _circle_points(n: int, a: float) -> list[complex]:
+    """r e^(2 pi i j/n), j = 1 .. ceil(n/2) - 1, r = a + sqrt(a^2 - 1)."""
+    r = a + math.sqrt(a * a - 1.0)
+    return [r * cmath.exp(complex(0.0, 2.0 * math.pi * j / n)) for j in range(1, (n + 1) // 2)]
+
+
+def _joukowski_poles(n: int, a: float, ws) -> tuple[complex, ...]:
+    """The closed forms' pole layout: a, -a for even n, then each
+    x = (w + 1/w)/2 followed by its conjugate."""
+    poles = [complex(a, 0.0)]
+    if n % 2 == 0:
+        poles.append(complex(-a, 0.0))
+    for w in ws:
+        x = 0.5 * (w + 1.0 / w)
+        poles += [x, x.conjugate()]
+    return tuple(poles)
+
+
 def build_extremal_weighted(cls: FixedPoleClass, force: bool = False) -> WeightedExtremalFraction:
     """Construct the weighted-norm minimizer of the fixed-pole class.
 
@@ -357,18 +372,9 @@ def build_extremal_weighted(cls: FixedPoleClass, force: bool = False) -> Weighte
             f"optimality requires a > sqrt(2) (= {SQRT2:.6f}); got a={a}. "
             "Pass force=True to build anyway (construction is valid for a > 1)."
         )
-    r = a + math.sqrt(a * a - 1.0)
-    poles = [complex(a, 0.0)]
-    if n % 2 == 0:
-        poles.append(complex(-a, 0.0))
-    for j in range(1, (n + 1) // 2):
-        w = r * cmath.exp(complex(0.0, 2.0 * math.pi * j / n))
-        x = 0.5 * (w + 1.0 / w)
-        poles.append(x)
-        poles.append(x.conjugate())
     tna = eval_cheb(ChebKind.FIRST_KIND, n, a)
     return WeightedExtremalFraction(
-        poles=tuple(poles),
+        poles=_joukowski_poles(n, a, _circle_points(n, a)),
         n=n,
         a=a,
         level=_weighted_level(n, a),
@@ -389,11 +395,9 @@ def alternance_points_weighted(
     """
     n, a = cls.n, cls.a
     rho = build_extremal_weighted(cls, force=force)
-    tna = rho.tna
-    c = 1.0 / tna if math.isfinite(tna) else 0.0
-    points = solve_t_equals(n, c, cfg=cfg)
+    points = solve_t_equals(n, 1.0 / rho.tna, cfg=cfg)
     xs = np.array(points)
-    values = (np.sqrt(np.maximum(1.0 - xs * xs, 0.0)) * eval_ld(rho, xs, cfg=cfg)).tolist()
+    values = (_weight(xs) * rho.values_on(xs)).tolist()
     level = rho.level
     signs_ok = all(values[i] * values[i + 1] < 0.0 for i in range(len(values) - 1))
     j = np.arange(n + 1)
@@ -419,12 +423,14 @@ def _f_and_fa(n: int, a: float) -> float:
     return _dd.dd_to_float(fa)
 
 
-def _candidate_q(n: int, fa: float, z: complex) -> complex:
-    fz = (
-        eval_cheb(ChebKind.FIRST_KIND, n, z) / n
-        - eval_cheb(ChebKind.FIRST_KIND, n - 2, z) / (n - 2)
-    )
-    return 0.5 * (fz - fa)
+def _q_joukowski(n: int, fa: float, w):
+    """Q(x) = (f(x) - f(a))/2 and Q'(x) = T_{n-1}(x) at x = (w + 1/w)/2,
+    from T_k(x) = (w^k + w^-k)/2."""
+    wn = w**n
+    inv = 1.0 / wn
+    w2 = w * w
+    q = (wn + inv) / (4 * n) - (wn / w2 + inv * w2) / (4 * (n - 2)) - 0.5 * fa
+    return q, 0.5 * (wn / w + inv * w)
 
 
 def build_candidate_unweighted(
@@ -432,11 +438,12 @@ def build_candidate_unweighted(
 ) -> UnweightedCandidateFraction:
     """Construct the unweighted-norm candidate fraction.
 
-    Its poles are the n roots of the integral of T_{n-1} from a, i.e. of
-    (f(x) - f(a))/2 with f(x) = T_n(x)/n - T_{n-2}(x)/(n-2).  Roots come from
-    the colleague-matrix solver on the Chebyshev-basis coefficients and are
-    polished by Newton steps (the derivative is exactly T_{n-1}); each must
-    pass |Q(z)| <= cfg.candidate_root_residual_tol * max(1, |T_{n-1}(z)|).
+    Its poles are the n roots of Q, the integral of T_{n-1} from a, i.e. of
+    (f(x) - f(a))/2 with f(x) = T_n(x)/n - T_{n-2}(x)/(n-2): a, -a for even
+    n (f is then even), and conjugate pairs found by one Newton run on Q in
+    the Joukowski variable w, seeded at the weighted extremal's circle
+    points.  Each pole must pass |Q(z)| <= cfg.candidate_root_residual_tol *
+    max(1, |T_{n-1}(z)|); a non-finite residual fails.
     """
     n, a = cls.n, cls.a
     if n < 4:
@@ -447,45 +454,25 @@ def build_candidate_unweighted(
         )
     tol = cfg.candidate_root_residual_tol
     fa = _f_and_fa(n, a)
-
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0 / n
-    coeffs[n - 2] = -1.0 / (n - 2)
-    coeffs[0] = -fa
-    roots = [complex(z) for z in npcheb.chebroots(coeffs)]
-
-    polished = []
-    for z in roots:
-        for _ in range(6):
-            q = _candidate_q(n, fa, z)
-            dq = eval_cheb(ChebKind.FIRST_KIND, n - 1, z)
-            if dq == 0:
+    w = np.array(_circle_points(n, a))
+    # a non-finite f(a) or w^n makes Q non-finite, which fails the gate
+    with np.errstate(all="ignore"):
+        for _ in range(50):
+            q, dq = _q_joukowski(n, fa, w)
+            step = q / (dq * (0.5 - 0.5 / (w * w)))  # dQ/dw = T_{n-1}(x) (1 - w^-2)/2
+            w = w - step
+            if not np.any(np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(w)):
                 break
-            step = q / dq
-            z = z - step
-            if abs(step) < 1e-15 * max(1.0, abs(z)):
-                break
-        q = _candidate_q(n, fa, z)
-        scale = max(1.0, abs(eval_cheb(ChebKind.FIRST_KIND, n - 1, z)))
-        if abs(q) > tol * scale:
-            raise ToleranceNotMetError(
-                f"candidate pole at {z} kept residual {abs(q):.3e} > {tol:.1e} * scale",
-                best=z,
-            )
-        polished.append(z)
-
-    # Q(a) = 0 by construction; for even n, Q(-a) = 0 by symmetry of f
-    idx_a = min(range(len(polished)), key=lambda i: abs(polished[i] - a))
-    polished[idx_a] = complex(a, 0.0)
-    if n % 2 == 0:
-        idx_ma = min(range(len(polished)), key=lambda i: abs(polished[i] + a))
-        polished[idx_ma] = complex(-a, 0.0)
-    # real coefficients: snap near-real roots onto the axis before pairing
-    snapped = [
-        complex(z.real, 0.0) if abs(z.imag) <= 1e-10 * max(1.0, abs(z)) else z
-        for z in polished
-    ]
-    return UnweightedCandidateFraction(poles=tuple(snapped), n=n, a=a, fa=fa)
+        q, dq = _q_joukowski(n, fa, w)
+        resid = np.abs(q)
+        bad = ~(resid <= tol * np.maximum(1.0, np.abs(dq)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        z = 0.5 * (complex(w[i]) + 1.0 / complex(w[i]))
+        raise ToleranceNotMetError(
+            f"candidate pole at {z} kept residual {resid[i]:.3e} > {tol:.1e} * scale", best=z
+        )
+    return UnweightedCandidateFraction(poles=_joukowski_poles(n, a, w.tolist()), n=n, a=a, fa=fa)
 
 
 def lambda_bounds(cls: FixedPoleClass) -> LambdaBounds:
@@ -589,7 +576,9 @@ def dvp_bracket(cls: FixedPoleClass, *, cfg: Config = DEFAULTS) -> DvpBracket:
     lower is the smallest magnitude of the candidate at the alternation
     points cos(k*pi/(n-1)); upper is the candidate's sup norm.  The third
     field reports upper * (T_n(a) - T_{n-2}(a)) / (2n), the ratio against the
-    weak-equivalence scale (no bound on it is asserted here).
+    weak-equivalence scale (no bound on it is asserted here).  Both ends
+    read the candidate's rational form; a lower end above the upper one
+    raises ToleranceNotMetError carrying the bracket as ``best``.
     """
     n, a = cls.n, cls.a
     if n < 4:
@@ -609,9 +598,14 @@ def dvp_bracket(cls: FixedPoleClass, *, cfg: Config = DEFAULTS) -> DvpBracket:
         )
     j = np.arange(n)
     points = np.sin(np.pi * (n - 1 - 2 * j) / (2 * (n - 1)))
-    lower = min(np.abs(eval_ld(candidate, points, cfg=cfg)).tolist())
+    lower = float(np.min(np.abs(candidate.values_on(points))))
     upper = sup_norm(candidate, cfg=cfg).value
     tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
     tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, a)
-    ratio = upper * (tn - tn2) / (2.0 * n)
-    return DvpBracket(lower, upper, ratio)
+    bracket = DvpBracket(lower, upper, upper * (tn - tn2) / (2.0 * n))
+    if lower > upper:
+        raise ToleranceNotMetError(
+            f"deviation bracket inverted at n={n}, a={a}: lower {lower:.6e} > upper {upper:.6e}",
+            best=bracket,
+        )
+    return bracket

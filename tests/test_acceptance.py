@@ -42,7 +42,7 @@ from simplefrac.cheb import cheb_t
 from simplefrac.minimax import ApproxOptions, TargetFunction, solve_best_ld
 
 WEIGHTED_GRID = [(n, a) for n in range(1, 13) for a in (1.5, 2.0, 3.0, 5.0)]
-CANDIDATE_GRID = [(n, a) for n in range(4, 9) for a in (3.0, 5.0)]
+CANDIDATE_GRID = [(n, a) for n in (4, 5, 6, 7, 8, 16, 32, 64, 128) for a in (3.0, 5.0)]
 
 
 def test_criterion_01_weighted_norm_reproduction():

@@ -299,6 +299,13 @@ def test_candidate_cli(capsys):
     assert data["outputs"]["annulus"]["all_in_closure_ea"] is True
 
 
+def test_candidate_cli_at_high_degree(capsys):
+    code, out, _ = run_cli(capsys, "candidate", "--n", "64", "--a", "3", "--format", "json")
+    assert code == 0
+    bracket = json.loads(out)["outputs"]["bracket"]
+    assert bracket["lower"] <= bracket["upper"]
+
+
 def test_bernstein_cli(capsys):
     code, out, _ = run_cli(
         capsys, "bernstein", "--n", "2", "--a", "2", "--cofactor=-2", "--lead", "2",

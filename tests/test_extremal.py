@@ -9,13 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from simplefrac import _dd
+from simplefrac import _dd, extremal
 from simplefrac.cheb import ChebKind, EllipseParam, PointLocation, ellipse_classify, eval_cheb
 from simplefrac.config import DEFAULTS
-from simplefrac.errors import DomainError, EvaluationError, TheoremRangeError
+from simplefrac.errors import DomainError, EvaluationError, TheoremRangeError, ToleranceNotMetError
 from simplefrac.extremal import (
     FixedPoleClass,
     LogDerivative,
+    NormEstimate,
     alternance_points_weighted,
     build_candidate_unweighted,
     build_extremal_weighted,
@@ -234,8 +235,8 @@ def test_candidate_gates():
 
 
 def test_candidate_residual_gate_across_grid():
-    for n in range(4, 9):
-        for a in (3.0, 5.0):
+    for n in range(4, 129):
+        for a in (2.0, 3.0, 5.0, 1.0 + 1.0 / n + 1e-3):
             cand = build_candidate_unweighted(FixedPoleClass(n, a))
             fa = cand.fa
             for z in cand.poles:
@@ -246,6 +247,66 @@ def test_candidate_residual_gate_across_grid():
                 q = 0.5 * (fz - fa)
                 scale = max(1.0, abs(eval_cheb(T, n - 1, z)))
                 assert abs(q) <= 1e-10 * scale
+
+
+def _q_roots_exact(n, a, poles, mpmath):
+    """The exact roots of Q = (f - f(a))/2 at 60 digits, one per float pole:
+    Newton on Q in the Joukowski variable from each pole's w, |w| > 1."""
+    big_a = mpmath.mpf(a)
+    r = big_a + mpmath.sqrt(big_a * big_a - 1)
+
+    def f(w):
+        return (w**n + w**-n) / (2 * n) - (w ** (n - 2) + w ** (2 - n)) / (2 * (n - 2))
+
+    fa = f(r)
+    roots = []
+    for z in poles:
+        x = mpmath.mpc(z.real, z.imag)
+        w = x + mpmath.sqrt(x - 1) * mpmath.sqrt(x + 1)
+        for _ in range(60):
+            dq = (w ** (n - 1) - w ** (-n - 1) - w ** (n - 3) + w ** (1 - n)) / 4
+            step = (f(w) - fa) / 2 / dq
+            w -= step
+            if abs(step) < mpmath.mpf(10) ** -50 * abs(w):
+                break
+        roots.append((w + 1 / w) / 2)
+    return roots
+
+
+@pytest.mark.parametrize("n", [48, 128])
+@pytest.mark.parametrize("a", [2.0, 3.0, 5.0])
+def test_closed_forms_match_mpmath_at_high_degree(n, a):
+    mpmath = pytest.importorskip("mpmath")
+    eps = sys.float_info.epsilon
+    cls = FixedPoleClass(n, a)
+    with mpmath.workdps(60):
+        # candidate poles: n distinct exact roots of the degree-n Q, so all of them
+        cand = build_candidate_unweighted(cls)
+        exact = _q_roots_exact(n, a, cand.poles, mpmath)
+        assert min(abs(p - q) for i, p in enumerate(exact) for q in exact[i + 1:]) > 1e-3
+        for z, e in zip(cand.poles, exact):
+            assert abs(mpmath.mpc(z.real, z.imag) - e) <= 4 * eps * abs(e)
+        ell = mpmath.acosh(mpmath.mpf(a))
+
+        def rel(got, want):
+            return abs(mpmath.mpf(got) - want) / abs(want)
+
+        # alternance values: sqrt(1-x^2) n U_{n-1}(x) / (T_n(x) - T_n(a)) at
+        # the same float x, = n sin(n t) / (cos(n t) - cosh(n ell)), x = cos t
+        rep, _ = alternance_points_weighted(cls)
+        for x, v in zip(rep.points, rep.values):
+            t = mpmath.acos(mpmath.mpf(x))
+            assert rel(v, n * mpmath.sin(n * t) / (mpmath.cos(n * t) - mpmath.cosh(n * ell))) <= 1e-14
+        # the bracket's lower end: min |T_{n-1}(x) / ((f(x) - f(a))/2)| over
+        # the float points cos(k pi/(n-1)) the bracket reads
+        points = np.sin(np.pi * (n - 1 - 2 * np.arange(n)) / (2 * (n - 1)))
+        fa = mpmath.cosh(n * ell) / n - mpmath.cosh((n - 2) * ell) / (n - 2)
+        lows = []
+        for x in points.tolist():
+            t = mpmath.acos(mpmath.mpf(x))
+            fx = mpmath.cos(n * t) / n - mpmath.cos((n - 2) * t) / (n - 2)
+            lows.append(abs(mpmath.cos((n - 1) * t) / ((fx - fa) / 2)))
+        assert rel(dvp_bracket(cls).lower, min(lows)) <= 1e-14
 
 
 def test_lambda_bounds_4_3_integer_oracle():
@@ -299,6 +360,19 @@ def test_dvp_bracket_4_3():
     assert br.upper == pytest.approx(grid_max, rel=1e-8)
     # weak-equivalence ratio reported against 2n/(T_n - T_{n-2})
     assert br.weak_equiv_ratio == pytest.approx(br.upper * (577 - 17) / 8.0, rel=1e-15)
+
+
+def test_dvp_bracket_raises_when_inverted(monkeypatch):
+    cls = FixedPoleClass(8, 3.0)
+    br = dvp_bracket(cls)
+    monkeypatch.setattr(
+        extremal, "sup_norm",
+        lambda rho, cfg=DEFAULTS: NormEstimate(0.5 * br.lower, 0.0, False, cfg.supnorm_xtol),
+    )
+    with pytest.raises(ToleranceNotMetError, match="inverted") as info:
+        dvp_bracket(cls)
+    assert info.value.best.lower == br.lower
+    assert info.value.best.upper == 0.5 * br.lower
 
 
 def test_dvp_bracket_gates():

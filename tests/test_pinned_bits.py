@@ -4,8 +4,15 @@
 before the alternance values, the deviation bracket, the corollary scans and
 the first witness's scans were batched (array-valued double-double kernels,
 one multi-row extremum scan).  Batching reorders no arithmetic, so not one
-bit may move.  The sizes n in {4, 8, 16}, a in {2, 3, 5} lie below the
-degrees where ``eval_ld`` and the colleague solve lose accuracy.
+bit may move.  The sizes are n in {4, 8, 16}, a in {2, 3, 5}.
+
+Two groups were pinned again later, on purpose: the alternance values and
+the bracket's lower end.  Both used to sum the pole terms over the rounded
+poles (``eval_ld``), and rounding the poles moves those small values by up
+to 3.5e-2 relative (n = 16, a = 5).  They now read the fractions' rational
+forms, within 2e-16 relative of exact arithmetic at the same points.  The
+alternance points and level, the bracket's upper end and ratio, and every
+corollary, witness and ``generic`` entry kept their bits.
 
 The ``generic`` entries pin the float pole-sum kernel ``pole_sums`` through
 plain ``LogDerivative`` fractions, which (unlike the closed forms) have no
