@@ -1,4 +1,4 @@
-"""Deterministic grid scan + batched golden-section refinement on [-1, 1].
+"""Deterministic grid scan + batched bracketing refinement on [-1, 1].
 
 Shared by the sup-norm engines, the alternance detectors, and the minimax
 solver.  ``fn`` takes a 1-D float array and returns its values there: one
@@ -6,10 +6,13 @@ row, shaped like x, or for :func:`suprema_on_grid` an (m, len(x)) array of m
 rows that share one evaluation (say |P'| and |P| from one pass over the
 roots of P).  The grid values locate a bracket around every local extremum
 of every row, and all brackets are refined together: each call to ``fn``
-moves every open bracket one golden-section step, and each bracket reads its
-own row.  Each bracket does exactly the arithmetic of a scalar
-golden-section loop, so results are reproducible bit for bit, and row j of a
-multi-row scan is what a one-row scan of that row alone returns.
+samples every open bracket at several evenly spaced points and shrinks it
+around its best sample, and each bracket reads its own row.  A call costs
+far more in fixed overhead than per point, so several points per bracket per
+call beat golden section's one, which is the best search only by point
+count.  Each bracket does exactly the arithmetic of a scalar loop, so
+results are reproducible bit for bit, and row j of a multi-row scan is what
+a one-row scan of that row alone returns.
 """
 
 from __future__ import annotations
@@ -21,68 +24,58 @@ import numpy as np
 
 from .errors import ToleranceNotMetError
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_N = 8  # samples per bracket per call to fn: each call shrinks a bracket to 2/(_N + 1)
+_T = np.arange(1, _N + 1) / (_N + 1)
 
 
-def _golden_refine(fn: Callable, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray,
-                   xtol: float, maxiter: int,
-                   row: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization of sign[j] * fn on every [lo[j], hi[j]].
+def _bracket_refine(fn: Callable, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray,
+                    xtol: float, maxiter: int,
+                    row: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Parallel bracketing maximization of sign[j] * fn on every [lo[j], hi[j]].
 
     With ``row``, fn returns an (m, len(x)) array and bracket j reads row
-    row[j]; without it, fn returns one row shaped like x.  Returns arrays
-    (x, v) with v[j] = sign[j] * fn(x[j]).  A bracket already no wider than
-    xtol returns its midpoint.  Raises ToleranceNotMetError (carrying the
-    best pair of the first failing bracket) if a bracket fails to shrink
-    below xtol within maxiter steps.
+    row[j]; without it, fn returns one row shaped like x.  Each call samples
+    every open bracket [a, b] at the _N points a + (b - a) * i/(_N + 1) and
+    shrinks it to the two neighbours of its best sample (the first on ties;
+    NaN never wins), until it is no wider than xtol; every bracket is sampled
+    at least once.  Returns arrays (x, v) with v[j] = sign[j] * fn(x[j]), the
+    best sample of bracket j over all its calls.  Raises ToleranceNotMetError (carrying the best
+    pair of the first failing bracket) if a bracket stops shrinking, or is
+    still wider than xtol after maxiter calls.
     """
-    xs, vs = np.empty(len(lo)), np.empty(len(lo))
-    if len(lo) == 0:
-        return xs, vs
-    h = hi - lo
-    narrow = h <= xtol
-    idx = np.flatnonzero(~narrow)
-    a, b, h = lo[idx], hi[idx], h[idx]
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    mid = 0.5 * (lo[narrow] + hi[narrow])
-    k, s = len(idx), sign[idx]
-    f = fn(np.concatenate([mid, c, d]))
-    if row is not None:
-        f = f[np.concatenate([row[narrow], row[idx], row[idx]]), np.arange(len(mid) + 2 * k)]
-        r = row[idx]
-    xs[narrow], vs[narrow] = mid, sign[narrow] * f[: len(mid)]
-    fc, fd = s * f[len(mid): len(mid) + k], s * f[len(mid) + k:]
+    xs, vs, width = np.empty(len(lo)), np.empty(len(lo)), np.zeros(len(lo))
+    idx, a, b, s, r = np.arange(len(lo)), lo, hi, sign, row
+    bx = bv = np.empty(len(lo))
+    bkey = np.full(len(lo), math.nan)  # no best yet: the first sample replaces NaN
     for _ in range(maxiter):
+        k = len(idx)
         if not k:
             break
-        # left: the maximum lies in [a, d]; d moves to c and a new c enters
-        left = fc > fd
-        keep, fkeep = np.where(left, c, d), np.where(left, fc, fd)
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        h = b - a
-        x = a + np.where(left, _INVPHI2, _INVPHI) * h
-        f = fn(x)
-        fx = s * (f if row is None else f[r, np.arange(k)])
-        c, fc = np.where(left, x, keep), np.where(left, fx, fkeep)
-        d, fd = np.where(left, keep, x), np.where(left, fkeep, fx)
-        done = h <= xtol
-        if done.any():
-            cwins = fc > fd
-            xs[idx[done]] = np.where(cwins, c, d)[done]
-            vs[idx[done]] = np.where(cwins, fc, fd)[done]
-            live = ~done
-            idx, a, b, c, d, fc, fd, h, s = (
-                arr[live] for arr in (idx, a, b, c, d, fc, fd, h, s))
-            if row is not None:
-                r = r[live]
-            k = len(idx)
-    if k:
-        best = (float(c[0]), float(fc[0])) if fc[0] > fd[0] else (float(d[0]), float(fd[0]))
+        j = np.arange(k)
+        x = a[:, None] + (b - a)[:, None] * _T
+        f = fn(x.ravel())
+        f = s[:, None] * (f.reshape(k, _N) if r is None else f.reshape(-1, k, _N)[r, j])
+        key = np.fmax(f, -math.inf)  # NaN never wins
+        i = np.argmax(key, axis=1)
+        better = ~(key[j, i] <= bkey)
+        bx, bv, bkey = (np.where(better, new[j, i], old)
+                        for new, old in ((x, bx), (f, bv), (key, bkey)))
+        na = np.where(i == 0, a, x[j, i - 1])
+        nb = np.where(i == _N - 1, b, x[j, (i + 1) % _N])
+        # a bracket that did not move never will: fn and the arithmetic repeat
+        fin = (nb - na <= xtol) | ((na == a) & (nb == b))
+        xs[idx[fin]], vs[idx[fin]], width[idx[fin]] = bx[fin], bv[fin], (nb - na)[fin]
+        keep = ~fin
+        idx, a, b, s, bx, bv, bkey = (arr[keep] for arr in (idx, na, nb, s, bx, bv, bkey))
+        if r is not None:
+            r = r[keep]
+    xs[idx], vs[idx], width[idx] = bx, bv, b - a
+    failed = np.flatnonzero(width > xtol)
+    if len(failed):
+        f0 = failed[0]
         raise ToleranceNotMetError(
-            f"golden-section bracket stuck at width {h[0]:.3e} > xtol {xtol:.3e}", best=best
-        )
+            f"bracket cannot shrink below xtol {xtol:.3e}: width {width[f0]:.3e}",
+            best=(float(xs[f0]), float(vs[f0])))
     return xs, vs
 
 
@@ -106,7 +99,7 @@ def suprema_on_grid(fn: Callable, grid: np.ndarray, xtol: float,
     peak[:, :-1] &= ys[:, :-1] >= ys[:, 1:]
     rows, at = np.nonzero(peak)  # row by row, each row's peaks left to right
     lo, hi = grid[np.maximum(at - 1, 0)], grid[np.minimum(at + 1, m - 1)]
-    xs, vs = _golden_refine(fn, lo, hi, np.ones(len(at)), xtol, maxiter,
+    xs, vs = _bracket_refine(fn, lo, hi, np.ones(len(at)), xtol, maxiter,
                             None if one_row else rows)
     ends = np.searchsorted(rows, np.arange(len(ys) + 1))
     out = []
@@ -126,7 +119,7 @@ def supremum_on_grid(fn: Callable, grid: np.ndarray, xtol: float,
     """Maximize fn over the interval spanned by ``grid``.
 
     fn takes a 1-D float array.  Every strict or flat local maximum of the
-    grid values is refined by golden section in its neighbor bracket, all
+    grid values is refined by bracketing search in its neighbor bracket, all
     brackets together; grid values themselves (including the exact
     endpoints) also compete.  Returns (value, location); ties resolve to the
     leftmost, a grid value ahead of its own refinement.  This is the one-row
@@ -153,7 +146,7 @@ def local_extrema(fn: Callable, grid: np.ndarray, xtol: float,
     is_max, is_min = is_max[at], is_min[at]
     sign = np.where(is_max, 1.0, -1.0)
     lo, hi = grid[np.maximum(at - 1, 0)], grid[np.minimum(at + 1, len(grid) - 1)]
-    xs, vs = _golden_refine(fn, lo, hi, sign, xtol, maxiter)
+    xs, vs = _bracket_refine(fn, lo, hi, sign, xtol, maxiter)
     vs = sign * vs
     # an exact grid endpoint may beat the interior refinement; a flat point
     # (both max and min) keeps whichever is larger in magnitude

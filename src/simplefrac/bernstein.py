@@ -122,7 +122,7 @@ def check_corollary(poly: RootedPolynomial, *, cfg: Config = DEFAULTS) -> Coroll
     """Evaluate both derivative bounds on a concrete polynomial.
 
     The three extremal quantities (weighted and plain sup of |P'|, min of
-    |P|) come from one multi-row scan of the shared grid + golden-section
+    |P|) come from one multi-row scan of the shared grid + bracketing
     engine, refined to cfg.supnorm_xtol, all three rows from one
     product-rule pass.  Evaluation is
     from the root representation, so polynomials whose derivative sits many

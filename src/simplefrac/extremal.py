@@ -6,7 +6,7 @@ builds the weighted-norm minimizer of the fixed-pole class in closed form
 (poles are Joukowski images of equispaced points on a circle), the
 near-minimal candidate for the unweighted norm (poles are roots of an
 integrated Chebyshev polynomial), and the supporting machinery: sup norms
-with grid + golden-section refinement, alternance reports, pole-location
+with grid + bracketing refinement, alternance reports, pole-location
 checks against Bernstein ellipses, and the deviation bracket obtained from
 sign-alternating values.
 
@@ -145,9 +145,17 @@ class LogDerivative:
 
         Conjugate pairs are combined as 2(x-u)/((x-u)^2 + v^2), so real input
         gives exactly real output.  For high-cancellation pointwise work use
-        :func:`eval_ld`.
+        :func:`eval_ld`.  Raises EvaluationError, naming the first such
+        point, where a value is not finite (x at a pole, or x not finite).
         """
-        return pole_sums(x, self._reals, self._pairs)
+        with np.errstate(all="ignore"):
+            y = pole_sums(x, self._reals, self._pairs)
+        if not np.isfinite(y).all():
+            i = int(np.argmin(np.isfinite(y).reshape(-1)))
+            x0 = float(np.asarray(x, dtype=float).reshape(-1)[i])
+            raise EvaluationError(f"fraction value {float(y.reshape(-1)[i])} at x = {x0!r}: "
+                                  "x is not finite or lies at a pole")
+        return y
 
 
 def _row_sums(terms):
@@ -413,14 +421,24 @@ def alternance_points_weighted(
 
 
 def _f_and_fa(n: int, a: float) -> float:
-    """f(a) with f(x) = T_n(x)/n - T_{n-2}(x)/(n-2), in compensated arithmetic."""
+    """f(a) with f(x) = T_n(x)/n - T_{n-2}(x)/(n-2), in compensated arithmetic.
+
+    Raises DomainError where T_n(a) overflows a float (from eval_cheb), and
+    also where it does not but T_n(a)/n lies above about 1.3e300, beyond
+    which the double-double splitter overflows (n = 233-237 at a = 10).
+    """
     tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
     tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, a)
-    fa = _dd.dd_sub(
+    fa = _dd.dd_to_float(_dd.dd_sub(
         _dd.dd_div((tn, 0.0), (float(n), 0.0)),
         _dd.dd_div((tn2, 0.0), (float(n - 2), 0.0)),
-    )
-    return _dd.dd_to_float(fa)
+    ))
+    if not math.isfinite(fa):
+        raise DomainError(
+            f"f(a) out of range at n = {n}, a = {a}: T_n(a)/n = {tn / n:.3e} is above the "
+            f"double-double range (about 1.3e300), log |T_n(a)| = {math.log(abs(tn)):.6f}"
+        )
+    return fa
 
 
 def _q_joukowski(n: int, fa: float, w):

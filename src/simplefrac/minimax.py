@@ -110,7 +110,7 @@ _GRID = 513
 def _scan(f: TargetFunction, rho: LogDerivative, weighted: bool, cfg: Config):
     """The one residual scan: the local extrema (x, value) of w (f - rho),
     located on _norm_grid(n, cfg, _GRID) for rho of degree n and refined by
-    golden section to cfg.supnorm_xtol.  Raises DomainError when rho has a
+    bracketing search to cfg.supnorm_xtol.  Raises DomainError when rho has a
     pole on [-1, 1]."""
     if rho.has_pole_on_segment(cfg=cfg):
         raise DomainError("fraction has a pole on [-1, 1]")
@@ -165,7 +165,7 @@ def residual_alternance(
 
     Local extrema are located on the solver's scan grid (a Chebyshev grid of
     at least 513 points and cfg.supnorm_grid_per_degree per unit degree)
-    and refined by golden section to cfg.supnorm_xtol; the report carries
+    and refined by bracketing search to cfg.supnorm_xtol; the report carries
     the longest sign-alternating subsequence and the sup-norm level.  With
     ``level_rtol`` set, only extrema within that relative distance of the
     sup norm participate (the equioscillation-certificate reading); by

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplefrac import _dd, extremal
+from simplefrac.bernstein import witness_ratio_empirical
 from simplefrac.cheb import ChebKind, EllipseParam, PointLocation, ellipse_classify, eval_cheb
 from simplefrac.config import DEFAULTS
 from simplefrac.errors import DomainError, EvaluationError, TheoremRangeError, ToleranceNotMetError
@@ -234,6 +235,18 @@ def test_candidate_gates():
         build_candidate_unweighted(FixedPoleClass(4, 1.2))
 
 
+@pytest.mark.parametrize("n,a", [(233, 10.0), (237, 10.0), (265, 7.0), (269, 7.0)])
+def test_f_of_a_beyond_double_double_range(n, a):
+    # T_n(a) is a float here, but T_n(a)/n overflows the double-double
+    # splitter; f(a) used to come out NaN
+    assert math.isfinite(eval_cheb(T, n, a))
+    for build in (lambda: extremal._f_and_fa(n, a),
+                  lambda: build_candidate_unweighted(FixedPoleClass(n, a)),
+                  lambda: witness_ratio_empirical(n, a, 2)):
+        with pytest.raises(DomainError, match="double-double range"):
+            build()
+
+
 def test_candidate_residual_gate_across_grid():
     for n in range(4, 129):
         for a in (2.0, 3.0, 5.0, 1.0 + 1.0 / n + 1e-3):
@@ -393,6 +406,18 @@ def test_eval_ld_examples():
 def test_eval_ld_pole_proximity_error():
     with pytest.raises(EvaluationError):
         eval_ld(LogDerivative((2.0,)), 2.0 + 5e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_values_on_at_a_pole_raises_like_eval_ld():
+    rho = LogDerivative((2.0, 1 + 1j, 1 - 1j))
+    for x in (np.array([2.0]), np.array([0.0, 2.0, 1.0])):
+        with pytest.raises(EvaluationError, match="at x = 2.0"):
+            rho.values_on(x)
+        with pytest.raises(EvaluationError):
+            eval_ld(rho, x)
+    with pytest.raises(EvaluationError, match="at x = nan"):
+        rho.values_on(np.array([math.nan]))
 
 
 def eval_ld_reference(rho, x):
