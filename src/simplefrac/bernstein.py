@@ -9,7 +9,9 @@ bounded below by multiples of min |P|:
 
 This module evaluates both sides on concrete polynomials (grid + refinement
 through the shared engine) and computes the two witness ratios that quantify
-how tight the bounds are as the degree grows.
+how tight the bounds are as the degree grows.  The witnesses' minimum moduli
+are closed forms: the first witness scans only its weighted derivative, and
+the second is a closed form throughout.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ SQRT2 = math.sqrt(2.0)
 
 def corollary_min_a(n: int) -> float:
     """Parameter threshold sqrt(2) * (3*sqrt(n))^(1/n) of the unweighted bound."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"degree must be a positive integer, got {n!r}")
     return SQRT2 * (3.0 * math.sqrt(n)) ** (1.0 / n)
 
 
@@ -209,48 +213,35 @@ def witness_first_kind(n: int, a: float, force: bool = False, *,
 
 
 def witness_ratio_empirical(n: int, a: float, which: int, *, cfg: Config = DEFAULTS) -> float:
-    """Measured bound-to-derivative-norm ratio of a witness family, from
-    scans refined to cfg.supnorm_xtol.
+    """Measured bound-to-derivative-norm ratio of a witness family; raises
+    DomainError unless n is an integer >= 1 and a > 1 is finite.
 
-    which=1: rhs_w / lhs_w for the shifted Chebyshev polynomial (should
-    reproduce r1).  which=2: the unweighted ratio for the integrated
-    Chebyshev polynomial, whose derivative has unit sup norm; its minimum
-    modulus is evaluated from the closed antiderivative form rather than
-    quadrature.
+    which=1: rhs_w / lhs_w for the shifted Chebyshev polynomial T_n - T_n(a)
+    (should reproduce r1), with lhs_w scanned to cfg.supnorm_xtol and the
+    minimum modulus T_n(a) - 1.  which=2: the unweighted ratio for the
+    integrated Chebyshev polynomial Q = (f - f(a))/2, f = T_n/n - T_{n-2}/(n-2),
+    whose derivative T_{n-1} has unit sup norm, as a closed form with no scan.
     """
-    tol = cfg.supnorm_xtol
-    grid1 = _norm_grid(n, cfg)
+    cls = FixedPoleClass(n, a)
+    n, a = cls.n, cls.a
+    tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
     if which == 1:
-        # evaluate the shifted Chebyshev witness in closed form: its
-        # derivative is n*U_{n-1}, and min |T_n(x) - T_n(a)| = T_n(a) - 1;
-        # the root-product representation cannot hold these digits once
-        # T_n(a) is large
-        tna = eval_cheb(ChebKind.FIRST_KIND, n, a)
-
-        def rows(x):
-            theta = np.arccos(np.clip(x, -1.0, 1.0))
-            # sqrt(1-x^2) * |n U_{n-1}(x)|, and -|T_n(x) - T_n(a)|
-            return np.array([n * np.abs(np.sin(n * theta)), -np.abs(np.cos(n * theta) - tna)])
-
-        (lhs_w, _), (neg_min, _) = suprema_on_grid(rows, grid1, tol)
-        min_p = -neg_min
-        return n * min_p / math.sqrt((tna - 1.0) * (tna + 1.0)) / lhs_w
+        # the closed form, as the root product loses these digits once T_n(a)
+        # is large: sqrt(1-x^2) |P'| = n |sin n theta|, and min |P| = T_n(a) - 1,
+        # in floats too since cos n theta <= 1
+        lhs_w, _ = supremum_on_grid(
+            lambda x: n * np.abs(np.sin(n * np.arccos(np.clip(x, -1.0, 1.0)))),
+            _norm_grid(n, cfg), cfg.supnorm_xtol)
+        return n * (tn - 1.0) / math.sqrt((tn - 1.0) * (tn + 1.0)) / lhs_w
     if which == 2:
         if n < 4:
             raise TheoremRangeError(f"the integrated witness needs n >= 4, got n={n}")
-        fa = _f_and_fa(n, a)
-
-        def neg_absq(x):
-            theta = np.arccos(np.clip(x, -1.0, 1.0))
-            fx = np.cos(n * theta) / n - np.cos((n - 2) * theta) / (n - 2)
-            return -np.abs(0.5 * (fx - fa))
-
-        neg_min, _ = supremum_on_grid(neg_absq, grid1, tol)
-        min_q = -neg_min
-        tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
-        tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, a)
-        # || d/dx of the antiderivative || = ||T_{n-1}|| = 1 exactly
-        return 2.0 * n * min_q / (tn - tn2 + 3.0)
+        # f' = 2 T_{n-1}: max f sits at a zero of T_{n-1} or at +-1, and f(a) > f(1)
+        # > min f, so min |Q| = (f(a) - max f)/2, or 0 where Q has a root on the segment
+        theta = np.pi * np.append(np.arange(1, 2 * n - 2, 2) / (2 * n - 2), (0.0, 1.0))
+        fmax = float(np.max(np.cos(n * theta) / n - np.cos((n - 2) * theta) / (n - 2)))
+        min_q = 0.5 * max(0.0, _f_and_fa(n, a) - fmax)
+        return 2.0 * n * min_q / (tn - eval_cheb(ChebKind.FIRST_KIND, n - 2, a) + 3.0)
     raise DomainError(f"witness index must be 1 or 2, got {which!r}")
 
 

@@ -53,7 +53,8 @@ class TargetFunction:
     """Deterministic real target on [-1, 1].
 
     ``evaluator`` may be scalar-only or numpy-vectorized; values_on sorts
-    that out and always returns a float array of the input shape.
+    that out and always returns a float array of the input shape.  A
+    SimplefracError raised by the evaluator propagates as is.
     """
 
     evaluator: Callable
@@ -65,6 +66,8 @@ class TargetFunction:
             out = np.asarray(self.evaluator(xs), dtype=float)
             if out.shape != xs.shape:
                 raise ValueError
+        except SimplefracError:
+            raise
         except (TypeError, ValueError):
             out = np.array([float(self.evaluator(float(t))) for t in np.atleast_1d(xs)])
             out = out.reshape(xs.shape)

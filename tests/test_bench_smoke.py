@@ -6,8 +6,8 @@ maxiter)``, ``local_extrema`` in ``_optim`` and ``minimax``, and
 ``cauchy.permanent_ryser``), so a rename or signature change in the package
 breaks it; this catches that in the unit-test run.  ``supremum_on_grid``
 keeps that signature as the one-row case of ``suprema_on_grid``, which the
-tracer does not wrap: the multi-row scans of ``check_corollary`` and the
-first witness show in their callers' spans.  One traced pass at the
+tracer does not wrap: the multi-row scan of ``check_corollary`` shows in
+its caller's span.  One traced pass at the
 smallest sizes takes a few seconds.
 """
 

@@ -23,7 +23,7 @@ from simplefrac.bernstein import (
 from simplefrac.cheb import ChebKind, eval_cheb
 from simplefrac.config import DEFAULTS
 from simplefrac.errors import DomainError, TheoremRangeError, ToleranceNotMetError
-from simplefrac.extremal import _norm_grid, _weight
+from simplefrac.extremal import _f_and_fa, _norm_grid, _weight
 
 
 def check_corollary_reference(poly, cfg=DEFAULTS):
@@ -81,9 +81,92 @@ def test_one_scan_corollary_matches_three_scans(n, a, seed, tol):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 90), a=st.floats(1.05, 8.0), tol=st.sampled_from([None, 1e-6, 1e-17]))
 def test_one_scan_first_witness_matches_two_scans(n, a, tol):
+    # the witness reads min |P| = T_n(a) - 1 where the reference scans the
+    # min row, which is flat in floats and at xtol 1e-17 may fail to converge
     cfg = DEFAULTS if tol is None else replace(DEFAULTS, supnorm_xtol=tol)
+    grid, tna = _norm_grid(n, cfg), eval_cheb(ChebKind.FIRST_KIND, n, a)
     got = hexed(lambda: witness_ratio_empirical(n, a, 1, cfg=cfg))
-    assert got == hexed(lambda: witness_one_reference(n, a, cfg))
+    want = hexed(lambda: witness_one_reference(n, a, cfg))
+    neg_min = hexed(lambda: supremum_on_grid(
+        lambda x: -np.abs(np.cos(n * np.arccos(np.clip(x, -1.0, 1.0))) - tna),
+        grid, cfg.supnorm_xtol)[0])
+    if isinstance(neg_min, str):
+        assert neg_min == (-(tna - 1.0)).hex()  # whenever the min-row scan returns
+    if isinstance(want, str) or isinstance(got, tuple):
+        assert got == want  # the reference returns, or both raise
+    else:
+        # only the reference raises, at its min-row scan
+        assert isinstance(neg_min, tuple)
+        lhs_w, _ = supremum_on_grid(
+            lambda x: n * np.abs(np.sin(n * np.arccos(np.clip(x, -1.0, 1.0)))),
+            grid, cfg.supnorm_xtol)
+        assert got == (n * (tna - 1.0) / math.sqrt((tna - 1.0) * (tna + 1.0)) / lhs_w).hex()
+
+
+def witness_two_reference(n, a, cfg=DEFAULTS):
+    """Reference: the second witness ratio with min |Q| from a scan of -|Q|."""
+    fa = _f_and_fa(n, a)
+
+    def neg_absq(x):
+        theta = np.arccos(np.clip(x, -1.0, 1.0))
+        fx = np.cos(n * theta) / n - np.cos((n - 2) * theta) / (n - 2)
+        return -np.abs(0.5 * (fx - fa))
+
+    neg_min, _ = supremum_on_grid(neg_absq, _norm_grid(n, cfg), cfg.supnorm_xtol)
+    tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
+    tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, a)
+    return 2.0 * n * -neg_min / (tn - tn2 + 3.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 90), a=st.floats(1.05, 8.0, exclude_max=True),
+       tol=st.sampled_from([None, 1e-6, 1e-17]))
+def test_second_witness_closed_form_against_scan(n, a, tol):
+    # a scan can only underestimate max f, so overestimate the ratio
+    cfg = DEFAULTS if tol is None else replace(DEFAULTS, supnorm_xtol=tol)
+    got = witness_ratio_empirical(n, a, 2, cfg=cfg)
+    try:
+        want = witness_two_reference(n, a, cfg)
+    except ToleranceNotMetError:
+        return
+    assert got <= want + 2 * math.ulp(want)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 30, 63, 64, 128])
+@pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 5.0])
+def test_second_witness_closed_form_against_mpmath(n, a):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        def f(theta, trig=mp.cos):  # T_n/n - T_{n-2}/(n-2) at cos theta (cosh theta)
+            return trig(n * theta) / n - trig((n - 2) * theta) / (n - 2)
+
+        # f' = 2 T_{n-1}: max f is at a zero of T_{n-1} or at +-1
+        fmax = max(f(mp.pi * k / (2 * n - 2)) for k in [*range(1, 2 * n - 2, 2), 0, 2 * n - 2])
+        q = max(0, f(mp.acosh(a), mp.cosh) - fmax) / 2
+        tn, tn2 = (mp.cosh(k * mp.acosh(a)) for k in (n, n - 2))
+        exact = float(2 * n * q / (tn - tn2 + 3))
+    assert abs(witness_ratio_empirical(n, a, 2) - exact) <= 2 * math.ulp(exact)
+
+
+def test_second_witness_vanishes_when_f_of_a_is_below_max_f():
+    # f = 2x^4 - 3x^2 + 3/4 peaks at 3/4 (x = 0) above f(1.2) = 0.5772, so Q
+    # has a root on the segment
+    assert witness_ratio_empirical(4, 1.2, 2) == 0.0
+
+
+@pytest.mark.parametrize("fn, args", [
+    (witness_ratio_empirical, (0, 3.0, 1)),
+    (witness_ratio_empirical, (4, 1.0, 1)),
+    (witness_ratio_empirical, (4, 0.5, 1)),
+    (witness_ratio_empirical, (4, 0.5, 2)),
+    (witness_ratio_empirical, (4, -3.0, 2)),
+    (corollary_min_a, (0,)),
+    (corollary_min_a, (-2,)),
+    (corollary_min_a, (2.5,)),
+])
+def test_witness_and_threshold_inputs_raise_domain_error(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
 
 
 def test_shifted_cheb_degree_two_example():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from simplefrac import _optim, extremal, minimax
 from simplefrac.cheb import cheb_t
-from simplefrac.errors import DomainError, SimplefracError
+from simplefrac.errors import DomainError, EvaluationError, SimplefracError
 from simplefrac.extremal import (
     FixedPoleClass,
     LogDerivative,
@@ -524,3 +524,16 @@ def test_target_function_scalar_fallback():
     t = TargetFunction(evaluator=lambda x: float(x) ** 2, description="scalar-only")
     out = t.values_on(np.array([0.0, 0.5, -1.0]))
     assert out.tolist() == [0.0, 0.25, 1.0]
+
+
+def test_target_function_lets_package_errors_through():
+    # an EvaluationError is a ValueError, but not the sign of a scalar-only evaluator
+    rho, calls = LogDerivative((0.0, 3.0)), []
+
+    def counted(x):
+        calls.append(x)
+        return rho.values_on(x)
+
+    with pytest.raises(EvaluationError, match=r"at x = 0\.0:"):
+        TargetFunction(counted, "ld:0,3").values_on(np.linspace(-1.0, 1.0, 11))
+    assert len(calls) == 1

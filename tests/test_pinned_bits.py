@@ -25,6 +25,12 @@ evaluation's rounding bound of a 50-digit maximum of the same float
 function.  The alternance, witness, generic ``sup_norm`` and ``values_on``
 entries kept their bits.
 
+The witnesses' minimum moduli are now read in closed form, not scanned:
+T_n(a) - 1 for the first witness, which scans its weighted derivative
+norm alone, and (f(a) - max f)/2 for the second, with max f taken at the
+zeros of T_{n-1} and at +-1.  The scans of those minima returned exactly
+these values here, and every witness entry kept its bits.
+
 The ``generic`` entries pin the float pole-sum kernel ``pole_sums`` through
 plain ``LogDerivative`` fractions, which (unlike the closed forms) have no
 evaluator of their own: sup norms, and ``values_on`` at one point and on
