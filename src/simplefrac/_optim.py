@@ -2,15 +2,17 @@
 
 Shared by the sup-norm engines, the alternance detectors, and the minimax
 solver.  ``fn`` takes a 1-D float array and returns its values there: one
-row, shaped like x, or for :func:`suprema_on_grid` an (m, len(x)) array of m
-rows that share one evaluation (say |P'| and |P| from one pass over the
-roots of P).  The grid values locate a bracket around every local extremum
-of every row, and all brackets are refined together: each call to ``fn``
-samples every open bracket at several evenly spaced points and shrinks it
-around its best sample, and each bracket reads its own row.  A call costs
-far more in fixed overhead than per point, so several points per bracket per
-call beat golden section's one, which is the best search only by point
-count.  Each bracket does exactly the arithmetic of a scalar loop, so
+row, shaped like x, or an (m, len(x)) array of m rows, which for
+:func:`suprema_on_grid` share one evaluation (say |P'| and |P| from one
+pass over the roots of P).  A multi-row fn of :func:`local_extrema` also
+takes ``fn(x, row)`` and returns row row[i] at x[i], so each bracket's
+points are evaluated for its own row only.  The grid values locate a
+bracket around every local extremum of every row, and all brackets are
+refined together: each call to ``fn`` samples every open bracket at several
+evenly spaced points and shrinks it around its best sample, and each
+bracket reads its own row.  A call costs far more in fixed overhead than
+per point, so several points per bracket per call beat golden section's
+one, which is the best search only by point count.  Each bracket does exactly the arithmetic of a scalar loop, so
 results are reproducible bit for bit, and row j of a multi-row scan is what
 a one-row scan of that row alone returns.
 """
@@ -33,8 +35,8 @@ def _bracket_refine(fn: Callable, lo: np.ndarray, hi: np.ndarray, sign: np.ndarr
                     row: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parallel bracketing maximization of sign[j] * fn on every [lo[j], hi[j]].
 
-    With ``row``, fn returns an (m, len(x)) array and bracket j reads row
-    row[j]; without it, fn returns one row shaped like x.  Each call samples
+    With ``row``, bracket j reads row row[j] through fn(x, r), the value of
+    row r[i] at x[i]; without it, fn(x) is one row.  Each call samples
     every open bracket [a, b] at the _N points a + (b - a) * i/(_N + 1) and
     shrinks it to the two neighbours of its best sample (the first on ties;
     NaN never wins), until it is no wider than xtol; every bracket is sampled
@@ -53,8 +55,8 @@ def _bracket_refine(fn: Callable, lo: np.ndarray, hi: np.ndarray, sign: np.ndarr
             break
         j = np.arange(k)
         x = a[:, None] + (b - a)[:, None] * _T
-        f = fn(x.ravel())
-        f = s[:, None] * (f.reshape(k, _N) if r is None else f.reshape(-1, k, _N)[r, j])
+        f = fn(x.ravel()) if r is None else fn(x.ravel(), np.repeat(r, _N))
+        f = s[:, None] * f.reshape(k, _N)
         key = np.fmax(f, -math.inf)  # NaN never wins
         i = np.argmax(key, axis=1)
         better = ~(key[j, i] <= bkey)
@@ -99,8 +101,8 @@ def suprema_on_grid(fn: Callable, grid: np.ndarray, xtol: float,
     peak[:, :-1] &= ys[:, :-1] >= ys[:, 1:]
     rows, at = np.nonzero(peak)  # row by row, each row's peaks left to right
     lo, hi = grid[np.maximum(at - 1, 0)], grid[np.minimum(at + 1, m - 1)]
-    xs, vs = _bracket_refine(fn, lo, hi, np.ones(len(at)), xtol, maxiter,
-                            None if one_row else rows)
+    xs, vs = _bracket_refine(fn if one_row else lambda x, r: fn(x)[r, np.arange(len(x))],
+                             lo, hi, np.ones(len(at)), xtol, maxiter, None if one_row else rows)
     ends = np.searchsorted(rows, np.arange(len(ys) + 1))
     out = []
     for j, (s, e) in enumerate(zip(ends[:-1], ends[1:])):
@@ -129,39 +131,45 @@ def supremum_on_grid(fn: Callable, grid: np.ndarray, xtol: float,
 
 
 def local_extrema(fn: Callable, grid: np.ndarray, xtol: float,
-                  maxiter: int = 500) -> list[tuple[float, float]]:
+                  maxiter: int = 500) -> list:
     """Refined local extrema (maxima and minima) of a signed function.
 
     fn takes a 1-D float array; all extrema are refined together, minima as
     maxima of -fn.  Returns (x, fn(x)) pairs sorted by x, endpoints
     included, with refined points closer than 10*xtol merged (larger
-    magnitude wins).
+    magnitude wins).  When fn(grid) has m rows, fn(x, row) evaluates each
+    point for its own row (see the module docstring), and the result is m
+    such lists: list j is what a scan of row j alone returns, bit for bit.
+    A multi-row scan raises what the first failing row's scan raises.
     """
     ys = np.asarray(fn(grid), dtype=float)
-    left = ys - np.concatenate([ys[:1], ys[:-1]])
-    right = np.concatenate([ys[1:], ys[-1:]]) - ys
+    one_row = ys.ndim == 1
+    ys = ys.reshape(-1, len(grid))
+    left = ys - np.concatenate([ys[:, :1], ys[:, :-1]], axis=1)
+    right = np.concatenate([ys[:, 1:], ys[:, -1:]], axis=1) - ys
     is_max = (left >= 0.0) & (right <= 0.0)
     is_min = (left <= 0.0) & (right >= 0.0)
-    at = np.flatnonzero(is_max | is_min)
-    is_max, is_min = is_max[at], is_min[at]
+    rows, at = np.nonzero(is_max | is_min)  # row by row, left to right
+    is_max, is_min = is_max[rows, at], is_min[rows, at]
     sign = np.where(is_max, 1.0, -1.0)
     lo, hi = grid[np.maximum(at - 1, 0)], grid[np.minimum(at + 1, len(grid) - 1)]
-    xs, vs = _bracket_refine(fn, lo, hi, sign, xtol, maxiter)
+    xs, vs = _bracket_refine(fn, lo, hi, sign, xtol, maxiter, None if one_row else rows)
     vs = sign * vs
     # an exact grid endpoint may beat the interior refinement; a flat point
     # (both max and min) keeps whichever is larger in magnitude
-    gx, gv = grid[at], ys[at]
+    gx, gv = grid[at], ys[rows, at]
     grid_wins = np.where(is_max & is_min, np.abs(gv) > np.abs(vs),
                          np.where(is_max, gv > vs, gv < vs))
-    found = list(zip(np.where(grid_wins, gx, xs).tolist(),
-                     np.where(grid_wins, gv, vs).tolist()))
-
-    found.sort(key=lambda p: p[0])
-    merged: list[tuple[float, float]] = []
-    for x, v in found:
-        if merged and abs(x - merged[-1][0]) <= 10.0 * xtol:
-            if abs(v) > abs(merged[-1][1]):
-                merged[-1] = (x, v)
-        else:
-            merged.append((x, v))
-    return merged
+    px, pv = np.where(grid_wins, gx, xs).tolist(), np.where(grid_wins, gv, vs).tolist()
+    ends = np.searchsorted(rows, np.arange(len(ys) + 1)).tolist()
+    out = []
+    for s, e in zip(ends[:-1], ends[1:]):
+        merged: list[tuple[float, float]] = []
+        for x, v in sorted(zip(px[s:e], pv[s:e]), key=lambda p: p[0]):
+            if merged and abs(x - merged[-1][0]) <= 10.0 * xtol:
+                if abs(v) > abs(merged[-1][1]):
+                    merged[-1] = (x, v)
+            else:
+                merged.append((x, v))
+        out.append(merged)
+    return out[0] if one_row else out

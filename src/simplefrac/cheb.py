@@ -241,8 +241,14 @@ def solve_t_equals(n: int, c: float, *, cfg: Config = DEFAULTS) -> list[float]:
     xr = np.array([math.cos(theta) for theta in thetas])
     live = np.ones(n, dtype=bool)  # a root whose derivative vanishes stops moving
     for _ in range(2):
-        tn = _cheb_recurrence_dd(ChebKind.FIRST_KIND, n, xr)
-        deriv = n * _cheb_recurrence_dd(ChebKind.SECOND_KIND, n - 1, xr)
+        # one double-double pass over the rows [T, U]: after n - 1 steps the
+        # U row's previous term is U_{n-1}, with its own recurrence's bits
+        twox = 2.0 * xr
+        prev, cur = (np.ones((2, n)), np.zeros((2, n))), (np.stack([xr, twox]), np.zeros((2, n)))
+        for _ in range(n - 1):
+            cur, prev = _dd.dd_sub(_dd.dd_mul_f(cur, twox), prev), cur
+        tn = _dd.dd_to_float(cur)[0]
+        deriv = n * _dd.dd_to_float(prev)[1]
         live &= deriv != 0.0
         xr -= np.divide(tn - c, deriv, out=np.zeros(n), where=live)
     resid = np.abs(_cheb_recurrence_dd(ChebKind.FIRST_KIND, n, xr) - c)

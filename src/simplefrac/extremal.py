@@ -178,7 +178,10 @@ def pole_sums(x, reals, pairs):
     """Float pole sum rho(x) = sum_k 1/(x - z_k), shaped like x.
 
     ``reals`` are the real poles and ``pairs`` the (u, v) of the conjugate
-    pairs u +- iv, each pair combined as 2(x-u)/((x-u)^2 + v^2).
+    pairs u +- iv, each pair combined as 2(x-u)/((x-u)^2 + v^2).  A trailing
+    points axis, (n_real, points) and (n_pairs, 2, points), gives each point
+    poles of its own.  A real pole at +inf, or a pair (0, inf), adds a +-0.0
+    term, which leaves a sum from +0.0 unchanged: padding with them keeps bits.
 
     Summation order, the contract that fixes every bit: at each point the
     terms are added one at a time, starting from +0.0, reals first, then
@@ -193,9 +196,9 @@ def pole_sums(x, reals, pairs):
     nr = len(reals)
     terms = np.empty((nr + len(pairs), xr.shape[1]))
     if nr:
-        np.divide(1.0, xr - np.asarray(reals, dtype=float).reshape(-1, 1), out=terms[:nr])
+        np.divide(1.0, xr - np.asarray(reals, dtype=float).reshape(nr, -1), out=terms[:nr])
     if len(pairs):
-        u, v = np.asarray(pairs, dtype=float).reshape(-1, 2).T[:, :, None]
+        u, v = np.asarray(pairs, dtype=float).reshape(len(pairs), 2, -1).swapaxes(0, 1)
         dp = xr - u
         np.divide(2.0 * dp, dp * dp + v * v, out=terms[nr:])
     return _row_sums(terms).reshape(x.shape)

@@ -29,7 +29,9 @@ them.  The solver scans each fraction it considers once, the exchange's
 own scan of each iterate included, and takes the error, the pick, the
 alternance, the certificate and the bound from those scans;
 residual_alternance, certify_optimality and dvp_lower_bound make the same
-scan on the same grid.
+scan on the same grid.  The solver scans in rounds (_lockstep), one
+iterate of every live start as the rows of one local_extrema call
+(_scans), each row _scan bit for bit: every start runs as it would alone.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ import numpy as np
 from ._optim import local_extrema
 from .cheb import chebyshev_points
 from .config import DEFAULTS, Config
-from .errors import DomainError, SimplefracError
+from .errors import DomainError, EvaluationError, SimplefracError
 from .extremal import (AlternanceReport, FixedPoleClass, LogDerivative, _min_pole_separation,
-                       _norm_grid, _on_segment, _weight, build_extremal_weighted)
+                       _norm_grid, _on_segment, _weight, build_extremal_weighted, pole_sums)
 
 
 @dataclass(frozen=True)
@@ -81,15 +83,6 @@ def _weight_fn(weighted: bool):
     return _weight if weighted else np.ones_like
 
 
-def _residual_fn(f: TargetFunction, rho: LogDerivative, weighted: bool):
-    w = _weight_fn(weighted)
-
-    def r(x):
-        return w(x) * (f.values_on(x) - rho.values_on(x))
-
-    return r
-
-
 def _alternating_subsequence(extrema):
     """Longest sign-alternating subsequence, keeping the largest magnitude
     within each run of equal signs.  Zero values break runs and are dropped."""
@@ -117,8 +110,52 @@ def _scan(f: TargetFunction, rho: LogDerivative, weighted: bool, cfg: Config):
     pole on [-1, 1]."""
     if rho.has_pole_on_segment(cfg=cfg):
         raise DomainError("fraction has a pole on [-1, 1]")
-    return local_extrema(_residual_fn(f, rho, weighted), _norm_grid(rho.degree, cfg, _GRID),
-                         cfg.supnorm_xtol)
+    w = _weight_fn(weighted)
+    return local_extrema(lambda x: w(x) * (f.values_on(x) - rho.values_on(x)),
+                         _norm_grid(rho.degree, cfg, _GRID), cfg.supnorm_xtol)
+
+
+def _residuals(f: TargetFunction, rhos, weighted: bool):
+    """The residuals w (f - rho) of the plain pole-sum fractions ``rhos`` (no
+    closed-form values_on) as one multi-row fn (see local_extrema), row j
+    bit for bit the one _scan(f, rhos[j], ...) scans: one pole_sums pass
+    gives each point its row's poles, padded with poles at infinity.
+    Raises EvaluationError at a non-finite value."""
+    w, m = _weight_fn(weighted), len(rhos)
+    reals = np.full((m, max(len(rho._reals) for rho in rhos)), math.inf)
+    pairs = np.tile([0.0, math.inf], (m, max(len(rho._pairs) for rho in rhos), 1))
+    for j, rho in enumerate(rhos):
+        reals[j, :len(rho._reals)], pairs[j, :len(rho._pairs)] = rho._reals, rho._pairs
+
+    def r(x, row=None):
+        at = np.repeat(np.arange(m), len(x)) if row is None else row  # None: every row
+        with np.errstate(all="ignore"):
+            y = pole_sums(np.resize(x, len(at)), reals[at].T, pairs[at].transpose(1, 2, 0))
+        if not np.isfinite(y).all():
+            raise EvaluationError("a fraction value is not finite")
+        return w(x) * (f.values_on(x) - (y if row is not None else y.reshape(m, len(x))))
+
+    return r
+
+
+def _scans(f: TargetFunction, rhos, weighted: bool, cfg: Config) -> list:
+    """_scan of each fraction of one degree, as rows of one local_extrema
+    call: entry j is _scan(f, rhos[j], weighted, cfg) bit for bit, or the
+    exception it raises.  If the multi-row scan raises, each fraction is
+    scanned on its own."""
+    if len(rhos) > 1 and not any(rho.has_pole_on_segment(cfg=cfg) for rho in rhos):
+        try:
+            return local_extrema(_residuals(f, rhos, weighted),
+                                 _norm_grid(rhos[0].degree, cfg, _GRID), cfg.supnorm_xtol)
+        except Exception:  # noqa: BLE001 - the rows' own scans say what failed
+            pass
+    out = []
+    for rho in rhos:
+        try:
+            out.append(_scan(f, rho, weighted, cfg))
+        except Exception as exc:  # noqa: BLE001 - the caller raises or discards it
+            out.append(exc)
+    return out
 
 
 def _level(extrema) -> float:
@@ -468,19 +505,20 @@ def _exchange(coef, f: TargetFunction, opts: ApproxOptions, cfg: Config):
     """Remez exchange on the free Chebyshev coefficients c of P (rho = P'/P,
     plus the fixed pole if any), on a reference of m = len(coef) points.
 
-    Each iterate is scanned once (_scan), and the reference t is the
-    alternating window of m of its extrema whose smallest magnitude is
-    largest (_best_window; the weighted run leaves out extrema within 1e-9
-    of +-1, where the weight vanishes).  The exchange stops once that
+    A generator run by _lockstep: it yields each iterate's fraction and is
+    sent back that fraction's scan (_scan).  The reference t is the
+    alternating window of m of the scanned extrema whose smallest magnitude
+    is largest (_best_window; the weighted run leaves out extrema within
+    1e-9 of +-1, where the weight vanishes).  The exchange stops once that
     smallest magnitude is within a relative 1e-12 of the scanned sup level,
     once the level no longer falls, or when there is no window; otherwise
     it solves the level equations w(t_i)(f(t_i) - rho(t_i)) = sigma (-1)^i h
-    for (c, h) and scans again.  Only target values are used.
+    for (c, h) and yields the next iterate.  Only target values are used.
 
     Returns (level, rho, extrema) of the iterate of least scanned level,
     the number of level solves and why the exchange stopped; a start with
-    no window returns its start iterate.  Raises DomainError when the start
-    itself has a pole on [-1, 1].
+    no window returns its start iterate.  A later iterate with a pole on
+    [-1, 1] is not yielded: the exchange stops at the one before.
     """
     w = _weight_fn(opts.weighted)
     fixed = () if opts.fixed_pole is None else (complex(opts.fixed_pole),)
@@ -492,7 +530,7 @@ def _exchange(coef, f: TargetFunction, opts: ApproxOptions, cfg: Config):
         if best is not None and rho.has_pole_on_segment(cfg=cfg):
             why = "pole on [-1, 1]"
             break
-        ext = _scan(f, rho, opts.weighted, cfg)
+        ext = yield rho
         level = _level(ext)
         if best is not None and level >= best[0]:
             why = "level stopped falling"
@@ -518,6 +556,38 @@ def _exchange(coef, f: TargetFunction, opts: ApproxOptions, cfg: Config):
     return best, steps, why
 
 
+def _scanned(rho: LogDerivative):
+    """A run of _lockstep that asks for one scan and returns it."""
+    return (yield rho)
+
+
+def _lockstep(runs, f: TargetFunction, weighted: bool, cfg: Config):
+    """Drive the generators ``runs`` (see _exchange) in rounds: each round
+    scans the fraction every live run yielded (_scans) and sends each run
+    its scan, or throws in the exception it raised.  Yields each run's return
+    value, or the exception it raised, in order, once it and every earlier
+    run have ended, so a consumer that stops reading drops the later runs'
+    remaining work."""
+    runs, ended, asked = list(runs), {}, {}
+
+    def advance(i, ext):
+        try:
+            asked[i] = runs[i].throw(ext) if isinstance(ext, Exception) else runs[i].send(ext)
+        except StopIteration as stop:
+            ended[i] = stop.value
+        except Exception as exc:  # noqa: BLE001 - the consumer raises or discards it
+            ended[i] = exc
+
+    for i in range(len(runs)):
+        advance(i, None)
+    for i in range(len(runs)):
+        while i not in ended:
+            live = list(asked)
+            for k, ext in zip(live, _scans(f, [asked.pop(k) for k in live], weighted, cfg)):
+                advance(k, ext)
+        yield ended.pop(i)
+
+
 def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, *,
                   cfg: Config = DEFAULTS) -> ApproxResult:
     """Approximate f on [-1, 1] by a degree-n logarithmic derivative.
@@ -535,7 +605,10 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
     skipped, with one diagnostic naming them.
 
     Every fraction considered is scanned once (_scan): the fraction with
-    all free poles far away, then each exchange iterate.  The least scanned
+    all free poles far away, then each exchange iterate, in rounds
+    (_lockstep): the far fraction with start 0's start iterate, start 0's
+    later iterates alone, so its early stop still skips the other starts,
+    then starts 1, 2, ... in lockstep.  The least scanned
     level among the far fraction and each start's output wins (the first on
     ties), and that level is the error.  The winner's stored scan gives the
     alternance report (n_free + 1 points), the alternance certificate and
@@ -577,20 +650,30 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
     poles = _cheb_poles(coef0)
     # free poles at +-(1 + e^40), about 2.4e17, make rho numerically 0, so no
     # answer is worse than the trivial one
-    far = tuple(complex((-1.0) ** k * (1.0 + math.exp(40.0))) for k in range(n_free))
-    rho = LogDerivative(fixed + far)
-    ext = _scan(f, rho, opts.weighted, cfg)
-    best = (_level(ext), rho, ext, "far poles")
-    rng = np.random.default_rng(opts.seed)
-    for start in range(opts.starts):
-        coef = coef0
-        if start > 0:
-            coef = _coef_from_poles(_perturbed_poles(poles, _PERTURB_SIGMA * rng.standard_normal(n_free)))
-        try:
-            (level, rho, ext), steps, why = _exchange(coef, f, opts, cfg)
-        except (SimplefracError, np.linalg.LinAlgError) as exc:
-            diagnostics.append(f"start {start}: {exc}; discarded")
+    far = LogDerivative(fixed + tuple(complex((-1.0) ** k * (1.0 + math.exp(40.0)))
+                                      for k in range(n_free)))
+
+    def outcomes():
+        # round 1 scans the far fraction with start 0's start iterate; start 0
+        # then runs alone, so that its early stop skips the other starts
+        yield from _lockstep([_scanned(far), _exchange(coef0, f, opts, cfg)], f, opts.weighted, cfg)
+        rng = np.random.default_rng(opts.seed)
+        coefs = [_coef_from_poles(_perturbed_poles(poles, _PERTURB_SIGMA * rng.standard_normal(n_free)))
+                 for _ in range(1, opts.starts)]
+        yield from _lockstep([_exchange(c, f, opts, cfg) for c in coefs], f, opts.weighted, cfg)
+
+    runs = outcomes()
+    ext = next(runs)
+    if isinstance(ext, Exception):
+        raise ext
+    best = (_level(ext), far, ext, "far poles")
+    for start, out in enumerate(runs):
+        if isinstance(out, (SimplefracError, np.linalg.LinAlgError)):
+            diagnostics.append(f"start {start}: {out}; discarded")
             continue
+        if isinstance(out, Exception):
+            raise out
+        (level, rho, ext), steps, why = out
         diagnostics.append(f"start {start}: {steps} exchange step{'' if steps == 1 else 's'}; {why}")
         if level < best[0]:
             best = (level, rho, ext, f"start {start}")

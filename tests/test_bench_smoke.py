@@ -7,8 +7,10 @@ maxiter)``, ``local_extrema`` in ``_optim`` and ``minimax``, and
 breaks it; this catches that in the unit-test run.  ``supremum_on_grid``
 keeps that signature as the one-row case of ``suprema_on_grid``, which the
 tracer does not wrap: the multi-row scan of ``check_corollary`` shows in
-its caller's span.  One traced pass at the
-smallest sizes takes a few seconds.
+its caller's span.  ``local_extrema`` keeps its signature too; its
+multi-row form, which the solver calls through ``minimax.local_extrema``
+once per round of scans, is told apart by the shape of ``fn(grid)``.  One
+traced pass at the smallest sizes takes a few seconds.
 """
 
 import json

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from simplefrac import _optim, extremal, minimax
 from simplefrac.cheb import cheb_t
+from simplefrac.config import DEFAULTS
 from simplefrac.errors import DomainError, EvaluationError, SimplefracError
 from simplefrac.extremal import (
     FixedPoleClass,
@@ -361,6 +362,48 @@ def test_solver_certificate_and_bound_match_the_public_checks(name, n):
         assert f"lower bound unavailable: {exc}" in res.diagnostics
 
 
+def _random_fraction(seed):
+    # degree 3: a real pole off [-1, 1] and a pair off the segment
+    rng = np.random.default_rng(seed)
+    r = rng.choice([-1.0, 1.0]) * rng.uniform(1.05, 3.0)
+    z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.05, 1.0))
+    return LogDerivative((r, z, z.conjugate()))
+
+
+def _outcome(scan):
+    if isinstance(scan, Exception):
+        return type(scan).__name__, str(scan)
+    return [(float(x).hex(), float(v).hex()) for x, v in scan]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=4),
+       bad=st.integers(0, 3), fault=st.sampled_from(["none", "pole", "nan"]),
+       weighted=st.booleans())
+def test_solver_scan_rows_match_one_row_scans(seeds, bad, fault, weighted):
+    # the rows of one round: a row whose scan raises (a pole on the segment,
+    # or a target that is NaN next to one of its extrema) leaves the other
+    # rows' scans unchanged, and gets the exception its own scan raises
+    rhos = [_random_fraction(s) for s in seeds]
+    bad %= len(rhos)
+    f = TargetFunction(np.exp, "exp")
+    if fault == "pole":
+        rhos[bad] = LogDerivative((0.3, 2.0 + 1.0j, 2.0 - 1.0j))
+    elif fault == "nan":
+        ext = minimax._scan(f, rhos[bad], weighted, DEFAULTS)
+        x0 = ext[len(ext) // 2][0]
+        f = TargetFunction(lambda x: np.where(np.abs(x - x0) <= 1e-12, math.nan, np.exp(x)), "exp")
+    want = []
+    for rho in rhos:
+        try:
+            want.append(minimax._scan(f, rho, weighted, DEFAULTS))
+        except SimplefracError as exc:
+            want.append(exc)
+    got = minimax._scans(f, rhos, weighted, DEFAULTS)
+    assert [_outcome(g) for g in got] == [_outcome(w) for w in want]
+    assert fault == "none" or isinstance(got[bad], SimplefracError)
+
+
 def test_solver_start_without_a_window_competes():
     # e^x at n = 2: start 2's layout has no alternating window; it once
     # dropped out of the pick, which left the error at 1.6391358
@@ -372,30 +415,46 @@ def test_solver_start_without_a_window_competes():
 @pytest.mark.parametrize("name, n, opts", [("cos5", 3, {}), ("exp", 3, {}),
                                            ("sqrt1px", 4, {"weighted": True})])
 def test_solver_scans_each_fraction_once(name, n, opts, monkeypatch):
-    # one local_extrema scan for the fraction with far poles, one per
-    # exchange iterate (start iterate plus one per level solve, less a last
-    # iterate with a pole on the segment), and no sup-norm scan at all; the
-    # error is the level of the winner's scan
-    calls = []
+    # one scanned row for the fraction with far poles, one per exchange
+    # iterate (start iterate plus one per level solve, less a last iterate
+    # with a pole on the segment), no iterate twice, and no sup-norm scan
+    # at all; the error is the level of the winner's scan.  The rows run in
+    # rounds, one local_extrema call each: the far fraction with start 0's
+    # start iterate, start 0's later iterates alone, then the other starts
+    # in lockstep
+    calls, scanned = [], []
+    scan, residuals = minimax._scan, minimax._residuals
 
     def counted(*args, **kwargs):
         calls.append(1)
         return _optim.local_extrema(*args, **kwargs)
 
+    def one_row(f, rho, weighted, cfg):
+        scanned.append(rho)
+        return scan(f, rho, weighted, cfg)
+
+    def rows(f, rhos, weighted):
+        scanned.extend(rhos)
+        return residuals(f, rhos, weighted)
+
     def refused(*args, **kwargs):
         raise AssertionError("supremum_on_grid called")
 
     monkeypatch.setattr(minimax, "local_extrema", counted)
+    monkeypatch.setattr(minimax, "_scan", one_row)
+    monkeypatch.setattr(minimax, "_residuals", rows)
     monkeypatch.setattr(_optim, "supremum_on_grid", refused)
     monkeypatch.setattr(extremal, "supremum_on_grid", refused)
     res = solve_best_ld(_zoo_target(name, 0), n, ApproxOptions(**opts))
     assert res.error == res.alternance.level
-    expected = 1
+    per_start = []
     for d in res.diagnostics:
         if m := re.fullmatch(r"start \d+: (\d+) exchange steps?; (.*)", d):
-            expected += int(m[1]) + (0 if m[2] == "pole on [-1, 1]" else 1)
+            per_start.append(int(m[1]) + (0 if m[2] == "pole on [-1, 1]" else 1))
         assert not re.fullmatch(r"start \d+: .*; discarded", d)
-    assert len(calls) == expected
+    assert len(scanned) == 1 + sum(per_start)
+    assert len({id(rho) for rho in scanned}) == len(scanned)
+    assert len(calls) == per_start[0] + max(per_start[1:], default=0)
 
 
 def _spline_target(seed):

@@ -230,6 +230,53 @@ def test_suprema_rows_match_one_row_scans(rows, m, xtol):
     assert multi.calls == max(f.calls for f in singles)
 
 
+def row_wise(fns, calls):
+    """A multi-row fn of local_extrema: all rows at every point, or each
+    point for its own row only."""
+    def fn(x, row=None):
+        calls.append(row)
+        if row is None:
+            return np.array([f(x) for f in fns])
+        out = np.empty_like(x)
+        for j, f in enumerate(fns):
+            out[row == j] = f(x[row == j])
+        return out
+    return fn
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.one_of(st.sampled_from(sorted(SPECIAL_ROWS)),
+                               st.tuples(coeff_lists, poles)), min_size=1, max_size=4),
+       m=st.integers(2, 80), xtol=st.sampled_from([1e-10, 1e-6, 0.05, 1e-17]))
+def test_extrema_rows_match_one_row_scans(rows, m, xtol):
+    # rows with NaN values leave the others alone; at xtol 1e-17 a row with
+    # an extremum to refine gets stuck, and the scan raises what the first
+    # stuck row's own scan raises
+    fns = [SPECIAL_ROWS[r] if isinstance(r, str) else rational(*r) for r in rows]
+    grid = chebyshev_points(m)
+    want = []
+    for f in fns:
+        try:
+            want.append(local_extrema(f, grid, xtol))
+        except ToleranceNotMetError as exc:
+            want.append(exc)
+    calls = []
+    failed = [w for w in want if isinstance(w, ToleranceNotMetError)]
+    if failed:
+        with pytest.raises(ToleranceNotMetError) as got:
+            local_extrema(row_wise(fns, calls), grid, xtol)
+        assert str(got.value) == str(failed[0])
+        assert bits([got.value.best]) == bits([failed[0].best])
+    else:
+        got = local_extrema(row_wise(fns, calls), grid, xtol)
+        assert len(got) == len(fns)
+        assert [bits(g) for g in got] == [bits(w) for w in want]
+    # one call for the grid, then one per refinement step, each point for its
+    # own row
+    assert calls[0] is None
+    assert all(len(r) % _N == 0 and r.dtype.kind == "i" for r in calls[1:])
+
+
 def test_suprema_failure_names_the_first_stuck_row():
     # the NaN row has no peak to refine; the parabola's bracket cannot
     # shrink below 1e-17, and the error is the one its own scan raises
