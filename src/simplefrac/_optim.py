@@ -12,9 +12,13 @@ refined together: each call to ``fn`` samples every open bracket at several
 evenly spaced points and shrinks it around its best sample, and each
 bracket reads its own row.  A call costs far more in fixed overhead than
 per point, so several points per bracket per call beat golden section's
-one, which is the best search only by point count.  Each bracket does exactly the arithmetic of a scalar loop, so
-results are reproducible bit for bit, and row j of a multi-row scan is what
-a one-row scan of that row alone returns.
+one, which is the best search only by point count.  For the same reason one
+refinement step is one call to fn plus a fixed set of array operations on
+the samples of all open brackets, whatever their number; the sample layout
+is rebuilt only on a step where a bracket finishes.  Each bracket does
+exactly the arithmetic of a scalar loop, so results are reproducible bit for
+bit, and row j of a multi-row scan is what a one-row scan of that row alone
+returns.
 """
 
 from __future__ import annotations
@@ -41,36 +45,56 @@ def _bracket_refine(fn: Callable, lo: np.ndarray, hi: np.ndarray, sign: np.ndarr
     shrinks it to the two neighbours of its best sample (the first on ties;
     NaN never wins), until it is no wider than xtol; every bracket is sampled
     at least once.  Returns arrays (x, v) with v[j] = sign[j] * fn(x[j]), the
-    best sample of bracket j over all its calls.  Raises ToleranceNotMetError (carrying the best
-    pair of the first failing bracket) if a bracket stops shrinking, or is
-    still wider than xtol after maxiter calls.
+    best sample of bracket j over all its calls.  Raises ToleranceNotMetError
+    (carrying the best pair of the first failing bracket) if a bracket stops
+    shrinking, or is still wider than xtol after maxiter calls.
+
+    A step is one fn call plus a fixed set of array operations.  The state
+    is compacted only on a step where a bracket finishes, which a shrink to
+    2/(_N + 1) of the width per step makes rare.
     """
     xs, vs, width = np.empty(len(lo)), np.empty(len(lo)), np.zeros(len(lo))
-    idx, a, b, s, r = np.arange(len(lo)), lo, hi, sign, row
-    bx = bv = np.empty(len(lo))
+    idx, a, b, r = np.arange(len(lo)), lo, hi, row
+    s = sign if (sign != 1.0).any() else None  # 1.0 * f is f, bit for bit
+    bx, bv = np.empty(len(lo)), np.empty(len(lo))
     bkey = np.full(len(lo), math.nan)  # no best yet: the first sample replaces NaN
+    k = -1
     for _ in range(maxiter):
-        k = len(idx)
-        if not k:
-            break
-        j = np.arange(k)
-        x = a[:, None] + (b - a)[:, None] * _T
-        f = fn(x.ravel()) if r is None else fn(x.ravel(), np.repeat(r, _N))
-        f = s[:, None] * f.reshape(k, _N)
+        if k != len(idx):  # the first step, or a bracket finished: lay the samples out
+            k = len(idx)
+            if not k:
+                break
+            # x[j*_N + t] is sample t of bracket j, and z = [x, a, b] holds the
+            # neighbours: sample t's are z[left], z[right], the ends a or b
+            flat, j = np.arange(k * _N), np.arange(k)
+            rep, tt, at = flat // _N, _T[flat % _N], j * _N
+            left, right = flat - 1, flat + 1
+            left[at], right[at + _N - 1] = k * _N + j, k * _N + k + j
+            rr = None if r is None else r[rep]
+            sr = None if s is None else s[rep]
+        x = (b - a)[rep]
+        x *= tt
+        x += a[rep]
+        f = fn(x) if rr is None else fn(x, rr)
+        if sr is not None:
+            f = sr * f
         key = np.fmax(f, -math.inf)  # NaN never wins
-        i = np.argmax(key, axis=1)
-        better = ~(key[j, i] <= bkey)
-        bx, bv, bkey = (np.where(better, new[j, i], old)
-                        for new, old in ((x, bx), (f, bv), (key, bkey)))
-        na = np.where(i == 0, a, x[j, i - 1])
-        nb = np.where(i == _N - 1, b, x[j, (i + 1) % _N])
+        i = at + key.reshape(k, _N).argmax(axis=1)
+        better = ~(key[i] <= bkey)
+        np.copyto(bx, x[i], where=better)
+        np.copyto(bv, f[i], where=better)
+        np.copyto(bkey, key[i], where=better)
+        z = np.concatenate((x, a, b))
+        na, nb = z[left[i]], z[right[i]]
         # a bracket that did not move never will: fn and the arithmetic repeat
         fin = (nb - na <= xtol) | ((na == a) & (nb == b))
-        xs[idx[fin]], vs[idx[fin]], width[idx[fin]] = bx[fin], bv[fin], (nb - na)[fin]
-        keep = ~fin
-        idx, a, b, s, bx, bv, bkey = (arr[keep] for arr in (idx, na, nb, s, bx, bv, bkey))
-        if r is not None:
-            r = r[keep]
+        if np.count_nonzero(fin):
+            xs[idx[fin]], vs[idx[fin]], width[idx[fin]] = bx[fin], bv[fin], (nb - na)[fin]
+            keep = ~fin
+            idx, na, nb, bx, bv, bkey = (arr[keep] for arr in (idx, na, nb, bx, bv, bkey))
+            s = None if s is None else s[keep]
+            r = None if r is None else r[keep]
+        a, b = na, nb
     xs[idx], vs[idx], width[idx] = bx, bv, b - a
     failed = np.flatnonzero(width > xtol)
     if len(failed):

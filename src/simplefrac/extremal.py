@@ -19,6 +19,7 @@ one Newton run in the Joukowski variable, seeded at the weighted poles.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -554,16 +555,25 @@ def verify_pole_annulus(
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _scan_grid(m: int) -> np.ndarray:
+    """chebyshev_points(m), built once and read-only, as every scan shares it."""
+    grid = chebyshev_points(m)
+    grid.flags.writeable = False
+    return grid
+
+
 def _norm_grid(degree: int, cfg: Config, floor: int | None = None) -> np.ndarray:
     """Chebyshev scan grid: cfg.supnorm_grid_per_degree points per unit
-    degree, and at least ``floor`` (default cfg.supnorm_min_grid)."""
+    degree, and at least ``floor`` (default cfg.supnorm_min_grid).  The
+    array is shared and read-only."""
     floor = cfg.supnorm_min_grid if floor is None else floor
-    return chebyshev_points(max(cfg.supnorm_grid_per_degree * degree, floor))
+    return _scan_grid(max(cfg.supnorm_grid_per_degree * degree, floor))
 
 
 def _weight(x):
     """The weight sqrt(1 - x^2) of the weighted norm, clipped at 0 off [-1, 1]."""
-    return np.sqrt(np.clip((1.0 - x) * (1.0 + x), 0.0, None))
+    return np.sqrt(np.maximum((1.0 - x) * (1.0 + x), 0.0))
 
 
 def _sup_norm(rho: LogDerivative, cfg: Config, weighted: bool) -> NormEstimate:

@@ -56,7 +56,10 @@ class TargetFunction:
 
     ``evaluator`` may be scalar-only or numpy-vectorized; values_on sorts
     that out and always returns a float array of the input shape.  A
-    SimplefracError raised by the evaluator propagates as is.
+    SimplefracError raised by the evaluator propagates as is.  The
+    evaluator must not write to its input: the solver's scans hand it a
+    shared read-only grid, where a write raises ValueError and values_on
+    falls back to evaluating point by point.
     """
 
     evaluator: Callable

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from simplefrac import _dd, extremal
 from simplefrac.bernstein import witness_ratio_empirical
-from simplefrac.cheb import ChebKind, EllipseParam, PointLocation, ellipse_classify, eval_cheb
+from simplefrac.cheb import (
+    ChebKind,
+    EllipseParam,
+    PointLocation,
+    chebyshev_points,
+    ellipse_classify,
+    eval_cheb,
+)
 from simplefrac.config import DEFAULTS
 from simplefrac.errors import DomainError, EvaluationError, TheoremRangeError, ToleranceNotMetError
 from simplefrac.extremal import (
@@ -160,6 +167,18 @@ def test_sup_norm_unreachable_tolerance_carries_best():
         weighted_sup_norm(LogDerivative((2.0,)), cfg=replace(DEFAULTS, supnorm_xtol=1e-300))
     x, value = excinfo.value.best
     assert value == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-6)
+
+
+def test_scan_grid_is_shared_and_read_only():
+    grid = extremal._norm_grid(7, DEFAULTS)
+    assert extremal._norm_grid(7, DEFAULTS) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+    cfg = replace(DEFAULTS, supnorm_grid_per_degree=11)
+    assert np.array_equal(extremal._norm_grid(7, cfg), chebyshev_points(77))
+    # the public grid stays a fresh, writable array
+    assert chebyshev_points(77).flags.writeable
 
 
 # ---------------------------------------------------------------- alternance

@@ -145,20 +145,49 @@ coeff_lists = st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=8)
 poles = st.one_of(st.floats(1.05, 5.0), st.floats(-5.0, -1.05))
 
 
-@settings(max_examples=60, deadline=None)
+def nan_below(fn, cut):
+    """fn, but NaN left of cut, on scalars and arrays alike."""
+    return lambda x: np.where(np.asarray(x) < cut, math.nan, fn(x))
+
+
+widths = st.one_of(st.floats(0.0, 0.5), st.floats(-12.0, math.log10(0.5)).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=150, deadline=None)
 @given(coeffs=coeff_lists, pole=poles,
-       ends=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 0.5), st.booleans()),
+       ends=st.lists(st.tuples(st.floats(-1.0, 1.0), widths, st.booleans()),
                      min_size=1, max_size=6),
-       xtol=st.sampled_from([1e-10, 1e-6, 1e-3, 0.2]))
-def test_batched_refinement_matches_scalar_loop(coeffs, pole, ends, xtol):
-    fn = rational(coeffs, pole)
+       xtol=st.sampled_from([1e-10, 1e-6, 1e-3, 0.2]),
+       all_up=st.booleans(), nan_cut=st.none() | st.floats(-1.0, 1.5),
+       two_rows=st.booleans(), maxiter=st.sampled_from([1, 2, 3, 500]))
+def test_batched_refinement_matches_scalar_loop(coeffs, pole, ends, xtol, all_up, nan_cut,
+                                                two_rows, maxiter):
+    # brackets 1e-12 to 0.5 wide finish on different steps; all +1 signs skip
+    # the sign multiply; a NaN part never wins; with two rows, bracket j reads
+    # row j % 2; a small maxiter fails, with the scalar loop's best pair
+    fns = [rational(coeffs, pole), rational(coeffs[::-1], -pole)]
+    if nan_cut is not None:
+        fns = [nan_below(f, nan_cut) for f in fns]
     lo = np.array([a for a, _, _ in ends])
     hi = np.array([a + w for a, w, _ in ends])
-    sign = np.array([1.0 if up else -1.0 for _, _, up in ends])
-    xs, vs = _bracket_refine(fn, lo, hi, sign, xtol, 500)
-    want = [bracket_max(fn if s > 0 else (lambda t: -fn(t)), a, b, xtol)
-            for a, b, s in zip(lo, hi, sign)]
-    assert bits(zip(xs, vs)) == bits(want)
+    sign = np.array([1.0 if up or all_up else -1.0 for _, _, up in ends])
+    row = np.arange(len(ends)) % 2 if two_rows else None
+    want = []
+    for j, (a, b, s) in enumerate(zip(lo, hi, sign)):
+        f = fns[j % 2 if two_rows else 0]
+        try:
+            want.append(bracket_max(f if s > 0 else (lambda t, f=f: -f(t)), a, b, xtol, maxiter))
+        except ToleranceNotMetError as exc:
+            want.append(exc)
+    fn = (lambda x, r: np.where(r == 0, fns[0](x), fns[1](x))) if two_rows else fns[0]
+    failed = [w for w in want if isinstance(w, ToleranceNotMetError)]
+    if failed:
+        with pytest.raises(ToleranceNotMetError) as got:
+            _bracket_refine(fn, lo, hi, sign, xtol, maxiter, row)
+        assert bits([got.value.best]) == bits([failed[0].best])
+    else:
+        xs, vs = _bracket_refine(fn, lo, hi, sign, xtol, maxiter, row)
+        assert bits(zip(xs, vs)) == bits(want)
 
 
 @settings(max_examples=40, deadline=None)
