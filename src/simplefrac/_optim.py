@@ -1,24 +1,25 @@
 """Deterministic grid scan + batched bracketing refinement on [-1, 1].
 
 Shared by the sup-norm engines, the alternance detectors, and the minimax
-solver.  ``fn`` takes a 1-D float array and returns its values there: one
-row, shaped like x, or an (m, len(x)) array of m rows, which for
-:func:`suprema_on_grid` share one evaluation (say |P'| and |P| from one
-pass over the roots of P).  A multi-row fn of :func:`local_extrema` also
-takes ``fn(x, row)`` and returns row row[i] at x[i], so each bracket's
-points are evaluated for its own row only.  The grid values locate a
-bracket around every local extremum of every row, and all brackets are
-refined together: each call to ``fn`` samples every open bracket at several
-evenly spaced points and shrinks it around its best sample, and each
-bracket reads its own row.  A call costs far more in fixed overhead than
-per point, so several points per bracket per call beat golden section's
-one, which is the best search only by point count.  For the same reason one
-refinement step is one call to fn plus a fixed set of array operations on
-the samples of all open brackets, whatever their number; the sample layout
-is rebuilt only on a step where a bracket finishes.  Each bracket does
-exactly the arithmetic of a scalar loop, so results are reproducible bit for
-bit, and row j of a multi-row scan is what a one-row scan of that row alone
-returns.
+solver, through two front-ends: :func:`supremum_on_grid` and
+:func:`local_extrema`.  ``fn`` takes a 1-D float array and returns its
+values there: one row, shaped like x, or an (m, len(x)) array of m rows.
+Both front-ends take m rows the same way: fn(grid) gives every row at every
+grid point, and during refinement fn(x, row) returns row row[i] at x[i], so
+each bracket's points are evaluated for its own row (rows that share their
+work, say |P'| and |P| from one pass over the roots of P, may compute all
+rows and pick).  The grid values locate a bracket around every local
+extremum of every row, and all brackets are refined together: each call to
+``fn`` samples every open bracket at several evenly spaced points and
+shrinks it around its best sample.  A call costs far more in fixed overhead
+than per point, so several points per bracket per call beat golden
+section's one, which is the best search only by point count.  For the same
+reason one refinement step is one call to fn plus a fixed set of array
+operations on the samples of all open brackets, whatever their number; the
+sample layout is rebuilt only on a step where a bracket finishes.  Each
+bracket does exactly the arithmetic of a scalar loop, so results are
+reproducible bit for bit, and row j of a multi-row scan is what a one-row
+scan of that row alone returns.
 """
 
 from __future__ import annotations
@@ -105,53 +106,41 @@ def _bracket_refine(fn: Callable, lo: np.ndarray, hi: np.ndarray, sign: np.ndarr
     return xs, vs
 
 
-def suprema_on_grid(fn: Callable, grid: np.ndarray, xtol: float,
-                    maxiter: int = 500) -> list[tuple[float, float]]:
-    """Maximize every row of fn over the interval spanned by ``grid``.
+def supremum_on_grid(fn: Callable, grid: np.ndarray, xtol: float,
+                     maxiter: int = 500) -> tuple[float, float] | list[tuple[float, float]]:
+    """Maximize fn over the interval spanned by ``grid``.
 
-    fn takes a 1-D float array x and returns an (m, len(x)) array, or a 1-D
-    array shaped like x for one row.  Returns m (value, location) pairs; pair
-    j is what a scan of row j alone returns, bit for bit.  Each refinement
-    step calls fn once for the brackets of all rows, so rows that share
-    their work (one polynomial pass giving both P and P') pay for it once.
+    Every strict or flat local maximum of the grid values is refined by
+    bracketing search in its neighbor bracket, all brackets together; grid
+    values themselves (including the exact endpoints) also compete, and NaN
+    never wins.  Returns (value, location); ties resolve to the leftmost, a
+    grid value ahead of its own refinement.  When fn(grid) has m rows,
+    fn(x, row) evaluates each point for its own row, and the result is m
+    such pairs: pair j is what a scan of row j alone returns, bit for bit.
     """
     ys = np.asarray(fn(grid), dtype=float)
     one_row = ys.ndim == 1
-    if one_row:
-        ys = ys[None]  # and the refinement reads fn's output as is
-    m = len(grid)
+    ys = ys.reshape(-1, len(grid))
     peak = np.ones(ys.shape, dtype=bool)
     peak[:, 1:] &= ys[:, 1:] >= ys[:, :-1]
     peak[:, :-1] &= ys[:, :-1] >= ys[:, 1:]
     rows, at = np.nonzero(peak)  # row by row, each row's peaks left to right
-    lo, hi = grid[np.maximum(at - 1, 0)], grid[np.minimum(at + 1, m - 1)]
-    xs, vs = _bracket_refine(fn if one_row else lambda x, r: fn(x)[r, np.arange(len(x))],
-                             lo, hi, np.ones(len(at)), xtol, maxiter, None if one_row else rows)
-    ends = np.searchsorted(rows, np.arange(len(ys) + 1))
+    lo, hi = grid[np.maximum(at - 1, 0)], grid[np.minimum(at + 1, len(grid) - 1)]
+    xs, vs = _bracket_refine(fn, lo, hi, np.ones(len(at)), xtol, maxiter, None if one_row else rows)
+    gkey, vkey = np.fmax(ys, -math.inf), np.fmax(vs, -math.inf)  # NaN never wins
+    ends = np.searchsorted(rows, np.arange(len(ys) + 1)).tolist()
     out = []
     for j, (s, e) in enumerate(zip(ends[:-1], ends[1:])):
-        # candidates in scan order: grid value i, then the refinement of peak i
-        order = np.argsort(np.concatenate([2 * np.arange(m), 2 * at[s:e] + 1]), kind="stable")
-        cx = np.concatenate([grid, xs[s:e]])[order]
-        cv = np.concatenate([ys[j], vs[s:e]])[order]
-        cv[np.isnan(cv)] = -math.inf  # NaN never wins, as under a strict ">" scan
-        i = int(np.argmax(cv))
-        out.append((float(cv[i]), float(cx[i])))
-    return out
-
-
-def supremum_on_grid(fn: Callable, grid: np.ndarray, xtol: float,
-                     maxiter: int = 500) -> tuple[float, float]:
-    """Maximize fn over the interval spanned by ``grid``.
-
-    fn takes a 1-D float array.  Every strict or flat local maximum of the
-    grid values is refined by bracketing search in its neighbor bracket, all
-    brackets together; grid values themselves (including the exact
-    endpoints) also compete.  Returns (value, location); ties resolve to the
-    leftmost, a grid value ahead of its own refinement.  This is the one-row
-    case of :func:`suprema_on_grid`.
-    """
-    return suprema_on_grid(fn, grid, xtol, maxiter)[0]
+        # scan order puts grid value i before the refinement of peak i: the row's
+        # first refined maximum r beats its first grid maximum g if larger, or equal and ahead
+        g = int(gkey[j].argmax())
+        best = (float(gkey[j, g]), float(grid[g]))
+        if e > s:
+            r = s + int(vkey[s:e].argmax())
+            if vkey[r] > best[0] or (vkey[r] == best[0] and at[r] < g):
+                best = (float(vkey[r]), float(xs[r]))
+        out.append(best)
+    return out[0] if one_row else out
 
 
 def local_extrema(fn: Callable, grid: np.ndarray, xtol: float,

@@ -21,7 +21,7 @@ from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
-from ._optim import suprema_on_grid, supremum_on_grid
+from ._optim import supremum_on_grid
 from .cheb import ChebKind, eval_cheb
 from .config import DEFAULTS, Config
 from .errors import DomainError, TheoremRangeError
@@ -33,16 +33,8 @@ from .extremal import (
     _on_segment,
     _weight,
     build_extremal_weighted,
+    corollary_min_a,
 )
-
-SQRT2 = math.sqrt(2.0)
-
-
-def corollary_min_a(n: int) -> float:
-    """Parameter threshold sqrt(2) * (3*sqrt(n))^(1/n) of the unweighted bound."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"degree must be a positive integer, got {n!r}")
-    return SQRT2 * (3.0 * math.sqrt(n)) ** (1.0 / n)
 
 
 @dataclass(frozen=True)
@@ -137,12 +129,13 @@ def check_corollary(poly: RootedPolynomial, *, cfg: Config = DEFAULTS) -> Coroll
     n = poly.n
     grid = _norm_grid(n, cfg)
 
-    def rows(x):
+    def rows(x, row=None):
         val, der = poly.value_and_derivative(x)
         absder = np.abs(der)
-        return np.array([absder * _weight(x), absder, -np.abs(val)])
+        ys = np.array([absder * _weight(x), absder, -np.abs(val)])
+        return ys if row is None else ys[row, np.arange(len(x))]
 
-    (lhs_w, _), (lhs_u, _), (neg_min, _) = suprema_on_grid(rows, grid, cfg.supnorm_xtol)
+    (lhs_w, _), (lhs_u, _), (neg_min, _) = supremum_on_grid(rows, grid, cfg.supnorm_xtol)
     min_abs_p = -neg_min
 
     tn = eval_cheb(ChebKind.FIRST_KIND, n, poly.a)

@@ -89,6 +89,10 @@ def _sqrt_branch(z: complex) -> complex:
 def _cheb_exponential(kind: ChebKind, n: int, z: complex) -> complex:
     """Exponential form via w = z + sqrt(z^2-1); |w| >= 1 by branch choice."""
     w = z + _sqrt_branch(z)
+    if not cmath.isfinite(w):  # complex arithmetic overflows to inf silently
+        if n == 0:
+            return complex(1.0)
+        raise OverflowError
     if abs(w) < 1.0:  # guard rounding on the unit circle
         w = 1.0 / w
     logw = cmath.log(w)
@@ -120,8 +124,9 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
     n = 64); complex arguments use the exponential form with the branch of
     sqrt(z^2-1) cut along [-1, 1] and normalized to +1 at z = sqrt(2).
     Returns a float for real input, complex otherwise, never inf.  Raises
-    DomainError, naming log |T_n(z)| (or log |U_n(z)|), where the value
-    overflows a float: at z = 3 that is from n = 403 on, for either kind.
+    DomainError, naming log |T_n(z)| (or log |U_n(z)|), where w^n overflows
+    a float: at z = 3 from n = 403 on, for either kind, and for n >= 1 from
+    |z| of about 9e307 on, where w = z + sqrt(z^2-1) itself does.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError(f"degree must be a non-negative integer, got {n!r}")
@@ -137,12 +142,12 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
             return complex(_cheb_exponential(kind, n, complex(x))).real
     except OverflowError:
         # |w| >= 1 on the branch used, and w^-n is negligible beside w^n here
-        w = zc + _sqrt_branch(zc)
-        lw = abs(math.log(abs(w)))
+        h = 0.5 * zc + cmath.sqrt(0.5 * zc - 0.5) * cmath.sqrt(0.5 * zc + 0.5)  # w/2, finite
+        lw = abs(math.log(2.0) + math.log(abs(h)))
         if kind is ChebKind.FIRST_KIND:
             name, log_val = "T", n * lw - math.log(2.0)
         else:
-            name, log_val = "U", (n + 1) * lw - math.log(abs(w - 1.0 / w))
+            name, log_val = "U", (n + 1) * lw - math.log(2.0) - math.log(abs(h - 0.25 / h))
         raise DomainError(
             f"{name}_{n} out of range at z = {z}: w^n overflows a float, "
             f"log |{name}_{n}(z)| = {log_val:.6f}"
@@ -150,20 +155,26 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
     return _cheb_recurrence_dd(kind, n, x)
 
 
+def _require_finite(name: str, n: int, x: np.ndarray, vals: np.ndarray) -> None:
+    """DomainError at the first x (off [-1, 1], or NaN) where vals is not finite."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise DomainError(f"{name}_{n} is out of float range at x = {float(x[bad][0])!r}")
+
+
 def cheb_t(n: int, x) -> np.ndarray:
-    """Vectorized T_n on the real line (trig inside [-1,1], cosh outside)."""
+    """Vectorized T_n on the real line (trig inside [-1,1], cosh outside);
+    DomainError, naming the point, where T_n overflows or x is NaN."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    ax = np.abs(x)
-    inside = ax <= 1.0
+    inside = np.abs(x) <= 1.0
     out[inside] = np.cos(n * np.arccos(x[inside]))
     if not inside.all():
-        xo = ax[~inside]
-        vals = np.cosh(n * np.arccosh(xo))
-        neg = x[~inside] < 0
-        if n % 2:
-            vals = np.where(neg, -vals, vals)
-        out[~inside] = vals
+        xo = x[~inside]
+        with np.errstate(over="ignore"):
+            vals = np.cosh(n * np.arccosh(np.abs(xo)))
+        _require_finite("T", n, xo, vals)
+        out[~inside] = np.where(xo < 0, -vals, vals) if n % 2 else vals
     # endpoints exactly
     out[x == 1.0] = 1.0
     out[x == -1.0] = (-1.0) ** n
@@ -171,7 +182,8 @@ def cheb_t(n: int, x) -> np.ndarray:
 
 
 def cheb_u(n: int, x) -> np.ndarray:
-    """Vectorized U_n on the real line (sin ratio inside, sinh ratio outside)."""
+    """Vectorized U_n on the real line (sin ratio inside, sinh ratio outside);
+    DomainError, naming the point, where sinh((n+1) arccosh|x|) overflows or x is NaN."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     ax = np.abs(x)
@@ -180,26 +192,27 @@ def cheb_u(n: int, x) -> np.ndarray:
         xi = x[strict]
         theta = np.arccos(xi)
         out[strict] = np.sin((n + 1) * theta) / np.sqrt((1.0 - xi) * (1.0 + xi))
-    outside = ax > 1.0
+    outside = ~(ax <= 1.0)  # NaN included, and rejected below
     if outside.any():
-        xo = ax[outside]
-        ell = np.arccosh(xo)
-        vals = np.sinh((n + 1) * ell) / np.sinh(ell)
-        neg = x[outside] < 0
-        if n % 2:
-            vals = np.where(neg, -vals, vals)
-        out[outside] = vals
+        xo = x[outside]
+        ell = np.arccosh(np.abs(xo))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.sinh((n + 1) * ell) / np.sinh(ell)
+        _require_finite("U", n, xo, vals)
+        out[outside] = np.where(xo < 0, -vals, vals) if n % 2 else vals
     out[x == 1.0] = float(n + 1)
     out[x == -1.0] = (-1.0) ** n * (n + 1)
     return out
 
 
 def joukowski(w) -> float | complex:
-    """The map w -> (w + 1/w)/2.  Rejects w = 0."""
+    """The map w -> (w + 1/w)/2.  Rejects w = 0, and w whose image overflows."""
     wc = _require_finite_scalar(w)
     if wc == 0:
         raise DomainError("joukowski map undefined at w = 0")
     val = 0.5 * (wc + 1.0 / wc)
+    if not cmath.isfinite(val):
+        raise DomainError(f"joukowski map overflows a float at w = {w!r}")
     if isinstance(w, complex) or (isinstance(w, np.generic) and np.iscomplexobj(w)):
         return val
     return val.real if wc.imag == 0.0 else val
@@ -226,17 +239,12 @@ def solve_t_equals(n: int, c: float, *, cfg: Config = DEFAULTS) -> list[float]:
     tol = cfg.solve_t_residual_tol
 
     theta0 = math.acos(c)
-    thetas = []
     k_plus = int((n * math.pi - theta0) // (2.0 * math.pi))
-    for k in range(k_plus + 1):
-        thetas.append((theta0 + 2.0 * math.pi * k) / n)
     k_minus = int((n * math.pi + theta0) // (2.0 * math.pi))
-    for k in range(1, k_minus + 1):
-        thetas.append((2.0 * math.pi * k - theta0) / n)
+    thetas = [(theta0 + 2.0 * math.pi * k) / n for k in range(k_plus + 1)]
+    thetas += [(2.0 * math.pi * k - theta0) / n for k in range(1, k_minus + 1)]
     if len(thetas) != n:
-        raise ToleranceNotMetError(
-            f"expected {n} roots of T_{n}(x) = {c}, enumerated {len(thetas)}"
-        )
+        raise ToleranceNotMetError(f"expected {n} roots of T_{n}(x) = {c}, enumerated {len(thetas)}")
 
     xr = np.array([math.cos(theta) for theta in thetas])
     live = np.ones(n, dtype=bool)  # a root whose derivative vanishes stops moving
@@ -266,10 +274,13 @@ def solve_t_equals(n: int, c: float, *, cfg: Config = DEFAULTS) -> list[float]:
 
 def ellipse_classify(ellipse: EllipseParam, z, *, cfg: Config = DEFAULTS) -> EllipseClassification:
     """Classify z against the ellipse via the canonical-form residual
-    re^2/p^2 + im^2/(p^2-1) - 1; |residual| <= cfg.ellipse_on_tol is ON."""
+    re^2/p^2 + im^2/(p^2-1) - 1; |residual| <= cfg.ellipse_on_tol is ON.
+    Raises DomainError where the residual is not a finite float."""
     zc = _require_finite_scalar(z)
     p2 = ellipse.p * ellipse.p
     residual = zc.real * zc.real / p2 + zc.imag * zc.imag / (p2 - 1.0) - 1.0
+    if not math.isfinite(residual):
+        raise DomainError(f"ellipse residual out of float range at z = {z!r}, p = {ellipse.p}")
     if abs(residual) <= cfg.ellipse_on_tol:
         loc = PointLocation.ON
     elif residual < 0.0:

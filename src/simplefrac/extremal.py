@@ -51,6 +51,13 @@ from .errors import (
 SQRT2 = math.sqrt(2.0)
 
 
+def corollary_min_a(n: int) -> float:
+    """Parameter threshold sqrt(2) * (3*sqrt(n))^(1/n) of the unweighted bound."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"degree must be a positive integer, got {n!r}")
+    return SQRT2 * (3.0 * math.sqrt(n)) ** (1.0 / n)
+
+
 @dataclass(frozen=True)
 class FixedPoleClass:
     """Degree and fixed real pole of the class under study (a > 1)."""
@@ -614,7 +621,7 @@ def dvp_bracket(cls: FixedPoleClass, *, cfg: Config = DEFAULTS) -> DvpBracket:
     n, a = cls.n, cls.a
     if n < 4:
         raise TheoremRangeError(f"the deviation bracket needs n >= 4, got n={n}")
-    a_min = SQRT2 * (3.0 * math.sqrt(n)) ** (1.0 / n)
+    a_min = corollary_min_a(n)
     if a <= a_min:
         raise TheoremRangeError(
             f"the deviation bracket needs a > sqrt(2)*(3*sqrt(n))^(1/n) = {a_min:.6f}, got a={a}"

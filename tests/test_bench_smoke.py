@@ -5,11 +5,11 @@ The traced run wraps package functions by name from outside
 maxiter)``, ``local_extrema`` in ``_optim`` and ``minimax``, and
 ``cauchy.permanent_ryser``), so a rename or signature change in the package
 breaks it; this catches that in the unit-test run.  ``supremum_on_grid``
-keeps that signature as the one-row case of ``suprema_on_grid``, which the
-tracer does not wrap: the multi-row scan of ``check_corollary`` shows in
-its caller's span.  ``local_extrema`` keeps its signature too; its
-multi-row form, which the solver calls through ``minimax.local_extrema``
-once per round of scans, is told apart by the shape of ``fn(grid)``.  One
+and ``local_extrema`` each keep that signature for one row and for many:
+the multi-row form, which ``check_corollary`` calls through
+``bernstein.supremum_on_grid`` and the solver through
+``minimax.local_extrema`` once per round of scans, is told apart by the
+shape of ``fn(grid)``, so the traced run sees it in the same spans.  One
 traced pass at the smallest sizes takes a few seconds.
 """
 

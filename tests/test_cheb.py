@@ -102,6 +102,8 @@ def test_joukowski_examples():
     assert joukowski(2.0) == 1.25
     with pytest.raises(DomainError):
         joukowski(0.0)
+    with pytest.raises(DomainError, match="1e-320"):
+        joukowski(1e-320)
 
 
 def test_joukowski_cheb_identity_on_circles():
@@ -257,6 +259,19 @@ def test_eval_cheb_overflow_is_a_domain_error():
         eval_cheb(U, 403, -3.0)
     with pytest.raises(DomainError, match=r"log \|T_403\(z\)\|"):
         eval_cheb(T, 403, 3.0 + 1.0j)
+    # from |z| of about 9e307 on, w = z + sqrt(z^2 - 1) itself overflows
+    with pytest.raises(DomainError, match=r"log \|T_5\(z\)\| = 3548\.75"):
+        eval_cheb(T, 5, 1e308)
+    with pytest.raises(DomainError, match=r"log \|U_5\(z\)\| = 3549\.44"):
+        eval_cheb(U, 5, -1e308)
+    assert eval_cheb(T, 0, 1e308j) == 1.0
+    # the vectorized kernels name the first point off the segment that overflows
+    with pytest.raises(DomainError, match=r"T_500 .* x = 3\.0"):
+        cheb_t(500, np.array([0.5, 3.0]))
+    with pytest.raises(DomainError, match=r"U_500 .* x = -3\.0"):
+        cheb_u(500, np.array([0.5, -3.0]))
+    with pytest.raises(DomainError, match=r"U_3 .* x = nan"):
+        cheb_u(3, np.array([math.nan]))
 
 
 def test_second_kind_near_the_float_limit_is_finite_or_an_error():
@@ -289,6 +304,8 @@ def test_ellipse_examples():
         EllipseParam(1.0)
     with pytest.raises(DomainError):
         EllipseParam(0.5)
+    with pytest.raises(DomainError, match="1e[+]200"):
+        ellipse_classify(EllipseParam(1e200), 1e200)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplefrac._optim import _N, _bracket_refine, local_extrema, suprema_on_grid, supremum_on_grid
+from simplefrac._optim import _N, _bracket_refine, local_extrema, supremum_on_grid
 from simplefrac.cheb import chebyshev_points
 from simplefrac.config import DEFAULTS
 from simplefrac.errors import ToleranceNotMetError
@@ -190,10 +190,27 @@ def test_batched_refinement_matches_scalar_loop(coeffs, pole, ends, xtol, all_up
         assert bits(zip(xs, vs)) == bits(want)
 
 
-@settings(max_examples=40, deadline=None)
-@given(coeffs=coeff_lists, pole=poles, m=st.integers(2, 80))
-def test_sup_and_extrema_match_scalar_reference(coeffs, pole, m):
-    fn = rational(coeffs, pole)
+# rows that tie (a plateau, a constant), are NaN everywhere or in places,
+# or are plain rational functions
+SPECIAL_ROWS = {
+    "plateau": lambda x: np.minimum(1.0, 2.0 - 4.0 * x * x),
+    "constant": lambda x: 0.0 * x + 3.0,
+    "nan": lambda x: np.full_like(x, math.nan),
+    "nan-left": lambda x: np.where(x < -0.2, math.nan, 1.0 - x * x),
+    "ramp": lambda x: 1.0 * x,
+}
+row_draws = st.one_of(st.sampled_from(sorted(SPECIAL_ROWS)), st.tuples(coeff_lists, poles))
+
+
+def row_fn(row):
+    return SPECIAL_ROWS[row] if isinstance(row, str) else rational(*row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(row=row_draws, m=st.integers(2, 80))
+def test_sup_and_extrema_match_scalar_reference(row, m):
+    # the special rows check the tie and NaN rules against the references
+    fn = row_fn(row)
     grid = chebyshev_points(m)
     got = supremum_on_grid(fn, grid, 1e-10)
     assert bits([got]) == bits([ref_supremum(fn, grid, 1e-10)])
@@ -213,55 +230,16 @@ def test_supremum_as_high_as_golden_section(coeffs, pole, m):
 
 
 def counted(fn):
-    def wrapper(x):
+    def wrapper(x, *row):
         wrapper.calls += 1
-        return fn(x)
+        return fn(x, *row)
     wrapper.calls = 0
     return wrapper
 
 
-# rows that tie (a plateau, a constant), are NaN everywhere or in places,
-# or are plain rational functions
-SPECIAL_ROWS = {
-    "plateau": lambda x: np.minimum(1.0, 2.0 - 4.0 * x * x),
-    "constant": lambda x: 0.0 * x + 3.0,
-    "nan": lambda x: np.full_like(x, math.nan),
-    "nan-left": lambda x: np.where(x < -0.2, math.nan, 1.0 - x * x),
-    "ramp": lambda x: 1.0 * x,
-}
-
-
-@settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.one_of(st.sampled_from(sorted(SPECIAL_ROWS)),
-                               st.tuples(coeff_lists, poles)), min_size=1, max_size=4),
-       m=st.integers(2, 80), xtol=st.sampled_from([1e-10, 1e-6, 0.05, 1e-17]))
-def test_suprema_rows_match_one_row_scans(rows, m, xtol):
-    fns = [SPECIAL_ROWS[r] if isinstance(r, str) else rational(*r) for r in rows]
-    grid = chebyshev_points(m)
-    multi = counted(lambda x: np.array([f(x) for f in fns]))
-    singles = [counted(f) for f in fns]
-    want = []
-    for f in singles:
-        try:
-            want.append(supremum_on_grid(f, grid, xtol))
-        except ToleranceNotMetError as exc:
-            want.append(exc)
-    failed = [w for w in want if isinstance(w, ToleranceNotMetError)]
-    if failed:
-        # the multi-row scan raises what the first failing row's scan raises
-        with pytest.raises(ToleranceNotMetError) as got:
-            suprema_on_grid(multi, grid, xtol)
-        assert str(got.value) == str(failed[0])
-        assert bits([got.value.best]) == bits([failed[0].best])
-    else:
-        assert bits(suprema_on_grid(multi, grid, xtol)) == bits(want)
-    # one evaluation per refinement step serves every row
-    assert multi.calls == max(f.calls for f in singles)
-
-
 def row_wise(fns, calls):
-    """A multi-row fn of local_extrema: all rows at every point, or each
-    point for its own row only."""
+    """A multi-row fn: all rows at every point, or each point for its own
+    row only."""
     def fn(x, row=None):
         calls.append(row)
         if row is None:
@@ -274,14 +252,40 @@ def row_wise(fns, calls):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.one_of(st.sampled_from(sorted(SPECIAL_ROWS)),
-                               st.tuples(coeff_lists, poles)), min_size=1, max_size=4),
+@given(rows=st.lists(row_draws, min_size=1, max_size=4),
+       m=st.integers(2, 80), xtol=st.sampled_from([1e-10, 1e-6, 0.05, 1e-17]))
+def test_suprema_rows_match_one_row_scans(rows, m, xtol):
+    fns = [row_fn(r) for r in rows]
+    grid = chebyshev_points(m)
+    multi = counted(row_wise(fns, []))
+    singles = [counted(f) for f in fns]
+    want = []
+    for f in singles:
+        try:
+            want.append(supremum_on_grid(f, grid, xtol))
+        except ToleranceNotMetError as exc:
+            want.append(exc)
+    failed = [w for w in want if isinstance(w, ToleranceNotMetError)]
+    if failed:
+        # the multi-row scan raises what the first failing row's scan raises
+        with pytest.raises(ToleranceNotMetError) as got:
+            supremum_on_grid(multi, grid, xtol)
+        assert str(got.value) == str(failed[0])
+        assert bits([got.value.best]) == bits([failed[0].best])
+    else:
+        assert bits(supremum_on_grid(multi, grid, xtol)) == bits(want)
+    # one evaluation per refinement step serves every row
+    assert multi.calls == max(f.calls for f in singles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(row_draws, min_size=1, max_size=4),
        m=st.integers(2, 80), xtol=st.sampled_from([1e-10, 1e-6, 0.05, 1e-17]))
 def test_extrema_rows_match_one_row_scans(rows, m, xtol):
     # rows with NaN values leave the others alone; at xtol 1e-17 a row with
     # an extremum to refine gets stuck, and the scan raises what the first
     # stuck row's own scan raises
-    fns = [SPECIAL_ROWS[r] if isinstance(r, str) else rational(*r) for r in rows]
+    fns = [row_fn(r) for r in rows]
     grid = chebyshev_points(m)
     want = []
     for f in fns:
@@ -312,7 +316,7 @@ def test_suprema_failure_names_the_first_stuck_row():
     grid = chebyshev_points(33)
     rows = [SPECIAL_ROWS["nan"], rational([-1.0, 0.5, 2.0], 3.0)]
     with pytest.raises(ToleranceNotMetError) as multi:
-        suprema_on_grid(lambda x: np.array([f(x) for f in rows]), grid, 1e-17)
+        supremum_on_grid(row_wise(rows, []), grid, 1e-17)
     with pytest.raises(ToleranceNotMetError) as single:
         supremum_on_grid(rows[1], grid, 1e-17)
     assert str(multi.value) == str(single.value)

@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Bit-identity check of two checkouts: fingerprint every benchmark op's output.
+
+    python3 tools/fingerprint_ops.py --base DIR --change DIR [--seeds 3 7]
+
+Each checkout runs in a fresh process, on its own ``src`` and its own,
+unchanged ``perfbench/workloads.py``.  Every step of every op of
+weighted-perturb (6 passes), paper-sweep (3) and solver-zoo (4) is
+fingerprinted, its output and its exception alike, at each seed; so is a
+probe of 20 solves at default options: |x|, exp(x), cos(5x) and sqrt(1 + x)
+at n = 2, 3, 4, 6 and 8.  A float is fingerprinted as ``float.hex`` and an
+array as the SHA-256 of its bytes, so two fingerprints match only if every
+bit does.  Prints each set's op count and its first mismatching op, and
+exits 1 on any mismatch.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import enum
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PASSES = {"weighted-perturb": 6, "paper-sweep": 3, "solver-zoo": 4}
+PROBE_N = (2, 3, 4, 6, 8)
+
+
+def fingerprint(v):
+    """A JSON-able value that equals another's only if the two are equal bit for bit."""
+    import numpy as np
+
+    if v is None or isinstance(v, (bool, int, str, enum.Enum)):
+        return repr(v)
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, complex):
+        return [v.real.hex(), v.imag.hex()]
+    if isinstance(v, np.generic):
+        return fingerprint(v.item())
+    if isinstance(v, np.ndarray):
+        if v.dtype == object:
+            return fingerprint(v.tolist())
+        digest = hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
+        return f"{v.dtype}{v.shape}:{digest}"
+    if isinstance(v, BaseException):
+        return [type(v).__name__, str(v), fingerprint(getattr(v, "best", None))]
+    if dataclasses.is_dataclass(v):
+        return [type(v).__name__] + [fingerprint(getattr(v, f.name)) for f in dataclasses.fields(v)]
+    if isinstance(v, (list, tuple)):
+        return [type(v).__name__] + [fingerprint(x) for x in v]
+    if isinstance(v, dict):
+        return [[fingerprint(k), fingerprint(x)] for k, x in v.items()]
+    if callable(v):
+        return f"callable:{type(v).__name__}"
+    raise TypeError(f"cannot fingerprint {type(v).__name__}")
+
+
+def dump(checkout: Path, seeds: list[int]) -> dict:
+    """Fingerprints of one checkout, by set: a list of (op label, {step: fingerprint})."""
+    sys.path[:0] = [str(checkout / "perfbench"), str(checkout / "src")]
+    import numpy as np
+
+    import simplefrac
+    import simplefrac.minimax as mx
+    import workloads
+
+    if Path(simplefrac.__file__).resolve().parent != (checkout / "src" / "simplefrac").resolve():
+        raise SystemExit(f"imported simplefrac from {simplefrac.__file__}, not {checkout}")
+    sets = {}
+    for name, passes in PASSES.items():
+        ops = []
+        for seed in seeds:
+            wl = workloads.build(name, seed)
+            for p in range(passes):
+                for op in wl.ops(p):
+                    steps = workloads.Steps()
+                    op.call(steps)
+                    out = {step: fingerprint(v) for step, v in steps.out.items()}
+                    for step, exc in steps.errors:
+                        out[step] = fingerprint(exc)
+                    ops.append((f"seed={seed} pass={p} {op.key}", out))
+        sets[name] = ops
+    targets = {"abs": np.abs, "exp": np.exp, "cos5x": lambda x: np.cos(5.0 * x),
+               "sqrt1px": lambda x: np.sqrt(1.0 + x)}
+    probe = []
+    for label, fn in targets.items():
+        for n in PROBE_N:
+            steps = workloads.Steps()
+            steps.run("solve", mx.solve_best_ld, mx.TargetFunction(fn, label), n)
+            out = {"solve": fingerprint(steps.out["solve"])}
+            for step, exc in steps.errors:
+                out[step] = fingerprint(exc)
+            probe.append((f"{label},n={n}", out))
+    sets["probe"] = probe
+    return sets
+
+
+def run_checkout(checkout: Path, seeds: list[int]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--dump", str(checkout),
+           "--seeds", *map(str, seeds)]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, help="checkout of the change")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[3, 7])
+    ap.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.dump is not None:
+        json.dump(dump(args.dump.resolve(), args.seeds), sys.stdout)
+        return 0
+    if args.base is None or args.change is None:
+        ap.error("--base and --change are required")
+    base = run_checkout(args.base.resolve(), args.seeds)
+    change = run_checkout(args.change.resolve(), args.seeds)
+    mismatched = False
+    for name in base:
+        b, c = base[name], change.get(name, [])
+        first = next((i for i, (x, y) in enumerate(zip(b, c)) if x != y), None)
+        if first is None and len(b) == len(c):
+            print(f"{name}: {len(b)} ops, all equal")
+            continue
+        mismatched = True
+        if first is None:
+            print(f"{name}: {len(b)} ops in base, {len(c)} in change")
+            continue
+        (label, bo), (_, co) = b[first], c[first]
+        steps = [s for s in dict.fromkeys([*bo, *co]) if bo.get(s) != co.get(s)]
+        print(f"{name}: {len(b)} ops, first mismatch at op {first} ({label}), steps {steps}")
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
