@@ -27,7 +27,6 @@ from .cauchy import (
     matrix_a,
     matrix_b,
     nonvanishing_witness,
-    permanent_of_pair,
     permanent_ryser,
     random_cauchy_pair,
 )

@@ -22,17 +22,14 @@ from dataclasses import KW_ONLY, InitVar, dataclass
 import numpy as np
 
 from ._optim import supremum_on_grid
-from .cheb import ChebKind, eval_cheb
 from .config import DEFAULTS, Config
-from .errors import DomainError, TheoremRangeError
+from .errors import DomainError
 from .extremal import (
     FixedPoleClass,
     _canonical_poles,
-    _f_and_fa,
     _norm_grid,
     _on_segment,
     _weight,
-    build_extremal_weighted,
     corollary_min_a,
 )
 
@@ -67,16 +64,8 @@ class RootedPolynomial:
                 raise DomainError(f"cofactor root {z} lies on [-1, 1]")
         n = len(canon) + 1
         if not self.force:
-            if n < 4:
-                raise TheoremRangeError(
-                    f"the unweighted bound needs degree n >= 4, got n={n}; "
-                    "pass force=True for the weighted-only range"
-                )
-            if self.a <= corollary_min_a(n):
-                raise TheoremRangeError(
-                    f"need a > {corollary_min_a(n):.6f} for n={n}, got a={self.a}; "
-                    "pass force=True for the weighted-only range"
-                )
+            FixedPoleClass(n, self.a).require(
+                "the unweighted bound (force=True skips it)", corollary_min_a(n))
         object.__setattr__(self, "cofactor_roots", canon)
         # the real and quadratic factors, in the order the product rule takes them
         reals = tuple(z.real for z in canon if z.imag == 0.0)
@@ -138,8 +127,9 @@ def check_corollary(poly: RootedPolynomial, *, cfg: Config = DEFAULTS) -> Coroll
     (lhs_w, _), (lhs_u, _), (neg_min, _) = supremum_on_grid(rows, grid, cfg.supnorm_xtol)
     min_abs_p = -neg_min
 
-    tn = eval_cheb(ChebKind.FIRST_KIND, n, poly.a)
-    tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, poly.a) if n >= 2 else 1.0
+    cls = FixedPoleClass(n, poly.a)
+    tn = cls.tn
+    tn2 = cls.tn2 if n >= 2 else 1.0
     rhs_w = n * min_abs_p / math.sqrt((tn - 1.0) * (tn + 1.0))
     rhs_u = 2.0 * n * min_abs_p / (tn - tn2 + 3.0)
     return CorollaryReport(
@@ -174,35 +164,17 @@ def asymptotic_ratios(n: int, a: float, force: bool = False) -> AsymptoticRatios
     With f = T_n/n - T_{n-2}/(n-2) and M = max f on [-1, 1], the integrated
     witness has ratio n(f(a) - M)/(T_n(a) - T_{n-2}(a) + 3); r2_lower puts
     n*M <= 1 + n/(n-2) <= 3 (n >= 4) into it, with equality at n = 4."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"degree must be a positive integer, got {n!r}")
-    n = int(n)
+    cls = FixedPoleClass(n, a)
+    n = cls.n
     if not force:
-        if n < 4:
-            raise TheoremRangeError(f"asymptotic ratios need n >= 4, got n={n}")
-        if a <= corollary_min_a(n):
-            raise TheoremRangeError(
-                f"asymptotic ratios need a > {corollary_min_a(n):.6f}, got a={a}"
-            )
-    if a <= 1.0:
-        raise DomainError(f"need a > 1, got a={a}")
-    tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
+        cls.require("asymptotic_ratios", corollary_min_a(n))
+    tn = cls.tn
     r1 = math.sqrt(1.0 - 2.0 / (tn + 1.0))
     if n <= 2:
         return AsymptoticRatios(r1=r1, r2_lower=None)
-    tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, a)
+    tn2 = cls.tn2
     r2 = 1.0 - 2.0 * (tn2 / (n - 2) + 3.0) / (tn - tn2 + 3.0)
     return AsymptoticRatios(r1=r1, r2_lower=r2)
-
-
-def witness_first_kind(n: int, a: float, force: bool = False, *,
-                       cfg: Config = DEFAULTS) -> RootedPolynomial:
-    """The shifted Chebyshev witness T_n(x) - T_n(a) as a rooted polynomial
-    (roots via the closed-form construction, leading coefficient 2^(n-1))."""
-    rho = build_extremal_weighted(FixedPoleClass(n, a), force=True)
-    cof = [z for z in rho.poles if z != complex(a, 0.0)]
-    return RootedPolynomial(a=a, cofactor_roots=tuple(cof), lead=2.0 ** (n - 1), force=force,
-                            cfg=cfg)
 
 
 def witness_ratio_empirical(n: int, a: float, which: int, *, cfg: Config = DEFAULTS) -> float:
@@ -216,8 +188,7 @@ def witness_ratio_empirical(n: int, a: float, which: int, *, cfg: Config = DEFAU
     whose derivative T_{n-1} has unit sup norm, as a closed form with no scan.
     """
     cls = FixedPoleClass(n, a)
-    n, a = cls.n, cls.a
-    tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
+    n, tn = cls.n, cls.tn
     if which == 1:
         # the closed form, as the root product loses these digits once T_n(a)
         # is large: sqrt(1-x^2) |P'| = n |sin n theta|, and min |P| = T_n(a) - 1,
@@ -227,14 +198,13 @@ def witness_ratio_empirical(n: int, a: float, which: int, *, cfg: Config = DEFAU
             _norm_grid(n, cfg), cfg.supnorm_xtol)
         return n * (tn - 1.0) / math.sqrt((tn - 1.0) * (tn + 1.0)) / lhs_w
     if which == 2:
-        if n < 4:
-            raise TheoremRangeError(f"the integrated witness needs n >= 4, got n={n}")
+        cls.require("the integrated witness", 1.0)
         # f' = 2 T_{n-1}: max f sits at a zero of T_{n-1} or at +-1, and f(a) > f(1)
         # > min f, so min |Q| = (f(a) - max f)/2, or 0 where Q has a root on the segment
         theta = np.pi * np.append(np.arange(1, 2 * n - 2, 2) / (2 * n - 2), (0.0, 1.0))
         fmax = float(np.max(np.cos(n * theta) / n - np.cos((n - 2) * theta) / (n - 2)))
-        min_q = 0.5 * max(0.0, _f_and_fa(n, a) - fmax)
-        return 2.0 * n * min_q / (tn - eval_cheb(ChebKind.FIRST_KIND, n - 2, a) + 3.0)
+        min_q = 0.5 * max(0.0, cls.fa - fmax)
+        return 2.0 * n * min_q / (tn - cls.tn2 + 3.0)
     raise DomainError(f"witness index must be 1 or 2, got {which!r}")
 
 

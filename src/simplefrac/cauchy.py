@@ -289,18 +289,6 @@ def _borchardt_report(det_a, det_b, per_b: complex, cfg: Config) -> BorchardtRep
     return BorchardtReport(lhs=lhs, rhs=rhs, rel_residual=abs(lhs - rhs) / denom)
 
 
-def permanent_of_pair(pair: CauchyPair, *, cfg: Config = DEFAULTS) -> complex:
-    """Permanent of B through the determinant identity det A / det B.
-
-    This is the cheap production route; it falls back to Ryser when det B
-    vanishes numerically."""
-    b = matrix_b(pair)
-    det_b = complex(np.linalg.det(b))
-    if det_b == 0.0:
-        return _permanent(b, cfg)
-    return complex(np.linalg.det(b * b)) / det_b
-
-
 @dataclass(frozen=True)
 class NonvanishingReport:
     abs_det_a: float

@@ -14,6 +14,9 @@ Closed-form fractions are evaluated only through their exact Chebyshev
 rational forms, never through their rounded poles; the compensated pole sum
 :func:`eval_ld` serves generic fractions.  The candidate's poles come from
 one Newton run in the Joukowski variable, seeded at the weighted poles.
+
+Every closed form and bound here and in :mod:`simplefrac.bernstein` reads
+T_n(a), T_{n-2}(a), f(a) and the weighted level off :class:`FixedPoleClass`.
 """
 
 from __future__ import annotations
@@ -60,7 +63,14 @@ def corollary_min_a(n: int) -> float:
 
 @dataclass(frozen=True)
 class FixedPoleClass:
-    """Degree and fixed real pole of the class under study (a > 1)."""
+    """Degree and fixed real pole of the class under study (a > 1).
+
+    The one owner of the scalars of (n, a) that the closed forms and bounds
+    read: T_n(a), T_{n-2}(a), f(a) and the weighted level, each computed on
+    first use and then kept, and of the theorem's range gate.  They stay
+    lazy because they exist over different ranges: at a = 3 the level is a
+    float up to n = 405, T_n(a) only up to n = 402.
+    """
 
     n: int
     a: float
@@ -72,6 +82,68 @@ class FixedPoleClass:
         if not (math.isfinite(self.a) and self.a > 1.0):
             raise DomainError(f"fixed pole must satisfy a > 1, got a={self.a}")
         object.__setattr__(self, "a", float(self.a))
+
+    @functools.cached_property
+    def tn(self) -> float:
+        """T_n(a); raises DomainError where it overflows a float."""
+        return eval_cheb(ChebKind.FIRST_KIND, self.n, self.a)
+
+    @functools.cached_property
+    def tn2(self) -> float:
+        """T_{n-2}(a), for n >= 2."""
+        return eval_cheb(ChebKind.FIRST_KIND, self.n - 2, self.a)
+
+    @functools.cached_property
+    def fa(self) -> float:
+        """f(a) with f(x) = T_n(x)/n - T_{n-2}(x)/(n-2), in compensated arithmetic.
+
+        Raises DomainError where T_n(a) overflows a float, and also where it
+        does not but T_n(a)/n lies above about 1.3e300, beyond which the
+        double-double splitter overflows (n = 233-237 at a = 10).
+        """
+        n, tn, tn2 = self.n, self.tn, self.tn2
+        fa = _dd.dd_to_float(_dd.dd_sub(
+            _dd.dd_div((tn, 0.0), (float(n), 0.0)),
+            _dd.dd_div((tn2, 0.0), (float(n - 2), 0.0)),
+        ))
+        if not math.isfinite(fa):
+            raise DomainError(
+                f"f(a) out of range at n = {n}, a = {self.a}: T_n(a)/n = {tn / n:.3e} is above "
+                f"the double-double range (about 1.3e300), log |T_n(a)| = {math.log(abs(tn)):.6f}"
+            )
+        return fa
+
+    @functools.cached_property
+    def level(self) -> float:
+        """The weighted level n / sqrt(T_n(a)^2 - 1), through the stable
+        circle-radius form.
+
+        Raises TheoremRangeError where the level is below the smallest normal
+        float (at a = 3, from n = 406 on) rather than return a subnormal or 0.
+        """
+        n, a = self.n, self.a
+        r = a + math.sqrt(a * a - 1.0)
+        nlr = n * math.log(r)
+        if nlr < 350.0:
+            rn = r**n
+            return 2.0 * n / (rn - 1.0 / rn)
+        # log-domain tail; the r^(-2n) correction has already underflowed
+        level = 2.0 * n * math.exp(-nlr)
+        if level < sys.float_info.min:
+            raise TheoremRangeError(
+                f"the weighted level n/sqrt(T_n(a)^2 - 1) = exp({math.log(2.0 * n) - nlr:.6f}) "
+                f"is below the smallest normal float at n={n}, a={a}: "
+                f"log T_n(a) = {nlr - math.log(2.0):.6f}"
+            )
+        return level
+
+    def require(self, what: str, a_min: float) -> None:
+        """The range of the unweighted results: raise TheoremRangeError
+        unless n >= 4 and a > a_min."""
+        if self.n < 4 or self.a <= a_min:
+            raise TheoremRangeError(
+                f"{what} needs n >= 4 and a > {a_min:.6f}, got n={self.n}, a={self.a}"
+            )
 
 
 def _conjugate_halves(poles, match_tol: float = 1e-8):
@@ -329,31 +401,9 @@ def eval_ld(rho: LogDerivative, x, *, cfg: Config = DEFAULTS):
     return float(value[0]) if xs.ndim == 0 else value
 
 
-def _weighted_level(n: int, a: float) -> float:
-    """n / sqrt(T_n(a)^2 - 1) through the stable circle-radius form.
-
-    Raises TheoremRangeError where the level is below the smallest normal
-    float (at a = 3, from n = 406 on) rather than return a subnormal or 0.
-    """
-    r = a + math.sqrt(a * a - 1.0)
-    nlr = n * math.log(r)
-    if nlr < 350.0:
-        rn = r**n
-        return 2.0 * n / (rn - 1.0 / rn)
-    # log-domain tail; the r^(-2n) correction has already underflowed
-    level = 2.0 * n * math.exp(-nlr)
-    if level < sys.float_info.min:
-        raise TheoremRangeError(
-            f"the weighted level n/sqrt(T_n(a)^2 - 1) = exp({math.log(2.0 * n) - nlr:.6f}) "
-            f"is below the smallest normal float at n={n}, a={a}: "
-            f"log T_n(a) = {nlr - math.log(2.0):.6f}"
-        )
-    return level
-
-
 def extremal_weighted_norm(cls: FixedPoleClass) -> float:
     """Closed-form weighted deviation n / sqrt(T_n(a)^2 - 1) of the minimizer."""
-    return _weighted_level(cls.n, cls.a)
+    return cls.level
 
 
 def _circle_points(n: int, a: float) -> list[complex]:
@@ -391,13 +441,13 @@ def build_extremal_weighted(cls: FixedPoleClass, force: bool = False) -> Weighte
             f"optimality requires a > sqrt(2) (= {SQRT2:.6f}); got a={a}. "
             "Pass force=True to build anyway (construction is valid for a > 1)."
         )
-    tna = eval_cheb(ChebKind.FIRST_KIND, n, a)
+    tna = float(cls.tn)
     return WeightedExtremalFraction(
         poles=_joukowski_poles(n, a, _circle_points(n, a)),
         n=n,
         a=a,
-        level=_weighted_level(n, a),
-        tna=float(tna),
+        level=cls.level,
+        tna=tna,
         within_theorem_range=within,
     )
 
@@ -431,27 +481,6 @@ def alternance_points_weighted(
     return report, zeros_sorted
 
 
-def _f_and_fa(n: int, a: float) -> float:
-    """f(a) with f(x) = T_n(x)/n - T_{n-2}(x)/(n-2), in compensated arithmetic.
-
-    Raises DomainError where T_n(a) overflows a float (from eval_cheb), and
-    also where it does not but T_n(a)/n lies above about 1.3e300, beyond
-    which the double-double splitter overflows (n = 233-237 at a = 10).
-    """
-    tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
-    tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, a)
-    fa = _dd.dd_to_float(_dd.dd_sub(
-        _dd.dd_div((tn, 0.0), (float(n), 0.0)),
-        _dd.dd_div((tn2, 0.0), (float(n - 2), 0.0)),
-    ))
-    if not math.isfinite(fa):
-        raise DomainError(
-            f"f(a) out of range at n = {n}, a = {a}: T_n(a)/n = {tn / n:.3e} is above the "
-            f"double-double range (about 1.3e300), log |T_n(a)| = {math.log(abs(tn)):.6f}"
-        )
-    return fa
-
-
 def _q_joukowski(n: int, fa: float, w):
     """Q(x) = (f(x) - f(a))/2 and Q'(x) = T_{n-1}(x) at x = (w + 1/w)/2,
     from T_k(x) = (w^k + w^-k)/2."""
@@ -475,14 +504,9 @@ def build_candidate_unweighted(
     max(1, |T_{n-1}(z)|); a non-finite residual fails.
     """
     n, a = cls.n, cls.a
-    if n < 4:
-        raise TheoremRangeError(f"the unweighted candidate needs degree n >= 4, got n={n}")
-    if a <= 1.0 + 1.0 / n:
-        raise TheoremRangeError(
-            f"the unweighted candidate needs a > 1 + 1/n = {1 + 1/n:.6f}, got a={a}"
-        )
+    cls.require("the unweighted candidate", 1.0 + 1.0 / n)
     tol = cfg.candidate_root_residual_tol
-    fa = _f_and_fa(n, a)
+    fa = cls.fa
     w = np.array(_circle_points(n, a))
     # a non-finite f(a) or w^n makes Q non-finite, which fails the gate
     with np.errstate(all="ignore"):
@@ -507,14 +531,9 @@ def build_candidate_unweighted(
 def lambda_bounds(cls: FixedPoleClass) -> LambdaBounds:
     """Two-sided bound on the alternating values of the unweighted candidate:
     2n / (T_n(a) - n/(n-2) T_{n-2}(a) +- 2(n-1)/(n-2))."""
-    n, a = cls.n, cls.a
-    if n < 4:
-        raise TheoremRangeError(f"lambda bounds need n >= 4, got n={n}")
-    if a <= 1.0 + 1.0 / n:
-        raise TheoremRangeError(f"lambda bounds need a > 1 + 1/n, got a={a}")
-    tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
-    tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, a)
-    base = tn - (n / (n - 2)) * tn2
+    n = cls.n
+    cls.require("the lambda bound", 1.0 + 1.0 / n)
+    base = cls.tn - (n / (n - 2)) * cls.tn2
     wiggle = 2.0 * (n - 1) / (n - 2)
     low_den = base + wiggle
     high_den = base - wiggle
@@ -619,13 +638,7 @@ def dvp_bracket(cls: FixedPoleClass, *, cfg: Config = DEFAULTS) -> DvpBracket:
     raises ToleranceNotMetError carrying the bracket as ``best``.
     """
     n, a = cls.n, cls.a
-    if n < 4:
-        raise TheoremRangeError(f"the deviation bracket needs n >= 4, got n={n}")
-    a_min = corollary_min_a(n)
-    if a <= a_min:
-        raise TheoremRangeError(
-            f"the deviation bracket needs a > sqrt(2)*(3*sqrt(n))^(1/n) = {a_min:.6f}, got a={a}"
-        )
+    cls.require("the deviation bracket", corollary_min_a(n))
     candidate = build_candidate_unweighted(cls, cfg=cfg)
     if _min_pole_separation(candidate.poles) <= cfg.min_pole_separation:
         raise DomainError("candidate poles are not pairwise distinct")
@@ -638,9 +651,7 @@ def dvp_bracket(cls: FixedPoleClass, *, cfg: Config = DEFAULTS) -> DvpBracket:
     points = np.sin(np.pi * (n - 1 - 2 * j) / (2 * (n - 1)))
     lower = float(np.min(np.abs(candidate.values_on(points))))
     upper = sup_norm(candidate, cfg=cfg).value
-    tn = eval_cheb(ChebKind.FIRST_KIND, n, a)
-    tn2 = eval_cheb(ChebKind.FIRST_KIND, n - 2, a)
-    bracket = DvpBracket(lower, upper, upper * (tn - tn2) / (2.0 * n))
+    bracket = DvpBracket(lower, upper, upper * (cls.tn - cls.tn2) / (2.0 * n))
     if lower > upper:
         raise ToleranceNotMetError(
             f"deviation bracket inverted at n={n}, a={a}: lower {lower:.6e} > upper {upper:.6e}",

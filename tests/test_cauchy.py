@@ -28,7 +28,6 @@ from simplefrac.cauchy import (
     matrix_a,
     matrix_b,
     nonvanishing_witness,
-    permanent_of_pair,
     permanent_ryser,
     random_cauchy_pair,
 )
@@ -413,18 +412,6 @@ def test_borchardt_random_n6():
             continue
         checked += 1
         assert borchardt_check(pair).rel_residual <= 1e-10
-
-
-def test_permanent_via_identity_matches_ryser():
-    rng = np.random.default_rng(13)
-    for _ in range(40):
-        n = int(rng.integers(1, 7))
-        pair = random_cauchy_pair(n, rng)
-        if pair.conditioning_flags():
-            continue
-        fast = permanent_of_pair(pair)
-        slow = permanent_ryser(matrix_b(pair))
-        assert abs(fast - slow) <= 1e-9 * max(abs(slow), 1e-300)
 
 
 def test_nonvanishing_witness():

@@ -1,5 +1,6 @@
 """Extremal fractions: constructions, norms, alternance, brackets."""
 
+import dataclasses
 import math
 import sys
 from dataclasses import replace
@@ -28,6 +29,7 @@ from simplefrac.extremal import (
     alternance_points_weighted,
     build_candidate_unweighted,
     build_extremal_weighted,
+    corollary_min_a,
     dvp_bracket,
     eval_ld,
     extremal_weighted_norm,
@@ -132,10 +134,37 @@ def test_closed_forms_past_the_float_range_raise():
             fn(above)
 
 
+def test_class_computes_its_scalars_once(monkeypatch):
+    # every closed form and bound reads T_n(a) and T_{n-2}(a) off the class
+    calls = []
+
+    def counted(kind, n, z):
+        calls.append((kind, n, z))
+        return eval_cheb(kind, n, z)
+
+    monkeypatch.setattr(extremal, "eval_cheb", counted)
+    cls = FixedPoleClass(16, 3.0)
+    build_extremal_weighted(cls)
+    alternance_points_weighted(cls)
+    verify_pole_annulus(cls, build_candidate_unweighted(cls))
+    lambda_bounds(cls)
+    dvp_bracket(cls)
+    assert calls == [(T, 16, 3.0), (T, 14, 3.0)]
+    # the cached scalars are not fields: eq, hash and repr see (n, a) only
+    assert [f.name for f in dataclasses.fields(cls)] == ["n", "a"]
+    assert cls == FixedPoleClass(16, 3.0) and hash(cls) == hash(FixedPoleClass(16, 3.0))
+    assert repr(cls) == "FixedPoleClass(n=16, a=3.0)"
+
+
 def test_weighted_level_never_underflows():
     # the level n/sqrt(T_n(a)^2 - 1) at a = 3 is a normal float up to n = 405
     level = extremal_weighted_norm(FixedPoleClass(405, 3.0))
     assert sys.float_info.min <= level < 1e-307
+    # the class's scalars are lazy: the level is read where T_n(a) overflows
+    cls = FixedPoleClass(404, 3.0)
+    assert extremal_weighted_norm(cls) == 4.2136417431422095e-307
+    with pytest.raises(DomainError, match=r"log \|T_404\(z\)\|"):
+        build_extremal_weighted(cls)
     for n in (406, 423):
         with pytest.raises(TheoremRangeError, match="smallest normal float"):
             extremal_weighted_norm(FixedPoleClass(n, 3.0))
@@ -252,6 +281,14 @@ def test_candidate_gates():
         build_candidate_unweighted(FixedPoleClass(3, 3.0))
     with pytest.raises(TheoremRangeError):
         build_candidate_unweighted(FixedPoleClass(4, 1.2))
+    # a > 1 + 1/n, strictly, for the candidate and the lambda bounds
+    for n in (4, 8):
+        a_min = 1.0 + 1.0 / n
+        at, above = FixedPoleClass(n, a_min), FixedPoleClass(n, math.nextafter(a_min, math.inf))
+        for fn in (build_candidate_unweighted, lambda_bounds):
+            with pytest.raises(TheoremRangeError):
+                fn(at)
+            assert fn(above) is not None
 
 
 @pytest.mark.parametrize("n,a", [(233, 10.0), (237, 10.0), (265, 7.0), (269, 7.0)])
@@ -259,7 +296,7 @@ def test_f_of_a_beyond_double_double_range(n, a):
     # T_n(a) is a float here, but T_n(a)/n overflows the double-double
     # splitter; f(a) used to come out NaN
     assert math.isfinite(eval_cheb(T, n, a))
-    for build in (lambda: extremal._f_and_fa(n, a),
+    for build in (lambda: FixedPoleClass(n, a).fa,
                   lambda: build_candidate_unweighted(FixedPoleClass(n, a)),
                   lambda: witness_ratio_empirical(n, a, 2)):
         with pytest.raises(DomainError, match="double-double range"):
@@ -412,6 +449,12 @@ def test_dvp_bracket_gates():
         dvp_bracket(FixedPoleClass(3, 3.0))
     with pytest.raises(TheoremRangeError):
         dvp_bracket(FixedPoleClass(4, 1.5))  # below sqrt(2)*(3 sqrt n)^(1/n)
+    for n in (4, 8):
+        a_min = corollary_min_a(n)
+        with pytest.raises(TheoremRangeError):
+            dvp_bracket(FixedPoleClass(n, a_min))
+        br = dvp_bracket(FixedPoleClass(n, math.nextafter(a_min, math.inf)))
+        assert br.lower <= br.upper
 
 
 # ---------------------------------------------------------------- eval_ld

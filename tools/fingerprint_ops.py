@@ -5,8 +5,8 @@
 
 Each checkout runs in a fresh process, on its own ``src`` and its own,
 unchanged ``perfbench/workloads.py``.  Every step of every op of
-weighted-perturb (6 passes), paper-sweep (3) and solver-zoo (4) is
-fingerprinted, its output and its exception alike, at each seed; so is a
+weighted-perturb (6 passes), paper-sweep (3), solver-zoo (4) and
+identity-batch (6) is fingerprinted, its output and its exception alike, at each seed; so is a
 probe of 20 solves at default options: |x|, exp(x), cos(5x) and sqrt(1 + x)
 at n = 2, 3, 4, 6 and 8.  A float is fingerprinted as ``float.hex`` and an
 array as the SHA-256 of its bytes, so two fingerprints match only if every
@@ -26,7 +26,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-PASSES = {"weighted-perturb": 6, "paper-sweep": 3, "solver-zoo": 4}
+PASSES = {"weighted-perturb": 6, "paper-sweep": 3, "solver-zoo": 4, "identity-batch": 6}
 PROBE_N = (2, 3, 4, 6, 8)
 
 
