@@ -179,7 +179,8 @@ def asymptotic_ratios(n: int, a: float, force: bool = False) -> AsymptoticRatios
 
 def witness_ratio_empirical(n: int, a: float, which: int, *, cfg: Config = DEFAULTS) -> float:
     """Measured bound-to-derivative-norm ratio of a witness family; raises
-    DomainError unless n is an integer >= 1 and a > 1 is finite.
+    DomainError unless which is 1 or 2 (checked first), n is an integer >= 1
+    and a > 1 is finite.
 
     which=1: rhs_w / lhs_w for the shifted Chebyshev polynomial T_n - T_n(a)
     (should reproduce r1), with lhs_w scanned to cfg.supnorm_xtol and the
@@ -187,6 +188,8 @@ def witness_ratio_empirical(n: int, a: float, which: int, *, cfg: Config = DEFAU
     integrated Chebyshev polynomial Q = (f - f(a))/2, f = T_n/n - T_{n-2}/(n-2),
     whose derivative T_{n-1} has unit sup norm, as a closed form with no scan.
     """
+    if which not in (1, 2):
+        raise DomainError(f"witness index must be 1 or 2, got {which!r}")
     cls = FixedPoleClass(n, a)
     n, tn = cls.n, cls.tn
     if which == 1:
@@ -197,15 +200,13 @@ def witness_ratio_empirical(n: int, a: float, which: int, *, cfg: Config = DEFAU
             lambda x: n * np.abs(np.sin(n * np.arccos(np.clip(x, -1.0, 1.0)))),
             _norm_grid(n, cfg), cfg.supnorm_xtol)
         return n * (tn - 1.0) / math.sqrt((tn - 1.0) * (tn + 1.0)) / lhs_w
-    if which == 2:
-        cls.require("the integrated witness", 1.0)
-        # f' = 2 T_{n-1}: max f sits at a zero of T_{n-1} or at +-1, and f(a) > f(1)
-        # > min f, so min |Q| = (f(a) - max f)/2, or 0 where Q has a root on the segment
-        theta = np.pi * np.append(np.arange(1, 2 * n - 2, 2) / (2 * n - 2), (0.0, 1.0))
-        fmax = float(np.max(np.cos(n * theta) / n - np.cos((n - 2) * theta) / (n - 2)))
-        min_q = 0.5 * max(0.0, cls.fa - fmax)
-        return 2.0 * n * min_q / (tn - cls.tn2 + 3.0)
-    raise DomainError(f"witness index must be 1 or 2, got {which!r}")
+    cls.require("the integrated witness", 1.0)
+    # f' = 2 T_{n-1}: max f sits at a zero of T_{n-1} or at +-1, and f(a) > f(1)
+    # > min f, so min |Q| = (f(a) - max f)/2, or 0 where Q has a root on the segment
+    theta = np.pi * np.append(np.arange(1, 2 * n - 2, 2) / (2 * n - 2), (0.0, 1.0))
+    fmax = float(np.max(np.cos(n * theta) / n - np.cos((n - 2) * theta) / (n - 2)))
+    min_q = 0.5 * max(0.0, cls.fa - fmax)
+    return 2.0 * n * min_q / (tn - cls.tn2 + 3.0)
 
 
 def random_rooted_polynomial(n: int, a: float, rng: np.random.Generator, *,

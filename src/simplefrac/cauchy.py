@@ -35,8 +35,9 @@ _RYSER_BLOCK = 10
 # more memory than that permanent does
 _RYSER_TABLE = 1 << 14
 
-# most draws one borchardt_batch chunk holds, which bounds its memory
-_BATCH_CHUNK = 1024
+# most draws one borchardt_batch chunk holds, which bounds its memory: a
+# batch at n = 10 peaks at about 880 KB traced, 1 MB at a cap of 96
+_BATCH_CHUNK = 64
 
 # conditioning flags, in the order conditioning_flags reports them
 CONDITIONING_FLAGS = ("node-separation", "pole-interval-distance", "determinant-conditioning")
@@ -150,9 +151,13 @@ def matrix_a(pair: CauchyPair) -> np.ndarray:
 def cauchy_det_closed_form(pair: CauchyPair) -> complex:
     """Product formula for det B: prod_{i<j}(c_j-c_i) * prod_{i<j}(z_i-z_j)
     / prod_{i,j}(c_i-z_j).  Serves as the oracle for the LU determinant."""
-    c = pair.nodes
-    z = pair.poles
-    n = pair.size
+    return _closed_form_det(pair.nodes, pair.poles)
+
+
+def _closed_form_det(c, z) -> complex:
+    """cauchy_det_closed_form of nodes ``c`` (floats) and poles ``z``
+    (complex numbers), given as sequences."""
+    n = len(c)
     num = complex(1.0)
     for i in range(n):
         for j in range(i + 1, n):
@@ -279,14 +284,16 @@ def borchardt_check(pair: CauchyPair, *, cfg: Config = DEFAULTS) -> BorchardtRep
             f"identity check gated at n <= {cfg.permanent_max_n}, got n={pair.size}"
         )
     b = matrix_b(pair)
-    return _borchardt_report(np.linalg.det(b * b), np.linalg.det(b), _permanent(b, cfg), cfg)
+    return BorchardtReport(*_identity_sides(np.linalg.det(b * b), np.linalg.det(b),
+                                            _permanent(b, cfg), cfg))
 
 
-def _borchardt_report(det_a, det_b, per_b: complex, cfg: Config) -> BorchardtReport:
+def _identity_sides(det_a, det_b, per_b: complex, cfg: Config) -> tuple[complex, complex, float]:
+    """lhs = det A, rhs = det B * per B and their relative residual."""
     lhs = complex(det_a)
     rhs = complex(det_b) * per_b
     denom = max(abs(lhs), abs(rhs), cfg.residual_floor)
-    return BorchardtReport(lhs=lhs, rhs=rhs, rel_residual=abs(lhs - rhs) / denom)
+    return lhs, rhs, abs(lhs - rhs) / denom
 
 
 @dataclass(frozen=True)
@@ -419,26 +426,44 @@ def _jittered_nodes(base: np.ndarray, jitter: np.ndarray) -> np.ndarray:
     return np.clip(np.sort(base + jitter, axis=-1), -1.0, 1.0)
 
 
-def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1,
-                max_abs: float = 10.0) -> dict[int, tuple[list[int], np.ndarray, np.ndarray]]:
-    """One random pair per size in ``ns``, drawn in order as
+def _separated(poles: list[complex]) -> bool:
+    """Whether every two poles lie more than 1e-3 apart, decided exactly as
+    ``min(abs(p - q)) > 1e-3`` over all pairs would.  The poles are swept in
+    order of real part, and a pair whose real parts differ by more than 1e-3
+    is separated without its abs: |p - q| >= |Re p - Re q| holds in floats
+    too, since a faithful hypot is never below either leg."""
+    swept = sorted(poles, key=operator.attrgetter("real"))
+    for j, p in enumerate(swept):
+        for q in swept[j + 1 :]:
+            if q.real - p.real > 1e-3:
+                break
+            if abs(p - q) <= 1e-3:
+                return False
+    return True
+
+
+def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1, max_abs: float = 10.0
+                ) -> tuple[dict[int, tuple[list[int], np.ndarray, np.ndarray]], bool]:
+    """Random pairs for the sizes in ``ns``, drawn in order as
     :func:`random_cauchy_pair` describes.
 
     Returns, per size n, the indices into ``ns`` of its draws with their
-    nodes (K, n) and poles (K, n), stacked in draw order.  Each draw makes
-    the RNG calls of a single one, so the pairs do not depend on how many
-    share the call; the nodes of all draws of a size are formed at once.  A
-    draw whose node or pole retries run out is validated as a CauchyPair,
-    which raises the DomainError a single draw would.
+    nodes (K, n) and poles (K, n), stacked in draw order, and whether the
+    last draw is spent.  Each draw makes the RNG calls of a single one, so
+    the pairs do not depend on how many share the call; the nodes of all
+    draws of a size are formed at once.  A spent draw, one whose node or
+    pole retries ran out, need not be a valid pair.  Drawing stops after it,
+    and the caller validates it as a CauchyPair, which raises the
+    DomainError a single draw would, if and when it uses the draw.
     """
     log_lo = math.log(min_abs)
     log_span = math.log(max_abs) - log_lo
     theta_lo = 0.1
     theta_span = (math.pi - 0.1) - theta_lo
     drawn: dict[int, tuple[list[int], list, list]] = {}
+    spent = False
     for i, n in enumerate(ns):
         base, half = _node_layout(n)
-        spent = False
         for _ in range(200):
             jitter = rng.uniform(-half, half, size=n)
             if n <= _JITTER_SAFE_N or np.diff(_jittered_nodes(base, jitter)).min() > 1e-6:
@@ -459,24 +484,21 @@ def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1,
                 z = mag * cmath.exp(complex(0.0, theta_lo + theta_span * u[k + 1]))
                 poles.append(z)
                 poles.append(z.conjugate())
-            seps = [
-                abs(p - q) for j, p in enumerate(poles) for q in poles[j + 1 :]
-            ]
-            if not seps or min(seps) > 1e-3:
+            if _separated(poles):
                 break
         else:
             spent = True
-        if spent:
-            CauchyPair(tuple(_jittered_nodes(base, jitter).tolist()), tuple(poles))
         idx, jitters, pole_rows = drawn.setdefault(n, ([], [], []))
         idx.append(i)
         jitters.append(jitter)
         pole_rows.append(poles)
+        if spent:
+            break
     return {
         n: (idx, _jittered_nodes(_node_layout(n)[0], np.array(jitters)),
             np.array(pole_rows, dtype=complex))
         for n, (idx, jitters, pole_rows) in drawn.items()
-    }
+    }, spent
 
 
 def random_cauchy_pair(n: int, rng: np.random.Generator,
@@ -507,7 +529,7 @@ def random_cauchy_pair(n: int, rng: np.random.Generator,
             f"pole moduli need 0 < min_abs <= max_abs < inf, got min_abs={min_abs!r}, "
             f"max_abs={max_abs!r}"
         )
-    ((_, nodes, poles),) = _draw_pairs([n], rng, min_abs, max_abs).values()
+    ((_, nodes, poles),) = _draw_pairs([n], rng, min_abs, max_abs)[0].values()
     return CauchyPair(nodes=tuple(nodes[0].tolist()), poles=tuple(poles[0].tolist()))
 
 
@@ -535,27 +557,27 @@ class BorchardtBatchReport:
     excluded_by_flag: tuple[tuple[str, int], ...]
 
 
-def _check_chunk(drawn: dict[int, tuple[list[int], np.ndarray, np.ndarray]], k: int,
+def _check_chunk(drawn: dict[int, tuple[list[int], np.ndarray, np.ndarray]],
                  work: np.ndarray, cfg: Config) -> list[tuple]:
-    """borchardt_check and conditioning_flags of the k draws of a chunk, as
+    """The identity check and conditioning flags of a chunk's draws, as
     _draw_pairs returns them, with one det, one cond, one flag and one Ryser
     call per size (the Ryser call split so that each table stays within
-    _RYSER_TABLE entries).  Returns, per draw in draw order, its report,
-    flags, nodes and poles.  Each value equals the per-pair call's bit for
-    bit: the stacked LAPACK calls factor each matrix on its own, and
-    _ryser_stack does each matrix's arithmetic unchanged."""
-    out: list = [None] * k
+    _RYSER_TABLE entries).  Returns, per draw in draw order, det A, det B
+    and per B as Python complex numbers, its flags, nodes and poles.  Each
+    value equals the per-pair call's bit for bit: the stacked LAPACK calls
+    factor each matrix on its own, and _ryser_stack does each matrix's
+    arithmetic unchanged."""
+    out: list = [None] * sum(len(idx) for idx, _, _ in drawn.values())
     for n, (idx, nodes, poles) in drawn.items():
         b = _cauchy_b(nodes, poles)
-        det_a = np.linalg.det(b * b)
-        det_b = np.linalg.det(b)
+        det_a = np.linalg.det(b * b).tolist()
+        det_b = np.linalg.det(b).tolist()
         step = max(1, _RYSER_TABLE // (n << min(n, _RYSER_BLOCK)))
         per_b = [p for r in range(0, len(idx), step)
                  for p in _ryser_stack(b[r : r + step], work)]
         flags = _flag_rows(nodes, poles, b, cfg)
-        for r, i in enumerate(idx):
-            out[i] = (_borchardt_report(det_a[r], det_b[r], per_b[r], cfg), flags[r],
-                      nodes[r], poles[r])
+        for i, row in zip(idx, zip(det_a, det_b, per_b, flags, nodes, poles)):
+            out[i] = row
     return out
 
 
@@ -568,16 +590,23 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
     asserted on) and replaced by fresh draws, capped at 20x oversampling.
     A checked instance fails when its residual exceeds cfg.borchardt_tol.
 
-    Draws are made in chunks of k = min(trials - checked, 20 * trials -
-    draws, _BATCH_CHUNK).  A draw adds at most one checked instance, so a
-    loop that drew and checked one instance at a time would make all k of
-    those draws too: the chunks take the same draws from the same random
-    stream.  A chunk's draws of each size are held as (K, n) node and pole
-    arrays, the pairs :func:`random_cauchy_pair` would return, and are
-    checked and flagged with stacked numpy calls, one per size; a
-    :class:`CauchyPair` is built only for a checked draw, whose closed-form
-    determinant it feeds.  The chunk is then tallied in draw order, so the
-    report is the one-at-a-time loop's, bit for bit.  Sizes must lie in
+    Draws are made in chunks, from one random stream, and tallied in draw
+    order until ``trials`` are checked or 20 * trials are tallied, as a loop
+    that drew and checked one instance at a time would: ``draws`` counts the
+    tallied draws only.  A chunk holds at most 20 * trials - draws and at
+    most _BATCH_CHUNK draws, which bounds its memory.  Within that, the
+    first chunk holds trials draws, as many as can be needed, so a batch
+    whose draws all pass draws nothing extra, and each later chunk as many
+    as the pass rate so far says the remaining checks need (the whole
+    budget while nothing has passed).  A chunk ends early at a spent draw,
+    which is validated only when the tally reaches it, so a draw past the
+    stop never raises.
+    A chunk's draws of each size are held as (K, n) node and pole arrays,
+    the pairs :func:`random_cauchy_pair` would return, and are checked and
+    flagged with stacked numpy calls, one per size; a checked draw's
+    closed-form det B comes from its node and pole lists, and no
+    :class:`CauchyPair` is built for a valid draw.  So the report is the
+    one-at-a-time loop's, bit for bit.  Sizes must lie in
     1..cfg.permanent_max_n and trials must be at least 1.
     """
     try:
@@ -605,25 +634,37 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
     by_flag = dict.fromkeys(CONDITIONING_FLAGS, 0)
     work = np.empty(2 * _RYSER_TABLE, dtype=complex)
     while checked < trials and draws < 20 * trials:
-        k = min(trials - checked, 20 * trials - draws, _BATCH_CHUNK)
-        drawn = _draw_pairs([sizes[(draws + i) % len(sizes)] for i in range(k)], rng)
-        draws += k
-        for rep, flags, nodes, poles in _check_chunk(drawn, k, work, cfg):
+        if not draws:
+            k = trials
+        elif checked:
+            k = -(-(trials - checked) * draws // checked)  # ceil(needed / pass rate)
+        else:
+            k = _BATCH_CHUNK
+        k = min(k, 20 * trials - draws, _BATCH_CHUNK)
+        drawn, spent = _draw_pairs([sizes[(draws + i) % len(sizes)] for i in range(k)], rng)
+        rows = _check_chunk(drawn, work, cfg)
+        for i, (det_a, det_b, per_b, flags, nodes, poles) in enumerate(rows):
+            if spent and i == len(rows) - 1:
+                # raises for an invalid pair, as random_cauchy_pair does
+                CauchyPair(tuple(nodes.tolist()), tuple(poles.tolist()))
+            draws += 1
+            lhs, _, residual = _identity_sides(det_a, det_b, per_b, cfg)
             if flags:
                 excluded += 1
-                max_res_excluded = max(max_res_excluded, rep.rel_residual)
+                max_res_excluded = max(max_res_excluded, residual)
                 for flag in flags:
                     by_flag[flag] += 1
                 continue
             checked += 1
-            max_res = max(max_res, rep.rel_residual)
-            min_det = min(min_det, abs(rep.lhs))
-            pair = CauchyPair(tuple(nodes.tolist()), tuple(poles.tolist()))
-            det_b = abs(cauchy_det_closed_form(pair))
-            if det_b > 0.0:
-                min_norm_det = min(min_norm_det, abs(rep.lhs) / (det_b * det_b))
-            if rep.rel_residual > tol:
+            max_res = max(max_res, residual)
+            min_det = min(min_det, abs(lhs))
+            abs_det_b = abs(_closed_form_det(nodes.tolist(), poles.tolist()))
+            if abs_det_b > 0.0:
+                min_norm_det = min(min_norm_det, abs(lhs) / (abs_det_b * abs_det_b))
+            if residual > tol:
                 failures += 1
+            if checked == trials:
+                break
     return BorchardtBatchReport(
         trials=trials,
         draws=draws,

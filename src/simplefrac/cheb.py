@@ -128,8 +128,7 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
     a float: at z = 3 from n = 403 on, for either kind, and for n >= 1 from
     |z| of about 9e307 on, where w = z + sqrt(z^2-1) itself does.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"degree must be a non-negative integer, got {n!r}")
+    _require_degree(n)
     n = int(n)
     if kind not in (ChebKind.FIRST_KIND, ChebKind.SECOND_KIND):
         raise DomainError(f"unknown Chebyshev kind {kind!r}")
@@ -155,6 +154,12 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
     return _cheb_recurrence_dd(kind, n, x)
 
 
+def _require_degree(n) -> None:
+    """DomainError unless the degree n is a non-negative integer."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"degree must be a non-negative integer, got {n!r}")
+
+
 def _require_finite(name: str, n: int, x: np.ndarray, vals: np.ndarray) -> None:
     """DomainError at the first x (off [-1, 1], or NaN) where vals is not finite."""
     bad = ~np.isfinite(vals)
@@ -164,7 +169,9 @@ def _require_finite(name: str, n: int, x: np.ndarray, vals: np.ndarray) -> None:
 
 def cheb_t(n: int, x) -> np.ndarray:
     """Vectorized T_n on the real line (trig inside [-1,1], cosh outside);
-    DomainError, naming the point, where T_n overflows or x is NaN."""
+    DomainError, naming the point, where T_n overflows or x is NaN, and for
+    a degree n that is not a non-negative integer."""
+    _require_degree(n)
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     inside = np.abs(x) <= 1.0
@@ -183,7 +190,9 @@ def cheb_t(n: int, x) -> np.ndarray:
 
 def cheb_u(n: int, x) -> np.ndarray:
     """Vectorized U_n on the real line (sin ratio inside, sinh ratio outside);
-    DomainError, naming the point, where sinh((n+1) arccosh|x|) overflows or x is NaN."""
+    DomainError, naming the point, where sinh((n+1) arccosh|x|) overflows or x is NaN,
+    and for a degree n that is not a non-negative integer."""
+    _require_degree(n)
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     ax = np.abs(x)

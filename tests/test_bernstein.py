@@ -187,6 +187,17 @@ def test_witness_and_threshold_inputs_raise_domain_error(fn, args):
         fn(*args)
 
 
+def test_witness_index_is_checked_before_the_class():
+    # T_403(3) overflows a float; an invalid index is named before that
+    with pytest.raises(DomainError, match="witness index must be 1 or 2, got 7"):
+        witness_ratio_empirical(403, 3.0, 7)
+    with pytest.raises(DomainError, match="witness index must be 1 or 2, got 0"):
+        witness_ratio_empirical(0, 0.5, 0)
+    for which in (1, 2):
+        with pytest.raises(DomainError, match="T_403 out of range at z = 3.0"):
+            witness_ratio_empirical(403, 3.0, which)
+
+
 def test_shifted_cheb_degree_two_example():
     # P = T_2 - 7 = 2(x-2)(x+2): below the n >= 4 gate, so force
     poly = RootedPolynomial(a=2.0, cofactor_roots=(-2.0,), lead=2.0, force=True)

@@ -12,15 +12,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from simplefrac import cauchy
 from simplefrac.cauchy import (
     _JITTER_SAFE_N,
     CONDITIONING_FLAGS,
     BorchardtBatchReport,
     CauchyPair,
     _cauchy_b,
+    _draw_pairs,
     _flag_rows,
     _node_layout,
     _ryser_stack,
+    _separated,
     borchardt_batch,
     borchardt_check,
     cauchy_det_closed_form,
@@ -140,10 +143,11 @@ def conditioning_flags_reference(pair, cfg=DEFAULTS):
     return tuple(flags)
 
 
-def borchardt_batch_serial_reference(sizes, trials, seed):
+def borchardt_batch_serial_reference(sizes, trials, seed, cfg=DEFAULTS, **moduli):
     """borchardt_batch as one draw, one identity check and one flag check
-    at a time, through the public per-pair functions."""
-    tol = DEFAULTS.borchardt_tol
+    at a time, through the public per-pair functions; ``moduli`` are the
+    pole modulus bounds of the draws."""
+    tol = cfg.borchardt_tol
     rng = np.random.default_rng(seed)
     sizes = list(sizes)
     checked = excluded = failures = draws = 0
@@ -153,9 +157,9 @@ def borchardt_batch_serial_reference(sizes, trials, seed):
     while checked < trials and draws < 20 * trials:
         n = sizes[draws % len(sizes)]
         draws += 1
-        pair = random_cauchy_pair_reference(n, rng)
-        rep = borchardt_check(pair)
-        flags = pair.conditioning_flags()
+        pair = random_cauchy_pair_reference(n, rng, **moduli)
+        rep = borchardt_check(pair, cfg=cfg)
+        flags = pair.conditioning_flags(cfg)
         if flags:
             excluded += 1
             max_res_excluded = max(max_res_excluded, rep.rel_residual)
@@ -538,6 +542,11 @@ size_lists = st.one_of(
 @example(sizes=[17], trials=1, seed=0)
 @example(sizes=[20], trials=1, seed=0)
 @example(sizes=[17, 3], trials=1, seed=0)
+@example(sizes=[10], trials=20, seed=0)  # checks none: chunks of 20, 64 x 5, 60
+@example(sizes=[8], trials=20, seed=6)  # stops 5 draws short of the budget, mid-chunk
+@example(sizes=[7], trials=20, seed=7)  # its last chunk of 64 ends 36 draws past the stop
+@example(sizes=[4], trials=20, seed=5)  # a draw past the stop
+@example(sizes=[2, 10], trials=20, seed=0)
 def test_batch_matches_serial_reference(sizes, trials, seed):
     got = dataclasses.asdict(borchardt_batch(sizes, trials, seed))
     want = dataclasses.asdict(borchardt_batch_serial_reference(sizes, trials, seed))
@@ -616,7 +625,74 @@ def test_batch_builds_pairs_only_for_checked_draws(monkeypatch):
     assert built == []
     rep = borchardt_batch([3], 20, 0)
     assert rep.checked == 20
-    assert len(built) <= rep.checked
+    assert built == []
+
+
+def test_batch_spent_draw_past_the_stop_does_not_raise(monkeypatch):
+    # with every pole modulus 2, a size-3 draw of three real poles repeats
+    # one: its retries run out and it is no valid pair.  A cond(B) gate at
+    # 19 excludes the first draw, so the second chunk is sized from a pass
+    # rate of 0 and draws on past the one check the batch still needs
+    cfg = replace(DEFAULTS, det_condition_gate=19.0)
+    chunks = []
+
+    def drawing(ns, rng):
+        drawn, spent = _draw_pairs(ns, rng, 2.0, 2.0)
+        chunks.append((drawn, spent))
+        return drawn, spent
+
+    monkeypatch.setattr(cauchy, "_draw_pairs", drawing)
+    got = borchardt_batch([3], 1, 53, cfg=cfg)
+    want = borchardt_batch_serial_reference([3], 1, 53, cfg, min_abs=2.0, max_abs=2.0)
+    assert exact(dataclasses.asdict(got)) == exact(dataclasses.asdict(want))
+    assert (got.draws, got.checked, got.excluded) == (2, 1, 1)
+    # the second chunk ends at its spent draw, the one past the stop
+    ((drawn, spent),) = chunks[1:]
+    ((idx, nodes, poles),) = drawn.values()
+    assert spent and idx == [0, 1]
+    with pytest.raises(DomainError, match="poles must be pairwise distinct"):
+        CauchyPair(tuple(nodes[-1].tolist()), tuple(poles[-1].tolist()))
+    # the tally validates a spent draw it reaches, as a single draw would
+    with pytest.raises(DomainError, match="poles must be pairwise distinct"):
+        borchardt_batch([3], 2, 53, cfg=cfg)
+    with pytest.raises(DomainError, match="poles must be pairwise distinct"):
+        borchardt_batch_serial_reference([3], 2, 53, cfg, min_abs=2.0, max_abs=2.0)
+
+
+def pairwise_separated(poles):
+    """The pole-separation rule over all pairs."""
+    seps = [abs(p - q) for j, p in enumerate(poles) for q in poles[j + 1 :]]
+    return not seps or min(seps) > 1e-3
+
+
+@pytest.mark.parametrize("poles", [
+    [],
+    [2.0],
+    [0.0, 1e-3],  # exactly 1e-3 apart along the real axis
+    [3.0, complex(3.0, 1e-3)],  # exactly 1e-3 apart at equal real parts
+    [complex(2.0, 5e-4), complex(2.0, -5e-4)],  # a conjugate pair 1e-3 apart
+    [complex(2.0, 5.1e-4), complex(2.0, -5.1e-4)],
+    [complex(2.0, 0.3), complex(2.0, 0.3005)],  # equal real parts, 5e-4 apart
+    [complex(2.0, 0.3), complex(2.0, -0.3), complex(2.0, 0.31)],
+    [complex(2.0, 1.0), complex(2.0005, -1.0)],  # real parts close, poles far
+    [5.0, 2.0, 2.0 + 1.0000001e-3, -3.0],  # real parts just over 1e-3 apart
+    [5.0, 2.0, 2.0, -3.0],
+])
+def test_separation_sweep_matches_pairwise_rule(poles):
+    poles = [complex(p) for p in poles]
+    assert _separated(poles) == pairwise_separated(poles)
+    assert _separated(poles[::-1]) == pairwise_separated(poles)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.booleans()), max_size=8))
+def test_separation_sweep_matches_pairwise_rule_on_a_grid(points):
+    # a 5e-4 grid puts many pairs at and near the 1e-3 threshold
+    poles = []
+    for i, j, pair in points:
+        z = complex(2.0 + i * 5e-4, j * 5e-4)
+        poles += [z, z.conjugate()] if pair else [z]
+    assert _separated(poles) == pairwise_separated(poles)
 
 
 @pytest.mark.parametrize("sizes,trials", [

@@ -84,6 +84,22 @@ def test_rejects_nonfinite():
         eval_cheb(T, -1, 0.5)
 
 
+@pytest.mark.parametrize("fn", [
+    cheb_t, cheb_u, lambda n, x: eval_cheb(T, n, float(x[0]))], ids=["cheb_t", "cheb_u", "eval_cheb"])
+@pytest.mark.parametrize("n", [2.5, -1, 3.0, "3", None])
+def test_degree_must_be_a_non_negative_integer(fn, n):
+    # cheb_t(2.5, x) once raised a raw TypeError, and cheb_t(-1, x) returned x
+    with pytest.raises(DomainError, match=r"degree must be a non-negative integer, got "):
+        fn(n, np.array([0.5, 2.0]))
+
+
+def test_vectorized_kernels_take_numpy_integer_degrees():
+    xs = np.array([-2.0, -1.0, 0.3, 1.0, 1.5])
+    for fn in (cheb_t, cheb_u):
+        assert fn(np.int64(5), xs).tolist() == fn(5, xs).tolist()
+        assert fn(0, xs).tolist() == [1.0] * 5
+
+
 def test_branch_normalization_at_sqrt2():
     # sqrt(z^2 - 1) with the cut on [-1,1] must equal +1 at z = sqrt(2)
     z = complex(math.sqrt(2.0), 0.0)
