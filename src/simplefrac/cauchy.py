@@ -537,6 +537,9 @@ def random_cauchy_pair(n: int, rng: np.random.Generator,
 class BorchardtBatchReport:
     """Summary of a batch identity run with conditioning-based routing.
 
+    The residual, determinant and failure fields cover the checked draws
+    only.  An excluded draw is counted, in ``excluded`` and under each flag
+    it trips, and gets no permanent and no determinant.
     min_normalized_det_a is the smallest observed |det A| / |det B|^2 with
     det B from the closed form; it is the scale-free non-vanishing evidence
     (equal to |per B / det B| when the identity holds).  excluded_by_flag
@@ -551,33 +554,53 @@ class BorchardtBatchReport:
     max_rel_residual: float
     min_abs_det_a: float
     min_normalized_det_a: float
-    excluded_max_residual: float
     tol: float
     failures: int
     excluded_by_flag: tuple[tuple[str, int], ...]
 
 
-def _check_chunk(drawn: dict[int, tuple[list[int], np.ndarray, np.ndarray]],
-                 work: np.ndarray, cfg: Config) -> list[tuple]:
-    """The identity check and conditioning flags of a chunk's draws, as
-    _draw_pairs returns them, with one det, one cond, one flag and one Ryser
-    call per size (the Ryser call split so that each table stays within
-    _RYSER_TABLE entries).  Returns, per draw in draw order, det A, det B
-    and per B as Python complex numbers, its flags, nodes and poles.  Each
-    value equals the per-pair call's bit for bit: the stacked LAPACK calls
-    factor each matrix on its own, and _ryser_stack does each matrix's
-    arithmetic unchanged."""
+def _flag_chunk(drawn: dict[int, tuple[list[int], np.ndarray, np.ndarray]],
+                cfg: Config) -> tuple[dict[int, np.ndarray], list[tuple]]:
+    """The first step of a chunk's check: the matrices B of its draws, as
+    _draw_pairs returns them, and their conditioning flags, with one cond
+    call per size.  Returns B (K, n, n) per size and, per draw in draw
+    order, its size, its row in that size's stack and its flags."""
+    mats: dict[int, np.ndarray] = {}
     out: list = [None] * sum(len(idx) for idx, _, _ in drawn.values())
     for n, (idx, nodes, poles) in drawn.items():
-        b = _cauchy_b(nodes, poles)
+        b = mats[n] = _cauchy_b(nodes, poles)
+        for row, (i, flags) in enumerate(zip(idx, _flag_rows(nodes, poles, b, cfg))):
+            out[i] = (n, row, flags)
+    return mats, out
+
+
+def _identity_rows(drawn: dict[int, tuple[list[int], np.ndarray, np.ndarray]],
+                   mats: dict[int, np.ndarray], picked: list[tuple[int, int]],
+                   work: np.ndarray) -> list[tuple]:
+    """The second step: the identity check of the picked draws, given as
+    (size, row) in draw order, with one det of A, one det of B and one Ryser
+    call per size (the Ryser call split so that each table stays within
+    _RYSER_TABLE entries).  Returns, per picked draw in order, det A, det B
+    and per B as Python complex numbers, its nodes and poles.  Each value
+    equals the per-pair call's bit for bit: the stacked LAPACK calls factor
+    each matrix on its own, and _ryser_stack does each matrix's arithmetic
+    unchanged, whichever matrices share the stack."""
+    by_size: dict[int, tuple[list[int], list[int]]] = {}
+    for pos, (n, row) in enumerate(picked):
+        at, rows = by_size.setdefault(n, ([], []))
+        at.append(pos)
+        rows.append(row)
+    out: list = [None] * len(picked)
+    for n, (at, rows) in by_size.items():
+        b = mats[n][rows]
         det_a = np.linalg.det(b * b).tolist()
         det_b = np.linalg.det(b).tolist()
         step = max(1, _RYSER_TABLE // (n << min(n, _RYSER_BLOCK)))
-        per_b = [p for r in range(0, len(idx), step)
+        per_b = [p for r in range(0, len(rows), step)
                  for p in _ryser_stack(b[r : r + step], work)]
-        flags = _flag_rows(nodes, poles, b, cfg)
-        for i, row in zip(idx, zip(det_a, det_b, per_b, flags, nodes, poles)):
-            out[i] = row
+        _, nodes, poles = drawn[n]
+        for pos, row, sides in zip(at, rows, zip(det_a, det_b, per_b)):
+            out[pos] = (*sides, nodes[row], poles[row])
     return out
 
 
@@ -586,9 +609,10 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
     """Run the identity check on ``trials`` well-conditioned random instances.
 
     Draws cycle through ``sizes``; instances tripping a conditioning flag are
-    routed to the excluded tally (their residuals are reported but never
-    asserted on) and replaced by fresh draws, capped at 20x oversampling.
-    A checked instance fails when its residual exceeds cfg.borchardt_tol.
+    counted by flag in the excluded tally, get no permanent and no
+    determinant, and are replaced by fresh draws, capped at 20x
+    oversampling.  A checked instance fails when its residual exceeds
+    cfg.borchardt_tol.
 
     Draws are made in chunks, from one random stream, and tallied in draw
     order until ``trials`` are checked or 20 * trials are tallied, as a loop
@@ -602,11 +626,14 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
     which is validated only when the tally reaches it, so a draw past the
     stop never raises.
     A chunk's draws of each size are held as (K, n) node and pole arrays,
-    the pairs :func:`random_cauchy_pair` would return, and are checked and
-    flagged with stacked numpy calls, one per size; a checked draw's
-    closed-form det B comes from its node and pole lists, and no
-    :class:`CauchyPair` is built for a valid draw.  So the report is the
-    one-at-a-time loop's, bit for bit.  Sizes must lie in
+    the pairs :func:`random_cauchy_pair` would return.  They are flagged
+    with stacked numpy calls, one per size, and tallied from their flags
+    alone; then the draws the tally checked, and no others, get their
+    determinants and permanents, again stacked per size, and are folded in
+    draw order.  A draw excluded or past the stop costs only its drawing
+    and its cond(B).  A checked draw's closed-form det B comes from its node
+    and pole lists, and no :class:`CauchyPair` is built for a valid draw.
+    So the report is the one-at-a-time loop's, bit for bit.  Sizes must lie in
     1..cfg.permanent_max_n and trials must be at least 1.
     """
     try:
@@ -628,7 +655,6 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
     rng = np.random.default_rng(seed)
     checked = excluded = failures = draws = 0
     max_res = 0.0
-    max_res_excluded = 0.0
     min_det = math.inf
     min_norm_det = math.inf
     by_flag = dict.fromkeys(CONDITIONING_FLAGS, 0)
@@ -642,20 +668,27 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
             k = _BATCH_CHUNK
         k = min(k, 20 * trials - draws, _BATCH_CHUNK)
         drawn, spent = _draw_pairs([sizes[(draws + i) % len(sizes)] for i in range(k)], rng)
-        rows = _check_chunk(drawn, work, cfg)
-        for i, (det_a, det_b, per_b, flags, nodes, poles) in enumerate(rows):
+        mats, rows = _flag_chunk(drawn, cfg)
+        # the tally needs only the flags; the identity is computed for the
+        # checked draws alone
+        picked = []
+        for i, (n, row, flags) in enumerate(rows):
             if spent and i == len(rows) - 1:
                 # raises for an invalid pair, as random_cauchy_pair does
-                CauchyPair(tuple(nodes.tolist()), tuple(poles.tolist()))
+                _, nodes, poles = drawn[n]
+                CauchyPair(tuple(nodes[row].tolist()), tuple(poles[row].tolist()))
             draws += 1
-            lhs, _, residual = _identity_sides(det_a, det_b, per_b, cfg)
             if flags:
                 excluded += 1
-                max_res_excluded = max(max_res_excluded, residual)
                 for flag in flags:
                     by_flag[flag] += 1
                 continue
             checked += 1
+            picked.append((n, row))
+            if checked == trials:
+                break
+        for det_a, det_b, per_b, nodes, poles in _identity_rows(drawn, mats, picked, work):
+            lhs, _, residual = _identity_sides(det_a, det_b, per_b, cfg)
             max_res = max(max_res, residual)
             min_det = min(min_det, abs(lhs))
             abs_det_b = abs(_closed_form_det(nodes.tolist(), poles.tolist()))
@@ -663,8 +696,6 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
                 min_norm_det = min(min_norm_det, abs(lhs) / (abs_det_b * abs_det_b))
             if residual > tol:
                 failures += 1
-            if checked == trials:
-                break
     return BorchardtBatchReport(
         trials=trials,
         draws=draws,
@@ -673,7 +704,6 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
         max_rel_residual=max_res,
         min_abs_det_a=min_det if checked else float("nan"),
         min_normalized_det_a=min_norm_det if checked else float("nan"),
-        excluded_max_residual=max_res_excluded,
         tol=tol,
         failures=failures,
         excluded_by_flag=tuple(by_flag.items()),

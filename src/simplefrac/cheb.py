@@ -115,6 +115,7 @@ def _cheb_exponential(kind: ChebKind, n: int, z: complex) -> complex:
 
 # degree * log(|x|+sqrt(x^2-1)) beyond this would overflow the dd splitter
 _DD_LOG_LIMIT = 640.0
+_LOG2 = math.log(2.0)
 
 
 def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
@@ -123,10 +124,13 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
     Real arguments run through the compensated recurrence (a few ulp up to
     n = 64); complex arguments use the exponential form with the branch of
     sqrt(z^2-1) cut along [-1, 1] and normalized to +1 at z = sqrt(2).
-    Returns a float for real input, complex otherwise, never inf.  Raises
-    DomainError, naming log |T_n(z)| (or log |U_n(z)|), where w^n overflows
-    a float: at z = 3 from n = 403 on, for either kind, and for n >= 1 from
-    |z| of about 9e307 on, where w = z + sqrt(z^2-1) itself does.
+    Returns a float for real input, complex otherwise, never inf.  Where w^n
+    overflows a float (at z = 3 from n = 403 on, and for n >= 1 from |z| of
+    about 9e307 on, where w = z + sqrt(z^2-1) itself does) the value comes
+    from its log, formed from h = w/2, as accurate as the exponential form
+    (about 1e-13 relative).  Raises DomainError, naming log |T_n(z)| (or
+    log |U_n(z)|), only where that value overflows too: at z = 3 from n = 404
+    on for T_n and from n = 403 on for U_n.
     """
     _require_degree(n)
     n = int(n)
@@ -140,17 +144,22 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
         if abs(x) > 1.0 and n * math.log(abs(x) + math.sqrt(x * x - 1.0)) > _DD_LOG_LIMIT:
             return complex(_cheb_exponential(kind, n, complex(x))).real
     except OverflowError:
-        # |w| >= 1 on the branch used, and w^-n is negligible beside w^n here
-        h = 0.5 * zc + cmath.sqrt(0.5 * zc - 0.5) * cmath.sqrt(0.5 * zc + 0.5)  # w/2, finite
-        lw = abs(math.log(2.0) + math.log(abs(h)))
+        # |w| >= 1 on the branch used, and w^-n is negligible beside w^n here:
+        # with h = w/2, T_n = 2^(n-1) h^n and U_n = 2^n h^(n+1) / (h - 1/(4h)),
+        # whose log form holds the value wherever it is a float
+        h = 0.5 * zc + cmath.sqrt(0.5 * zc - 0.5) * cmath.sqrt(0.5 * zc + 0.5)  # finite
         if kind is ChebKind.FIRST_KIND:
-            name, log_val = "T", n * lw - math.log(2.0)
+            name, log_val = "T", (n - 1) * _LOG2 + n * cmath.log(h)
         else:
-            name, log_val = "U", (n + 1) * lw - math.log(2.0) - math.log(abs(h - 0.25 / h))
-        raise DomainError(
-            f"{name}_{n} out of range at z = {z}: w^n overflows a float, "
-            f"log |{name}_{n}(z)| = {log_val:.6f}"
-        ) from None
+            name, log_val = "U", n * _LOG2 + (n + 1) * cmath.log(h) - cmath.log(h - 0.25 / h)
+        try:
+            val = cmath.exp(log_val)
+        except OverflowError:
+            raise DomainError(
+                f"{name}_{n} out of range at z = {z}: {name}_{n}(z) overflows a float, "
+                f"log |{name}_{n}(z)| = {log_val.real:.6f}"
+            ) from None
+        return val if zc.imag != 0.0 else val.real
     return _cheb_recurrence_dd(kind, n, x)
 
 
@@ -189,9 +198,10 @@ def cheb_t(n: int, x) -> np.ndarray:
 
 
 def cheb_u(n: int, x) -> np.ndarray:
-    """Vectorized U_n on the real line (sin ratio inside, sinh ratio outside);
-    DomainError, naming the point, where sinh((n+1) arccosh|x|) overflows or x is NaN,
-    and for a degree n that is not a non-negative integer."""
+    """Vectorized U_n on the real line (sin ratio inside, sinh ratio outside,
+    scaled where sinh((n+1) arccosh|x|) overflows); DomainError, naming the
+    point, where U_n overflows or x is NaN, and for a degree n that is not a
+    non-negative integer."""
     _require_degree(n)
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -207,7 +217,14 @@ def cheb_u(n: int, x) -> np.ndarray:
         ell = np.arccosh(np.abs(xo))
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.sinh((n + 1) * ell) / np.sinh(ell)
-        _require_finite("U", n, xo, vals)
+        big = ~np.isfinite(vals)
+        if big.any():
+            # sinh((n+1) l) overflows before U_n does: e^(n l) (1 - e^(-2(n+1) l))
+            # / (1 - e^(-2 l)) holds it wherever it is a float
+            lb = ell[big]
+            with np.errstate(over="ignore"):
+                vals[big] = np.exp(n * lb) * (np.expm1(-2.0 * (n + 1) * lb) / np.expm1(-2.0 * lb))
+            _require_finite("U", n, xo, vals)
         out[outside] = np.where(xo < 0, -vals, vals) if n % 2 else vals
     out[x == 1.0] = float(n + 1)
     out[x == -1.0] = (-1.0) ** n * (n + 1)

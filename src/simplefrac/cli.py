@@ -151,7 +151,6 @@ def _cmd_borchardt(args, cfg: Config) -> tuple[RunReport, int]:
         # NaN when every draw was routed to the conditioning report
         "min_abs_det_a": batch.min_abs_det_a if batch.checked else None,
         "min_normalized_det_a": batch.min_normalized_det_a if batch.checked else None,
-        "excluded_max_residual": batch.excluded_max_residual,
         "excluded_by_flag": dict(batch.excluded_by_flag),
         "failures": batch.failures,
     })

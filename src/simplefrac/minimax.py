@@ -37,6 +37,7 @@ iterate of every live start as the rows of one local_extrema call
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -413,17 +414,32 @@ def _lawson_fit(x, g, w, m: int, cfg: Config):
     lam <- lam |w (g - P'/P)|.  Returns the coefficients of the iterate of
     least grid error among those with no pole on the segment (or None), and
     a one-line summary.
+
+    Raises DomainError, before the least-squares solve, once a row weight
+    w sqrt(lam) / |P_prev| would overflow its row of g T_k - T_k'.  No bound
+    on g alone rules that out: the weight 1/|P_prev| can grow with g (to
+    1e191 at g = 1e200, weighted, m = 1).
     """
     vander, deriv = _cheb_basis(x, m)[:2]
     # rows of g T_k - T_k', and one reused buffer for their weighted copy
     lin = g[:, None] * vander - deriv
+    # the largest weight each row takes without overflow (a weight is itself
+    # a float, so a row with no entry above 1 takes any)
+    weight_max = sys.float_info.max / np.maximum(np.abs(lin).max(axis=1), 1.0)
     scaled = np.empty_like(lin)
     lam = np.full(x.size, 1.0 / x.size)
     p_prev = np.ones(x.size)
     coef = np.ones(m + 1)
     best_err, best_coef, stall, why = math.inf, None, 0, "iteration cap"
     for it in range(1, _LAWSON_MAX_ITER + 1):
-        np.multiply(lin, (w * np.sqrt(lam) / p_prev)[:, None], out=scaled)
+        weight = w * np.sqrt(lam) / p_prev
+        if np.any(weight > weight_max):
+            raise DomainError(
+                f"target values up to {float(np.max(np.abs(g))):.3e} on the grid are too large "
+                f"for the Lawson fit: at iteration {it} its rows (g T_k - T_k') w sqrt(lam) / |P| "
+                "overflow"
+            )
+        np.multiply(lin, weight[:, None], out=scaled)
         coef[:m], _, rank, _ = np.linalg.lstsq(scaled[:, :m], -scaled[:, m], rcond=None)
         p = vander @ coef
         if rank < m or not np.all(np.isfinite(p)) or np.any(p == 0.0):

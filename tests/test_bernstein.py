@@ -188,14 +188,14 @@ def test_witness_and_threshold_inputs_raise_domain_error(fn, args):
 
 
 def test_witness_index_is_checked_before_the_class():
-    # T_403(3) overflows a float; an invalid index is named before that
+    # T_404(3) overflows a float; an invalid index is named before that
     with pytest.raises(DomainError, match="witness index must be 1 or 2, got 7"):
-        witness_ratio_empirical(403, 3.0, 7)
+        witness_ratio_empirical(404, 3.0, 7)
     with pytest.raises(DomainError, match="witness index must be 1 or 2, got 0"):
         witness_ratio_empirical(0, 0.5, 0)
     for which in (1, 2):
-        with pytest.raises(DomainError, match="T_403 out of range at z = 3.0"):
-            witness_ratio_empirical(403, 3.0, which)
+        with pytest.raises(DomainError, match="T_404 out of range at z = 3.0"):
+            witness_ratio_empirical(404, 3.0, which)
 
 
 def test_shifted_cheb_degree_two_example():
@@ -319,6 +319,6 @@ def test_random_admissible_instances_hold():
 
 
 def test_asymptotic_ratios_past_the_float_range_raise():
-    assert asymptotic_ratios(402, 3.0).r1 == 1.0
-    with pytest.raises(DomainError, match=r"log \|T_403\(z\)\| = 709\.69"):
-        asymptotic_ratios(403, 3.0)
+    assert asymptotic_ratios(403, 3.0).r1 == 1.0
+    with pytest.raises(DomainError, match=r"log \|T_404\(z\)\| = 711\.45"):
+        asymptotic_ratios(404, 3.0)

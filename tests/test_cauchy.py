@@ -151,7 +151,7 @@ def borchardt_batch_serial_reference(sizes, trials, seed, cfg=DEFAULTS, **moduli
     rng = np.random.default_rng(seed)
     sizes = list(sizes)
     checked = excluded = failures = draws = 0
-    max_res = max_res_excluded = 0.0
+    max_res = 0.0
     min_det = min_norm_det = math.inf
     by_flag = dict.fromkeys(CONDITIONING_FLAGS, 0)
     while checked < trials and draws < 20 * trials:
@@ -162,7 +162,6 @@ def borchardt_batch_serial_reference(sizes, trials, seed, cfg=DEFAULTS, **moduli
         flags = pair.conditioning_flags(cfg)
         if flags:
             excluded += 1
-            max_res_excluded = max(max_res_excluded, rep.rel_residual)
             for flag in flags:
                 by_flag[flag] += 1
             continue
@@ -182,7 +181,6 @@ def borchardt_batch_serial_reference(sizes, trials, seed, cfg=DEFAULTS, **moduli
         max_rel_residual=max_res,
         min_abs_det_a=min_det if checked else float("nan"),
         min_normalized_det_a=min_norm_det if checked else float("nan"),
-        excluded_max_residual=max_res_excluded,
         tol=tol,
         failures=failures,
         excluded_by_flag=tuple(by_flag.items()),
@@ -626,6 +624,26 @@ def test_batch_builds_pairs_only_for_checked_draws(monkeypatch):
     rep = borchardt_batch([3], 20, 0)
     assert rep.checked == 20
     assert built == []
+
+
+@pytest.mark.parametrize("sizes,seed", [
+    ([10], 0),  # checks none, so computes no permanent
+    *[([7], seed) for seed in range(8)],  # the last chunk draws past the stop
+    ([2, 10], 0),
+    ([4], 5),  # a draw past the stop
+])
+def test_batch_checks_only_tallied_draws(monkeypatch, sizes, seed):
+    # an excluded draw, or one drawn past the stop, gets no permanent
+    permanents = []
+    ryser_stack = cauchy._ryser_stack
+
+    def counting(ms, work=None):
+        permanents.append(len(ms))
+        return ryser_stack(ms, work)
+
+    monkeypatch.setattr(cauchy, "_ryser_stack", counting)
+    rep = borchardt_batch(sizes, 20, seed)
+    assert sum(permanents) == rep.checked
 
 
 def test_batch_spent_draw_past_the_stop_does_not_raise(monkeypatch):

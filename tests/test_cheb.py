@@ -267,10 +267,11 @@ def test_batched_polish_masks_a_zero_derivative(monkeypatch):
 
 
 def test_eval_cheb_overflow_is_a_domain_error():
-    # at a = 3 the exponential form's w^n overflows from n = 403 on
-    assert math.isfinite(eval_cheb(T, 402, 3.0))
-    with pytest.raises(DomainError, match=r"log \|T_403\(z\)\| = 709\.69"):
-        eval_cheb(T, 403, 3.0)
+    # at a = 3, T_n(a) overflows from n = 404 on (w^n of the exponential
+    # form from n = 403 on)
+    assert math.isfinite(eval_cheb(T, 403, 3.0))
+    with pytest.raises(DomainError, match=r"log \|T_404\(z\)\| = 711\.45"):
+        eval_cheb(T, 404, 3.0)
     with pytest.raises(DomainError, match=r"log \|U_403\(z\)\|"):
         eval_cheb(U, 403, -3.0)
     with pytest.raises(DomainError, match=r"log \|T_403\(z\)\|"):
@@ -288,6 +289,48 @@ def test_eval_cheb_overflow_is_a_domain_error():
         cheb_u(500, np.array([0.5, -3.0]))
     with pytest.raises(DomainError, match=r"U_3 .* x = nan"):
         cheb_u(3, np.array([math.nan]))
+
+
+def sinh_ratio(n, x):
+    """U_n at points x off [-1, 1], as cheb_u forms it where sinh((n+1) l)
+    is finite."""
+    ell = np.arccosh(np.abs(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.sinh((n + 1) * ell) / np.sinh(ell)
+    return np.where(x < 0, -vals, vals) if n % 2 else vals
+
+
+def test_values_past_the_exponential_form_are_floats():
+    # U_1(1e300) = 2e300 and T_1(1e308) = 1e308 are floats, though
+    # sinh(2 arccosh 1e300) and w = 1e308 + sqrt(1e308^2 - 1) overflow
+    x = np.array([-1e300, -3.0, 2.0, 1e300, 1.7e308 / 2.0001])
+    got = cheb_u(1, x)
+    assert got == pytest.approx(2.0 * x, rel=1e-12)
+    # the points whose sinh ratio is finite keep its bits
+    old = sinh_ratio(1, x)
+    finite = np.isfinite(old)
+    assert finite.tolist() == [False, True, True, False, False]
+    assert [v.hex() for v in got[finite]] == [v.hex() for v in old[finite]]
+    assert cheb_u(2, np.array([-1e150]))[0] == pytest.approx(4e300, rel=1e-12)
+    assert cheb_u(0, np.array([1.7e308]))[0] == 1.0
+    with pytest.raises(DomainError, match=r"U_2 .* x = 1e\+154"):
+        cheb_u(2, np.array([3.0, 1e154]))  # 4e308 is no float
+    for z in (1e308, -1e308, 1.7e308):
+        assert eval_cheb(T, 1, z) == pytest.approx(z, rel=1e-12)
+    assert eval_cheb(U, 1, -8e307) == pytest.approx(-1.6e308, rel=1e-12)
+    z = complex(1e308, 1e307)
+    assert eval_cheb(T, 1, z) == pytest.approx(z, rel=1e-12)
+    exact = [1, 3]  # T_{k+1}(3) = 6 T_k(3) - T_{k-1}(3)
+    while len(exact) <= 403:
+        exact.append(6 * exact[-1] - exact[-2])
+    for x in (3.0, -3.0):
+        got = eval_cheb(T, 403, x)
+        assert type(got) is float
+        assert got == pytest.approx(math.copysign(float(exact[403]), x), rel=1e-12)
+    with pytest.raises(DomainError, match=r"log \|U_1\(z\)\| = 709\.88"):
+        eval_cheb(U, 1, 1e308)  # 2e308 is no float
+    with pytest.raises(DomainError, match=r"log \|T_2\(z\)\| = 709\.88"):
+        eval_cheb(T, 2, 1e154)
 
 
 def test_second_kind_near_the_float_limit_is_finite_or_an_error():

@@ -51,11 +51,11 @@ def test_extremal_range_gate_and_force(capsys):
 
 
 def test_extremal_past_the_float_range_is_a_usage_error(capsys):
-    # T_403(3) overflows the exponential form: an error line, not a traceback
-    code, out, err = run_cli(capsys, "extremal", "--n", "403", "--a", "3", "--weighted")
+    # T_404(3) overflows a float: an error line, not a traceback
+    code, out, err = run_cli(capsys, "extremal", "--n", "404", "--a", "3", "--weighted")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: T_403 out of range") and "log |T_403(z)| = 709.69" in err
+    assert err.startswith("error: T_404 out of range") and "log |T_404(z)| = 711.45" in err
 
 
 def test_json_round_trip_byte_identical(capsys):
@@ -210,6 +210,17 @@ def test_approx_csv_target(capsys, tmp_path):
     assert code == 0
     # certification speaks about the interpolant; error should still be small
     assert json.loads(out)["outputs"]["error"] <= 1e-3
+
+
+def test_approx_target_too_large_for_the_fit(capfd, tmp_path):
+    # LAPACK once printed "On entry to DLASCL" lines to stdout here, with
+    # exit code 0
+    path = tmp_path / "huge.csv"
+    path.write_text("x,value\n" + "".join(f"{x},1e300\n" for x in (-1.0, 0.0, 1.0)))
+    code = main(["approx", "--target", str(path), "--n", "2", "--format", "json"])
+    out, err = capfd.readouterr()
+    assert code == 2 and out == ""
+    assert "too large for the Lawson fit" in err
 
 
 def test_approx_tol_sets_the_scan_tolerance(capsys, monkeypatch):

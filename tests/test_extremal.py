@@ -124,13 +124,13 @@ def test_weighted_norm_vanishes_for_large_pole():
 
 
 def test_closed_forms_past_the_float_range_raise():
-    # at a = 3, w^n of T_n(a) overflows from n = 403 on: every closed form
-    # that needs T_n(a) raises a DomainError naming log T_n(a)
-    below, above = FixedPoleClass(402, 3.0), FixedPoleClass(403, 3.0)
+    # at a = 3, T_n(a) overflows from n = 404 on: every closed form that
+    # needs T_n(a) raises a DomainError naming log T_n(a)
+    below, above = FixedPoleClass(403, 3.0), FixedPoleClass(404, 3.0)
     assert math.isfinite(build_extremal_weighted(below).tna)
     assert 0.0 < lambda_bounds(below).lower <= lambda_bounds(below).upper
     for fn in (build_extremal_weighted, lambda_bounds, alternance_points_weighted):
-        with pytest.raises(DomainError, match=r"log \|T_403\(z\)\| = 709\.69"):
+        with pytest.raises(DomainError, match=r"log \|T_404\(z\)\| = 711\.45"):
             fn(above)
 
 

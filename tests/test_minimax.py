@@ -234,6 +234,23 @@ def test_solver_zero_target_falls_back():
     assert not res.certified
 
 
+def constant(v):
+    return TargetFunction(lambda x: np.full_like(np.asarray(x, dtype=float), v), repr(v))
+
+
+def test_solver_rejects_targets_too_large_for_the_lawson_fit(capfd):
+    # a constant 1e300 once overflowed the weighted Lawson rows: a raw
+    # RuntimeWarning, or LAPACK's "On entry to DLASCL" lines on stdout
+    too_large = r"1\.000e\+300 on the grid are too large for the Lawson fit: at iteration \d+"
+    with pytest.raises(DomainError, match=too_large):
+        solve_best_ld(constant(1e300), 2)
+    assert solve_best_ld(constant(1e250), 2).error == 1e250
+    # with the weight, 1/|P| grows with the target, and 1e250 overflows too
+    with pytest.raises(DomainError, match="too large for the Lawson fit"):
+        solve_best_ld(constant(1e250), 2, ApproxOptions(weighted=True, fixed_pole=2.0))
+    assert capfd.readouterr() == ("", "")
+
+
 def test_solver_clips_newton_steps_to_the_box():
     # a Newton step once overflowed math.exp in a pole map here; Newton now
     # runs on P's Chebyshev coefficients and rejects non-finite trial steps

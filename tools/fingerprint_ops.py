@@ -10,8 +10,11 @@ identity-batch (6) is fingerprinted, its output and its exception alike, at each
 probe of 20 solves at default options: |x|, exp(x), cos(5x) and sqrt(1 + x)
 at n = 2, 3, 4, 6 and 8.  A float is fingerprinted as ``float.hex`` and an
 array as the SHA-256 of its bytes, so two fingerprints match only if every
-bit does.  Prints each set's op count and its first mismatching op, and
-exits 1 on any mismatch.
+bit does; a dataclass is keyed by its field names.  Prints each set's op
+count and its first mismatching op.  On a mismatch it also lists, over all
+mismatching ops of the set, the dataclass fields that differ and those that
+only one side has, each with its op count.  Exits 1 on any mismatch, a
+field on one side only included.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ def fingerprint(v):
     if isinstance(v, BaseException):
         return [type(v).__name__, str(v), fingerprint(getattr(v, "best", None))]
     if dataclasses.is_dataclass(v):
-        return [type(v).__name__] + [fingerprint(getattr(v, f.name)) for f in dataclasses.fields(v)]
+        return {"dataclass": type(v).__name__,
+                "fields": {f.name: fingerprint(getattr(v, f.name)) for f in dataclasses.fields(v)}}
     if isinstance(v, (list, tuple)):
         return [type(v).__name__] + [fingerprint(x) for x in v]
     if isinstance(v, dict):
@@ -58,6 +62,29 @@ def fingerprint(v):
     if callable(v):
         return f"callable:{type(v).__name__}"
     raise TypeError(f"cannot fingerprint {type(v).__name__}")
+
+
+def differences(b, c, path: str):
+    """(path, what) for each place where fingerprints ``b`` and ``c`` differ:
+    a dataclass field on one side only, or the innermost dataclass field,
+    list item or value whose fingerprints are not equal."""
+    if b == c:
+        return
+    if isinstance(b, dict) and isinstance(c, dict) and b["dataclass"] == c["dataclass"]:
+        fb, fc = b["fields"], c["fields"]
+        for name in dict.fromkeys([*fb, *fc]):
+            where = f"{path}{b['dataclass']}.{name}"
+            if name not in fc:
+                yield where, "base only"
+            elif name not in fb:
+                yield where, "change only"
+            else:
+                yield from differences(fb[name], fc[name], where + " ")
+    elif isinstance(b, list) and isinstance(c, list) and len(b) == len(c):
+        for i, (x, y) in enumerate(zip(b, c)):
+            yield from differences(x, y, f"{path}[{i}] ")
+    else:
+        yield path.rstrip(), "differs"
 
 
 def dump(checkout: Path, seeds: list[int]) -> dict:
@@ -140,6 +167,20 @@ def main(argv=None) -> int:
         (label, bo), (_, co) = b[first], c[first]
         steps = [s for s in dict.fromkeys([*bo, *co]) if bo.get(s) != co.get(s)]
         print(f"{name}: {len(b)} ops, first mismatch at op {first} ({label}), steps {steps}")
+        found: dict[tuple[str, str], int] = {}
+        for (_, bo), (_, co) in zip(b, c):
+            where = set()
+            for step in dict.fromkeys([*bo, *co]):
+                if step not in co:
+                    where.add((step, "base only"))
+                elif step not in bo:
+                    where.add((step, "change only"))
+                else:
+                    where.update(differences(bo[step], co[step], f"{step}: "))
+            for key in sorted(where):
+                found[key] = found.get(key, 0) + 1
+        for (where, what), count in found.items():
+            print(f"  {where}: {what} in {count} ops")
     return 1 if mismatched else 0
 
 
