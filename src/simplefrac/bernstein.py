@@ -23,7 +23,7 @@ import numpy as np
 
 from ._optim import supremum_on_grid
 from .config import DEFAULTS, Config
-from .errors import DomainError
+from .errors import DomainError, require_int, require_real
 from .extremal import (
     FixedPoleClass,
     _canonical_poles,
@@ -53,19 +53,18 @@ class RootedPolynomial:
     cfg: InitVar[Config] = DEFAULTS
 
     def __post_init__(self, cfg: Config):
-        if not (math.isfinite(self.a) and self.a > 1.0):
-            raise DomainError(f"distinguished root must satisfy a > 1, got {self.a}")
-        if self.lead == 0.0 or not math.isfinite(self.lead):
-            raise DomainError(f"leading coefficient must be finite nonzero, got {self.lead}")
-        roots = tuple(complex(z) for z in self.cofactor_roots)
+        object.__setattr__(self, "lead", require_real("leading coefficient", self.lead))
+        if self.lead == 0.0:
+            raise DomainError("leading coefficient must be nonzero")
+        roots = tuple(self.cofactor_roots)
         canon = _canonical_poles(roots)[0] if roots else ()
         for z in canon:
             if _on_segment(z, cfg):
                 raise DomainError(f"cofactor root {z} lies on [-1, 1]")
-        n = len(canon) + 1
+        cls = FixedPoleClass(len(canon) + 1, self.a)  # checks a > 1
         if not self.force:
-            FixedPoleClass(n, self.a).require(
-                "the unweighted bound (force=True skips it)", corollary_min_a(n))
+            cls.require("the unweighted bound (force=True skips it)", corollary_min_a(cls.n))
+        object.__setattr__(self, "a", cls.a)
         object.__setattr__(self, "cofactor_roots", canon)
         # the real and quadratic factors, in the order the product rule takes them
         reals = tuple(z.real for z in canon if z.imag == 0.0)
@@ -188,7 +187,7 @@ def witness_ratio_empirical(n: int, a: float, which: int, *, cfg: Config = DEFAU
     integrated Chebyshev polynomial Q = (f - f(a))/2, f = T_n/n - T_{n-2}/(n-2),
     whose derivative T_{n-1} has unit sup norm, as a closed form with no scan.
     """
-    if which not in (1, 2):
+    if require_int("witness index", which, 0) not in (1, 2):
         raise DomainError(f"witness index must be 1 or 2, got {which!r}")
     cls = FixedPoleClass(n, a)
     n, tn = cls.n, cls.tn
@@ -213,8 +212,7 @@ def random_rooted_polynomial(n: int, a: float, rng: np.random.Generator, *,
                              cfg: Config = DEFAULTS) -> RootedPolynomial:
     """Random admissible instance: cofactor roots sampled on ellipses E_p
     with p >= 1.3 (hence outside E_1.2, never on the segment)."""
-    if n < 2:
-        raise DomainError("need n >= 2")
+    n = require_int("degree", n, 2)
     k_pairs = (n - 1) // 2
     k_real = (n - 1) - 2 * k_pairs
     roots: list[complex] = []

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cheb import chebyshev_points
 from .config import DEFAULTS, Config
-from .errors import DomainError, ToleranceNotMetError
+from .errors import DomainError, ToleranceNotMetError, require_complex, require_int, require_real
 from .extremal import _conjugate_halves
 
 # low columns tabulated by the Ryser kernel: 2^10 subsets per numpy product
@@ -57,15 +57,12 @@ class CauchyPair:
     poles: tuple[complex, ...]
 
     def __post_init__(self):
-        nodes = tuple(float(c) for c in self.nodes)
+        nodes = tuple(require_real("node", c) for c in self.nodes)
         if len(nodes) == 0:
             raise DomainError("a Cauchy pair needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise DomainError("nodes must be pairwise distinct")
-        for c in nodes:
-            if not math.isfinite(c):
-                raise DomainError(f"non-finite node {c!r}")
-        poles = tuple(complex(z) for z in self.poles)
+        poles = tuple(require_complex("pole", z) for z in self.poles)
         # validate conjugate closure without touching the given column order
         _conjugate_halves(poles)
         if len(poles) != len(nodes):
@@ -377,8 +374,8 @@ def komarov_coefficients(p_poles, q_poles, validate: bool = True, *,
     p-poles.  With ``validate`` the identity residual must stay within
     cfg.komarov_tol on the sample points of [-1, 1] away from the poles.
     """
-    p = tuple(complex(z) for z in p_poles)
-    q = tuple(complex(z) for z in q_poles)
+    p = tuple(require_complex("p-pole", z) for z in p_poles)
+    q = tuple(require_complex("q-pole", z) for z in q_poles)
     if len(p) == 0:
         raise DomainError("need at least one p-pole")
     if len(q) > len(p):
@@ -522,13 +519,10 @@ def random_cauchy_pair(n: int, rng: np.random.Generator,
     fraction of the cost.  This is the one-draw case of the chunk drawer
     that :func:`borchardt_batch` uses, so a batch draws these same pairs.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
-    if not 0.0 < min_abs <= max_abs < math.inf:
-        raise DomainError(
-            f"pole moduli need 0 < min_abs <= max_abs < inf, got min_abs={min_abs!r}, "
-            f"max_abs={max_abs!r}"
-        )
+    n = require_int("size n", n, 1)
+    need = "pole moduli need 0 < min_abs <= max_abs < inf: "
+    min_abs = require_real(need + "min_abs", min_abs, 0.0)
+    max_abs = require_real(need + "max_abs", max_abs, min_abs, inclusive=True)
     ((_, nodes, poles),) = _draw_pairs([n], rng, min_abs, max_abs)[0].values()
     return CauchyPair(nodes=tuple(nodes[0].tolist()), poles=tuple(poles[0].tolist()))
 
@@ -634,23 +628,21 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
     and its cond(B).  A checked draw's closed-form det B comes from its node
     and pole lists, and no :class:`CauchyPair` is built for a valid draw.
     So the report is the one-at-a-time loop's, bit for bit.  Sizes must lie in
-    1..cfg.permanent_max_n and trials must be at least 1.
+    1..cfg.permanent_max_n, trials must be at least 1 and seed at least 0.
     """
     try:
-        sizes = [operator.index(n) for n in sizes]
-        trials = operator.index(trials)
+        sizes = [require_int("size", n, 1) for n in sizes]
     except TypeError as exc:
-        raise DomainError(f"sizes and trials must be integers: {exc}") from exc
+        raise DomainError(f"sizes must be an iterable of integers: {exc}") from exc
+    trials = require_int("trials", trials, 1)
+    seed = require_int("seed", seed, 0)
     if not sizes:
         raise DomainError("need at least one size")
-    if trials < 1:
-        raise DomainError(f"need trials >= 1, got {trials}")
-    for n in sizes:
-        if not 1 <= n <= cfg.permanent_max_n:
-            raise DomainError(
-                f"size gated at 1 <= n <= {cfg.permanent_max_n} "
-                f"(exponential-cost permanent), got {n}"
-            )
+    if max(sizes) > cfg.permanent_max_n:
+        raise DomainError(
+            f"size gated at 1 <= n <= {cfg.permanent_max_n} "
+            f"(exponential-cost permanent), got {max(sizes)}"
+        )
     tol = cfg.borchardt_tol
     rng = np.random.default_rng(seed)
     checked = excluded = failures = draws = 0

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _dd
 from .config import DEFAULTS, Config
-from .errors import DomainError, ToleranceNotMetError
+from .errors import DomainError, ToleranceNotMetError, require_complex, require_int, require_real
 
 
 class ChebKind(enum.Enum):
@@ -42,8 +42,7 @@ class EllipseParam:
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p > 1.0):
-            raise DomainError(f"ellipse parameter must satisfy p > 1, got p={self.p}")
+        object.__setattr__(self, "p", require_real("ellipse parameter p", self.p, 1.0))
 
     @property
     def semi_major(self) -> float:
@@ -57,13 +56,6 @@ class EllipseParam:
 class EllipseClassification(NamedTuple):
     location: PointLocation
     residual: float
-
-
-def _require_finite_scalar(z) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"non-finite input {z!r}")
-    return z
 
 
 def _cheb_recurrence_dd(kind: ChebKind, n: int, x):
@@ -132,11 +124,10 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
     log |U_n(z)|), only where that value overflows too: at z = 3 from n = 404
     on for T_n and from n = 403 on for U_n.
     """
-    _require_degree(n)
-    n = int(n)
+    n = require_int("degree", n, 0)
     if kind not in (ChebKind.FIRST_KIND, ChebKind.SECOND_KIND):
         raise DomainError(f"unknown Chebyshev kind {kind!r}")
-    zc = _require_finite_scalar(z)
+    zc = require_complex("point z", z)
     x = zc.real
     try:
         if zc.imag != 0.0:
@@ -163,13 +154,7 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
     return _cheb_recurrence_dd(kind, n, x)
 
 
-def _require_degree(n) -> None:
-    """DomainError unless the degree n is a non-negative integer."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"degree must be a non-negative integer, got {n!r}")
-
-
-def _require_finite(name: str, n: int, x: np.ndarray, vals: np.ndarray) -> None:
+def _reject_overflow(name: str, n: int, x: np.ndarray, vals: np.ndarray) -> None:
     """DomainError at the first x (off [-1, 1], or NaN) where vals is not finite."""
     bad = ~np.isfinite(vals)
     if bad.any():
@@ -180,7 +165,7 @@ def cheb_t(n: int, x) -> np.ndarray:
     """Vectorized T_n on the real line (trig inside [-1,1], cosh outside);
     DomainError, naming the point, where T_n overflows or x is NaN, and for
     a degree n that is not a non-negative integer."""
-    _require_degree(n)
+    n = require_int("degree", n, 0)
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     inside = np.abs(x) <= 1.0
@@ -189,7 +174,7 @@ def cheb_t(n: int, x) -> np.ndarray:
         xo = x[~inside]
         with np.errstate(over="ignore"):
             vals = np.cosh(n * np.arccosh(np.abs(xo)))
-        _require_finite("T", n, xo, vals)
+        _reject_overflow("T", n, xo, vals)
         out[~inside] = np.where(xo < 0, -vals, vals) if n % 2 else vals
     # endpoints exactly
     out[x == 1.0] = 1.0
@@ -202,7 +187,7 @@ def cheb_u(n: int, x) -> np.ndarray:
     scaled where sinh((n+1) arccosh|x|) overflows); DomainError, naming the
     point, where U_n overflows or x is NaN, and for a degree n that is not a
     non-negative integer."""
-    _require_degree(n)
+    n = require_int("degree", n, 0)
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     ax = np.abs(x)
@@ -224,7 +209,7 @@ def cheb_u(n: int, x) -> np.ndarray:
             lb = ell[big]
             with np.errstate(over="ignore"):
                 vals[big] = np.exp(n * lb) * (np.expm1(-2.0 * (n + 1) * lb) / np.expm1(-2.0 * lb))
-            _require_finite("U", n, xo, vals)
+            _reject_overflow("U", n, xo, vals)
         out[outside] = np.where(xo < 0, -vals, vals) if n % 2 else vals
     out[x == 1.0] = float(n + 1)
     out[x == -1.0] = (-1.0) ** n * (n + 1)
@@ -233,7 +218,7 @@ def cheb_u(n: int, x) -> np.ndarray:
 
 def joukowski(w) -> float | complex:
     """The map w -> (w + 1/w)/2.  Rejects w = 0, and w whose image overflows."""
-    wc = _require_finite_scalar(w)
+    wc = require_complex("point w", w)
     if wc == 0:
         raise DomainError("joukowski map undefined at w = 0")
     val = 0.5 * (wc + 1.0 / wc)
@@ -256,11 +241,9 @@ def solve_t_equals(n: int, c: float, *, cfg: Config = DEFAULTS) -> list[float]:
     correctly rounded roots from n of about 60 on.  Otherwise the first
     failing root in enumeration order is reported.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"degree must be a positive integer, got {n!r}")
-    n = int(n)
-    c = float(c)
-    if not math.isfinite(c) or abs(c) >= 1.0:
+    n = require_int("degree", n, 1)
+    c = require_real("c", c)
+    if abs(c) >= 1.0:
         raise DomainError(f"solve_t_equals requires |c| < 1, got c={c}")
     tol = cfg.solve_t_residual_tol
 
@@ -302,7 +285,7 @@ def ellipse_classify(ellipse: EllipseParam, z, *, cfg: Config = DEFAULTS) -> Ell
     """Classify z against the ellipse via the canonical-form residual
     re^2/p^2 + im^2/(p^2-1) - 1; |residual| <= cfg.ellipse_on_tol is ON.
     Raises DomainError where the residual is not a finite float."""
-    zc = _require_finite_scalar(z)
+    zc = require_complex("point z", z)
     p2 = ellipse.p * ellipse.p
     residual = zc.real * zc.real / p2 + zc.imag * zc.imag / (p2 - 1.0) - 1.0
     if not math.isfinite(residual):
@@ -321,7 +304,6 @@ def chebyshev_points(m: int) -> np.ndarray:
 
     The sine form keeps the grid exactly antisymmetric about 0.
     """
-    if m < 2:
-        raise DomainError(f"need at least 2 grid points, got {m}")
+    m = require_int("grid size m", m, 2)
     j = np.arange(m)
     return np.sin(np.pi * (2 * j - (m - 1)) / (2 * (m - 1)))

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of scalar arguments."""
+
+import cmath
+import math
+import operator
 
 
 class SimplefracError(Exception):
@@ -32,3 +36,38 @@ class ToleranceNotMetError(SimplefracError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+def require_int(what: str, value, low: int) -> int:
+    """``value`` through operator.index; DomainError for a bool, a non-integer or one < ``low``."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < low:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+        raise DomainError(f"{what} must be {kind}, got {value!r}")
+    return n
+
+
+def require_real(what: str, value, low: float | None = None, *, inclusive: bool = False) -> float:
+    """``value`` through float(); DomainError unless finite and > ``low`` (>= with ``inclusive``)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and (low is None or x > low or (inclusive and x == low))):
+        bound = "" if low is None else f" {'>=' if inclusive else '>'} {low}"
+        raise DomainError(f"{what} must be a finite real number{bound}, got {value!r}")
+    return x
+
+
+def require_complex(what: str, value) -> complex:
+    """``value`` through complex(); DomainError, naming ``what``, unless both parts are finite."""
+    try:
+        z = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        z = complex(math.nan)
+    if not cmath.isfinite(z):
+        raise DomainError(f"{what} must be a finite complex number, got {value!r}")
+    return z

@@ -49,6 +49,9 @@ from .errors import (
     EvaluationError,
     TheoremRangeError,
     ToleranceNotMetError,
+    require_complex,
+    require_int,
+    require_real,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -56,8 +59,7 @@ SQRT2 = math.sqrt(2.0)
 
 def corollary_min_a(n: int) -> float:
     """Parameter threshold sqrt(2) * (3*sqrt(n))^(1/n) of the unweighted bound."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"degree must be a positive integer, got {n!r}")
+    n = require_int("degree", n, 1)
     return SQRT2 * (3.0 * math.sqrt(n)) ** (1.0 / n)
 
 
@@ -76,12 +78,8 @@ class FixedPoleClass:
     a: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise DomainError(f"degree must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if not (math.isfinite(self.a) and self.a > 1.0):
-            raise DomainError(f"fixed pole must satisfy a > 1, got a={self.a}")
-        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "n", require_int("degree", self.n, 1))
+        object.__setattr__(self, "a", require_real("fixed pole a", self.a, 1.0))
 
     @functools.cached_property
     def tn(self) -> float:
@@ -147,14 +145,11 @@ class FixedPoleClass:
 
 
 def _conjugate_halves(poles, match_tol: float = 1e-8):
-    """Check that complex poles are nonempty, finite and closed under
+    """Check that finite complex poles are nonempty and closed under
     conjugation; return the reals and the upper and lower halves, sorted so
     that zip(upper, lower) pairs each pole with its conjugate."""
     if not poles:
         raise DomainError("a logarithmic derivative needs at least one pole")
-    for z in poles:
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainError(f"non-finite pole {z!r}")
     reals = [z.real for z in poles if z.imag == 0.0]
     upper = sorted((z for z in poles if z.imag > 0.0), key=lambda z: (z.real, z.imag))
     lower = sorted((z for z in poles if z.imag < 0.0), key=lambda z: (z.real, -z.imag))
@@ -171,7 +166,7 @@ def _conjugate_halves(poles, match_tol: float = 1e-8):
 
 def _canonical_poles(raw, match_tol: float = 1e-8):
     """Sort poles, enforce conjugate closure, and split into reals/pairs."""
-    reals, upper, lower = _conjugate_halves([complex(z) for z in raw], match_tol)
+    reals, upper, lower = _conjugate_halves([require_complex("pole", z) for z in raw], match_tol)
     pairs: list[tuple[float, float]] = []
     for zu, zl in zip(upper, lower):
         mid = 0.5 * (zu + zl.conjugate())

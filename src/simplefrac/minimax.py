@@ -46,7 +46,7 @@ import numpy as np
 from ._optim import local_extrema
 from .cheb import chebyshev_points
 from .config import DEFAULTS, Config
-from .errors import DomainError, EvaluationError, SimplefracError
+from .errors import DomainError, EvaluationError, SimplefracError, require_int, require_real
 from .extremal import (AlternanceReport, FixedPoleClass, LogDerivative, _min_pole_separation,
                        _norm_grid, _on_segment, _weight, build_extremal_weighted, pole_sums)
 
@@ -217,8 +217,7 @@ def residual_alternance(
     from zero (level at most cfg.degenerate_residual_tol times 1 + max |f|
     on the grid) yields an empty report with sign_pattern_ok False.
     """
-    if min_points < 1:
-        raise DomainError(f"min_points must be positive, got {min_points}")
+    min_points = require_int("min_points", min_points, 1)
     return _report(f, rho, min_points, level_rtol, weighted, cfg)
 
 
@@ -331,6 +330,14 @@ class ApproxOptions:
     seed: int = 0
     weighted: bool = False
     fixed_pole: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "starts", require_int("starts", self.starts, 1))
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
+        if self.fixed_pole is not None:
+            object.__setattr__(self, "fixed_pole", require_real("fixed pole", self.fixed_pole))
+            if abs(self.fixed_pole) <= 1.0:
+                raise DomainError(f"fixed pole must satisfy |a| > 1, got {self.fixed_pole}")
 
 
 @dataclass(frozen=True)
@@ -640,22 +647,14 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
     those runs always come back uncertified (with a diagnostic).  ``cfg``
     supplies every tolerance the phases and the certificate use.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"degree must be a positive integer, got {n!r}")
-    n = int(n)
     opts = ApproxOptions() if opts is None else opts
-    n_free = n - (1 if opts.fixed_pole is not None else 0)
-    if n_free < 1:
-        raise DomainError("need at least one free pole")
-    if opts.fixed_pole is not None and abs(opts.fixed_pole) <= 1.0:
-        raise DomainError(f"fixed pole must satisfy |a| > 1, got {opts.fixed_pole}")
-    if opts.starts < 1:
-        raise DomainError(f"need at least one start, got {opts.starts}")
+    fixed = () if opts.fixed_pole is None else (complex(opts.fixed_pole),)
+    n = require_int("degree with a fixed pole" if fixed else "degree", n, len(fixed) + 1)
+    n_free = n - len(fixed)
     free = not opts.weighted and opts.fixed_pole is None
 
     x = chebyshev_points(_GRID)
     fx = f.values_on(x)
-    fixed = () if opts.fixed_pole is None else (complex(opts.fixed_pole),)
     g = fx if opts.fixed_pole is None else fx - 1.0 / (x - opts.fixed_pole)
     try:
         coef0, summary = _lawson_fit(x, g, _weight_fn(opts.weighted)(x), n_free, cfg)

@@ -14,14 +14,13 @@ Pole lists use Python complex syntax ("2,-2" or "1+2j,1-2j").
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cheb import cheb_t
-from .errors import DomainError
+from .errors import DomainError, require_int, require_real
 from .extremal import LogDerivative
 from .minimax import TargetFunction
 
@@ -43,13 +42,12 @@ class SampledFunction:
             raise DomainError(f"need at least 2 sample rows, got {len(self.xs)}")
         if len(self.xs) != len(self.ys):
             raise DomainError("x and y columns have different lengths")
-        for x, y in zip(self.xs, self.ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DomainError(f"non-finite sample ({x}, {y})")
-            if not -1.0 <= x <= 1.0:
-                raise DomainError(f"sample abscissa {x} outside [-1, 1]")
+        object.__setattr__(self, "xs", tuple(require_real("sample abscissa", x) for x in self.xs))
+        object.__setattr__(self, "ys", tuple(require_real("sample value", y) for y in self.ys))
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
             raise DomainError("sample abscissas must be strictly increasing")
+        if not -1.0 <= self.xs[0] <= self.xs[-1] <= 1.0:
+            raise DomainError(f"sample abscissas from {self.xs[0]} to {self.xs[-1]} leave [-1, 1]")
 
     def as_target(self) -> TargetFunction:
         return TargetFunction(
@@ -144,11 +142,9 @@ def parse_target(spec: str) -> TargetFunction:
                               description="abs")
     if name == "cheb":
         try:
-            k = int(rest)
-        except ValueError:
-            raise DomainError(f"cheb:K needs an integer degree, got {spec!r}") from None
-        if k < 0:
-            raise DomainError(f"cheb:K needs K >= 0, got {k}")
+            k = require_int("K", int(rest), 0)
+        except ValueError:  # a DomainError is one too
+            raise DomainError(f"cheb:K needs an integer K >= 0, got {spec!r}") from None
         return TargetFunction(evaluator=lambda x, k=k: cheb_t(k, x), description=spec)
     if name == "ld":
         return TargetFunction(evaluator=_segment_free_ld(rest, spec).values_on, description=spec)
@@ -158,9 +154,9 @@ def parse_target(spec: str) -> TargetFunction:
             raise DomainError(f"ldcheb needs 'ldcheb:POLES:EPS:K', got {spec!r}")
         rho = _segment_free_ld(parts[0], spec)
         try:
-            eps = float(parts[1])
-            k = int(parts[2])
-        except ValueError as exc:
+            eps = require_real("EPS", parts[1])
+            k = require_int("K", int(parts[2]), 0)
+        except ValueError as exc:  # a DomainError is one too
             raise DomainError(f"malformed ldcheb target {spec!r}: {exc}") from exc
         return TargetFunction(
             evaluator=lambda x, rho=rho, eps=eps, k=k: rho.values_on(x) + eps * cheb_t(k, x),
