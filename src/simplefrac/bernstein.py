@@ -92,6 +92,18 @@ class RootedPolynomial:
         return val, der
 
 
+def _over_sqrt_tn2m1(n: int, num: float, tn: float) -> float:
+    """n * num / sqrt((T_n - 1)(T_n + 1)) for T_n = T_n(a), the weighted
+    bound's factor.  The product form is within 1.23 ulp of 60-digit mpmath
+    over n = 4..128, a in {1.5, 2, 3, 5, 10}, where FixedPoleClass.level's
+    form is up to 214 ulp off; it is kept while the product is a float, up
+    to T_n of about 1.3e154.  Past that the two square roots are taken apart."""
+    prod = (tn - 1.0) * (tn + 1.0)
+    if math.isfinite(prod):
+        return n * num / math.sqrt(prod)
+    return n * (num / math.sqrt(tn - 1.0)) / math.sqrt(tn + 1.0)
+
+
 @dataclass(frozen=True)
 class CorollaryReport:
     lhs_w: float
@@ -129,7 +141,7 @@ def check_corollary(poly: RootedPolynomial, *, cfg: Config = DEFAULTS) -> Coroll
     cls = FixedPoleClass(n, poly.a)
     tn = cls.tn
     tn2 = cls.tn2 if n >= 2 else 1.0
-    rhs_w = n * min_abs_p / math.sqrt((tn - 1.0) * (tn + 1.0))
+    rhs_w = _over_sqrt_tn2m1(n, min_abs_p, tn)
     rhs_u = 2.0 * n * min_abs_p / (tn - tn2 + 3.0)
     return CorollaryReport(
         lhs_w=lhs_w,
@@ -198,7 +210,7 @@ def witness_ratio_empirical(n: int, a: float, which: int, *, cfg: Config = DEFAU
         lhs_w, _ = supremum_on_grid(
             lambda x: n * np.abs(np.sin(n * np.arccos(np.clip(x, -1.0, 1.0)))),
             _norm_grid(n, cfg), cfg.supnorm_xtol)
-        return n * (tn - 1.0) / math.sqrt((tn - 1.0) * (tn + 1.0)) / lhs_w
+        return _over_sqrt_tn2m1(n, tn - 1.0, tn) / lhs_w
     cls.require("the integrated witness", 1.0)
     # f' = 2 T_{n-1}: max f sits at a zero of T_{n-1} or at +-1, and f(a) > f(1)
     # > min f, so min |Q| = (f(a) - max f)/2, or 0 where Q has a root on the segment

@@ -25,7 +25,8 @@ import numpy as np
 
 from .cheb import chebyshev_points
 from .config import DEFAULTS, Config
-from .errors import DomainError, ToleranceNotMetError, require_complex, require_int, require_real
+from .errors import (DomainError, EvaluationError, ToleranceNotMetError, require_complex,
+                     require_int, require_real)
 from .extremal import _conjugate_halves
 
 # low columns tabulated by the Ryser kernel: 2^10 subsets per numpy product
@@ -147,8 +148,12 @@ def matrix_a(pair: CauchyPair) -> np.ndarray:
 
 def cauchy_det_closed_form(pair: CauchyPair) -> complex:
     """Product formula for det B: prod_{i<j}(c_j-c_i) * prod_{i<j}(z_i-z_j)
-    / prod_{i,j}(c_i-z_j).  Serves as the oracle for the LU determinant."""
-    return _closed_form_det(pair.nodes, pair.poles)
+    / prod_{i,j}(c_i-z_j).  Serves as the oracle for the LU determinant.
+    Raises DomainError where the products leave the float range."""
+    det = _closed_form_det(pair.nodes, pair.poles)
+    if not cmath.isfinite(det):
+        raise DomainError(f"closed-form det B is {det}: its products leave the float range")
+    return det
 
 
 def _closed_form_det(c, z) -> complex:
@@ -184,7 +189,12 @@ def permanent_ryser(m, *, cfg: Config = DEFAULTS) -> complex:
 
 def _permanent(m, cfg: Config) -> complex:
     """permanent_ryser, for the package's own calls."""
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"permanent needs a complex matrix: {exc}") from exc
+    if not np.isfinite(m).all():
+        raise DomainError("permanent needs finite entries")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"permanent needs a square matrix, got shape {m.shape}")
     n = m.shape[0]
@@ -362,8 +372,22 @@ class KomarovDecomposition:
         return pts[far.all(axis=1)]
 
     def max_residual(self, points=None, *, cfg: Config = DEFAULTS) -> float:
+        """Largest |lhs - rhs| over ``points`` (by default the validation
+        points); EvaluationError, naming the first such point, where it is
+        not finite: the point lies at a pole, or a term overflows.  There
+        must be at least one point."""
         pts = self.validation_points(cfg=cfg) if points is None else np.asarray(points)
-        return float(np.max(np.abs(self.lhs(pts) - self.rhs(pts))))
+        if pts.size == 0:
+            raise DomainError("no point to evaluate the identity at: none given, or every "
+                              "validation point lies within cfg.komarov_margin of a pole")
+        with np.errstate(all="ignore"):
+            resid = np.abs(self.lhs(pts) - self.rhs(pts)).reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(resid))
+        if len(bad):
+            raise EvaluationError(f"identity residual {resid[bad[0]]} at x = "
+                                  f"{pts.reshape(-1)[bad[0]].item()!r}: "
+                                  "x lies at a pole, or a term overflows")
+        return float(np.max(resid))
 
 
 def komarov_coefficients(p_poles, q_poles, validate: bool = True, *,
@@ -372,7 +396,9 @@ def komarov_coefficients(p_poles, q_poles, validate: bool = True, *,
 
     Requires the p-poles simple (pairwise distinct) and no more q-poles than
     p-poles.  With ``validate`` the identity residual must stay within
-    cfg.komarov_tol on the sample points of [-1, 1] away from the poles.
+    cfg.komarov_tol on the sample points of [-1, 1] away from the poles;
+    where it is not finite there, max_residual raises EvaluationError.
+    Raises DomainError where a coefficient is not a finite float.
     """
     p = tuple(require_complex("p-pole", z) for z in p_poles)
     q = tuple(require_complex("q-pole", z) for z in q_poles)
@@ -382,11 +408,12 @@ def komarov_coefficients(p_poles, q_poles, validate: bool = True, *,
         raise DomainError(f"need |q_poles| <= |p_poles|, got {len(q)} > {len(p)}")
     if len(set(p)) != len(p):
         raise DomainError("p-poles must be pairwise distinct (simple roots)")
-    q_at_p = _poly_eval(p, q)
-    gamma = tuple(
-        complex(q_at_p[k]) / complex(_poly_eval(zk, p[:k] + p[k + 1 :]))
-        for k, zk in enumerate(p)
-    )
+    with np.errstate(all="ignore"):
+        q_at_p = _poly_eval(p, q)
+        dp = [complex(_poly_eval(zk, p[:k] + p[k + 1 :])) for k, zk in enumerate(p)]
+    gamma = tuple(complex(qk) / dk if dk else complex(math.nan) for qk, dk in zip(q_at_p, dp))
+    if not all(map(cmath.isfinite, gamma)):
+        raise DomainError("the residue coefficients q(z_k) / p'(z_k) leave the float range")
     dec = KomarovDecomposition(gamma=gamma, p_poles=p, q_poles=q)
     if validate:
         resid = dec.max_residual(cfg=cfg)

@@ -2,8 +2,10 @@
 
 Evaluation is split into two layers.  The scalar entry point
 :func:`eval_cheb` runs the three-term recurrence in compensated
-(double-double) arithmetic, which keeps real-axis results within a few ulp
-up to degree 64 even far outside ``[-1, 1]``.  The vectorized kernels
+(double-double) arithmetic, which keeps real-axis results within 1 ulp
+while n log(|x| + sqrt(x^2-1)) <= 640, even far outside ``[-1, 1]``; past
+that bound a real point takes the exponential form, within about 5e-14
+relative.  The vectorized kernels
 :func:`cheb_t` / :func:`cheb_u` use the trigonometric form on the segment
 and the exponential form off it; they trade a few digits for speed and feed
 the grid scans.  Monomial coefficients are never formed.
@@ -113,16 +115,20 @@ _LOG2 = math.log(2.0)
 def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
     """Evaluate T_n or U_n at a scalar point.
 
-    Real arguments run through the compensated recurrence (a few ulp up to
-    n = 64); complex arguments use the exponential form with the branch of
-    sqrt(z^2-1) cut along [-1, 1] and normalized to +1 at z = sqrt(2).
-    Returns a float for real input, complex otherwise, never inf.  Where w^n
-    overflows a float (at z = 3 from n = 403 on, and for n >= 1 from |z| of
-    about 9e307 on, where w = z + sqrt(z^2-1) itself does) the value comes
-    from its log, formed from h = w/2, as accurate as the exponential form
-    (about 1e-13 relative).  Raises DomainError, naming log |T_n(z)| (or
-    log |U_n(z)|), only where that value overflows too: at z = 3 from n = 404
-    on for T_n and from n = 403 on for U_n.
+    Real arguments run through the compensated recurrence, within 1 ulp of
+    the exact value while n log(|x| + sqrt(x^2-1)) <= _DD_LOG_LIMIT = 640
+    (at x = 3 up to n = 363).  Past that bound they take the exponential
+    form, as accurate as for complex z: about 5e-14 relative (T_364(3) is
+    4.8e-14 off, T_1(1e300) 3.5e-14).  Complex arguments use the
+    exponential form with the branch of sqrt(z^2-1) cut along [-1, 1] and
+    normalized to +1 at z = sqrt(2).  Returns a float for real input,
+    complex otherwise, never inf.  Where w^n overflows a float (at z = 3
+    from n = 403 on, and for n >= 1 from |z| of about 9e307 on, where
+    w = z + sqrt(z^2-1) itself does) the value comes from its log, formed
+    from h = w/2, as accurate as the exponential form (about 1e-13
+    relative).  Raises DomainError, naming log |T_n(z)| (or log |U_n(z)|),
+    only where that value overflows too: at z = 3 from n = 404 on for T_n
+    and from n = 403 on for U_n.
     """
     n = require_int("degree", n, 0)
     if kind not in (ChebKind.FIRST_KIND, ChebKind.SECOND_KIND):

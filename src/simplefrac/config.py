@@ -14,9 +14,15 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_int, require_real
 
 ENV_VAR = "SIMPLEFRAC_CONFIG"
+
+# the int fields that count grid points, so need 2; every other needs 1
+_AT_LEAST_TWO = ("supnorm_min_grid", "komarov_points")
+# the float fields that must be positive, not only non-negative: the
+# refinement cannot reach 0, and the Borchardt residual divides by the floor
+_POSITIVE = ("supnorm_xtol", "residual_floor")
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,18 @@ class Config:
     komarov_tol: float = 1e-9
     komarov_points: int = 50
     komarov_margin: float = 0.1
+
+    def __post_init__(self):
+        """Int fields must be integers >= 1 and float fields finite and >= 0,
+        with the exceptions named in _AT_LEAST_TWO and _POSITIVE; raises
+        DomainError naming the field."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                value = require_int(f.name, value, 2 if f.name in _AT_LEAST_TWO else 1)
+            else:
+                value = require_real(f.name, value, 0.0, inclusive=f.name not in _POSITIVE)
+            object.__setattr__(self, f.name, value)
 
 
 DEFAULTS = Config()

@@ -598,9 +598,7 @@ def _weight(x):
 
 
 def _sup_norm(rho: LogDerivative, cfg: Config, weighted: bool) -> NormEstimate:
-    tol = float(cfg.supnorm_xtol)
-    if tol <= 0.0:
-        raise DomainError(f"refinement tolerance must be positive, got {tol}")
+    tol = cfg.supnorm_xtol
     if rho.has_pole_on_segment(cfg=cfg):
         raise DomainError("fraction has a pole on [-1, 1]; sup norm undefined")
 

@@ -57,7 +57,9 @@ class TargetFunction:
 
     ``evaluator`` may be scalar-only or numpy-vectorized; values_on sorts
     that out and always returns a float array of the input shape.  A
-    SimplefracError raised by the evaluator propagates as is.  The
+    SimplefracError raised by the evaluator propagates as is; any other
+    error of the point-by-point evaluation becomes a DomainError that names
+    the target and the point.  The
     evaluator must not write to its input: the solver's scans hand it a
     shared read-only grid, where a write raises ValueError and values_on
     falls back to evaluating point by point.
@@ -75,11 +77,19 @@ class TargetFunction:
         except SimplefracError:
             raise
         except (TypeError, ValueError):
-            out = np.array([float(self.evaluator(float(t))) for t in np.atleast_1d(xs)])
-            out = out.reshape(xs.shape)
+            out = np.array([self._at(float(t)) for t in np.atleast_1d(xs)]).reshape(xs.shape)
         if not np.all(np.isfinite(out)):
             raise DomainError(f"target {self.description!r} returned non-finite values")
         return out
+
+    def _at(self, t: float) -> float:
+        """The evaluator's value at the one point t, as a float."""
+        try:
+            return float(self.evaluator(t))
+        except SimplefracError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - the caller's evaluator, reported as a DomainError
+            raise DomainError(f"target {self.description!r} failed at x = {t!r}: {exc}") from exc
 
 
 def _weight_fn(weighted: bool):

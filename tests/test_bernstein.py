@@ -322,3 +322,14 @@ def test_asymptotic_ratios_past_the_float_range_raise():
     assert asymptotic_ratios(403, 3.0).r1 == 1.0
     with pytest.raises(DomainError, match=r"log \|T_404\(z\)\| = 711\.45"):
         asymptotic_ratios(404, 3.0)
+
+
+def test_witness_one_and_corollary_past_the_product_overflow():
+    # (T_n - 1)(T_n + 1) overflows from T_n(a) of about 1.3e154, n = 202 at
+    # a = 3: witness 1 then read 0.0, and NaN for n = 400..403, where
+    # n (T_n - 1) overflows too
+    for n in range(190, 404):
+        r1 = asymptotic_ratios(n, 3.0, force=True).r1
+        assert abs(witness_ratio_empirical(n, 3.0, 1) - r1) <= 1e-9, n
+    rep = check_corollary(random_rooted_polynomial(210, 3.0, np.random.default_rng(0)))
+    assert rep.rhs_w > 0.0 and rep.lhs_w >= rep.rhs_w

@@ -35,7 +35,7 @@ from simplefrac.cauchy import (
     random_cauchy_pair,
 )
 from simplefrac.config import DEFAULTS
-from simplefrac.errors import DomainError, ToleranceNotMetError
+from simplefrac.errors import DomainError, EvaluationError, ToleranceNotMetError
 
 PAIR_2x2 = CauchyPair((0.0, 0.5), (2.0, -2.0))
 
@@ -818,3 +818,47 @@ def test_komarov_validate_raises_on_loose_tolerance():
     # with an absurdly tight tolerance the validation gate must fire
     with pytest.raises(ToleranceNotMetError):
         komarov_coefficients((2.0, -2.0, 1.7), (3.0,), cfg=replace(DEFAULTS, komarov_tol=1e-30))
+
+
+def test_komarov_validation_fails_on_a_non_finite_residual():
+    # the residue form's p/q ratio overflows at the validation points; this
+    # once passed validation with a RuntimeWarning, its residual NaN
+    with pytest.raises(EvaluationError, match="at x = -1.0"):
+        komarov_coefficients([1e200, -1e200], [1e200])
+
+
+def test_komarov_residual_at_a_pole_names_the_point():
+    dec = komarov_coefficients((2.0, -2.0), (3.0,))
+    with pytest.raises(EvaluationError, match=r"at x = 2\.0: x lies at a pole"):
+        dec.max_residual(points=[0.0, 2.0])
+    assert dec.max_residual(points=[0.0, 0.5]) <= DEFAULTS.komarov_tol
+
+
+@pytest.mark.parametrize("m", [[[math.nan]], [[1.0, math.inf], [0.0, 1.0]], "ab", [["x"]]])
+def test_permanent_rejects_non_finite_or_non_numeric_entries(m):
+    # [[nan]] once gave nan+nanj and "ab" a raw ValueError
+    with pytest.raises(DomainError):
+        permanent_ryser(m)
+
+
+def test_closed_form_det_overflow_is_a_domain_error():
+    # a valid pair whose products overflow: once nan+nanj
+    pair = CauchyPair(tuple(np.linspace(-1.0, 1.0, 20).tolist()),
+                      tuple(1e20 * k for k in range(1, 21)))
+    with pytest.raises(DomainError, match="float range"):
+        cauchy_det_closed_form(pair)
+
+
+def test_komarov_with_no_point_to_check_is_a_domain_error():
+    # poles every 0.2 along the segment leave no validation point 0.1 away
+    # from all of them: np.max of nothing once raised a raw ValueError
+    with pytest.raises(DomainError, match="no point to evaluate"):
+        komarov_coefficients([round(-1.0 + 0.2 * k, 12) for k in range(11)], [])
+    with pytest.raises(DomainError, match="no point to evaluate"):
+        komarov_coefficients([2.0], []).max_residual(points=[])
+
+
+def test_komarov_coefficients_outside_the_float_range():
+    # p'(z_k) underflows to 0: once a raw ZeroDivisionError
+    with pytest.raises(DomainError, match="residue coefficients"):
+        komarov_coefficients([1e-200, 2e-200, 3e-200], [], validate=False)

@@ -411,3 +411,31 @@ def test_chebyshev_points_grid():
     assert np.array_equal(pts, -pts[::-1])  # exact antisymmetry
     with pytest.raises(DomainError):
         chebyshev_points(1)
+
+
+def _exact_cheb(kind, n, x):
+    """T_n(x) or U_n(x) by the three-term recurrence in exact rationals."""
+    fx = Fraction(x)
+    prev, cur = Fraction(1), (fx if kind is ChebKind.FIRST_KIND else 2 * fx)
+    for _ in range(n - 1):
+        prev, cur = cur, 2 * fx * cur - prev
+    return cur if n else prev
+
+
+@pytest.mark.parametrize("x", [1.05, 1.5, 3.0, -3.0, 10.0, 1e10, 1e100])
+def test_eval_cheb_is_within_one_ulp_inside_the_dd_limit(x):
+    # the compensated recurrence holds while n log(|x| + sqrt(x^2-1)) <= 640
+    # (at x = 3 up to n = 363, at x = 1e100 up to n = 2)
+    top = min(400, int(cheb._DD_LOG_LIMIT / math.log(abs(x) + math.sqrt(x * x - 1.0))))
+    for kind in (ChebKind.FIRST_KIND, ChebKind.SECOND_KIND):
+        for n in sorted(n for n in {1, 2, 3, top // 2, top - 1, top} if 1 <= n <= top):
+            exact = float(_exact_cheb(kind, n, x))
+            assert abs(eval_cheb(kind, n, x) - exact) <= math.ulp(exact), (kind, n)
+
+
+@pytest.mark.parametrize("n,x", [(364, 3.0), (400, 3.0), (1, 1e300), (3, 1e100)])
+def test_eval_cheb_past_the_dd_limit_is_within_1e13_relative(n, x):
+    # past the limit a real point takes the exponential form: about 5e-14
+    # relative, not a few ulp (T_364(3) is 4.8e-14 off)
+    exact = float(_exact_cheb(ChebKind.FIRST_KIND, n, x))
+    assert abs(eval_cheb(ChebKind.FIRST_KIND, n, x) - exact) <= 1e-13 * abs(exact)

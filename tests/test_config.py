@@ -12,6 +12,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import simplefrac
@@ -19,6 +20,7 @@ import simplefrac.config
 from simplefrac.cauchy import komarov_coefficients
 from simplefrac.cli import main
 from simplefrac.config import DEFAULTS, Config, load_config
+from simplefrac.errors import DomainError
 
 SRC = Path(simplefrac.__file__).parent
 
@@ -99,3 +101,38 @@ def test_cli_config_does_not_leak_into_library_calls(tmp_path, monkeypatch, caps
     assert code == 1  # the run itself used the tight tolerance
     assert simplefrac.config.DEFAULTS == Config()
     komarov_coefficients((2.0, -2.0, 1.7), (3.0,))  # the default gate passes
+
+
+@pytest.mark.parametrize("field,value", [
+    ("supnorm_xtol", float("nan")),  # once accepted, and reported as refinement_tol=nan
+    ("supnorm_xtol", 0.0),
+    ("residual_floor", 0.0),
+    ("borchardt_tol", -1e-10),
+    ("komarov_tol", float("inf")),
+    ("supnorm_min_grid", 2.5),  # once accepted
+    ("supnorm_min_grid", 1),
+    ("komarov_points", 1),
+    ("permanent_max_n", 0),
+    ("supnorm_grid_per_degree", True),
+])
+def test_config_checks_its_fields(field, value):
+    with pytest.raises(DomainError, match=field):
+        Config(**{field: value})
+    with pytest.raises(DomainError, match=field):
+        dataclasses.replace(DEFAULTS, **{field: value})
+
+
+def test_config_keeps_zero_tolerances_and_converts():
+    cfg = Config(solve_t_residual_tol=0.0, komarov_tol=1, permanent_max_n=np.int64(12))
+    assert cfg.solve_t_residual_tol == 0.0 and type(cfg.komarov_tol) is float
+    assert type(cfg.permanent_max_n) is int and cfg.permanent_max_n == 12
+
+
+def test_bad_config_value_exits_2_naming_the_field(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SIMPLEFRAC_CONFIG", raising=False)
+    path = tmp_path / "bad.cfg"
+    path.write_text("supnorm_xtol = nan\n")
+    assert main(["--config", str(path), "extremal", "--n", "4", "--a", "3"]) == 2
+    assert "supnorm_xtol" in capsys.readouterr().err
+    assert main(["extremal", "--n", "4", "--a", "3", "--tol", "-1"]) == 2
+    assert "supnorm_xtol" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from simplefrac import (
     ApproxOptions,
     CauchyPair,
     ChebKind,
+    Config,
     EllipseParam,
     FixedPoleClass,
     LogDerivative,
@@ -98,6 +99,8 @@ SITES = [
      (2.5, True, 0, 3, -1, "x", None)),
     ("SampledFunction-x", lambda v: SampledFunction(xs=(v, 1.0), ys=(0.0, 1.0)), REAL),
     ("SampledFunction-y", lambda v: SampledFunction(xs=(0.0, 1.0), ys=(v, 1.0)), REAL),
+    ("Config-supnorm_xtol", lambda v: Config(supnorm_xtol=v), REAL + (0.0, -1.0)),
+    ("Config-komarov_points", lambda v: Config(komarov_points=v), DEGREE + (1,)),
 ]
 
 

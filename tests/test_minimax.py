@@ -613,3 +613,14 @@ def test_target_function_lets_package_errors_through():
     with pytest.raises(EvaluationError, match=r"at x = 0\.0:"):
         TargetFunction(counted, "ld:0,3").values_on(np.linspace(-1.0, 1.0, 11))
     assert len(calls) == 1
+
+
+def test_target_function_pointwise_error_is_a_domain_error():
+    # math.log raises a raw ValueError at x + 0.5 <= 0; values_on retries
+    # point by point, and the pointwise error once escaped as it was
+    target = TargetFunction(lambda x: math.log(x + 0.5), "log(x + 1/2)")
+    with pytest.raises(DomainError, match=r"'log\(x \+ 1/2\)' failed at x = -1\.0") as info:
+        solve_best_ld(target, 2)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert TargetFunction(lambda x: math.log(x + 2.0)).values_on(np.array([0.0])).tolist() \
+        == [math.log(2.0)]
