@@ -78,7 +78,7 @@ class TargetFunction:
             raise
         except (TypeError, ValueError):
             out = np.array([self._at(float(t)) for t in np.atleast_1d(xs)]).reshape(xs.shape)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DomainError(f"target {self.description!r} returned non-finite values")
         return out
 
@@ -124,9 +124,12 @@ def _scan(f: TargetFunction, rho: LogDerivative, weighted: bool, cfg: Config):
     pole on [-1, 1]."""
     if rho.has_pole_on_segment(cfg=cfg):
         raise DomainError("fraction has a pole on [-1, 1]")
-    w = _weight_fn(weighted)
-    return local_extrema(lambda x: w(x) * (f.values_on(x) - rho.values_on(x)),
-                         _norm_grid(rho.degree, cfg, _GRID), cfg.supnorm_xtol)
+
+    def fn(x):
+        res = f.values_on(x) - rho.values_on(x)
+        return _weight(x) * res if weighted else res  # 1.0 * v is v, bit for bit
+
+    return local_extrema(fn, _norm_grid(rho.degree, cfg, _GRID), cfg.supnorm_xtol)
 
 
 def _residuals(f: TargetFunction, rhos, weighted: bool):
@@ -135,19 +138,23 @@ def _residuals(f: TargetFunction, rhos, weighted: bool):
     bit for bit the one _scan(f, rhos[j], ...) scans: one pole_sums pass
     gives each point its row's poles, padded with poles at infinity.
     Raises EvaluationError at a non-finite value."""
-    w, m = _weight_fn(weighted), len(rhos)
+    m = len(rhos)
     reals = np.full((m, max(len(rho._reals) for rho in rhos)), math.inf)
     pairs = np.tile([0.0, math.inf], (m, max(len(rho._pairs) for rho in rhos), 1))
     for j, rho in enumerate(rhos):
         reals[j, :len(rho._reals)], pairs[j, :len(rho._pairs)] = rho._reals, rho._pairs
 
     def r(x, row=None):
-        at = np.repeat(np.arange(m), len(x)) if row is None else row  # None: every row
+        if row is None:  # every row at every point
+            at, xs = np.repeat(np.arange(m), len(x)), np.resize(x, m * len(x))
+        else:  # point i in row row[i]
+            at, xs = row, x
         with np.errstate(all="ignore"):
-            y = pole_sums(np.resize(x, len(at)), reals[at].T, pairs[at].transpose(1, 2, 0))
+            y = pole_sums(xs, reals[at].T, pairs[at].transpose(1, 2, 0))
         if not np.isfinite(y).all():
             raise EvaluationError("a fraction value is not finite")
-        return w(x) * (f.values_on(x) - (y if row is not None else y.reshape(m, len(x))))
+        res = f.values_on(x) - (y if row is not None else y.reshape(m, len(x)))
+        return _weight(x) * res if weighted else res  # 1.0 * v is v, bit for bit
 
     return r
 
@@ -226,8 +233,11 @@ def residual_alternance(
     default every alternating extremum counts.  A residual indistinguishable
     from zero (level at most cfg.degenerate_residual_tol times 1 + max |f|
     on the grid) yields an empty report with sign_pattern_ok False.
+    ``level_rtol`` must be None or a finite real >= 0.
     """
     min_points = require_int("min_points", min_points, 1)
+    if level_rtol is not None:
+        level_rtol = require_real("level_rtol", level_rtol, 0.0, inclusive=True)
     return _report(f, rho, min_points, level_rtol, weighted, cfg)
 
 
@@ -378,8 +388,28 @@ def _cheb_basis(x, m: int):
 
 
 def _cheb_poles(coef) -> tuple[complex, ...]:
-    """The free poles of rho = P'/P: the roots of P = sum_k coef_k T_k."""
-    return tuple(complex(z) for z in np.polynomial.chebyshev.chebroots(coef))
+    """The free poles of rho = P'/P: the roots of P = sum_k coef_k T_k, a
+    float series of degree at least 1 whose leading coefficient is not 0.
+
+    Bit for bit numpy's chebroots, without its per-call conversions: the
+    eigenvalues of the rotated companion matrix, sorted, and -c_0/c_1 at
+    degree 1.  A non-finite coefficient raises LinAlgError there too.
+    """
+    c = np.asarray(coef, dtype=float)
+    n = len(c) - 1
+    if n == 1:
+        return (complex(-c[0] / c[1]),)
+    # numpy's chebcompanion(c), rotated as chebroots rotates it
+    mat = np.zeros((n, n))
+    top, bot = mat.reshape(-1)[1::n + 1], mat.reshape(-1)[n::n + 1]
+    top[0] = np.sqrt(.5)
+    top[1:] = 1 / 2
+    bot[...] = top
+    scl = np.array([1.] + [np.sqrt(.5)] * (n - 1))
+    mat[:, -1] -= (c[:-1] / c[-1]) * (scl / scl[-1]) * .5
+    r = np.linalg.eigvals(mat[::-1, ::-1])
+    r.sort()
+    return tuple(r.astype(complex).tolist())
 
 
 def _coef_from_poles(poles) -> np.ndarray:
@@ -389,16 +419,17 @@ def _coef_from_poles(poles) -> np.ndarray:
     return coef / coef[-1]
 
 
-def _rho_from_coef(coef, x, fixed_pole: float | None, grad: bool = False):
+def _rho_from_coef(coef, x, fixed_pole: float | None, grad: bool = False, basis=None):
     """[rho] at the points x, for rho = P'/P plus 1/(x - a) for a fixed
     pole a and P = sum_k coef_k T_k; or None where P = 0 or a value is not
     finite.
 
     With ``grad``, [rho, d(rho)/dc_k] for the free coefficients c_k (all
     but the leading one), the gradient shaped (points, m):
-    d(rho)/dc_k = (T_k' - (P'/P) T_k)/P.
+    d(rho)/dc_k = (T_k' - (P'/P) T_k)/P.  ``basis`` is _cheb_basis(x,
+    len(coef) - 1), built here when not given.
     """
-    t = _cheb_basis(x, len(coef) - 1)
+    t = _cheb_basis(x, len(coef) - 1) if basis is None else basis
     with np.errstate(all="ignore"):
         p, p1 = t @ coef
         q1 = p1 / p
@@ -450,7 +481,7 @@ def _lawson_fit(x, g, w, m: int, cfg: Config):
     best_err, best_coef, stall, why = math.inf, None, 0, "iteration cap"
     for it in range(1, _LAWSON_MAX_ITER + 1):
         weight = w * np.sqrt(lam) / p_prev
-        if np.any(weight > weight_max):
+        if (weight > weight_max).any():
             raise DomainError(
                 f"target values up to {float(np.max(np.abs(g))):.3e} on the grid are too large "
                 f"for the Lawson fit: at iteration {it} its rows (g T_k - T_k') w sqrt(lam) / |P| "
@@ -459,15 +490,15 @@ def _lawson_fit(x, g, w, m: int, cfg: Config):
         np.multiply(lin, weight[:, None], out=scaled)
         coef[:m], _, rank, _ = np.linalg.lstsq(scaled[:, :m], -scaled[:, m], rcond=None)
         p = vander @ coef
-        if rank < m or not np.all(np.isfinite(p)) or np.any(p == 0.0):
+        if rank < m or not np.isfinite(p).all() or (p == 0.0).any():
             why = "breakdown: singular least-squares system or P = 0 on the grid"
             break
         err_vec = np.abs(w * (g - (deriv @ coef) / p))
-        err = float(np.max(err_vec))
+        err = float(err_vec.max())
         stall = 0 if err < best_err * (1.0 - _LAWSON_STALL_RTOL) else stall + 1
         if err < best_err and not any(_on_segment(z, cfg) for z in _cheb_poles(coef)):
             best_err, best_coef = err, coef.copy()
-        total = float(np.sum(lam * err_vec))
+        total = float((lam * err_vec).sum())
         if stall >= _LAWSON_STALL_ITER or total == 0.0:
             why = "stalled"
             break
@@ -510,26 +541,32 @@ def _solve_levels(coef, ts, ft, wt, signs, h: float, fixed_pole: float | None):
     """
     dim = len(coef) - 1
     tol = 1e-13 * h
+    basis = _cheb_basis(ts, dim)
+    # the Jacobian [-wt d(rho)/dc | -signs], its last column fixed
+    jac = np.empty((len(ts), dim + 1))
+    jac[:, dim] = -signs
+    neg_wt = -wt[:, None]
     for _ in range(_MAX_ITER):
-        ev = _rho_from_coef(coef, ts, fixed_pole, grad=True)
+        ev = _rho_from_coef(coef, ts, fixed_pole, grad=True, basis=basis)
         if ev is None:
             break
         F = wt * (ft - ev[0]) - signs * h
-        fnorm = float(np.max(np.abs(F)))
+        fnorm = float(np.abs(F).max())
         if fnorm <= tol:
             break
+        np.multiply(neg_wt, ev[1], out=jac[:, :dim])
         try:
-            delta = np.linalg.solve(np.column_stack([-wt[:, None] * ev[1], -signs]), -F)
+            delta = np.linalg.solve(jac, -F)
         except np.linalg.LinAlgError:
             break
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             break
         for step in (1.0, 0.5, 0.25, 0.125, 0.0625):
             cnew = coef.copy()
             cnew[:dim] += step * delta[:dim]
             hnew = h + step * delta[dim]
-            ev = _rho_from_coef(cnew, ts, fixed_pole)
-            if ev is not None and float(np.max(np.abs(wt * (ft - ev[0]) - signs * hnew))) < fnorm:
+            ev = _rho_from_coef(cnew, ts, fixed_pole, basis=basis)
+            if ev is not None and float(np.abs(wt * (ft - ev[0]) - signs * hnew).max()) < fnorm:
                 coef, h = cnew, hnew
                 break
         else:

@@ -68,6 +68,9 @@ SITES = [
     ("LogDerivative-pole", lambda v: LogDerivative((v,)), COMPLEX),
     ("residual_alternance-min_points",
      lambda v: residual_alternance(ABS, LogDerivative((2.0, -2.0)), v), DEGREE),
+    ("residual_alternance-level_rtol",
+     lambda v: residual_alternance(ABS, LogDerivative((2.0, -2.0)), 2, level_rtol=v),
+     (NAN, INF, -INF, "x", 1j, -1e-3)),
     ("solve_best_ld-n", lambda v: solve_best_ld(ABS, v), DEGREE),
     ("solve_best_ld-n-fixed", lambda v: solve_best_ld(ABS, v, ApproxOptions(fixed_pole=2.0)),
      DEGREE + (1,)),
@@ -148,6 +151,11 @@ def test_valid_values_convert_bit_for_bit():
     assert type(opts.fixed_pole) is float
     assert borchardt_batch([np.int64(3)], 2, np.int64(1)) == borchardt_batch([3], 2, 1)
     assert chebyshev_points(np.int64(9)).tolist() == chebyshev_points(9).tolist()
+    # level_rtol: None keeps every extremum, and an integer 0 reads as 0.0
+    rho = LogDerivative((2.0, -2.0))
+    assert residual_alternance(ABS, rho, 2, level_rtol=None) == residual_alternance(ABS, rho, 2)
+    assert (residual_alternance(ABS, rho, 2, level_rtol=0)
+            == residual_alternance(ABS, rho, 2, level_rtol=0.0))
 
 
 @pytest.mark.parametrize("argv", [

@@ -27,6 +27,7 @@ from simplefrac.extremal import (
 from simplefrac.minimax import (
     ApproxOptions,
     TargetFunction,
+    _cheb_poles,
     _coef_from_poles,
     _rho_from_coef,
     certify_optimality,
@@ -594,6 +595,59 @@ def test_coefficient_evaluator_matches_poles_and_differences(data, n, fixed):
         step[k] = hc
         up, down = _rho_from_coef(coef + step, x, fixed), _rho_from_coef(coef - step, x, fixed)
         assert _close(grad[:, k], (up[0] - down[0]) / (2.0 * hc))
+
+
+def _chebroots(coef):
+    return tuple(complex(z) for z in np.polynomial.chebyshev.chebroots(coef))
+
+
+def _bits(roots):
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
+@st.composite
+def unit_lead_series(draw):
+    """Chebyshev coefficients of degree 1 to 8 with a leading 1.0, drawn
+    directly or from real, conjugate-pair or clustered poles."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["direct", "real", "pairs", "clustered"]))
+    if kind == "direct":
+        return np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)) + [1.0])
+    reals = st.floats(-5.0, 5.0)
+    if kind == "real":
+        poles = draw(st.lists(reals, min_size=n, max_size=n))
+    elif kind == "pairs":
+        poles = draw(st.lists(reals, min_size=n % 2, max_size=n % 2))
+        for _ in range(n // 2):
+            z = complex(draw(reals), draw(st.floats(1e-3, 3.0)))
+            poles += [z, z.conjugate()]
+    else:
+        centre, eps = draw(reals), draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
+        poles = [centre + k * eps for k in range(n)]
+    coef = _coef_from_poles(poles)
+    assert coef[-1] == 1.0
+    return coef
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coef=unit_lead_series())
+def test_cheb_poles_is_chebroots_bit_for_bit(coef):
+    assert _bits(_cheb_poles(coef)) == _bits(_chebroots(coef))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), k=st.integers(0, 7), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_cheb_poles_non_finite_coefficient_like_chebroots(n, k, bad):
+    coef = np.ones(n + 1)
+    coef[k % n] = bad
+    if n == 1:  # -c_0/c_1, no eigenvalue solve
+        assert _bits(_cheb_poles(coef)) == _bits(_chebroots(coef))
+        return
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        _chebroots(coef)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _cheb_poles(coef)
+    assert str(got.value) == str(want.value)
 
 
 def test_target_function_scalar_fallback():

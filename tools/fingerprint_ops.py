@@ -7,14 +7,15 @@ Each checkout runs in a fresh process, on its own ``src`` and its own,
 unchanged ``perfbench/workloads.py``.  Every step of every op of
 weighted-perturb (6 passes), paper-sweep (3), solver-zoo (4) and
 identity-batch (6) is fingerprinted, its output and its exception alike, at each seed; so is a
-probe of 20 solves at default options: |x|, exp(x), cos(5x) and sqrt(1 + x)
-at n = 2, 3, 4, 6 and 8.  A float is fingerprinted as ``float.hex`` and an
-array as the SHA-256 of its bytes, so two fingerprints match only if every
-bit does; a dataclass is keyed by its field names.  Prints each set's op
-count and its first mismatching op.  On a mismatch it also lists, over all
-mismatching ops of the set, the dataclass fields that differ and those that
-only one side has, each with its op count.  Exits 1 on any mismatch, a
-field on one side only included.
+probe of 44 solves: |x|, exp(x), cos(5x) and sqrt(1 + x) at default options
+at n = 2, 3, 4, 6 and 8, and at n = 2, 3 and 4 once weighted and once with a
+fixed pole at 3, the solver branches the benchmark never runs.  A float is
+fingerprinted as ``float.hex`` and an array as the SHA-256 of its bytes, so
+two fingerprints match only if every bit does; a dataclass is keyed by its
+field names.  Prints each set's op count and its first mismatching op.  On
+a mismatch it also lists, over all mismatching ops of the set, the
+dataclass fields that differ and those that only one side has, each with
+its op count.  Exits 1 on any mismatch, a field on one side only included.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from pathlib import Path
 
 PASSES = {"weighted-perturb": 6, "paper-sweep": 3, "solver-zoo": 4, "identity-batch": 6}
 PROBE_N = (2, 3, 4, 6, 8)
+# probe degrees of the weighted and the fixed-pole solves
+PROBE_N_OPTS = (2, 3, 4)
 
 
 def fingerprint(v):
@@ -114,15 +117,19 @@ def dump(checkout: Path, seeds: list[int]) -> dict:
         sets[name] = ops
     targets = {"abs": np.abs, "exp": np.exp, "cos5x": lambda x: np.cos(5.0 * x),
                "sqrt1px": lambda x: np.sqrt(1.0 + x)}
+    cases = [(label, fn, n, "") for label, fn in targets.items() for n in PROBE_N]
+    cases += [(label, fn, n, opts) for opts in ("weighted", "fixed_pole")
+              for label, fn in targets.items() for n in PROBE_N_OPTS]
+    options = {"": mx.ApproxOptions(), "weighted": mx.ApproxOptions(weighted=True),
+               "fixed_pole": mx.ApproxOptions(fixed_pole=3.0)}
     probe = []
-    for label, fn in targets.items():
-        for n in PROBE_N:
-            steps = workloads.Steps()
-            steps.run("solve", mx.solve_best_ld, mx.TargetFunction(fn, label), n)
-            out = {"solve": fingerprint(steps.out["solve"])}
-            for step, exc in steps.errors:
-                out[step] = fingerprint(exc)
-            probe.append((f"{label},n={n}", out))
+    for label, fn, n, opts in cases:
+        steps = workloads.Steps()
+        steps.run("solve", mx.solve_best_ld, mx.TargetFunction(fn, label), n, options[opts])
+        out = {"solve": fingerprint(steps.out["solve"])}
+        for step, exc in steps.errors:
+            out[step] = fingerprint(exc)
+        probe.append((f"{label},n={n}" + (f",{opts}" if opts else ""), out))
     sets["probe"] = probe
     return sets
 
