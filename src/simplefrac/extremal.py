@@ -26,6 +26,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -71,7 +72,8 @@ class FixedPoleClass:
     read: T_n(a), T_{n-2}(a), f(a) and the weighted level, each computed on
     first use and then kept, and of the theorem's range gate.  They stay
     lazy because they exist over different ranges: at a = 3 the level is a
-    float up to n = 405, T_n(a) only up to n = 402.
+    float up to n = 405, T_n(a) only up to n = 403; f(a) exists wherever
+    T_n(a) and T_{n-2}(a) do.
     """
 
     n: int
@@ -93,23 +95,12 @@ class FixedPoleClass:
 
     @functools.cached_property
     def fa(self) -> float:
-        """f(a) with f(x) = T_n(x)/n - T_{n-2}(x)/(n-2), in compensated arithmetic.
+        """f(a) with f(x) = T_n(x)/n - T_{n-2}(x)/(n-2), correctly rounded.
 
-        Raises DomainError where T_n(a) overflows a float, and also where it
-        does not but T_n(a)/n lies above about 1.3e300, beyond which the
-        double-double splitter overflows (n = 233-237 at a = 10).
+        The difference is formed exactly in rational arithmetic from the
+        floats T_n(a) and T_{n-2}(a), so f(a) exists wherever they do.
         """
-        n, tn, tn2 = self.n, self.tn, self.tn2
-        fa = _dd.dd_to_float(_dd.dd_sub(
-            _dd.dd_div((tn, 0.0), (float(n), 0.0)),
-            _dd.dd_div((tn2, 0.0), (float(n - 2), 0.0)),
-        ))
-        if not math.isfinite(fa):
-            raise DomainError(
-                f"f(a) out of range at n = {n}, a = {self.a}: T_n(a)/n = {tn / n:.3e} is above "
-                f"the double-double range (about 1.3e300), log |T_n(a)| = {math.log(abs(tn)):.6f}"
-            )
-        return fa
+        return float(Fraction(self.tn) / self.n - Fraction(self.tn2) / (self.n - 2))
 
     @functools.cached_property
     def level(self) -> float:
@@ -464,25 +455,25 @@ def alternance_points_weighted(
     values = (_weight(xs) * rho.values_on(xs)).tolist()
     level = rho.level
     signs_ok = all(values[i] * values[i + 1] < 0.0 for i in range(len(values) - 1))
-    j = np.arange(n + 1)
-    zeros = np.sin(np.pi * (n - 2 * j) / (2 * n))
-    zeros_sorted = tuple(sorted(float(z) for z in zeros))
     report = AlternanceReport(
         points=tuple(points),
         values=tuple(values),
         level=level,
         sign_pattern_ok=signs_ok,
     )
-    return report, zeros_sorted
+    return report, tuple(chebyshev_points(n + 1).tolist())
 
 
 def _q_joukowski(n: int, fa: float, w):
     """Q(x) = (f(x) - f(a))/2 and Q'(x) = T_{n-1}(x) at x = (w + 1/w)/2,
-    from T_k(x) = (w^k + w^-k)/2."""
+    from T_k(x) = (w^k + w^-k)/2; raises DomainError where Q is not finite."""
     wn = w**n
     inv = 1.0 / wn
     w2 = w * w
     q = (wn + inv) / (4 * n) - (wn / w2 + inv * w2) / (4 * (n - 2)) - 0.5 * fa
+    if not np.isfinite(q).all():
+        raise DomainError(f"the candidate's Newton run leaves the float range at n = {n}: "
+                          "Q(x) = (f(x) - f(a))/2 is not finite")
     return q, 0.5 * (wn / w + inv * w)
 
 
@@ -496,14 +487,14 @@ def build_candidate_unweighted(
     n (f is then even), and conjugate pairs found by one Newton run on Q in
     the Joukowski variable w, seeded at the weighted extremal's circle
     points.  Each pole must pass |Q(z)| <= cfg.candidate_root_residual_tol *
-    max(1, |T_{n-1}(z)|); a non-finite residual fails.
+    max(1, |T_{n-1}(z)|).  A Q that is not finite on the way raises
+    DomainError: w^n overflows from n = 403 at a = 3.
     """
     n, a = cls.n, cls.a
     cls.require("the unweighted candidate", 1.0 + 1.0 / n)
     tol = cfg.candidate_root_residual_tol
     fa = cls.fa
     w = np.array(_circle_points(n, a))
-    # a non-finite f(a) or w^n makes Q non-finite, which fails the gate
     with np.errstate(all="ignore"):
         for _ in range(50):
             q, dq = _q_joukowski(n, fa, w)
@@ -640,9 +631,7 @@ def dvp_bracket(cls: FixedPoleClass, *, cfg: Config = DEFAULTS) -> DvpBracket:
         raise TheoremRangeError(
             f"bracket hypotheses need every |z_k| > 1; min |z_k| = {annulus.min_abs_pole:.6f}"
         )
-    j = np.arange(n)
-    points = np.sin(np.pi * (n - 1 - 2 * j) / (2 * (n - 1)))
-    lower = float(np.min(np.abs(candidate.values_on(points))))
+    lower = float(np.min(np.abs(candidate.values_on(chebyshev_points(n)))))
     upper = sup_norm(candidate, cfg=cfg).value
     bracket = DvpBracket(lower, upper, upper * (cls.tn - cls.tn2) / (2.0 * n))
     if lower > upper:

@@ -57,12 +57,13 @@ class TargetFunction:
 
     ``evaluator`` may be scalar-only or numpy-vectorized; values_on sorts
     that out and always returns a float array of the input shape.  A
-    SimplefracError raised by the evaluator propagates as is; any other
-    error of the point-by-point evaluation becomes a DomainError that names
-    the target and the point.  The
-    evaluator must not write to its input: the solver's scans hand it a
-    shared read-only grid, where a write raises ValueError and values_on
-    falls back to evaluating point by point.
+    SimplefracError raised by the evaluator propagates as is; a TypeError or
+    ValueError of the vectorized call falls back to point-by-point
+    evaluation, and any other error becomes a DomainError that names the
+    target (and, point by point, the point).  The evaluator must not write
+    to its input: the solver's scans hand it a shared read-only grid, where
+    a write raises ValueError and values_on falls back to evaluating point
+    by point.
     """
 
     evaluator: Callable
@@ -78,6 +79,9 @@ class TargetFunction:
             raise
         except (TypeError, ValueError):
             out = np.array([self._at(float(t)) for t in np.atleast_1d(xs)]).reshape(xs.shape)
+        except Exception as exc:  # noqa: BLE001 - the caller's evaluator, reported as a DomainError
+            raise DomainError(
+                f"target {self.description!r} failed: {type(exc).__name__}: {exc}") from exc
         if not np.isfinite(out).all():
             raise DomainError(f"target {self.description!r} returned non-finite values")
         return out
@@ -463,10 +467,10 @@ def _lawson_fit(x, g, w, m: int, cfg: Config):
     least grid error among those with no pole on the segment (or None), and
     a one-line summary.
 
-    Raises DomainError, before the least-squares solve, once a row weight
-    w sqrt(lam) / |P_prev| would overflow its row of g T_k - T_k'.  No bound
-    on g alone rules that out: the weight 1/|P_prev| can grow with g (to
-    1e191 at g = 1e200, weighted, m = 1).
+    A row weight w sqrt(lam) / |P_prev| that would overflow its row of
+    g T_k - T_k' ends the fit as a breakdown, before the least-squares solve.
+    No bound on g alone rules that out: the weight 1/|P_prev| can grow with g
+    (to 1e191 at g = 1e200, weighted, m = 1).
     """
     vander, deriv = _cheb_basis(x, m)[:2]
     # rows of g T_k - T_k', and one reused buffer for their weighted copy
@@ -482,11 +486,8 @@ def _lawson_fit(x, g, w, m: int, cfg: Config):
     for it in range(1, _LAWSON_MAX_ITER + 1):
         weight = w * np.sqrt(lam) / p_prev
         if (weight > weight_max).any():
-            raise DomainError(
-                f"target values up to {float(np.max(np.abs(g))):.3e} on the grid are too large "
-                f"for the Lawson fit: at iteration {it} its rows (g T_k - T_k') w sqrt(lam) / |P| "
-                "overflow"
-            )
+            why = "breakdown: a row (g T_k - T_k') w sqrt(lam) / |P| would overflow"
+            break
         np.multiply(lin, weight[:, None], out=scaled)
         coef[:m], _, rank, _ = np.linalg.lstsq(scaled[:, :m], -scaled[:, m], rcond=None)
         p = vander @ coef
@@ -667,7 +668,8 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
 
     Phase 1 is one deterministic linearized Lawson fit of P'/P (see
     _lawson_fit; exact for representable targets), or, if it has no pole
-    layout off the segment, P with the poles of the weighted extremal at
+    layout off the segment (as when its rows would overflow on a target
+    near the float limit), P with the poles of the weighted extremal at
     a = 2.  Phase 2 runs the exchange (_exchange) on P's Chebyshev
     coefficients from that P (start 0) and from ``opts.starts`` - 1 seeded
     perturbations of its poles; each start reports its exchange steps and

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,14 +294,63 @@ def test_candidate_gates():
 
 @pytest.mark.parametrize("n,a", [(233, 10.0), (237, 10.0), (265, 7.0), (269, 7.0)])
 def test_f_of_a_beyond_double_double_range(n, a):
-    # T_n(a) is a float here, but T_n(a)/n overflows the double-double
-    # splitter; f(a) used to come out NaN
-    assert math.isfinite(eval_cheb(T, n, a))
-    for build in (lambda: FixedPoleClass(n, a).fa,
-                  lambda: build_candidate_unweighted(FixedPoleClass(n, a)),
-                  lambda: witness_ratio_empirical(n, a, 2)):
-        with pytest.raises(DomainError, match="double-double range"):
-            build()
+    # T_n(a) is a float here, but T_n(a)/n overflowed the double-double
+    # splitter that f(a) once used: f(a) came out NaN, then was refused
+    cls = FixedPoleClass(n, a)
+    assert math.isfinite(cls.tn)
+    assert cls.fa == float(Fraction(cls.tn) / n - Fraction(cls.tn2) / (n - 2))
+    assert build_candidate_unweighted(cls).fa == cls.fa
+    assert 0.0 < witness_ratio_empirical(n, a, 2) < 1.0
+
+
+def _fa_sweep_degrees(a):
+    """n from 4 while T_n(a) is a float; at a = 1.05 (n to 2256) every
+    fifth n and the last ten, as each eval_cheb there runs n steps."""
+    lo, hi = 4, 4096  # T_lo(a) is a float, T_hi(a) is not; bisect
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            FixedPoleClass(mid, a).tn
+            lo = mid
+        except DomainError:
+            hi = mid
+    ns = list(range(4, hi))
+    return ns if a > 1.1 else sorted(set(ns[::5] + ns[-10:]))
+
+
+@pytest.mark.parametrize("a", [1.05, 1.2, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0])
+def test_f_of_a_is_the_rounded_exact_difference(a):
+    ns = _fa_sweep_degrees(a)
+    for n in ns:
+        cls = FixedPoleClass(n, a)
+        assert cls.fa == float(Fraction(cls.tn) / n - Fraction(cls.tn2) / (n - 2)), n
+        # the same bits as the double-double form it replaced, where that was finite
+        dd = _dd.dd_to_float(_dd.dd_sub(_dd.dd_div((cls.tn, 0.0), (float(n), 0.0)),
+                                        _dd.dd_div((cls.tn2, 0.0), (float(n - 2), 0.0))))
+        assert dd == cls.fa or not math.isfinite(dd), n
+
+
+@pytest.mark.parametrize("a,first,last", [(10.0, 233, 237), (7.0, 265, 269), (3.0, 396, 403)])
+def test_f_of_a_to_the_end_of_the_float_range(a, first, last):
+    # from the first n where the double-double f(a) overflowed to the last
+    # n where T_n(a) is a float
+    assert all(math.isfinite(FixedPoleClass(n, a).fa) for n in range(first, last + 1))
+    with pytest.raises(DomainError):
+        FixedPoleClass(last + 1, a).fa
+
+
+@pytest.mark.parametrize("a,ns,first_out", [(3.0, (396, 402), 403), (10.0, (233, 237), 238)])
+def test_candidate_and_bracket_to_the_end_of_the_float_range(a, ns, first_out):
+    for n in ns:
+        cls = FixedPoleClass(n, a)
+        assert build_candidate_unweighted(cls).fa == cls.fa
+        lower, upper, _ = dvp_bracket(cls)
+        assert 0.0 < lower <= upper
+    # at a = 3, n = 403, T_n(a) is a float but the Newton run's w^n is not;
+    # at a = 10, n = 238, T_n(a) overflows
+    for fn in (build_candidate_unweighted, dvp_bracket):
+        with pytest.raises(DomainError):
+            fn(FixedPoleClass(first_out, a))
 
 
 def test_candidate_residual_gate_across_grid():

@@ -239,16 +239,21 @@ def constant(v):
     return TargetFunction(lambda x: np.full_like(np.asarray(x, dtype=float), v), repr(v))
 
 
-def test_solver_rejects_targets_too_large_for_the_lawson_fit(capfd):
+def test_solver_answers_targets_near_the_float_limit(capfd):
     # a constant 1e300 once overflowed the weighted Lawson rows: a raw
-    # RuntimeWarning, or LAPACK's "On entry to DLASCL" lines on stdout
-    too_large = r"1\.000e\+300 on the grid are too large for the Lawson fit: at iteration \d+"
-    with pytest.raises(DomainError, match=too_large):
-        solve_best_ld(constant(1e300), 2)
-    assert solve_best_ld(constant(1e250), 2).error == 1e250
-    # with the weight, 1/|P| grows with the target, and 1e250 overflows too
-    with pytest.raises(DomainError, match="too large for the Lawson fit"):
-        solve_best_ld(constant(1e250), 2, ApproxOptions(weighted=True, fixed_pole=2.0))
+    # RuntimeWarning, or LAPACK's "On entry to DLASCL" lines on stdout; then
+    # the fit refused such targets.  Now a row that would overflow ends the
+    # fit, and the exchange answers from the fallback start
+    modes = (ApproxOptions(), ApproxOptions(weighted=True), ApproxOptions(fixed_pole=2.0),
+             ApproxOptions(weighted=True, fixed_pole=2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (1e200, 1e250, 1e300, 1e307):
+            for opts in modes:
+                assert solve_best_ld(constant(v), 2, opts).error == v
+    res = solve_best_ld(constant(1e300), 2, modes[3])
+    assert "breakdown: a row" in res.diagnostics[0]
+    assert "no admissible pole layout" in res.diagnostics[1]
     assert capfd.readouterr() == ("", "")
 
 
@@ -678,3 +683,19 @@ def test_target_function_pointwise_error_is_a_domain_error():
     assert isinstance(info.value.__cause__, ValueError)
     assert TargetFunction(lambda x: math.log(x + 2.0)).values_on(np.array([0.0])).tolist() \
         == [math.log(2.0)]
+
+
+@pytest.mark.parametrize("evaluator,error", [(lambda x: 1 / 0, ZeroDivisionError),
+                                             (lambda x: {}["k"], KeyError),
+                                             (lambda x: math.exp(1000.0), OverflowError)],
+                         ids=["ZeroDivisionError", "KeyError", "OverflowError"])
+def test_target_function_wraps_other_evaluator_errors(evaluator, error):
+    # only a TypeError or a ValueError sends values_on point by point; any
+    # other error of the vectorized call once escaped raw
+    target = TargetFunction(evaluator, "raises")
+    want = rf"target 'raises' failed: {error.__name__}: "
+    with pytest.raises(DomainError, match=want) as info:
+        target.values_on(np.array([0.0, 0.5]))
+    assert isinstance(info.value.__cause__, error)
+    with pytest.raises(DomainError, match=want):
+        solve_best_ld(target, 2)

@@ -9,7 +9,10 @@ weighted-perturb (6 passes), paper-sweep (3), solver-zoo (4) and
 identity-batch (6) is fingerprinted, its output and its exception alike, at each seed; so is a
 probe of 44 solves: |x|, exp(x), cos(5x) and sqrt(1 + x) at default options
 at n = 2, 3, 4, 6 and 8, and at n = 2, 3 and 4 once weighted and once with a
-fixed pole at 3, the solver branches the benchmark never runs.  A float is
+fixed pole at 3, the solver branches the benchmark never runs; and so are
+the closed forms past the benchmark's n <= 64: f(a), the unweighted
+candidate, its lambda bounds and deviation bracket, and witness 2, at
+n = 128 and 232 for a = 10 and at n = 256 and 395 for a = 3.  A float is
 fingerprinted as ``float.hex`` and an array as the SHA-256 of its bytes, so
 two fingerprints match only if every bit does; a dataclass is keyed by its
 field names.  Prints each set's op count and its first mismatching op.  On
@@ -34,6 +37,9 @@ PASSES = {"weighted-perturb": 6, "paper-sweep": 3, "solver-zoo": 4, "identity-ba
 PROBE_N = (2, 3, 4, 6, 8)
 # probe degrees of the weighted and the fixed-pole solves
 PROBE_N_OPTS = (2, 3, 4)
+# (n, a) of the closed-form steps, up to where the double-double f(a) of
+# earlier versions overflowed
+CLOSED_FORM_CASES = ((128, 10.0), (232, 10.0), (256, 3.0), (395, 3.0))
 
 
 def fingerprint(v):
@@ -90,12 +96,22 @@ def differences(b, c, path: str):
         yield path.rstrip(), "differs"
 
 
+def fingerprints(steps) -> dict:
+    """{step: fingerprint} of a workloads.Steps, its exceptions included."""
+    out = {step: fingerprint(v) for step, v in steps.out.items()}
+    for step, exc in steps.errors:
+        out[step] = fingerprint(exc)
+    return out
+
+
 def dump(checkout: Path, seeds: list[int]) -> dict:
     """Fingerprints of one checkout, by set: a list of (op label, {step: fingerprint})."""
     sys.path[:0] = [str(checkout / "perfbench"), str(checkout / "src")]
     import numpy as np
 
     import simplefrac
+    import simplefrac.bernstein as bern
+    import simplefrac.extremal as ext
     import simplefrac.minimax as mx
     import workloads
 
@@ -110,10 +126,7 @@ def dump(checkout: Path, seeds: list[int]) -> dict:
                 for op in wl.ops(p):
                     steps = workloads.Steps()
                     op.call(steps)
-                    out = {step: fingerprint(v) for step, v in steps.out.items()}
-                    for step, exc in steps.errors:
-                        out[step] = fingerprint(exc)
-                    ops.append((f"seed={seed} pass={p} {op.key}", out))
+                    ops.append((f"seed={seed} pass={p} {op.key}", fingerprints(steps)))
         sets[name] = ops
     targets = {"abs": np.abs, "exp": np.exp, "cos5x": lambda x: np.cos(5.0 * x),
                "sqrt1px": lambda x: np.sqrt(1.0 + x)}
@@ -126,11 +139,18 @@ def dump(checkout: Path, seeds: list[int]) -> dict:
     for label, fn, n, opts in cases:
         steps = workloads.Steps()
         steps.run("solve", mx.solve_best_ld, mx.TargetFunction(fn, label), n, options[opts])
-        out = {"solve": fingerprint(steps.out["solve"])}
-        for step, exc in steps.errors:
-            out[step] = fingerprint(exc)
-        probe.append((f"{label},n={n}" + (f",{opts}" if opts else ""), out))
+        probe.append((f"{label},n={n}" + (f",{opts}" if opts else ""), fingerprints(steps)))
     sets["probe"] = probe
+    closed = []
+    for n, a in CLOSED_FORM_CASES:
+        cls, steps = ext.FixedPoleClass(n, a), workloads.Steps()
+        steps.run("fa", lambda: cls.fa)
+        steps.run("candidate", ext.build_candidate_unweighted, cls)
+        steps.run("lambda_bounds", ext.lambda_bounds, cls)
+        steps.run("dvp_bracket", ext.dvp_bracket, cls)
+        steps.run("witness2", bern.witness_ratio_empirical, n, a, 2)
+        closed.append((f"n={n},a={a}", fingerprints(steps)))
+    sets["closed_forms"] = closed
     return sets
 
 
