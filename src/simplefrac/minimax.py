@@ -57,13 +57,12 @@ class TargetFunction:
 
     ``evaluator`` may be scalar-only or numpy-vectorized; values_on sorts
     that out and always returns a float array of the input shape.  A
-    SimplefracError raised by the evaluator propagates as is; a TypeError or
-    ValueError of the vectorized call falls back to point-by-point
-    evaluation, and any other error becomes a DomainError that names the
-    target (and, point by point, the point).  The evaluator must not write
-    to its input: the solver's scans hand it a shared read-only grid, where
-    a write raises ValueError and values_on falls back to evaluating point
-    by point.
+    SimplefracError raised by the evaluator propagates as is; any other
+    error of the vectorized call falls back to point-by-point evaluation,
+    where an error becomes a DomainError that names the target and the
+    point.  The evaluator must not write to its input: the solver's scans
+    hand it a shared read-only grid, where a write raises ValueError and
+    values_on falls back to evaluating point by point.
     """
 
     evaluator: Callable
@@ -77,11 +76,8 @@ class TargetFunction:
                 raise ValueError
         except SimplefracError:
             raise
-        except (TypeError, ValueError):
+        except Exception:  # noqa: BLE001 - retried point by point, where _at reports it
             out = np.array([self._at(float(t)) for t in np.atleast_1d(xs)]).reshape(xs.shape)
-        except Exception as exc:  # noqa: BLE001 - the caller's evaluator, reported as a DomainError
-            raise DomainError(
-                f"target {self.description!r} failed: {type(exc).__name__}: {exc}") from exc
         if not np.isfinite(out).all():
             raise DomainError(f"target {self.description!r} returned non-finite values")
         return out

@@ -1,10 +1,10 @@
 """Extremal fractions: constructions, norms, alternance, brackets."""
 
 import dataclasses
+import decimal
 import math
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -298,7 +298,7 @@ def test_f_of_a_beyond_double_double_range(n, a):
     # splitter that f(a) once used: f(a) came out NaN, then was refused
     cls = FixedPoleClass(n, a)
     assert math.isfinite(cls.tn)
-    assert cls.fa == float(Fraction(cls.tn) / n - Fraction(cls.tn2) / (n - 2))
+    assert cls.fa == _rounded_difference(cls.tn, n, cls.tn2)
     assert build_candidate_unweighted(cls).fa == cls.fa
     assert 0.0 < witness_ratio_empirical(n, a, 2) < 1.0
 
@@ -318,25 +318,35 @@ def _fa_sweep_degrees(a):
     return ns if a > 1.1 else sorted(set(ns[::5] + ns[-10:]))
 
 
-@pytest.mark.parametrize("a", [1.05, 1.2, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0])
+def _rounded_difference(tn, n, tn2):
+    """tn/n - tn2/(n - 2), correctly rounded, by way of decimal: at 1000
+    digits the numerator over n(n - 2) is exact, and the one division is
+    exact wherever the quotient is a float midpoint, else far from one."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1000
+        num = decimal.Decimal(tn) * (n - 2) - decimal.Decimal(tn2) * n
+        return float(num / (n * (n - 2)))
+
+
+# the last n where T_n(a) is a float; the double-double f(a) first
+# overflowed at n = 233 for a = 10, 265 for a = 7 and 396 for a = 3
+_FA_LAST_N = {1.05: 2256, 1.2: 1141, 1.5: 738, 2.0: 539, 3.0: 403, 5.0: 309, 7.0: 269,
+              10.0: 237}
+
+
+@pytest.mark.parametrize("a", sorted(_FA_LAST_N))
 def test_f_of_a_is_the_rounded_exact_difference(a):
     ns = _fa_sweep_degrees(a)
+    assert ns[-1] == _FA_LAST_N[a]
     for n in ns:
         cls = FixedPoleClass(n, a)
-        assert cls.fa == float(Fraction(cls.tn) / n - Fraction(cls.tn2) / (n - 2)), n
+        assert math.isfinite(cls.fa) and cls.fa == _rounded_difference(cls.tn, n, cls.tn2), n
         # the same bits as the double-double form it replaced, where that was finite
         dd = _dd.dd_to_float(_dd.dd_sub(_dd.dd_div((cls.tn, 0.0), (float(n), 0.0)),
                                         _dd.dd_div((cls.tn2, 0.0), (float(n - 2), 0.0))))
         assert dd == cls.fa or not math.isfinite(dd), n
-
-
-@pytest.mark.parametrize("a,first,last", [(10.0, 233, 237), (7.0, 265, 269), (3.0, 396, 403)])
-def test_f_of_a_to_the_end_of_the_float_range(a, first, last):
-    # from the first n where the double-double f(a) overflowed to the last
-    # n where T_n(a) is a float
-    assert all(math.isfinite(FixedPoleClass(n, a).fa) for n in range(first, last + 1))
     with pytest.raises(DomainError):
-        FixedPoleClass(last + 1, a).fa
+        FixedPoleClass(ns[-1] + 1, a).fa
 
 
 @pytest.mark.parametrize("a,ns,first_out", [(3.0, (396, 402), 403), (10.0, (233, 237), 238)])

@@ -683,6 +683,10 @@ def test_target_function_pointwise_error_is_a_domain_error():
     assert isinstance(info.value.__cause__, ValueError)
     assert TargetFunction(lambda x: math.log(x + 2.0)).values_on(np.array([0.0])).tolist() \
         == [math.log(2.0)]
+    # float.as_integer_ratio has no array form: an AttributeError on the
+    # array also sends values_on point by point
+    assert TargetFunction(lambda x: x.as_integer_ratio()[0]).values_on(
+        np.array([0.0, 0.5, 3.0])).tolist() == [0.0, 1.0, 3.0]
 
 
 @pytest.mark.parametrize("evaluator,error", [(lambda x: 1 / 0, ZeroDivisionError),
@@ -690,12 +694,13 @@ def test_target_function_pointwise_error_is_a_domain_error():
                                              (lambda x: math.exp(1000.0), OverflowError)],
                          ids=["ZeroDivisionError", "KeyError", "OverflowError"])
 def test_target_function_wraps_other_evaluator_errors(evaluator, error):
-    # only a TypeError or a ValueError sends values_on point by point; any
-    # other error of the vectorized call once escaped raw
+    # an error of the vectorized call other than a TypeError or a ValueError
+    # once escaped raw; now every such error sends values_on point by point,
+    # where the first point's error is wrapped
     target = TargetFunction(evaluator, "raises")
-    want = rf"target 'raises' failed: {error.__name__}: "
-    with pytest.raises(DomainError, match=want) as info:
+    with pytest.raises(DomainError, match=r"target 'raises' failed at x = 0\.0: ") as info:
         target.values_on(np.array([0.0, 0.5]))
     assert isinstance(info.value.__cause__, error)
-    with pytest.raises(DomainError, match=want):
+    with pytest.raises(DomainError, match=r"target 'raises' failed at x = ") as info:
         solve_best_ld(target, 2)
+    assert isinstance(info.value.__cause__, error)

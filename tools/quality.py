@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Solver-quality counts of one checkout: deterministic, with no timing.
 
-    PYTHONPATH=src python3 tools/quality.py [--out QUALITY.json] [--no-monotonicity]
+    PYTHONPATH=src python3 tools/quality.py [--out QUALITY.json]
 
 Prints (or writes) one JSON object with four reports, each a list of rows
 and the counts read off them:
@@ -129,22 +129,17 @@ def fixed_pole_weighted() -> dict:
     return {"rows": rows, "counts": _counts(rows, ("within_1e-10", "above", "far_pole"))}
 
 
-def report(monotone: bool = True) -> dict:
-    out = {"probe": probe()}
-    if monotone:
-        out["monotonicity"] = monotonicity()
-    out["fixed_pole_unweighted"] = fixed_pole_unweighted()
-    out["fixed_pole_weighted"] = fixed_pole_weighted()
-    return out
+def report() -> dict:
+    return {"probe": probe(), "monotonicity": monotonicity(),
+            "fixed_pole_unweighted": fixed_pole_unweighted(),
+            "fixed_pole_weighted": fixed_pole_weighted()}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", help="write the JSON here instead of to stdout")
-    ap.add_argument("--no-monotonicity", action="store_true",
-                    help="skip the n = 1..32 sweep, the slow part")
     args = ap.parse_args(argv)
-    text = json.dumps(report(not args.no_monotonicity), indent=1) + "\n"
+    text = json.dumps(report(), indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
