@@ -36,16 +36,19 @@ def two_diff(a: float, b: float) -> tuple[float, float]:
     return s, (a - (s - bb)) - (b + bb)
 
 
-def _split(a: float) -> tuple[float, float]:
+def split(a: float) -> tuple[float, float]:
+    """Veltkamp's split a = hi + lo, each half with at most 26 significant bits."""
     t = _SPLITTER * a
     hi = t - (t - a)
     return hi, a - hi
 
 
-def two_prod(a: float, b: float) -> tuple[float, float]:
+def two_prod(a: float, b: float, b_split: tuple[float, float] | None = None) -> tuple[float, float]:
+    """a * b = p + e exactly (Dekker).  ``b_split``, when given, is split(b):
+    a loop that multiplies by one b many times splits it once."""
     p = a * b
-    ahi, alo = _split(a)
-    bhi, blo = _split(b)
+    ahi, alo = split(a)
+    bhi, blo = split(b) if b_split is None else b_split
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
@@ -61,8 +64,10 @@ def dd_sub(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float
     return fast_two_sum(s, e)
 
 
-def dd_mul_f(x: tuple[float, float], a: float) -> tuple[float, float]:
-    p, e = two_prod(x[0], a)
+def dd_mul_f(x: tuple[float, float], a: float,
+             a_split: tuple[float, float] | None = None) -> tuple[float, float]:
+    """x * a for a float a; ``a_split`` as in two_prod."""
+    p, e = two_prod(x[0], a, a_split)
     e += x[1] * a
     return fast_two_sum(p, e)
 

@@ -34,6 +34,10 @@ from .extremal import (
 )
 
 
+# floats in value_and_derivative's workspace (1 MiB)
+_WORKSPACE = 1 << 17
+
+
 @dataclass(frozen=True)
 class RootedPolynomial:
     """P(x) = lead * (x - a) * prod (x - r_j), cofactor roots off [-1, 1].
@@ -66,30 +70,58 @@ class RootedPolynomial:
             cls.require("the unweighted bound (force=True skips it)", corollary_min_a(cls.n))
         object.__setattr__(self, "a", cls.a)
         object.__setattr__(self, "cofactor_roots", canon)
-        # the real and quadratic factors, in the order the product rule takes them
-        reals = tuple(z.real for z in canon if z.imag == 0.0)
-        object.__setattr__(self, "_reals", (self.a,) + reals)
-        object.__setattr__(self, "_pairs", tuple((z.real, z.imag) for z in canon if z.imag > 0.0))
+        # T_n(a) and T_{n-2}(a) for the bounds, computed on first use
+        object.__setattr__(self, "_cls", cls)
+        # the factors in the order the product rule takes them: x - r for the
+        # real roots, a first, then (x - u)^2 + v^2 for the pairs u +- iv
+        reals = np.array([self.a] + [z.real for z in canon if z.imag == 0.0])
+        pairs = np.array([(z.real, z.imag) for z in canon if z.imag > 0.0]).reshape(-1, 2)
+        # read-only, so the frozen value cannot change through them
+        for name, arr in (("_reals", reals[:, None]), ("_u", pairs[:, :1]),
+                          ("_vv", pairs[:, 1:] * pairs[:, 1:])):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return len(self.cofactor_roots) + 1
 
     def value_and_derivative(self, x):
-        """P(x) and P'(x) by the product rule over real/quadratic factors."""
+        """P(x) and P'(x) by the product rule over real/quadratic factors.
+
+        With P_0 = lead and P_k = P_(k-1) f_k, the rule runs
+        P'_k = P'_(k-1) f_k + P_(k-1) f_k' from P'_0 = 0, where f_k' is 1 for
+        x - r and 2(x - u) for (x - u)^2 + v^2.  The factors and every P_k
+        are formed for all k at once, so only the P' steps loop, two in-place
+        operations per factor.  The rows of a block of points share one
+        workspace of at most _WORKSPACE floats: one large array costs far
+        less to allocate than several, and the memory stays bounded in n.
+        """
         x = np.asarray(x, dtype=float)
-        val = np.full_like(x, self.lead)
-        der = np.zeros_like(x)
-        for r in self._reals:
-            fac = x - r
-            der = der * fac + val
-            val = val * fac
-        for u, v in self._pairs:
-            d = x - u
-            fac = d * d + v * v
-            der = der * fac + val * (2.0 * d)
-            val = val * fac
-        return val, der
+        flat = x.reshape(-1)
+        nr, k = len(self._reals), len(self._reals) + len(self._u)
+        rows = 2 * k + 2 + len(self._u)
+        val, der = np.empty(flat.size), np.zeros(flat.size)
+        step = max(1, _WORKSPACE // rows)
+        for start in range(0, flat.size, step):
+            xr = flat[start:start + step].reshape(1, -1)
+            ws = np.empty((rows, xr.shape[1]))
+            ws[0] = self.lead
+            facs, prods, d = ws[1:k + 1], ws[k + 1:2 * k + 2], ws[2 * k + 2:]
+            np.subtract(xr, self._reals, out=facs[:nr])
+            np.subtract(xr, self._u, out=d)
+            np.multiply(d, d, out=facs[nr:])
+            facs[nr:] += self._vv
+            np.multiply.accumulate(ws[:k + 1], axis=0, out=prods)  # P_0 .. P_k = P
+            incs = prods[:-1]  # P_(k-1) f_k'
+            d *= 2.0
+            incs[nr:] *= d
+            block = der[start:start + step]
+            for fac, inc in zip(facs, incs):
+                block *= fac
+                block += inc
+            val[start:start + step] = prods[-1]
+        return val.reshape(x.shape), der.reshape(x.shape)
 
 
 def _over_sqrt_tn2m1(n: int, num: float, tn: float) -> float:
@@ -138,9 +170,8 @@ def check_corollary(poly: RootedPolynomial, *, cfg: Config = DEFAULTS) -> Coroll
     (lhs_w, _), (lhs_u, _), (neg_min, _) = supremum_on_grid(rows, grid, cfg.supnorm_xtol)
     min_abs_p = -neg_min
 
-    cls = FixedPoleClass(n, poly.a)
-    tn = cls.tn
-    tn2 = cls.tn2 if n >= 2 else 1.0
+    tn = poly._cls.tn
+    tn2 = poly._cls.tn2 if n >= 2 else 1.0
     rhs_w = _over_sqrt_tn2m1(n, min_abs_p, tn)
     rhs_u = 2.0 * n * min_abs_p / (tn - tn2 + 3.0)
     return CorollaryReport(

@@ -5,10 +5,16 @@ Evaluation is split into two layers.  The scalar entry point
 (double-double) arithmetic, which keeps real-axis results within 1 ulp
 while n log(|x| + sqrt(x^2-1)) <= 640, even far outside ``[-1, 1]``; past
 that bound a real point takes the exponential form, within about 5e-14
-relative.  The vectorized kernels
-:func:`cheb_t` / :func:`cheb_u` use the trigonometric form on the segment
-and the exponential form off it; they trade a few digits for speed and feed
-the grid scans.  Monomial coefficients are never formed.
+relative.  One loop, :func:`_cheb_recurrence_dd`, serves it and the
+root polish of :func:`solve_t_equals`, which runs the rows [T, U] of all n
+roots together; it splits the constant 2x once per run, not per step.
+The vectorized kernels :func:`cheb_t` / :func:`cheb_u` use the
+trigonometric form on the segment and the exponential form off it; they
+trade a few digits for speed and feed the grid scans.  Both read the
+angles theta = arccos(x) of :func:`_angles`, so a closed form that needs
+several of them at one x takes one arccos, and they gather the points on or
+off the segment's ends only when there are any.  Monomial coefficients are
+never formed.
 """
 
 from __future__ import annotations
@@ -60,19 +66,23 @@ class EllipseClassification(NamedTuple):
     residual: float
 
 
-def _cheb_recurrence_dd(kind: ChebKind, n: int, x):
-    """Three-term recurrence in double-double arithmetic at a real point or
-    elementwise over a float array of points (the same bits either way)."""
-    if kind is ChebKind.FIRST_KIND:
-        prev, cur = (1.0, 0.0), (x, 0.0)
-    else:
-        prev, cur = (1.0, 0.0), (2.0 * x, 0.0)
-    if n == 0:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else _dd.dd_to_float(prev)
+def _cheb_recurrence_dd(p1, x, steps: int):
+    """The three-term recurrence p_(k+1) = 2x p_k - p_(k-1) from p_0 = 1 and
+    p_1 = p1, run for ``steps`` steps in double-double arithmetic.
+
+    Returns the last two terms (p_(steps+1), p_steps), each rounded to a
+    float: p1 = x gives T_(steps+1)(x) and T_steps(x), p1 = 2x the U's.  x is
+    a float or an array, and p1 has its shape, so a stack of x's rows runs
+    several recurrences at once; each point gets the same bits either way.
+    The split of the constant 2x is formed once, not at every step.
+    """
     twox = 2.0 * x  # exact
-    for _ in range(n - 1):
-        cur, prev = _dd.dd_sub(_dd.dd_mul_f(cur, twox), prev), cur
-    return _dd.dd_to_float(cur)
+    twox_split = _dd.split(twox)
+    prev = (np.ones_like(p1), np.zeros_like(p1)) if isinstance(p1, np.ndarray) else (1.0, 0.0)
+    cur = (p1, 0.0)
+    for _ in range(steps):
+        cur, prev = _dd.dd_sub(_dd.dd_mul_f(cur, twox, twox_split), prev), cur
+    return _dd.dd_to_float(cur), _dd.dd_to_float(prev)
 
 
 def _sqrt_branch(z: complex) -> complex:
@@ -157,7 +167,9 @@ def eval_cheb(kind: ChebKind, n: int, z) -> float | complex:
                 f"log |{name}_{n}(z)| = {log_val.real:.6f}"
             ) from None
         return val if zc.imag != 0.0 else val.real
-    return _cheb_recurrence_dd(kind, n, x)
+    if n == 0:
+        return 1.0
+    return _cheb_recurrence_dd(x if kind is ChebKind.FIRST_KIND else 2.0 * x, x, n - 1)[0]
 
 
 def _reject_overflow(name: str, n: int, x: np.ndarray, vals: np.ndarray) -> None:
@@ -167,59 +179,82 @@ def _reject_overflow(name: str, n: int, x: np.ndarray, vals: np.ndarray) -> None
         raise DomainError(f"{name}_{n} is out of float range at x = {float(x[bad][0])!r}")
 
 
+class _Angles(NamedTuple):
+    """Points on the real line with their angles, which cheb_t and cheb_u
+    read in place of the points, so several kernels at one x share one
+    arccos.  Built by :func:`_angles`."""
+
+    x: np.ndarray  # the points, flat and contiguous
+    xin: np.ndarray  # x, with 0.0 at the rim points
+    theta: np.ndarray  # arccos(xin)
+    rim: np.ndarray | None  # where |x| >= 1 or x is NaN; None when nowhere
+    shape: tuple[int, ...]  # the shape of the points as given
+    size: int  # the number of points, so that np.size counts them
+
+
+def _angles(x) -> _Angles:
+    """The angles of points x for cheb_t and cheb_u.  The rim points, off
+    the open segment, are gathered only when there are any."""
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    x = x.ravel()
+    if not x.size or np.abs(x).max() < 1.0:  # NaN fails the test
+        return _Angles(x, x, np.arccos(x), None, shape, x.size)
+    inner = np.abs(x) < 1.0
+    xin = np.where(inner, x, 0.0)
+    return _Angles(x, xin, np.arccos(xin), np.flatnonzero(~inner), shape, x.size)
+
+
 def cheb_t(n: int, x) -> np.ndarray:
     """Vectorized T_n on the real line (trig inside [-1,1], cosh outside);
     DomainError, naming the point, where T_n overflows or x is NaN, and for
-    a degree n that is not a non-negative integer."""
+    a degree n that is not a non-negative integer.  x may be the
+    :func:`_angles` of the points."""
     n = require_int("degree", n, 0)
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    inside = np.abs(x) <= 1.0
-    out[inside] = np.cos(n * np.arccos(x[inside]))
-    if not inside.all():
-        xo = x[~inside]
+    ang = x if isinstance(x, _Angles) else _angles(x)
+    out = np.cos(n * ang.theta)
+    if ang.rim is not None:
+        xo = ang.x[ang.rim]
         with np.errstate(over="ignore"):
             vals = np.cosh(n * np.arccosh(np.abs(xo)))
         _reject_overflow("T", n, xo, vals)
-        out[~inside] = np.where(xo < 0, -vals, vals) if n % 2 else vals
-    # endpoints exactly
-    out[x == 1.0] = 1.0
-    out[x == -1.0] = (-1.0) ** n
-    return out
+        if n % 2:
+            vals = np.where(xo < 0, -vals, vals)
+        # endpoints exactly
+        vals[xo == 1.0] = 1.0
+        vals[xo == -1.0] = (-1.0) ** n
+        out[ang.rim] = vals
+    return out.reshape(ang.shape)
 
 
 def cheb_u(n: int, x) -> np.ndarray:
     """Vectorized U_n on the real line (sin ratio inside, sinh ratio outside,
     scaled where sinh((n+1) arccosh|x|) overflows); DomainError, naming the
     point, where U_n overflows or x is NaN, and for a degree n that is not a
-    non-negative integer."""
+    non-negative integer.  x may be the :func:`_angles` of the points."""
     n = require_int("degree", n, 0)
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    ax = np.abs(x)
-    strict = ax < 1.0
-    if strict.any():
-        xi = x[strict]
-        theta = np.arccos(xi)
-        out[strict] = np.sin((n + 1) * theta) / np.sqrt((1.0 - xi) * (1.0 + xi))
-    outside = ~(ax <= 1.0)  # NaN included, and rejected below
-    if outside.any():
-        xo = x[outside]
-        ell = np.arccosh(np.abs(xo))
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.sinh((n + 1) * ell) / np.sinh(ell)
-        big = ~np.isfinite(vals)
-        if big.any():
-            # sinh((n+1) l) overflows before U_n does: e^(n l) (1 - e^(-2(n+1) l))
-            # / (1 - e^(-2 l)) holds it wherever it is a float
-            lb = ell[big]
-            with np.errstate(over="ignore"):
-                vals[big] = np.exp(n * lb) * (np.expm1(-2.0 * (n + 1) * lb) / np.expm1(-2.0 * lb))
-            _reject_overflow("U", n, xo, vals)
-        out[outside] = np.where(xo < 0, -vals, vals) if n % 2 else vals
-    out[x == 1.0] = float(n + 1)
-    out[x == -1.0] = (-1.0) ** n * (n + 1)
-    return out
+    ang = x if isinstance(x, _Angles) else _angles(x)
+    out = np.sin((n + 1) * ang.theta) / np.sqrt((1.0 - ang.xin) * (1.0 + ang.xin))
+    if ang.rim is not None:
+        xo = ang.x[ang.rim]
+        vals = np.where(xo > 0.0, float(n + 1), (-1.0) ** n * (n + 1))  # endpoints exactly
+        outside = np.abs(xo) != 1.0  # NaN included, and rejected below
+        if outside.any():
+            xo = xo[outside]
+            ell = np.arccosh(np.abs(xo))
+            with np.errstate(over="ignore", invalid="ignore"):
+                vo = np.sinh((n + 1) * ell) / np.sinh(ell)
+            big = ~np.isfinite(vo)
+            if big.any():
+                # sinh((n+1) l) overflows before U_n does: e^(n l) (1 - e^(-2(n+1) l))
+                # / (1 - e^(-2 l)) holds it wherever it is a float
+                lb = ell[big]
+                with np.errstate(over="ignore"):
+                    vo[big] = np.exp(n * lb) * (np.expm1(-2.0 * (n + 1) * lb) / np.expm1(-2.0 * lb))
+                _reject_overflow("U", n, xo, vo)
+            vals[outside] = np.where(xo < 0, -vo, vo) if n % 2 else vo
+        out[ang.rim] = vals
+    return out.reshape(ang.shape)
 
 
 def joukowski(w) -> float | complex:
@@ -264,17 +299,13 @@ def solve_t_equals(n: int, c: float, *, cfg: Config = DEFAULTS) -> list[float]:
     xr = np.array([math.cos(theta) for theta in thetas])
     live = np.ones(n, dtype=bool)  # a root whose derivative vanishes stops moving
     for _ in range(2):
-        # one double-double pass over the rows [T, U]: after n - 1 steps the
-        # U row's previous term is U_{n-1}, with its own recurrence's bits
-        twox = 2.0 * xr
-        prev, cur = (np.ones((2, n)), np.zeros((2, n))), (np.stack([xr, twox]), np.zeros((2, n)))
-        for _ in range(n - 1):
-            cur, prev = _dd.dd_sub(_dd.dd_mul_f(cur, twox), prev), cur
-        tn = _dd.dd_to_float(cur)[0]
-        deriv = n * _dd.dd_to_float(prev)[1]
+        # one pass over the rows [T, U]: after n - 1 steps the U row's
+        # previous term is U_(n-1), with its own recurrence's bits
+        tn, un = _cheb_recurrence_dd(np.stack([xr, 2.0 * xr]), np.stack([xr, xr]), n - 1)
+        deriv = n * un[1]
         live &= deriv != 0.0
-        xr -= np.divide(tn - c, deriv, out=np.zeros(n), where=live)
-    resid = np.abs(_cheb_recurrence_dd(ChebKind.FIRST_KIND, n, xr) - c)
+        xr -= np.divide(tn[0] - c, deriv, out=np.zeros(n), where=live)
+    resid = np.abs(_cheb_recurrence_dd(xr, xr, n - 1)[0] - c)
     bound = tol * (1.0 + np.abs(xr * deriv))
     bad = np.flatnonzero(resid > bound)
     if len(bad):

@@ -37,6 +37,7 @@ from .cheb import (
     ChebKind,
     EllipseParam,
     PointLocation,
+    _angles,
     cheb_t,
     cheb_u,
     chebyshev_points,
@@ -99,7 +100,10 @@ class FixedPoleClass:
 
         The difference is formed exactly in rational arithmetic from the
         floats T_n(a) and T_{n-2}(a), so f(a) exists wherever they do.
+        Raises DomainError for n < 3, where f is not defined.
         """
+        if self.n < 3:
+            raise DomainError(f"f(a) = T_n(a)/n - T_(n-2)(a)/(n-2) needs n >= 3, got n={self.n}")
         return float(Fraction(self.tn) / self.n - Fraction(self.tn2) / (self.n - 2))
 
     @functools.cached_property
@@ -286,8 +290,8 @@ class WeightedExtremalFraction(LogDerivative):
     within_theorem_range: bool = True
 
     def values_on(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.n * cheb_u(self.n - 1, x) / (cheb_t(self.n, x) - self.tna)
+        ang = _angles(x)
+        return self.n * cheb_u(self.n - 1, ang) / (cheb_t(self.n, ang) - self.tna)
 
 
 @dataclass(frozen=True)
@@ -300,9 +304,9 @@ class UnweightedCandidateFraction(LogDerivative):
     fa: float = 0.0
 
     def values_on(self, x):
-        x = np.asarray(x, dtype=float)
-        fx = cheb_t(self.n, x) / self.n - cheb_t(self.n - 2, x) / (self.n - 2)
-        return cheb_t(self.n - 1, x) / (0.5 * (fx - self.fa))
+        ang = _angles(x)
+        fx = cheb_t(self.n, ang) / self.n - cheb_t(self.n - 2, ang) / (self.n - 2)
+        return cheb_t(self.n - 1, ang) / (0.5 * (fx - self.fa))
 
 
 @dataclass(frozen=True)
@@ -461,7 +465,7 @@ def alternance_points_weighted(
         level=level,
         sign_pattern_ok=signs_ok,
     )
-    return report, tuple(chebyshev_points(n + 1).tolist())
+    return report, _lobatto_points(n + 1)
 
 
 def _q_joukowski(n: int, fa: float, w):
@@ -575,6 +579,12 @@ def _scan_grid(m: int) -> np.ndarray:
     return grid
 
 
+@functools.lru_cache(maxsize=64)
+def _lobatto_points(m: int) -> tuple[float, ...]:
+    """chebyshev_points(m) as a tuple of floats, built once per m."""
+    return tuple(_scan_grid(m).tolist())
+
+
 def _norm_grid(degree: int, cfg: Config, floor: int | None = None) -> np.ndarray:
     """Chebyshev scan grid: cfg.supnorm_grid_per_degree points per unit
     degree, and at least ``floor`` (default cfg.supnorm_min_grid).  The
@@ -631,7 +641,7 @@ def dvp_bracket(cls: FixedPoleClass, *, cfg: Config = DEFAULTS) -> DvpBracket:
         raise TheoremRangeError(
             f"bracket hypotheses need every |z_k| > 1; min |z_k| = {annulus.min_abs_pole:.6f}"
         )
-    lower = float(np.min(np.abs(candidate.values_on(chebyshev_points(n)))))
+    lower = float(np.min(np.abs(candidate.values_on(_scan_grid(n)))))
     upper = sup_norm(candidate, cfg=cfg).value
     bracket = DvpBracket(lower, upper, upper * (cls.tn - cls.tn2) / (2.0 * n))
     if lower > upper:

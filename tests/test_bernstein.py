@@ -3,12 +3,14 @@
 import dataclasses
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from simplefrac import bernstein
 from simplefrac._optim import supremum_on_grid
 from simplefrac.bernstein import (
     CorollaryReport,
@@ -235,6 +237,54 @@ def test_value_and_derivative_against_expansion():
     expanded_der = 3.0 * (3.0 * xs**2 - 4.0 * xs + 1.0)
     assert np.max(np.abs(val - expanded)) < 1e-12
     assert np.max(np.abs(der - expanded_der)) < 1e-12
+
+
+def value_and_derivative_reference(poly, x):
+    """Reference: the product rule with one allocating step per factor."""
+    x = np.asarray(x, dtype=float)
+    val, der = np.full_like(x, poly.lead), np.zeros_like(x)
+    for r in (poly.a,) + tuple(z.real for z in poly.cofactor_roots if z.imag == 0.0):
+        fac = x - r
+        der = der * fac + val
+        val = val * fac
+    for u, v in ((z.real, z.imag) for z in poly.cofactor_roots if z.imag > 0.0):
+        d = x - u
+        fac = d * d + v * v
+        der = der * fac + val * (2.0 * d)
+        val = val * fac
+    return val, der
+
+
+def cofactors(draw_reals, draw_pairs):
+    """Cofactor roots: real ones off [-1.1, 1.1] and conjugate pairs."""
+    roots = [complex(r, 0.0) for r in draw_reals]
+    for u, v in draw_pairs:
+        roots += [complex(u, v), complex(u, -v)]
+    return tuple(roots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reals=st.lists(st.floats(1.1, 4.0) | st.floats(-4.0, -1.1), max_size=7),
+       pairs=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 3.0)), max_size=16),
+       lead=st.floats(-4.0, 4.0).filter(lambda v: v != 0.0), a=st.floats(1.05, 4.0),
+       xs=st.lists(st.floats(-1.0, 1.0) | st.floats(-5.0, 5.0), min_size=1, max_size=20))
+@example(reals=[], pairs=[], lead=1.0, a=2.0, xs=[0.5])  # degree 1
+def test_value_and_derivative_matches_per_factor_loop(reals, pairs, lead, a, xs):
+    # degrees 1 to 40, at a 0-d x, one point, many points, points off the
+    # segment and the scan grid, in one block of points or in blocks of a few:
+    # the same bits and shapes as one step per factor
+    poly = RootedPolynomial(a=a, cofactor_roots=cofactors(reals, pairs), lead=lead, force=True)
+    assert 1 <= poly.n <= 40
+    for workspace in (bernstein._WORKSPACE, 150):
+        with mock.patch.object(bernstein, "_WORKSPACE", workspace):
+            for x in (np.array(xs[0]), np.array(xs[:1]), np.array(xs), np.array([]),
+                      _norm_grid(poly.n, DEFAULTS)):
+                got = poly.value_and_derivative(x)
+                want = value_and_derivative_reference(poly, x)
+                for g, w in zip(got, want):
+                    assert np.shape(g) == np.shape(w)
+                    assert [v.hex() for v in np.ravel(g).tolist()] == [
+                        v.hex() for v in np.ravel(w).tolist()]
 
 
 def test_first_witness_weighted_derivative_norm():

@@ -222,15 +222,35 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc), float(exc.best).hex()
 
 
+def first_term(kind, x):
+    """p_1 of the recurrence: T_1(x) = x or U_1(x) = 2x."""
+    return x if kind is T else 2.0 * x
+
+
 @settings(max_examples=80, deadline=None)
-@given(kind=st.sampled_from([T, U]), n=st.integers(0, 90),
+@given(kind=st.sampled_from([T, U]), n=st.integers(1, 90),
        xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12))
 def test_array_recurrence_matches_scalar_loop(kind, n, xs):
-    got = _cheb_recurrence_dd(kind, n, np.array(xs))
-    assert got.shape == (len(xs),)
-    want = [cheb_recurrence_dd_reference(kind, n, x) for x in xs]
+    # the recurrence with its split of 2x hoisted, against the unhoisted
+    # loop: at a float, elementwise over an array and over stacked rows of
+    # both kinds, each giving the last two terms
+    x = np.array(xs)
+    got, prev = _cheb_recurrence_dd(first_term(kind, x), x, n - 1)
+    assert got.shape == prev.shape == (len(xs),)
+    want = [cheb_recurrence_dd_reference(kind, n, v) for v in xs]
+    want_prev = [cheb_recurrence_dd_reference(kind, n - 1, v) for v in xs]
     assert [float(v).hex() for v in got] == [v.hex() for v in want]
-    assert _cheb_recurrence_dd(kind, n, xs[0]).hex() == want[0].hex()
+    assert [float(v).hex() for v in prev] == [v.hex() for v in want_prev]
+    one = _cheb_recurrence_dd(first_term(kind, xs[0]), xs[0], n - 1)
+    assert [v.hex() for v in one] == [want[0].hex(), want_prev[0].hex()]
+    rows = _cheb_recurrence_dd(np.stack([x, 2.0 * x]), np.stack([x, x]), n - 1)[0]
+    row = 0 if kind is T else 1
+    assert [float(v).hex() for v in rows[row]] == [v.hex() for v in want]
+    # and within an ulp of the exact rational recurrence, plus the double-double
+    # rounding that the terms' size allows where T_n or U_n cancels
+    for v, w in zip(xs, want):
+        exact = float(cheb_exact(kind, n, v))
+        assert abs(w - exact) <= math.ulp(exact) + (n + 1) ** 3 * 2.0**-104 * max(1.0, 2.0 * abs(v)) ** n
 
 
 @settings(max_examples=80, deadline=None)
@@ -251,15 +271,19 @@ def test_batched_polish_masks_a_zero_derivative(monkeypatch):
     n, c = 5, 0.3
     x0 = math.cos(math.acos(c) / n)  # where the first root starts
 
-    def flat_at_x0(kind, m, x, rec=cheb._cheb_recurrence_dd):
-        v = rec(kind, m, x)
-        return np.where(np.asarray(x) == x0, 0.0, v) if kind is U else v
+    def flat_at_x0(p1, x, steps, rec=cheb._cheb_recurrence_dd):
+        last, prev = rec(p1, x, steps)
+        if np.ndim(p1) == 2:  # the [T, U] pass: U_(n-1) is the U row's previous term
+            prev[1] = np.where(x[1] == x0, 0.0, prev[1])
+        return last, prev
 
     monkeypatch.setattr(cheb, "_cheb_recurrence_dd", flat_at_x0)
     loose = replace(DEFAULTS, solve_t_residual_tol=1.0)
     got = solve_t_equals(n, c, cfg=loose)
+
     def flat_reference(kind, m, x):
-        return float(flat_at_x0(kind, m, x, cheb_recurrence_dd_reference))
+        v = cheb_recurrence_dd_reference(kind, m, x)
+        return 0.0 if kind is U and x == x0 else v
 
     want = solve_t_equals_reference(n, c, loose, rec=flat_reference)
     assert x0 in got
@@ -289,6 +313,79 @@ def test_eval_cheb_overflow_is_a_domain_error():
         cheb_u(500, np.array([0.5, -3.0]))
     with pytest.raises(DomainError, match=r"U_3 .* x = nan"):
         cheb_u(3, np.array([math.nan]))
+
+
+def cheb_t_reference(n, x):
+    """Reference: T_n masked over the whole array, one arccos per call."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    inside = np.abs(x) <= 1.0
+    out[inside] = np.cos(n * np.arccos(x[inside]))
+    if not inside.all():
+        xo = x[~inside]
+        with np.errstate(over="ignore"):
+            vals = np.cosh(n * np.arccosh(np.abs(xo)))
+        cheb._reject_overflow("T", n, xo, vals)
+        out[~inside] = np.where(xo < 0, -vals, vals) if n % 2 else vals
+    out[x == 1.0] = 1.0
+    out[x == -1.0] = (-1.0) ** n
+    return out
+
+
+def cheb_u_reference(n, x):
+    """Reference: U_n masked over the whole array, one arccos per call."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    ax = np.abs(x)
+    strict = ax < 1.0
+    if strict.any():
+        xi = x[strict]
+        out[strict] = np.sin((n + 1) * np.arccos(xi)) / np.sqrt((1.0 - xi) * (1.0 + xi))
+    outside = ~(ax <= 1.0)
+    if outside.any():
+        xo = x[outside]
+        ell = np.arccosh(np.abs(xo))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.sinh((n + 1) * ell) / np.sinh(ell)
+        big = ~np.isfinite(vals)
+        if big.any():
+            lb = ell[big]
+            with np.errstate(over="ignore"):
+                vals[big] = np.exp(n * lb) * (np.expm1(-2.0 * (n + 1) * lb) / np.expm1(-2.0 * lb))
+            cheb._reject_overflow("U", n, xo, vals)
+        out[outside] = np.where(xo < 0, -vals, vals) if n % 2 else vals
+    out[x == 1.0] = float(n + 1)
+    out[x == -1.0] = (-1.0) ** n * (n + 1)
+    return out
+
+
+def bits_or_error(fn, *args):
+    """Shape and float.hex of an array result, or the error's type and message."""
+    try:
+        out = fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return np.shape(out), [float(v).hex() for v in np.ravel(out)]
+
+
+# points inside the segment, its ends, points off it and NaN
+POINTS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0, math.nan, 1e200]),
+                   st.floats(-40.0, 40.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.integers(0, 70), st.sampled_from([200, 500])),
+       xs=st.lists(POINTS, max_size=14), zero_d=st.booleans())
+def test_vectorized_kernels_match_the_masked_reference(n, xs, zero_d):
+    # one arccos shared through _angles, gathering only the rim points, gives
+    # the bits, the shape and the first error of the masked kernels
+    x = np.array(xs[0] if zero_d and xs else xs)
+    for fn, ref in ((cheb_t, cheb_t_reference), (cheb_u, cheb_u_reference)):
+        want = bits_or_error(ref, n, x)
+        assert bits_or_error(fn, n, x) == want
+        assert bits_or_error(fn, n, cheb._angles(x)) == want
+    strided = np.repeat(x.reshape(-1), 2)[::2]
+    assert bits_or_error(cheb_t, n, strided) == bits_or_error(cheb_t_reference, n, strided)
 
 
 def sinh_ratio(n, x):

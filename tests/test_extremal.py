@@ -2,6 +2,7 @@
 
 import dataclasses
 import decimal
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -17,6 +18,8 @@ from simplefrac.cheb import (
     ChebKind,
     EllipseParam,
     PointLocation,
+    cheb_t,
+    cheb_u,
     chebyshev_points,
     ellipse_classify,
     eval_cheb,
@@ -27,6 +30,7 @@ from simplefrac.extremal import (
     FixedPoleClass,
     LogDerivative,
     NormEstimate,
+    WeightedExtremalFraction,
     alternance_points_weighted,
     build_candidate_unweighted,
     build_extremal_weighted,
@@ -209,6 +213,52 @@ def test_scan_grid_is_shared_and_read_only():
     assert np.array_equal(extremal._norm_grid(7, cfg), chebyshev_points(77))
     # the public grid stays a fresh, writable array
     assert chebyshev_points(77).flags.writeable
+    # the alternance's zeros are one tuple per degree
+    zeros = alternance_points_weighted(FixedPoleClass(7, 3.0))[1]
+    assert alternance_points_weighted(FixedPoleClass(7, 2.0))[1] is zeros
+    assert zeros == tuple(chebyshev_points(8).tolist())
+
+
+def closed_form_composition(rho, x):
+    """Reference: the closed form from one cheb_t or cheb_u call per degree."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(rho, WeightedExtremalFraction):
+        return rho.n * cheb_u(rho.n - 1, x) / (cheb_t(rho.n, x) - rho.tna)
+    fx = cheb_t(rho.n, x) / rho.n - cheb_t(rho.n - 2, x) / (rho.n - 2)
+    return cheb_t(rho.n - 1, x) / (0.5 * (fx - rho.fa))
+
+
+def value_bits(fn):
+    """Shape and float.hex of the values, or the error's type and message."""
+    try:
+        out = fn()
+    except (DomainError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+    return np.shape(out), [float(v).hex() for v in np.ravel(out)]
+
+
+@functools.lru_cache(maxsize=None)
+def closed_forms(n, a):
+    """The weighted extremal and, where it builds, the unweighted candidate."""
+    cls = FixedPoleClass(n, a)
+    forms = [build_extremal_weighted(cls, force=True)]
+    if n >= 4:
+        forms.append(build_candidate_unweighted(cls))
+    return forms
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 40), a=st.sampled_from([1.5, 2.0, 3.0, 5.0]),
+       xs=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0, math.nan]),
+                             st.floats(-6.0, 6.0)), max_size=12),
+       zero_d=st.booleans())
+def test_closed_form_values_share_one_arccos_bit_for_bit(n, a, xs, zero_d):
+    # values_on takes the angles once for all its kernels; the values, their
+    # shape and the first error are those of one kernel call per degree
+    x = np.array(xs[0] if zero_d and xs else xs)
+    for rho in closed_forms(n, a):
+        assert value_bits(lambda: rho.values_on(x)) == value_bits(
+            lambda: closed_form_composition(rho, x))
 
 
 # ---------------------------------------------------------------- alternance
@@ -347,6 +397,14 @@ def test_f_of_a_is_the_rounded_exact_difference(a):
         assert dd == cls.fa or not math.isfinite(dd), n
     with pytest.raises(DomainError):
         FixedPoleClass(ns[-1] + 1, a).fa
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_f_of_a_needs_degree_three(n):
+    # f divides T_(n-2) by n - 2: n = 2 once raised a raw ZeroDivisionError,
+    # and n = 1 a DomainError about degree -1
+    with pytest.raises(DomainError, match=rf"f\(a\) .* needs n >= 3, got n={n}$"):
+        FixedPoleClass(n, 3.0).fa
 
 
 @pytest.mark.parametrize("a,ns,first_out", [(3.0, (396, 402), 403), (10.0, (233, 237), 238)])

@@ -65,6 +65,7 @@ SITES = [
     ("corollary_min_a-n", corollary_min_a, DEGREE),
     ("FixedPoleClass-n", lambda v: FixedPoleClass(v, 3.0), DEGREE),
     ("FixedPoleClass-a", lambda v: FixedPoleClass(4, v), REAL + (1.0,)),
+    ("FixedPoleClass-fa-n", lambda v: FixedPoleClass(v, 3.0).fa, (1, 2)),
     ("LogDerivative-pole", lambda v: LogDerivative((v,)), COMPLEX),
     ("residual_alternance-min_points",
      lambda v: residual_alternance(ABS, LogDerivative((2.0, -2.0)), v), DEGREE),
