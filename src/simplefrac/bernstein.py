@@ -62,7 +62,7 @@ class RootedPolynomial:
         if self.lead == 0.0:
             raise DomainError("leading coefficient must be nonzero")
         roots = tuple(self.cofactor_roots)
-        canon = _canonical_poles(roots) if roots else ()
+        canon = _canonical_poles(roots)[0] if roots else ()
         for z in canon:
             if _on_segment(z, cfg):
                 raise DomainError(f"cofactor root {z} lies on [-1, 1]")

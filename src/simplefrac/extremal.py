@@ -159,17 +159,19 @@ def _conjugate_halves(poles, match_tol: float = 1e-8):
     return reals, upper, lower
 
 
-def _canonical_poles(raw, match_tol: float = 1e-8) -> tuple[complex, ...]:
-    """Sort poles and enforce conjugate closure: each matched pair becomes
-    the exact conjugates u +- iv of the pair's mean."""
+def _canonical_poles(raw, match_tol: float = 1e-8):
+    """Sort poles, enforce conjugate closure, and split into reals/pairs."""
     reals, upper, lower = _conjugate_halves([require_complex("pole", z) for z in raw], match_tol)
-    canon = [complex(r, 0.0) for r in reals]
+    pairs: list[tuple[float, float]] = []
     for zu, zl in zip(upper, lower):
         mid = 0.5 * (zu + zl.conjugate())
-        canon.append(complex(mid.real, abs(mid.imag)))
-        canon.append(complex(mid.real, -abs(mid.imag)))
+        pairs.append((mid.real, abs(mid.imag)))
+    canon = [complex(r, 0.0) for r in reals]
+    for u, v in pairs:
+        canon.append(complex(u, v))
+        canon.append(complex(u, -v))
     canon.sort(key=lambda z: (z.real, z.imag))
-    return tuple(canon)
+    return tuple(canon), tuple(sorted(reals)), tuple(sorted(pairs))
 
 
 def _on_segment(z: complex, cfg: Config) -> bool:
@@ -190,24 +192,16 @@ class LogDerivative:
     poles: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "poles", _canonical_poles(self.poles))
-
-    # the pole-sum kernel's float arrays, built on first use, as the closed
-    # forms never read them, and read-only so the frozen value cannot change
-    # through them
-    @functools.cached_property
-    def _reals(self) -> np.ndarray:
-        """The real poles, ascending, shape (n_real,)."""
-        reals = np.array([z.real for z in self.poles if z.imag == 0.0])
+        canon, reals, pairs = _canonical_poles(self.poles)
+        object.__setattr__(self, "poles", canon)
+        # the kernel's float arrays, built once: (n_real,) and (n_pairs, 2),
+        # read-only so the frozen value cannot change through them
+        reals = np.array(reals, dtype=float)
+        pairs = np.array(pairs, dtype=float).reshape(-1, 2)
         reals.flags.writeable = False
-        return reals
-
-    @functools.cached_property
-    def _pairs(self) -> np.ndarray:
-        """The (u, v) of the conjugate pairs u +- iv, v > 0, ascending, shape (n_pairs, 2)."""
-        pairs = np.array([(z.real, z.imag) for z in self.poles if z.imag > 0.0]).reshape(-1, 2)
         pairs.flags.writeable = False
-        return pairs
+        object.__setattr__(self, "_reals", reals)
+        object.__setattr__(self, "_pairs", pairs)
 
     @property
     def degree(self) -> int:

@@ -771,8 +771,4 @@ def test_cached_pole_arrays():
     assert not moved._reals.flags.writeable and not moved._pairs.flags.writeable
     x = np.linspace(-1.0, 1.0, 5)
     assert moved.values_on(x).tobytes() == LogDerivative(moved.poles).values_on(x).tobytes()
-    # the closed forms evaluate without them, so they are never built there
-    closed = build_extremal_weighted(FixedPoleClass(6, 3.0))
-    weighted_sup_norm(closed)
-    assert "_reals" not in vars(closed) and "_pairs" not in vars(closed)
     assert rho.values_on(x).tobytes() == same.values_on(x).tobytes()
