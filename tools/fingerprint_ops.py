@@ -11,9 +11,10 @@ probe of 44 solves: |x|, exp(x), cos(5x) and sqrt(1 + x) at default options
 at n = 2, 3, 4, 6 and 8, and at n = 2, 3 and 4 once weighted and once with a
 fixed pole at 3, the solver branches the benchmark never runs; and so are
 the closed forms past the benchmark's n <= 64: f(a), the unweighted
-candidate, its lambda bounds and deviation bracket, and witness 2, at
-n = 128 and 232 for a = 10 and at n = 256 and 395 for a = 3.  A float is
-fingerprinted as ``float.hex`` and an array as the SHA-256 of its bytes, so
+candidate, its lambda bounds and deviation bracket, witness 2, the weighted
+alternance, and the derivative bounds of a random rooted polynomial seeded
+by (n, a), at n = 128 and 232 for a = 10 and at n = 256 and 395 for a = 3.
+A float is fingerprinted as ``float.hex`` and an array as the SHA-256 of its bytes, so
 two fingerprints match only if every bit does; a dataclass is keyed by its
 field names.  Prints each set's op count and its first mismatching op.  On
 a mismatch it also lists, over all mismatching ops of the set, the
@@ -149,6 +150,9 @@ def dump(checkout: Path, seeds: list[int]) -> dict:
         steps.run("lambda_bounds", ext.lambda_bounds, cls)
         steps.run("dvp_bracket", ext.dvp_bracket, cls)
         steps.run("witness2", bern.witness_ratio_empirical, n, a, 2)
+        steps.run("alternance", ext.alternance_points_weighted, cls)
+        poly = bern.random_rooted_polynomial(n, a, np.random.default_rng([n, int(a)]))
+        steps.run("corollary", bern.check_corollary, poly)
         closed.append((f"n={n},a={a}", fingerprints(steps)))
     sets["closed_forms"] = closed
     return sets
