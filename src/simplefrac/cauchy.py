@@ -18,7 +18,6 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .cheb import chebyshev_points
 from .config import DEFAULTS, Config
 from .errors import (DomainError, EvaluationError, ToleranceNotMetError, require_complex,
                      require_int, require_real)
-from .extremal import _conjugate_halves
+from .extremal import _conjugate_halves, _min_pole_separation
 
 # low columns tabulated by the Ryser kernel: 2^10 subsets per numpy product
 _RYSER_BLOCK = 10
@@ -450,22 +449,6 @@ def _jittered_nodes(base: np.ndarray, jitter: np.ndarray) -> np.ndarray:
     return np.clip(np.sort(base + jitter, axis=-1), -1.0, 1.0)
 
 
-def _separated(poles: list[complex]) -> bool:
-    """Whether every two poles lie more than 1e-3 apart, decided exactly as
-    ``min(abs(p - q)) > 1e-3`` over all pairs would.  The poles are swept in
-    order of real part, and a pair whose real parts differ by more than 1e-3
-    is separated without its abs: |p - q| >= |Re p - Re q| holds in floats
-    too, since a faithful hypot is never below either leg."""
-    swept = sorted(poles, key=operator.attrgetter("real"))
-    for j, p in enumerate(swept):
-        for q in swept[j + 1 :]:
-            if q.real - p.real > 1e-3:
-                break
-            if abs(p - q) <= 1e-3:
-                return False
-    return True
-
-
 def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1, max_abs: float = 10.0
                 ) -> tuple[dict[int, tuple[list[int], np.ndarray, np.ndarray]], bool]:
     """Random pairs for the sizes in ``ns``, drawn in order as
@@ -473,12 +456,13 @@ def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1, max_abs: flo
 
     Returns, per size n, the indices into ``ns`` of its draws with their
     nodes (K, n) and poles (K, n), stacked in draw order, and whether the
-    last draw is spent.  Each draw makes the RNG calls of a single one, so
-    the pairs do not depend on how many share the call; the nodes of all
-    draws of a size are formed at once.  A spent draw, one whose node or
-    pole retries ran out, need not be a valid pair.  Drawing stops after it,
-    and the caller validates it as a CauchyPair, which raises the
-    DomainError a single draw would, if and when it uses the draw.
+    last draw is spent.  A pole set is kept when no two poles lie within
+    1e-3 (extremal._min_pole_separation).  Each draw makes the RNG calls of
+    a single one, so the pairs do not depend on how many share the call; the
+    nodes of all draws of a size are formed at once.  A spent draw, one
+    whose node or pole retries ran out, need not be a valid pair.  Drawing
+    stops after it, and the caller validates it as a CauchyPair, which
+    raises the DomainError a single draw would, if and when it uses it.
     """
     log_lo = math.log(min_abs)
     log_span = math.log(max_abs) - log_lo
@@ -508,7 +492,7 @@ def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1, max_abs: flo
                 z = mag * cmath.exp(complex(0.0, theta_lo + theta_span * u[k + 1]))
                 poles.append(z)
                 poles.append(z.conjugate())
-            if _separated(poles):
+            if _min_pole_separation(poles, 1e-3) == math.inf:
                 break
         else:
             spent = True

@@ -11,9 +11,12 @@ checks against Bernstein ellipses, and the deviation bracket obtained from
 sign-alternating values.
 
 Closed-form fractions are evaluated only through their exact Chebyshev
-rational forms, never through their rounded poles; the compensated pole sum
-:func:`eval_ld` serves generic fractions.  The candidate's poles come from
-one Newton run in the Joukowski variable, seeded at the weighted poles.
+rational forms, never through their rounded poles; generic fractions go
+through :func:`pole_sums`.  :func:`eval_ld` is a public compensated pole
+sum that no routine here calls, kept because ``perfbench/tracer.py`` binds
+it by name.  The candidate's poles come from one Newton run in the
+Joukowski variable, seeded at the weighted poles.  The alternance
+criterion's pole hypotheses have one test, :func:`_check_pole_hypotheses`.
 
 Every closed form and bound here and in :mod:`simplefrac.bernstein` reads
 T_n(a), T_{n-2}(a), f(a) and the weighted level off :class:`FixedPoleClass`.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,9 +184,35 @@ def _on_segment(z: complex, cfg: Config) -> bool:
     return abs(z.imag) <= tol and -1.0 - tol <= z.real <= 1.0 + tol
 
 
-def _min_pole_separation(poles) -> float:
-    """Smallest pairwise distance |p - q| of the poles (inf for one pole)."""
-    return min((abs(p - q) for i, p in enumerate(poles) for q in poles[i + 1 :]), default=math.inf)
+def _min_pole_separation(poles, within: float) -> float:
+    """The least distance |p - q| of two poles if it is at most ``within``,
+    else inf.  The poles are swept in real-part order, and the sweep from p
+    stops at the first q with Re q - Re p > ``within``: no pair it skips is
+    that close, since a faithful hypot is never below either leg."""
+    swept = sorted(poles, key=operator.attrgetter("real"))
+    least = math.inf
+    for j, p in enumerate(swept):
+        for q in swept[j + 1 :]:
+            if q.real - p.real > within:
+                break
+            d = abs(p - q)
+            if d < least:
+                least = d
+    return least if least <= within else math.inf
+
+
+def _check_pole_hypotheses(rho: LogDerivative, cfg: Config) -> list[str]:
+    """One reason per pole hypothesis of the alternance criterion that rho
+    fails: poles more than cfg.min_pole_separation apart, all |z_k| > 1."""
+    reasons = []
+    sep = _min_pole_separation(rho.poles, cfg.min_pole_separation)
+    if sep <= cfg.min_pole_separation:
+        reasons.append(f"poles not pairwise distinct (min separation {sep:.3e} <= "
+                       f"{cfg.min_pole_separation:.1e})")
+    min_abs = min(abs(z) for z in rho.poles)
+    if min_abs <= 1.0:
+        reasons.append(f"|z_k| <= 1 for some pole (min |z_k| = {min_abs:.6f})")
+    return reasons
 
 
 @dataclass(frozen=True)
@@ -629,18 +659,14 @@ def dvp_bracket(cls: FixedPoleClass, *, cfg: Config = DEFAULTS) -> DvpBracket:
     field reports upper * (T_n(a) - T_{n-2}(a)) / (2n), the ratio against the
     weak-equivalence scale (no bound on it is asserted here).  Both ends
     read the candidate's rational form; a lower end above the upper one
-    raises ToleranceNotMetError carrying the bracket as ``best``.
+    raises ToleranceNotMetError carrying the bracket as ``best``, and a
+    candidate off the pole hypotheses one TheoremRangeError naming them.
     """
     n, a = cls.n, cls.a
     cls.require("the deviation bracket", corollary_min_a(n))
     candidate = build_candidate_unweighted(cls, cfg=cfg)
-    if _min_pole_separation(candidate.poles) <= cfg.min_pole_separation:
-        raise DomainError("candidate poles are not pairwise distinct")
-    annulus = verify_pole_annulus(cls, candidate, cfg=cfg)
-    if annulus.min_abs_pole <= 1.0:
-        raise TheoremRangeError(
-            f"bracket hypotheses need every |z_k| > 1; min |z_k| = {annulus.min_abs_pole:.6f}"
-        )
+    if hyp := _check_pole_hypotheses(candidate, cfg):
+        raise TheoremRangeError(f"bracket hypotheses fail at n={n}, a={a}: {'; '.join(hyp)}")
     lower = float(np.min(np.abs(candidate.values_on(_scan_grid(n)))))
     upper = sup_norm(candidate, cfg=cfg).value
     bracket = DvpBracket(lower, upper, upper * (cls.tn - cls.tn2) / (2.0 * n))

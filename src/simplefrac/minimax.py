@@ -8,7 +8,8 @@ coefficients and on seeded perturbations of their poles, then an
 a-posteriori optimality check.  The solver needs numpy only, and target
 values only (no derivatives).  The certificate is the alternance
 criterion: for a fraction with pairwise-distinct poles all outside the
-closed unit disk, optimality is equivalent to n+1 sign-alternating
+closed unit disk (the hypotheses that extremal._check_pole_hypotheses
+tests), optimality is equivalent to n+1 sign-alternating
 extremal points of the residual, and the optimum is then unique.  The
 exchange is that criterion turned into an iteration: solve the level
 equations on an n+1 point reference, then move the reference to the new
@@ -47,7 +48,7 @@ from ._optim import local_extrema
 from .cheb import chebyshev_points
 from .config import DEFAULTS, Config
 from .errors import DomainError, EvaluationError, SimplefracError, require_int, require_real
-from .extremal import (AlternanceReport, FixedPoleClass, LogDerivative, _min_pole_separation,
+from .extremal import (AlternanceReport, FixedPoleClass, LogDerivative, _check_pole_hypotheses,
                        _norm_grid, _on_segment, _weight, build_extremal_weighted, pole_sums)
 
 
@@ -239,20 +240,6 @@ def residual_alternance(
     if level_rtol is not None:
         level_rtol = require_real("level_rtol", level_rtol, 0.0, inclusive=True)
     return _report(f, rho, min_points, level_rtol, weighted, cfg)
-
-
-def _check_pole_hypotheses(rho: LogDerivative, cfg: Config) -> list[str]:
-    reasons = []
-    sep = _min_pole_separation(rho.poles)
-    if sep <= cfg.min_pole_separation:
-        reasons.append(
-            f"poles not pairwise distinct (min separation {sep:.3e} <= "
-            f"{cfg.min_pole_separation:.1e})"
-        )
-    min_abs = min(abs(z) for z in rho.poles)
-    if min_abs <= 1.0:
-        reasons.append(f"|z_k| <= 1 for some pole (min |z_k| = {min_abs:.6f})")
-    return reasons
 
 
 def _lower_bound(hyp: list[str], rep: AlternanceReport | None, need: int) -> float:
@@ -671,9 +658,10 @@ def solve_best_ld(f: TargetFunction, n: int, opts: ApproxOptions | None = None, 
     perturbations of its poles; each start reports its exchange steps and
     why it stopped, and a start that raises is discarded with a diagnostic.
     In the unweighted free-pole problem, a start that equioscillates with
-    poles meeting the certificate's hypotheses (_check_pole_hypotheses) is
-    the unique optimum by the alternance criterion, so the later starts are
-    skipped, with one diagnostic naming them.
+    poles meeting the certificate's hypotheses
+    (extremal._check_pole_hypotheses) is the unique optimum by the
+    alternance criterion, so the later starts are skipped, with one
+    diagnostic naming them.
 
     Every fraction considered is scanned once (_scan): the fraction with
     all free poles far away, then each exchange iterate, in rounds

@@ -23,7 +23,6 @@ from simplefrac.cauchy import (
     _flag_rows,
     _node_layout,
     _ryser_stack,
-    _separated,
     borchardt_batch,
     borchardt_check,
     cauchy_det_closed_form,
@@ -36,6 +35,7 @@ from simplefrac.cauchy import (
 )
 from simplefrac.config import DEFAULTS
 from simplefrac.errors import DomainError, EvaluationError, ToleranceNotMetError
+from simplefrac.extremal import _min_pole_separation
 
 PAIR_2x2 = CauchyPair((0.0, 0.5), (2.0, -2.0))
 
@@ -677,10 +677,15 @@ def test_batch_spent_draw_past_the_stop_does_not_raise(monkeypatch):
         borchardt_batch_serial_reference([3], 2, 53, cfg, min_abs=2.0, max_abs=2.0)
 
 
-def pairwise_separated(poles):
-    """The pole-separation rule over all pairs."""
-    seps = [abs(p - q) for j, p in enumerate(poles) for q in poles[j + 1 :]]
-    return not seps or min(seps) > 1e-3
+# the Borchardt draws' 1e-3, the criterion's default 1e-9, 0 and one between
+SEPARATION_WITHIN = (0.0, 1e-9, 5e-4, 1e-3)
+
+
+def pairwise_separation(poles, within):
+    """The least distance over all pairs if it is at most ``within``, else inf."""
+    least = min((abs(p - q) for j, p in enumerate(poles) for q in poles[j + 1 :]),
+                default=math.inf)
+    return least if least <= within else math.inf
 
 
 @pytest.mark.parametrize("poles", [
@@ -698,8 +703,10 @@ def pairwise_separated(poles):
 ])
 def test_separation_sweep_matches_pairwise_rule(poles):
     poles = [complex(p) for p in poles]
-    assert _separated(poles) == pairwise_separated(poles)
-    assert _separated(poles[::-1]) == pairwise_separated(poles)
+    for within in SEPARATION_WITHIN:
+        want = pairwise_separation(poles, within)
+        assert _min_pole_separation(poles, within) == want
+        assert _min_pole_separation(poles[::-1], within) == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -710,7 +717,10 @@ def test_separation_sweep_matches_pairwise_rule_on_a_grid(points):
     for i, j, pair in points:
         z = complex(2.0 + i * 5e-4, j * 5e-4)
         poles += [z, z.conjugate()] if pair else [z]
-    assert _separated(poles) == pairwise_separated(poles)
+    for within in SEPARATION_WITHIN:
+        want = pairwise_separation(poles, within)
+        assert _min_pole_separation(poles, within) == want
+        assert _min_pole_separation(poles[::-1], within) == want
 
 
 @pytest.mark.parametrize("sizes,trials", [

@@ -3,6 +3,7 @@
 import dataclasses
 import decimal
 import functools
+import json
 import math
 import sys
 from dataclasses import replace
@@ -24,6 +25,7 @@ from simplefrac.cheb import (
     ellipse_classify,
     eval_cheb,
 )
+from simplefrac.cli import main
 from simplefrac.config import DEFAULTS
 from simplefrac.errors import DomainError, EvaluationError, TheoremRangeError, ToleranceNotMetError
 from simplefrac.extremal import (
@@ -31,6 +33,7 @@ from simplefrac.extremal import (
     LogDerivative,
     NormEstimate,
     WeightedExtremalFraction,
+    _check_pole_hypotheses,
     alternance_points_weighted,
     build_candidate_unweighted,
     build_extremal_weighted,
@@ -573,6 +576,32 @@ def test_dvp_bracket_gates():
             dvp_bracket(FixedPoleClass(n, a_min))
         br = dvp_bracket(FixedPoleClass(n, math.nextafter(a_min, math.inf)))
         assert br.lower <= br.upper
+
+
+SEPARATION_FAULT = "poles not pairwise distinct"
+DISK_FAULT = "|z_k| <= 1 for some pole"
+
+
+@pytest.mark.parametrize("poles,faults", [
+    ((2.0, 2.0 + 1e-12, -3.0, 4.0), [SEPARATION_FAULT]),
+    ((complex(0.3, 0.5), complex(0.3, -0.5), -3.0, 4.0), [DISK_FAULT]),
+    ((2.0, 2.0 + 1e-12, complex(0.3, 0.5), complex(0.3, -0.5)), [SEPARATION_FAULT, DISK_FAULT]),
+])
+def test_dvp_bracket_names_each_failed_pole_hypothesis(monkeypatch, capsys, poles, faults):
+    # no candidate in the theorem's range fails the hypotheses, so stand one in
+    monkeypatch.setattr(extremal, "build_candidate_unweighted",
+                        lambda cls, cfg=DEFAULTS: LogDerivative(poles))
+    reasons = _check_pole_hypotheses(LogDerivative(poles), DEFAULTS)
+    assert [r.split(" (")[0] for r in reasons] == faults
+    with pytest.raises(TheoremRangeError) as info:
+        dvp_bracket(FixedPoleClass(4, 3.0))
+    assert str(info.value) == "bracket hypotheses fail at n=4, a=3.0: " + "; ".join(reasons)
+    # the CLI reports the bracket as unavailable and still succeeds
+    code = main(["candidate", "--n", "4", "--a", "3", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert f"deviation bracket unavailable: {info.value}" in data["diagnostics"]
+    assert "bracket" not in data["outputs"]
 
 
 # ---------------------------------------------------------------- eval_ld

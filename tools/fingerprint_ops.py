@@ -14,6 +14,11 @@ the closed forms past the benchmark's n <= 64: f(a), the unweighted
 candidate, its lambda bounds and deviation bracket, witness 2, the weighted
 alternance, and the derivative bounds of a random rooted polynomial seeded
 by (n, a), at n = 128 and 232 for a = 10 and at n = 256 and 395 for a = 3.
+A ``hypotheses`` set reaches the pole-hypothesis reasons and the Borchardt
+draws' separation rule: ``certify_optimality`` and
+``dvp_lower_bound(free=True)`` on |x| for fractions whose poles are too
+close, inside the unit disk, both, and neither, and ``random_cauchy_pair``
+at n = 3 with all pole moduli 2, where poles collide, and at n = 17 and 20.
 A float is fingerprinted as ``float.hex`` and an array as the SHA-256 of its bytes, so
 two fingerprints match only if every bit does; a dataclass is keyed by its
 field names.  Prints each set's op count and its first mismatching op.  On
@@ -41,6 +46,14 @@ PROBE_N_OPTS = (2, 3, 4)
 # (n, a) of the closed-form steps, up to where the double-double f(a) of
 # earlier versions overflowed
 CLOSED_FORM_CASES = ((128, 10.0), (232, 10.0), (256, 3.0), (395, 3.0))
+# poles of the hypothesis cases: two 1e-12 apart, a pair inside the unit
+# disk, both faults, and none
+HYPOTHESIS_POLES = {
+    "close": (2.0, 2.0 + 1e-12, -3.0),
+    "inside": (complex(0.3, 0.5), complex(0.3, -0.5), -3.0),
+    "both": (2.0, 2.0 + 1e-12, complex(0.3, 0.5), complex(0.3, -0.5), -3.0),
+    "clean": (2.0, -2.0),
+}
 
 
 def fingerprint(v):
@@ -112,6 +125,7 @@ def dump(checkout: Path, seeds: list[int]) -> dict:
 
     import simplefrac
     import simplefrac.bernstein as bern
+    import simplefrac.cauchy as cy
     import simplefrac.extremal as ext
     import simplefrac.minimax as mx
     import workloads
@@ -155,6 +169,21 @@ def dump(checkout: Path, seeds: list[int]) -> dict:
         steps.run("corollary", bern.check_corollary, poly)
         closed.append((f"n={n},a={a}", fingerprints(steps)))
     sets["closed_forms"] = closed
+    hypotheses = []
+    f_abs = mx.TargetFunction(np.abs, "abs")
+    for label, poles in HYPOTHESIS_POLES.items():
+        rho, steps = ext.LogDerivative(poles), workloads.Steps()
+        steps.run("certify", mx.certify_optimality, f_abs, rho)
+        steps.run("dvp_lower", mx.dvp_lower_bound, f_abs, rho, free=True)
+        hypotheses.append((f"abs,{label}", fingerprints(steps)))
+    # with all moduli 2 the n = 3 poles collide: seeds 0 and 2 run out of redraws
+    draws = [(3, s, 2.0, 2.0) for s in range(4)]
+    draws += [(n, s, 1.1, 10.0) for n in (17, 20) for s in (0, 1)]
+    for n, s, lo, hi in draws:
+        steps = workloads.Steps()
+        steps.run("pair", cy.random_cauchy_pair, n, np.random.default_rng(s), lo, hi)
+        hypotheses.append((f"pair,n={n},seed={s},moduli=[{lo},{hi}]", fingerprints(steps)))
+    sets["hypotheses"] = hypotheses
     return sets
 
 

@@ -41,9 +41,9 @@ import sys
 import numpy as np
 
 from simplefrac.config import DEFAULTS
-from simplefrac.extremal import FixedPoleClass, dvp_bracket, extremal_weighted_norm
-from simplefrac.minimax import (ApproxOptions, TargetFunction, _check_pole_hypotheses,
-                                residual_alternance, solve_best_ld)
+from simplefrac.extremal import (FixedPoleClass, _check_pole_hypotheses, dvp_bracket,
+                                 extremal_weighted_norm)
+from simplefrac.minimax import ApproxOptions, TargetFunction, residual_alternance, solve_best_ld
 
 TARGETS = {"abs": np.abs, "exp": np.exp, "cos5x": lambda x: np.cos(5.0 * x),
            "sqrt1px": lambda x: np.sqrt(1.0 + x)}
