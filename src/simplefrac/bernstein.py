@@ -25,6 +25,7 @@ from ._optim import supremum_on_grid
 from .config import DEFAULTS, Config
 from .errors import DomainError, require_int, require_real
 from .extremal import (
+    _WORKSPACE,
     FixedPoleClass,
     _canonical_poles,
     _norm_grid,
@@ -32,11 +33,6 @@ from .extremal import (
     _weight,
     corollary_min_a,
 )
-
-
-# floats in value_and_derivative's workspace (256 KiB): larger blocks gain
-# little speed and raise the peak memory of a scan
-_WORKSPACE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -63,9 +59,9 @@ class RootedPolynomial:
             raise DomainError("leading coefficient must be nonzero")
         roots = tuple(self.cofactor_roots)
         canon = _canonical_poles(roots)[0] if roots else ()
-        for z in canon:
-            if _on_segment(z, cfg):
-                raise DomainError(f"cofactor root {z} lies on [-1, 1]")
+        on = _on_segment(np.array(canon, dtype=complex), cfg)
+        if on.any():
+            raise DomainError(f"cofactor root {canon[int(np.argmax(on))]} lies on [-1, 1]")
         cls = FixedPoleClass(len(canon) + 1, self.a)  # checks a > 1
         if not self.force:
             cls.require("the unweighted bound (force=True skips it)", corollary_min_a(cls.n))
@@ -95,8 +91,9 @@ class RootedPolynomial:
         x - r and 2(x - u) for (x - u)^2 + v^2.  The factors and every P_k
         are formed for all k at once, so only the P' steps loop, two in-place
         operations per factor.  The rows of a block of points share one
-        workspace of at most _WORKSPACE floats: one large array costs far
-        less to allocate than several, and the memory stays bounded in n.
+        workspace of at most _WORKSPACE floats, owned by extremal, whose
+        pole_sums reads it too: one large array costs far less to allocate
+        than several, and the memory stays bounded in n.
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)

@@ -12,11 +12,14 @@ sign-alternating values.
 
 Closed-form fractions are evaluated only through their exact Chebyshev
 rational forms, never through their rounded poles; generic fractions go
-through :func:`pole_sums`.  :func:`eval_ld` is a public compensated pole
-sum that no routine here calls, kept because ``perfbench/tracer.py`` binds
-it by name.  The candidate's poles come from one Newton run in the
-Joukowski variable, seeded at the weighted poles.  The alternance
-criterion's pole hypotheses have one test, :func:`_check_pole_hypotheses`.
+through :func:`pole_sums`, whose blocks of points share one workspace of
+at most ``_WORKSPACE`` floats (owned here, read by :mod:`simplefrac.bernstein`
+too): memory O(points), not O(n * points), and the same bits at every block
+seam.  :func:`eval_ld` is a public compensated pole sum that no routine
+here calls, kept because ``perfbench/tracer.py`` binds it by name.  The
+candidate's poles come from one Newton run in the Joukowski variable, seeded
+at the weighted poles.  The alternance criterion's pole hypotheses have one
+test, :func:`_check_pole_hypotheses`.
 
 Every closed form and bound here and in :mod:`simplefrac.bernstein` reads
 T_n(a), T_{n-2}(a), f(a) and the weighted level off :class:`FixedPoleClass`.
@@ -178,10 +181,12 @@ def _canonical_poles(raw, match_tol: float = 1e-8):
     return tuple(canon), tuple(sorted(reals)), tuple(sorted(pairs))
 
 
-def _on_segment(z: complex, cfg: Config) -> bool:
-    """Whether z lies within cfg.pole_on_segment_tol of [-1, 1]."""
+def _on_segment(z, cfg: Config):
+    """Whether z, a complex or an array of them, lies within
+    cfg.pole_on_segment_tol of [-1, 1], elementwise."""
     tol = cfg.pole_on_segment_tol
-    return abs(z.imag) <= tol and -1.0 - tol <= z.real <= 1.0 + tol
+    z = np.asarray(z)
+    return (np.abs(z.imag) <= tol) & (np.abs(z.real) <= 1.0 + tol)
 
 
 def _min_pole_separation(poles, within: float) -> float:
@@ -224,21 +229,40 @@ class LogDerivative:
     def __post_init__(self):
         canon, reals, pairs = _canonical_poles(self.poles)
         object.__setattr__(self, "poles", canon)
-        # the kernel's float arrays, built once: (n_real,) and (n_pairs, 2),
-        # read-only so the frozen value cannot change through them
-        reals = np.array(reals, dtype=float)
-        pairs = np.array(pairs, dtype=float).reshape(-1, 2)
-        reals.flags.writeable = False
-        pairs.flags.writeable = False
-        object.__setattr__(self, "_reals", reals)
-        object.__setattr__(self, "_pairs", pairs)
+        # the poles as one read-only complex array (so the frozen value cannot
+        # change through it): r for each real pole r, then u + iv for each
+        # pair u +- iv
+        zs = np.array([complex(r) for r in reals] + [complex(u, v) for u, v in pairs], dtype=complex)
+        zs.flags.writeable = False
+        object.__setattr__(self, "_zs", zs)
+        object.__setattr__(self, "_n_real", len(reals))
+
+    @property
+    def _reals(self):
+        """The real poles (n_real,), a view of _zs."""
+        return self._zs.real[:self._n_real]
+
+    @property
+    def _pairs(self):
+        """The (u, v) of the pairs (n_pairs, 2), a view of _zs."""
+        return self._zs[self._n_real:].view(float).reshape(-1, 2)
+
+    @functools.cached_property
+    def _columns(self):
+        """The columns pole_sums reads, built on first use (the closed forms
+        never use them): the reals and pair centres, and the pairs' v^2."""
+        v = self._zs.imag[self._n_real:, None]
+        vv = v * v
+        vv.flags.writeable = False
+        return self._zs.real[:, None], vv
 
     @property
     def degree(self) -> int:
         return len(self.poles)
 
     def has_pole_on_segment(self, *, cfg: Config = DEFAULTS) -> bool:
-        return any(_on_segment(z, cfg) for z in self.poles)
+        # u + iv stands for both poles u +- iv
+        return bool(_on_segment(self._zs, cfg).any())
 
     def values_on(self, x):
         """Vectorized pole-sum evaluation (plain float arithmetic).
@@ -249,7 +273,7 @@ class LogDerivative:
         point, where a value is not finite (x at a pole, or x not finite).
         """
         with np.errstate(all="ignore"):
-            y = pole_sums(x, self._reals, self._pairs)
+            y = pole_sums(x, *self._columns)
         if not np.isfinite(y).all():
             i = int(np.argmin(np.isfinite(y).reshape(-1)))
             x0 = float(np.asarray(x, dtype=float).reshape(-1)[i])
@@ -258,8 +282,14 @@ class LogDerivative:
         return y
 
 
-def _row_sums(terms):
-    """Sum the rows of a C-ordered (terms, points) array in row order from +0.0.
+# floats in the workspace of pole_sums and RootedPolynomial.value_and_derivative
+# (256 KiB): larger blocks gain little speed and raise the peak memory of a scan
+_WORKSPACE = 1 << 15
+
+
+def _row_sums(terms, out):
+    """Sum the rows of a C-ordered (terms, points) array in row order from
+    +0.0 into ``out``.
 
     At two or more points ``np.add.reduce`` over axis 0 adds row after row
     into its start value, each point on its own.  At one point the
@@ -270,38 +300,47 @@ def _row_sums(terms):
     that a sum from 0.0 gives.
     """
     if terms.shape[1] == 1 and len(terms):
-        return np.add.accumulate(terms, axis=0)[-1] + 0.0
-    return np.add.reduce(terms, axis=0, initial=0.0)
+        return np.add(np.add.accumulate(terms, axis=0)[-1], 0.0, out=out)
+    return np.add.reduce(terms, axis=0, initial=0.0, out=out)
 
 
-def pole_sums(x, reals, pairs):
+def pole_sums(x, centres, vv):
     """Float pole sum rho(x) = sum_k 1/(x - z_k), shaped like x.
 
-    ``reals`` are the real poles and ``pairs`` the (u, v) of the conjugate
-    pairs u +- iv, each pair combined as 2(x-u)/((x-u)^2 + v^2).  A trailing
-    points axis, (n_real, points) and (n_pairs, 2, points), gives each point
-    poles of its own.  A real pole at +inf, or a pair (0, inf), adds a +-0.0
-    term, which leaves a sum from +0.0 unchanged: padding with them keeps bits.
+    The column ``centres`` holds the real poles r, then the centres u of the
+    conjugate pairs u +- iv, and ``vv`` their v^2; a pair adds
+    2(x-u)/((x-u)^2 + v^2).  One column per point instead gives each point
+    poles of its own.  A real pole at +inf, or u = 0 with v^2 = inf, adds a
+    +-0.0 term, which leaves a sum from +0.0 unchanged: such padding keeps bits.
 
     Summation order, the contract that fixes every bit: at each point the
     terms are added one at a time, starting from +0.0, reals first, then
-    pairs, each in the order given.  All terms are written into one stacked
-    (terms, points) array and summed with no Python step per pole; the sum
-    of one point is formed differently from that of many (see
-    ``_row_sums``), so a point gets the same bits alone, in a 0-d x, or in
-    a grid of any size.
+    pairs, each in the order given.  Blocks of points share one workspace
+    of at most _WORKSPACE floats, a row per term and per pair, so memory is
+    O(points), not O(n * points); the terms are written in place and summed
+    with no Python step per pole.  The sum of one point is formed apart
+    from that of many (see ``_row_sums``), so a point gets the same bits
+    alone, in a 0-d x, in a grid of any size, or as a last block of one.
     """
     x = np.asarray(x, dtype=float)
-    xr = x.reshape(1, -1)
-    nr = len(reals)
-    terms = np.empty((nr + len(pairs), xr.shape[1]))
-    if nr:
-        np.divide(1.0, xr - np.asarray(reals, dtype=float).reshape(nr, -1), out=terms[:nr])
-    if len(pairs):
-        u, v = np.asarray(pairs, dtype=float).reshape(len(pairs), 2, -1).swapaxes(0, 1)
-        dp = xr - u
-        np.divide(2.0 * dp, dp * dp + v * v, out=terms[nr:])
-    return _row_sums(terms).reshape(x.shape)
+    flat, k, nr, rows = x.reshape(-1), len(centres), len(centres) - len(vv), len(centres) + len(vv)
+    step = max(1, _WORKSPACE // max(rows, 1))
+    out, buf = np.empty(flat.size), np.empty(rows * min(step, flat.size))
+    for start in range(0, flat.size, step):
+        stop = start + step
+        xb = flat[start:stop]
+        ws = buf[:rows * len(xb)].reshape(rows, len(xb))
+        terms, d, den = ws[:k], ws[nr:k], ws[k:]
+        cs, vvs = (centres, vv) if centres.shape[1] == 1 else (centres[:, start:stop], vv[:, start:stop])
+        np.subtract(xb, cs, out=terms)
+        np.divide(1.0, terms[:nr], out=terms[:nr])
+        if len(den):
+            np.multiply(d, d, out=den)
+            den += vvs
+            np.add(d, d, out=d)  # 2(x - u), exactly
+            np.divide(d, den, out=d)
+        _row_sums(terms, out[start:stop])
+    return out.reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,7 @@ def _residuals(f: TargetFunction, rhos, weighted: bool):
     pairs = np.tile([0.0, math.inf], (m, max(len(rho._pairs) for rho in rhos), 1))
     for j, rho in enumerate(rhos):
         reals[j, :len(rho._reals)], pairs[j, :len(rho._pairs)] = rho._reals, rho._pairs
+    centres, vv = np.concatenate([reals, pairs[..., 0]], axis=1), pairs[..., 1] * pairs[..., 1]
 
     def r(x, row=None):
         if row is None:  # every row at every point
@@ -151,7 +152,7 @@ def _residuals(f: TargetFunction, rhos, weighted: bool):
         else:  # point i in row row[i]
             at, xs = row, x
         with np.errstate(all="ignore"):
-            y = pole_sums(xs, reals[at].T, pairs[at].transpose(1, 2, 0))
+            y = pole_sums(xs, centres[at].T, vv[at].T)
         if not np.isfinite(y).all():
             raise EvaluationError("a fraction value is not finite")
         res = f.values_on(x) - (y if row is not None else y.reshape(m, len(x)))
@@ -480,7 +481,7 @@ def _lawson_fit(x, g, w, m: int, cfg: Config):
         err_vec = np.abs(w * (g - (deriv @ coef) / p))
         err = float(err_vec.max())
         stall = 0 if err < best_err * (1.0 - _LAWSON_STALL_RTOL) else stall + 1
-        if err < best_err and not any(_on_segment(z, cfg) for z in _cheb_poles(coef)):
+        if err < best_err and not _on_segment(_cheb_poles(coef), cfg).any():
             best_err, best_coef = err, coef.copy()
         total = float((lam * err_vec).sum())
         if stall >= _LAWSON_STALL_ITER or total == 0.0:

@@ -217,6 +217,8 @@ def test_rooted_polynomial_gates():
         RootedPolynomial(a=1.5, cofactor_roots=(-3.0, 2j, -2j))  # a below threshold
     with pytest.raises(DomainError):
         RootedPolynomial(a=3.0, cofactor_roots=(0.5, 2j, -2j))  # root on segment
+    with pytest.raises(DomainError, match=r"cofactor root \(-0.5\+0j\) lies on"):
+        RootedPolynomial(a=3.0, cofactor_roots=(0.5, -3.0, -0.5), force=True)  # the first one
     with pytest.raises(DomainError):
         RootedPolynomial(a=0.9, cofactor_roots=(-3.0,), force=True)  # a <= 1
     # the gate is a > corollary_min_a(n), strictly

@@ -6,7 +6,9 @@ import functools
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +197,22 @@ def test_sup_norm_rejects_pole_on_segment():
         sup_norm(LogDerivative((0.5,)))
     with pytest.raises(DomainError):
         weighted_sup_norm(LogDerivative((2.0,)), cfg=replace(DEFAULTS, supnorm_xtol=0.0))
+
+
+def test_on_segment_rule_is_elementwise():
+    # the array rule is the scalar rule at each pole, ends, tolerance edges
+    # and NaN included; a fraction asks it once for all its poles
+    tol = DEFAULTS.pole_on_segment_tol
+    edge = 1.0 + tol
+    zs = [complex(r, i) for r in (-edge, np.nextafter(-edge, -2.0), 0.0, edge,
+                                  np.nextafter(edge, 2.0), 3.0, math.nan)
+          for i in (0.0, tol, -tol, np.nextafter(tol, 1.0), math.nan)]
+    want = [abs(z.imag) <= tol and -1.0 - tol <= z.real <= 1.0 + tol for z in zs]
+    assert extremal._on_segment(np.array(zs), DEFAULTS).tolist() == want
+    assert [bool(extremal._on_segment(z, DEFAULTS)) for z in zs] == want
+    rho = LogDerivative((2.0, complex(0.5, tol), complex(0.5, -tol)))
+    assert rho.has_pole_on_segment()
+    assert not rho.has_pole_on_segment(cfg=replace(DEFAULTS, pole_on_segment_tol=tol / 2))
 
 
 def test_sup_norm_unreachable_tolerance_carries_best():
@@ -762,6 +780,13 @@ def loop_pole_sums(x, reals, pairs):
     return rho
 
 
+def kernel_form(reals, pairs):
+    """The poles as pole_sums reads them: a column of the reals and pair
+    centres, and one of the pairs' v^2."""
+    v = np.array([v for _, v in pairs], dtype=float).reshape(-1, 1)
+    return np.array([*reals, *(u for u, _ in pairs)], dtype=float).reshape(-1, 1), v * v
+
+
 real_poles = st.one_of(st.floats(1.05, 5.0), st.floats(-5.0, -1.05))
 many_reals = [1.5, -2.0, 3.25, -1.1, 4.0, 2.2, -3.3, 1.05, -4.75]
 
@@ -780,9 +805,62 @@ def test_pole_sums_match_per_pole_loop(reals, pairs, m):
     # the term -0.0, and a sum from +0.0 must still read +0.0.
     grid = np.cos(np.linspace(0.0, math.pi, m))
     for x in (grid, grid[0], grid[:0], np.array([-0.0]), np.array([-0.0, -0.0])):
-        want, got = loop_pole_sums(x, reals, pairs), pole_sums(x, reals, pairs)
+        want, got = loop_pole_sums(x, reals, pairs), pole_sums(x, *kernel_form(reals, pairs))
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(reals=st.lists(real_poles, max_size=20),
+       pairs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 3.0)), max_size=20),
+       step=st.integers(1, 5), blocks=st.integers(0, 8))
+@example(reals=many_reals, pairs=[(0.5, 0.25), (-1.5, 2.0)], step=4, blocks=2)
+@example(reals=[], pairs=[], step=2, blocks=3)  # no poles
+def test_pole_sums_blocks_keep_bits(reals, pairs, step, blocks):
+    # a workspace of `step` points' rows splits a grid of blocks * step + 1
+    # points into full blocks and a last block of one point; the same bits
+    # as one pole at a time, with shared poles and with poles per point
+    nr, npairs = len(reals), len(pairs)
+    grid = np.cos(np.linspace(0.0, math.pi, blocks * step + 1))
+    # point i: the first i % (nr + 1) reals and i % (npairs + 1) pairs, moved
+    # by 1e-3 i, padded as minimax._residuals pads them
+    centres, vv = np.full((grid.size, nr + npairs), math.inf), np.full((grid.size, npairs), math.inf)
+    centres[:, nr:] = 0.0
+    per_point = []
+    for i, x in enumerate(grid):
+        ri = [r + 1e-3 * i for r in reals[:i % (nr + 1)]]
+        pi = [(u + 1e-3 * i, v) for u, v in pairs[:i % (npairs + 1)]]
+        centres[i, :len(ri)] = ri
+        centres[i, nr:nr + len(pi)] = [u for u, _ in pi]
+        vv[i, :len(pi)] = [v * v for _, v in pi]
+        per_point.append(loop_pole_sums(grid[i:i + 1], ri, pi))
+    with mock.patch.object(extremal, "_WORKSPACE", max(nr + 2 * npairs, 1) * step):
+        for x in (grid, grid[:-1], grid[0], grid[:0]):
+            want, got = loop_pole_sums(x, reals, pairs), pole_sums(x, *kernel_form(reals, pairs))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        got = pole_sums(grid, centres.T, vv.T)
+        assert got.tobytes() == np.concatenate(per_point).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_values_on_workspace_is_bounded():
+    # degree 256 on its 7,680-point scan grid: the blocks share one
+    # workspace, so the peak stays near it and the output, not O(n * points)
+    rng = np.random.default_rng(256)
+    poles = [complex(2.5), complex(-1.5)]
+    for u, v in zip(rng.uniform(-1.5, 1.5, 127), rng.uniform(0.05, 1.0, 127)):
+        poles += [complex(u, v), complex(u, -v)]
+    rho = LogDerivative(tuple(poles))
+    grid = extremal._norm_grid(256, DEFAULTS)
+    assert grid.size == 7680
+    tracemalloc.start()
+    try:
+        y = rho.values_on(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * extremal._WORKSPACE * 8 + y.nbytes
 
 
 def test_cached_pole_arrays():
@@ -792,7 +870,9 @@ def test_cached_pole_arrays():
     assert rho == same and hash(rho) == hash(same)
     assert repr(rho) == f"LogDerivative(poles={rho.poles!r})"
     assert rho._reals.tolist() == [-3.0, 2.0] and rho._pairs.tolist() == [[0.5, 1.5]]
-    for arr in (rho._reals, rho._pairs):
+    centres, vv = rho._columns
+    assert centres.tolist() == [[-3.0], [2.0], [0.5]] and vv.tolist() == [[2.25]]
+    for arr in (rho._reals, rho._pairs, rho._zs, centres, vv):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     moved = replace(rho, poles=(4.0, complex(-1.0, 2.0), complex(-1.0, -2.0)))

@@ -19,6 +19,11 @@ draws' separation rule: ``certify_optimality`` and
 ``dvp_lower_bound(free=True)`` on |x| for fractions whose poles are too
 close, inside the unit disk, both, and neither, and ``random_cauchy_pair``
 at n = 3 with all pole moduli 2, where poles collide, and at n = 17 and 20.
+A ``kernel`` set runs the pole-sum kernel across its block seams:
+``values_on`` on the scan grid, ``sup_norm`` and ``weighted_sup_norm`` of
+seeded generic fractions at n = 48, 64, 128 and 256, and an 8-start
+``solve_best_ld`` on |x| at n = 10, the least degree whose multi-row
+residual scan, which gives each point poles of its own, spans two blocks.
 A float is fingerprinted as ``float.hex`` and an array as the SHA-256 of its bytes, so
 two fingerprints match only if every bit does; a dataclass is keyed by its
 field names.  Prints each set's op count and its first mismatching op.  On
@@ -54,6 +59,23 @@ HYPOTHESIS_POLES = {
     "both": (2.0, 2.0 + 1e-12, complex(0.3, 0.5), complex(0.3, -0.5), -3.0),
     "clean": (2.0, -2.0),
 }
+
+# degrees of the kernel set's generic fractions: their scan grids hold more
+# terms than one block of the pole-sum kernel
+KERNEL_N = (48, 64, 128, 256)
+
+
+def generic_poles(n: int) -> tuple[complex, ...]:
+    """n poles, n even, drawn from default_rng([n, 11]): two reals of
+    modulus 1.05 to 3, the rest conjugate pairs with centres in [-1.5, 1.5]
+    and imaginary parts 0.05 to 1."""
+    import numpy as np
+
+    rng = np.random.default_rng([n, 11])
+    poles = [complex(s * m) for s, m in zip(rng.choice([-1.0, 1.0], 2), rng.uniform(1.05, 3.0, 2))]
+    for u, v in zip(rng.uniform(-1.5, 1.5, n // 2 - 1), rng.uniform(0.05, 1.0, n // 2 - 1)):
+        poles += [complex(u, v), complex(u, -v)]
+    return tuple(poles)
 
 
 def fingerprint(v):
@@ -184,6 +206,17 @@ def dump(checkout: Path, seeds: list[int]) -> dict:
         steps.run("pair", cy.random_cauchy_pair, n, np.random.default_rng(s), lo, hi)
         hypotheses.append((f"pair,n={n},seed={s},moduli=[{lo},{hi}]", fingerprints(steps)))
     sets["hypotheses"] = hypotheses
+    kernel = []
+    for n in KERNEL_N:
+        rho, steps = ext.LogDerivative(generic_poles(n)), workloads.Steps()
+        steps.run("values_on", rho.values_on, ext._norm_grid(n, ext.DEFAULTS))
+        steps.run("sup_norm", ext.sup_norm, rho)
+        steps.run("weighted_sup_norm", ext.weighted_sup_norm, rho)
+        kernel.append((f"generic,n={n}", fingerprints(steps)))
+    steps = workloads.Steps()
+    steps.run("solve", mx.solve_best_ld, f_abs, 10, mx.ApproxOptions(starts=8))
+    kernel.append(("abs,n=10,starts=8", fingerprints(steps)))
+    sets["kernel"] = kernel
     return sets
 
 
