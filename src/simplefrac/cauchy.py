@@ -101,7 +101,9 @@ class CauchyPair:
         with cond(B) above ``det_condition_gate`` are flagged: the LU
         determinants on both sides of the identity lose roughly
         cond(B) * eps relative accuracy, so no tolerance below that is
-        meaningful for them.
+        meaningful for them.  cond(B) is np.linalg.cond's, the SVD ratio;
+        the batch decides most draws from closed-form bounds on it, to the
+        same flags (:func:`_cond_exceeds`), and a single pair takes the SVD.
         """
         nodes = np.array([self.nodes])
         poles = np.array([self.poles], dtype=complex)
@@ -113,18 +115,134 @@ def _flag_rows(nodes: np.ndarray, poles: np.ndarray, b: np.ndarray,
     """The conditioning flags of K pairs of one size n, given as nodes
     (K, n), poles (K, n) and their matrices B (K, n, n): per pair, the names
     of the gates it trips, in the order of CONDITIONING_FLAGS.  Node
-    separation and cond(B) are not consulted for a single node."""
+    separation and cond(B) are not consulted for a single node; cond(B)
+    is decided by :func:`_cond_exceeds`."""
     k, n = nodes.shape
     hits = np.zeros((k, len(CONDITIONING_FLAGS)), dtype=bool)
     if n > 1:
         sep = np.diff(np.sort(nodes, axis=1), axis=1).min(axis=1)
         hits[:, 0] = sep < cfg.node_separation_gate
-        hits[:, 2] = np.linalg.cond(b) > cfg.det_condition_gate
+        hits[:, 2] = _cond_exceeds(nodes, poles, b, cfg.det_condition_gate)
     # np.hypot and math.hypot can round an ulp apart, which only a pole
     # within an ulp of the gate would show
     dist = np.hypot(np.maximum(np.abs(poles.real) - 1.0, 0.0), poles.imag)
     hits[:, 1] = (dist < cfg.pole_interval_gate).any(axis=1)
     return [tuple(itertools.compress(CONDITIONING_FLAGS, row)) for row in hits.tolist()]
+
+
+# least K * n of a stack of K matrices of size n for which _cond_exceeds
+# tries the closed-form bounds: they cost some 30 numpy calls, about 50 us
+# at any K, and a stacked SVD about n us per matrix, so below this the
+# SVDs they could save cost less
+_BOUND_MIN_WORK = 64
+_EPS = float(np.finfo(float).eps)
+
+
+def _svd_cond(b: np.ndarray) -> np.ndarray:
+    """np.linalg.cond of a stack of matrices: per matrix, the ratio of its
+    largest to its least singular value."""
+    return np.linalg.cond(b)
+
+
+def _cond_exceeds(nodes: np.ndarray, poles: np.ndarray, b: np.ndarray,
+                  gate: float) -> np.ndarray:
+    """Whether np.linalg.cond(B) > gate, for each of K pairs of size n > 1
+    given as for _flag_rows: bit for bit that rule, with most pairs decided
+    without a factorization.
+
+    :func:`_cond_bounds` gives bounds L <= cond_2(B) <= U from B's
+    closed-form inverse.  A pair is flagged where L > g(1 + delta) and
+    cleared where U < g(1 - delta), for delta = 3 (rho + eta (1 + g)):
+
+    - rho = 16 (n + 1) eps bounds the relative rounding of L, U and the two
+      thresholds, some 12n + 8 roundings of positive products and sums;
+    - eta = 4 (n + 2)^2 eps bounds, relative to ||B||_2, the entry rounding
+      of ``b`` against the exact Cauchy matrix (10 sqrt(n) eps in norm) plus
+      the backward error of LAPACK's SVD, p(n) eps ||B||_2 with p "a
+      modestly growing function" (LAPACK Users' Guide, section 4.9), here
+      4 n^2, far above the ~n eps seen.  Each computed singular value is
+      then within eta sigma_1 of the exact one, so the SVD's ratio is within
+      a factor (1 +- eta)/(1 -+ eta cond_2) of cond_2, near the gate within
+      1 +- eta (1 + g), which is about n^2 eps g.
+
+    A flagged pair has cond_2 > g(1 + delta)/(1 + rho) and a cleared one
+    cond_2 < g(1 - delta)/(1 - rho); from there that factor cannot carry the
+    SVD's ratio across g, so every decision is the one np.linalg.cond
+    reaches.  The SVD decides the rest, rows whose bounds are NaN among
+    them, and every row of a stack with K * n below _BOUND_MIN_WORK or
+    under a gate so large that delta > 1/2.
+    """
+    k, n = nodes.shape
+    delta = 3.0 * (16.0 * (n + 1) + 4.0 * (n + 2) ** 2 * (1.0 + gate)) * _EPS
+    if k * n < _BOUND_MIN_WORK or delta > 0.5:
+        return _svd_cond(b) > gate
+    lower, upper = _cond_bounds(nodes, poles)
+    out = lower > gate * (1.0 + delta)
+    rest = np.flatnonzero(~(out | (upper < gate * (1.0 - delta))))
+    if rest.size:
+        out[rest] = _svd_cond(b[rest]) > gate
+    return out
+
+
+def _cond_bounds(nodes: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """Bounds (L, U) on cond_2 of the Cauchy matrix of each of K pairs of
+    size n > 1, as a (2, K) array.
+
+    B = 1/(c_j - z_k) has the closed-form inverse (Schechter, *Math. Tables
+    Aids Comput.* 13, 1959) with |B^-1_kj|^2 = |B_jk|^2 X_j Y_k, where
+    X_j = prod_k |c_j - z_k|^2 / prod_{i!=j} (c_j - c_i)^2 and
+    Y_k = prod_j |c_j - z_k|^2 / prod_{i!=k} |z_k - z_i|^2.  So the column
+    norms of B and the row norms of B^-1 cost O(n^2) products and sums of
+    positive terms, each to a few eps per factor.  U = ||B||_F ||B^-1||_F =
+    cond_F, and cond_2 lies in [cond_F/n, cond_F].  L is the largest column
+    norm of B times the largest row norm of B^-1, each at most the matrix's
+    2-norm and at least its Frobenius norm over sqrt(n), so L lies in
+    [cond_F/n, cond_2]; at n = 6..8 and the default gate it leaves a third
+    as many draws undecided as cond_F/n would.
+
+    Both are NaN for a pair with a factor |c_j - z_k|^2 or X_j's or Y_k's
+    outside [2^-m, 2^m], m = 1000 // (2n + 1), among them a spent draw with
+    coincident poles: within that range every product and partial sum lies
+    in [2^-1000, n^2 2^1000], in the normal float range.  Only L^2 and U^2
+    can overflow, to inf, which flags a pair whose cond_2 is past 2^500 and
+    clears none.  The work
+    runs on real (n, n, K) arrays, pairs innermost, so each numpy loop
+    spans the stack, in one (3, n, n, K) buffer.
+    """
+    k, n = nodes.shape
+    c = np.ascontiguousarray(nodes.T)
+    zr = np.ascontiguousarray(poles.real.T)
+    zi = np.ascontiguousarray(poles.imag.T)
+    w = np.empty((3, n, n, k))
+    f_x, f_y, d2 = w
+    with np.errstate(all="ignore"):
+        np.subtract(c[:, None], zr[None], out=f_x)
+        np.square(f_x, out=f_x)
+        np.add(f_x, np.square(zi), out=d2)  # |c_j - z_k|^2
+        np.subtract(zr[:, None], zr[None], out=f_x)
+        np.square(f_x, out=f_x)
+        np.subtract(zi[:, None], zi[None], out=f_y)
+        np.square(f_y, out=f_y)
+        f_y += f_x  # |z_k - z_i|^2
+        np.subtract(c[:, None], c[None], out=f_x)
+        np.square(f_x, out=f_x)  # (c_j - c_i)^2
+        w[:2].reshape(2, n * n, k)[:, :: n + 1] = 1.0  # no i = j factor
+        np.divide(d2, f_x, out=f_x)  # f_x[j, k]: |c_j - z_k|^2 / (c_j - c_k)^2
+        np.divide(d2.transpose(1, 0, 2), f_y, out=f_y)  # f_y[k, j]: the Y_k factors
+        m = 1000 // (2 * n + 1)
+        flat = w.reshape(-1, k)
+        inside = (flat.min(axis=0) >= 2.0 ** -m) & (flat.max(axis=0) <= 2.0 ** m)
+        x, y = np.multiply.reduce(w[:2], axis=2)
+        a = np.reciprocal(d2, out=f_x)  # |B_jk|^2
+        cols = a.sum(axis=0)  # squared column norms of B
+        a *= x[:, None]
+        rows = a.sum(axis=0)
+        rows *= y  # squared row norms of B^-1
+        bounds = np.array([cols.max(axis=0) * rows.max(axis=0),
+                           cols.sum(axis=0) * rows.sum(axis=0)])
+        np.sqrt(bounds, out=bounds)
+    bounds[:, ~inside] = np.nan
+    return bounds
 
 
 def _cauchy_b(nodes, poles) -> np.ndarray:
@@ -444,6 +562,12 @@ def _node_layout(n: int) -> tuple[np.ndarray, float]:
     return base, half
 
 
+def _jitter(u: np.ndarray, half: float) -> np.ndarray:
+    """Uniform doubles u in [0, 1) mapped to [-half, half) as
+    ``rng.uniform(-half, half)`` maps them: lo + (hi - lo) * u."""
+    return -half + (half - -half) * u
+
+
 def _jittered_nodes(base: np.ndarray, jitter: np.ndarray) -> np.ndarray:
     """Sorted base + jitter, clipped to [-1, 1], along the last axis."""
     return np.clip(np.sort(base + jitter, axis=-1), -1.0, 1.0)
@@ -458,11 +582,15 @@ def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1, max_abs: flo
     nodes (K, n) and poles (K, n), stacked in draw order, and whether the
     last draw is spent.  A pole set is kept when no two poles lie within
     1e-3 (extremal._min_pole_separation).  Each draw makes the RNG calls of
-    a single one, so the pairs do not depend on how many share the call; the
-    nodes of all draws of a size are formed at once.  A spent draw, one
-    whose node or pole retries ran out, need not be a valid pair.  Drawing
-    stops after it, and the caller validates it as a CauchyPair, which
-    raises the DomainError a single draw would, if and when it uses it.
+    a single one, so the pairs do not depend on how many share the call.
+    The node jitters are drawn as ``rng.random(n)`` and mapped, with the
+    nodes, for all draws of a size at once, as ``rng.uniform(-h, h, n)``
+    maps the same doubles (:func:`_jitter`); from n = 17 on, a draw whose
+    nodes come within 1e-6 maps its own jitter to redraw it.  A spent
+    draw, one whose node or pole retries ran out, need not be a valid pair.
+    Drawing stops after it, and the caller validates it as a CauchyPair,
+    which raises the DomainError a single draw would, if and when it uses
+    it.
     """
     log_lo = math.log(min_abs)
     log_span = math.log(max_abs) - log_lo
@@ -473,8 +601,9 @@ def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1, max_abs: flo
     for i, n in enumerate(ns):
         base, half = _node_layout(n)
         for _ in range(200):
-            jitter = rng.uniform(-half, half, size=n)
-            if n <= _JITTER_SAFE_N or np.diff(_jittered_nodes(base, jitter)).min() > 1e-6:
+            jitter = rng.random(n)
+            if n <= _JITTER_SAFE_N or np.diff(
+                    _jittered_nodes(base, _jitter(jitter, half))).min() > 1e-6:
                 break
         else:
             spent = True
@@ -502,11 +631,12 @@ def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1, max_abs: flo
         pole_rows.append(poles)
         if spent:
             break
-    return {
-        n: (idx, _jittered_nodes(_node_layout(n)[0], np.array(jitters)),
-            np.array(pole_rows, dtype=complex))
-        for n, (idx, jitters, pole_rows) in drawn.items()
-    }, spent
+    stacks = {}
+    for n, (idx, jitters, pole_rows) in drawn.items():
+        base, half = _node_layout(n)
+        stacks[n] = (idx, _jittered_nodes(base, _jitter(np.array(jitters), half)),
+                     np.array(pole_rows, dtype=complex))
+    return stacks, spent
 
 
 def random_cauchy_pair(n: int, rng: np.random.Generator,
@@ -520,14 +650,15 @@ def random_cauchy_pair(n: int, rng: np.random.Generator,
     about 0.84 / 0.47 / 0.14 / 0.036 / 0.005 / 0.0004 at n = 5..10.
 
     A draw makes three kinds of RNG call, in this order: one
-    ``rng.uniform(size=n)`` for the node jitter (redrawn, from n = 17 on,
-    while two nodes lie within 1e-6; up to n = 16 that cannot happen), one
+    ``rng.random(n)`` for the node jitter (redrawn, from n = 17 on, while
+    two nodes lie within 1e-6; up to n = 16 that cannot happen), one
     ``rng.integers`` for the number of conjugate pairs, and one
     ``rng.random`` of 2 * (n_real + n_pairs) doubles per pole attempt
     (redrawn while two poles lie within 1e-3).  Each of those doubles is
     mapped as ``rng.uniform(lo, hi)`` does, to lo + (hi - lo) * u: the same
-    values, in the same order, as one ``rng.uniform`` call per value, at a
-    fraction of the cost.  This is the one-draw case of the chunk drawer
+    values, in the same order, as ``rng.uniform(-h, h, n)`` for the jitter
+    and one ``rng.uniform`` call per pole value, at a fraction of the
+    cost.  This is the one-draw case of the chunk drawer
     that :func:`borchardt_batch` uses, so a batch draws these same pairs.
     """
     n = require_int("size n", n, 1)
@@ -567,9 +698,9 @@ class BorchardtBatchReport:
 def _flag_chunk(drawn: dict[int, tuple[list[int], np.ndarray, np.ndarray]],
                 cfg: Config) -> tuple[dict[int, np.ndarray], list[tuple]]:
     """The first step of a chunk's check: the matrices B of its draws, as
-    _draw_pairs returns them, and their conditioning flags, with one cond
-    call per size.  Returns B (K, n, n) per size and, per draw in draw
-    order, its size, its row in that size's stack and its flags."""
+    _draw_pairs returns them, and their conditioning flags, with one
+    _flag_rows call per size.  Returns B (K, n, n) per size and, per draw
+    in draw order, its size, its row in that size's stack and its flags."""
     mats: dict[int, np.ndarray] = {}
     out: list = [None] * sum(len(idx) for idx, _, _ in drawn.values())
     for n, (idx, nodes, poles) in drawn.items():
@@ -632,13 +763,20 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
     stop never raises.
     A chunk's draws of each size are held as (K, n) node and pole arrays,
     the pairs :func:`random_cauchy_pair` would return.  They are flagged
-    with stacked numpy calls, one per size, and tallied from their flags
-    alone; then the draws the tally checked, and no others, get their
-    determinants and permanents, again stacked per size, and are folded in
-    draw order.  A draw excluded or past the stop costs only its drawing
-    and its cond(B).  A checked draw's closed-form det B comes from its node
-    and pole lists, and no :class:`CauchyPair` is built for a valid draw.
-    So the report is the one-at-a-time loop's, bit for bit.  Sizes must lie in
+    with stacked numpy calls per size, and tallied from their flags alone;
+    then the draws the tally checked, and no others, get their determinants
+    and permanents, again stacked per size, and are folded in draw order.
+    The cond(B) gate is decided from bounds L <= cond_2(B) <= cond_F(B)
+    that B's closed-form inverse gives in O(n^2) (:func:`_cond_exceeds`):
+    a draw with L > g(1 + delta) is flagged, one with cond_F < g(1 - delta)
+    cleared, where delta, about n^2 eps g, covers the SVD's backward error
+    and the bounds' rounding; only the few draws between, and small stacks,
+    take the SVD, so every flag is the SVD ratio's.  A draw excluded or
+    past the stop costs only its drawing and its bounds.  The Ryser
+    tables' buffer is made at the first checked draw, so a batch that
+    checks none never makes it.  A checked draw's closed-form det B comes
+    from its node and pole lists, and no :class:`CauchyPair` is built for a
+    valid draw.  So the report is the one-at-a-time loop's, bit for bit.  Sizes must lie in
     1..cfg.permanent_max_n, trials must be at least 1 and seed at least 0.
     """
     try:
@@ -661,7 +799,7 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
     min_det = math.inf
     min_norm_det = math.inf
     by_flag = dict.fromkeys(CONDITIONING_FLAGS, 0)
-    work = np.empty(2 * _RYSER_TABLE, dtype=complex)
+    work = None  # the Ryser tables' buffer, made for the first checked draw
     while checked < trials and draws < 20 * trials:
         if not draws:
             k = trials
@@ -690,6 +828,8 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
             picked.append((n, row))
             if checked == trials:
                 break
+        if picked and work is None:
+            work = np.empty(2 * _RYSER_TABLE, dtype=complex)
         for det_a, det_b, per_b, nodes, poles in _identity_rows(drawn, mats, picked, work):
             lhs, _, residual = _identity_sides(det_a, det_b, per_b, cfg)
             max_res = max(max_res, residual)

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from itertools import permutations
 
@@ -609,6 +610,130 @@ def test_flag_rows_match_per_pair_reference_on_draws(n, seed, gate):
     assert got == [conditioning_flags_reference(p, cfg) for p in pairs]
 
 
+def stack_of_draws(n, rng, k=None):
+    """Nodes, poles and B of k draws of size n, stacked; by default enough
+    draws (k * n >= _BOUND_MIN_WORK) for _flag_rows to try the bounds."""
+    k = k or -(-cauchy._BOUND_MIN_WORK // n)
+    pairs = [random_cauchy_pair(n, rng) for _ in range(k)]
+    nodes = np.array([p.nodes for p in pairs])
+    poles = np.array([p.poles for p in pairs])
+    return pairs, nodes, poles, _cauchy_b(nodes, poles)
+
+
+def svd_rows(monkeypatch):
+    """A list that records the number of matrices of each _svd_cond call."""
+    rows = []
+    svd_cond = cauchy._svd_cond
+
+    def counting(b):
+        rows.append(len(b))
+        return svd_cond(b)
+
+    monkeypatch.setattr(cauchy, "_svd_cond", counting)
+    return rows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(min_value=2, max_value=20), seed=st.integers(min_value=0, max_value=10_000),
+       gate=st.sampled_from([19.0, 1e2, 1e5, 1e8, 1e12]))
+@example(n=7, seed=0, gate=1e5)
+@example(n=16, seed=1, gate=1e12)  # delta > 1/2: every row takes the SVD
+def test_cond_gate_matches_per_pair_svd_rule(n, seed, gate):
+    cfg = replace(DEFAULTS, det_condition_gate=gate)
+    pairs, nodes, poles, b = stack_of_draws(n, np.random.default_rng(seed))
+    got = _flag_rows(nodes, poles, b, cfg)
+    assert got == [conditioning_flags_reference(p, cfg) for p in pairs]
+
+
+def test_cond_bounds_bracket_the_svd_ratio():
+    # the SVD's ratio is within about eta (1 + cond) of cond_2, eta as in
+    # _cond_exceeds, so the bracket is checked where that is below 1e-3
+    eps = np.finfo(float).eps
+    for n in range(2, 13):
+        _, nodes, poles, b = stack_of_draws(n, np.random.default_rng(n), 40)
+        lower, upper = cauchy._cond_bounds(nodes, poles)
+        cond = np.linalg.cond(b)
+        assert np.all(upper <= n * lower * (1 + 1e-12))
+        slack = 4 * (n + 2) ** 2 * eps * (1 + cond)
+        sure = slack < 1e-3
+        assert sure.sum() >= 4
+        assert np.all(lower[sure] <= cond[sure] * (1 + slack[sure]))
+        assert np.all(cond[sure] <= upper[sure] * (1 + slack[sure]))
+
+
+def test_pairs_at_the_gate_take_the_svd(monkeypatch):
+    # a gate within 1e-9 of a pair's cond leaves that pair to the SVD,
+    # which decides it as the per-pair rule does, on either side
+    rows = svd_rows(monkeypatch)
+    for n, seed in ((4, 0), (6, 1), (9, 2)):
+        pairs, nodes, poles, b = stack_of_draws(n, np.random.default_rng(seed))
+        cond = float(np.linalg.cond(matrix_b(pairs[0])))
+        for gate in (cond * (1 - 1e-9), cond * (1 + 1e-9)):
+            cfg = replace(DEFAULTS, det_condition_gate=gate)
+            rows.clear()
+            got = _flag_rows(nodes, poles, b, cfg)
+            assert got == [conditioning_flags_reference(p, cfg) for p in pairs]
+            assert ("determinant-conditioning" in got[0]) == (gate < cond)
+            assert len(rows) == 1 and 1 <= rows[0] < len(pairs)
+
+
+def test_spent_draw_with_coincident_poles_takes_the_svd_quietly(monkeypatch):
+    # with every pole modulus 2, a size-3 draw of three real poles repeats
+    # one: the draw is spent, its bounds are NaN, and it takes the SVD,
+    # behind a stack of valid draws, without a warning
+    drawn, spent = _draw_pairs([3], np.random.default_rng(0), 2.0, 2.0)
+    assert spent
+    _, spent_nodes, spent_poles = drawn[3]
+    _, nodes, poles, _ = stack_of_draws(3, np.random.default_rng(1))
+    nodes = np.vstack([nodes, spent_nodes])
+    poles = np.vstack([poles, spent_poles])
+    b = _cauchy_b(nodes, poles)
+    assert np.isnan(cauchy._cond_bounds(nodes, poles)[:, -1]).all()
+    rows = svd_rows(monkeypatch)
+    cfg = replace(DEFAULTS, det_condition_gate=19.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _flag_rows(nodes, poles, b, cfg)
+    want = np.linalg.cond(b) > 19.0
+    assert ["determinant-conditioning" in flags for flags in got] == want.tolist()
+    assert got[-1] and sum(rows) < len(got)
+
+
+def test_batch_sends_few_draws_to_the_svd(monkeypatch):
+    rows = svd_rows(monkeypatch)
+    rep = borchardt_batch([10], 20, 0)
+    assert rep.draws == 400
+    assert sum(rows) < 0.05 * rep.draws
+
+
+def test_cond_bounds_and_closed_form_det_against_mpmath():
+    # the bounds are positive products and sums, accurate to a few eps per
+    # factor whatever the conditioning: within rho = 16 (n + 1) eps, the
+    # margin _cond_exceeds assumes (0.6 n eps is the worst seen).  The
+    # closed-form det B is measured in the same loop (14 eps worst seen)
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    worst_det = top_cond = 0.0
+    with mpmath.workdps(40):
+        for n in range(2, 17):
+            _, nodes, poles, _ = stack_of_draws(n, np.random.default_rng([n, 5]), 4)
+            bounds = cauchy._cond_bounds(nodes, poles)
+            for r, (cs, zs) in enumerate(zip(nodes.tolist(), poles.tolist())):
+                b = mpmath.matrix([[1 / (mpmath.mpf(c) - mpmath.mpc(z)) for z in zs] for c in cs])
+                inv = b**-1
+                cols = [sum(abs(b[j, k]) ** 2 for j in range(n)) for k in range(n)]
+                rows = [sum(abs(inv[k, j]) ** 2 for j in range(n)) for k in range(n)]
+                want = (mpmath.sqrt(max(cols) * max(rows)), mpmath.sqrt(sum(cols) * sum(rows)))
+                top_cond = max(top_cond, float(want[1]))
+                for got, exact in zip(bounds[:, r], want):
+                    assert abs(got - exact) <= 16 * (n + 1) * eps * exact
+                det = mpmath.det(b)
+                got = cauchy._closed_form_det(cs, zs)
+                worst_det = max(worst_det, float(abs(mpmath.mpc(got) - det) / abs(det)) / eps)
+    assert top_cond > 1e16  # cond_F of the draws reaches 1e17
+    assert worst_det <= 32
+
+
 def test_batch_builds_pairs_only_for_checked_draws(monkeypatch):
     built = []
     post_init = CauchyPair.__post_init__
@@ -748,6 +873,19 @@ def test_batch_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_batch_working_set_is_bounded_at_sixteen():
+    # at n = 16 every draw is excluded: a chunk's B and the closed-form
+    # bounds' buffer, with no Ryser tables, peak at about 1.1 MB
+    borchardt_batch([16], 20, 0)
+    tracemalloc.start()
+    try:
+        borchardt_batch([16], 20, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 # ---------------------------------------------------------------- decomposition

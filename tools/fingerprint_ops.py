@@ -24,6 +24,10 @@ A ``kernel`` set runs the pole-sum kernel across its block seams:
 seeded generic fractions at n = 48, 64, 128 and 256, and an 8-start
 ``solve_best_ld`` on |x| at n = 10, the least degree whose multi-row
 residual scan, which gives each point poles of its own, spans two blocks.
+A ``flags`` set runs the determinant-conditioning gate on both sides of
+its closed-form bounds: ``borchardt_batch([n], 20, s)`` and
+``random_cauchy_pair(n, default_rng(s)).conditioning_flags`` for n = 2..16
+and s = 0..2, each at gates 19, 1e3, 1e5 and 1e8.
 A float is fingerprinted as ``float.hex`` and an array as the SHA-256 of its bytes, so
 two fingerprints match only if every bit does; a dataclass is keyed by its
 field names.  Prints each set's op count and its first mismatching op.  On
@@ -59,6 +63,10 @@ HYPOTHESIS_POLES = {
     "both": (2.0, 2.0 + 1e-12, complex(0.3, 0.5), complex(0.3, -0.5), -3.0),
     "clean": (2.0, -2.0),
 }
+
+# det_condition_gate values of the flags set: from one that flags nearly
+# every draw to one that flags nearly none
+FLAG_GATES = (19.0, 1e3, 1e5, 1e8)
 
 # degrees of the kernel set's generic fractions: their scan grids hold more
 # terms than one block of the pole-sum kernel
@@ -217,6 +225,17 @@ def dump(checkout: Path, seeds: list[int]) -> dict:
     steps.run("solve", mx.solve_best_ld, f_abs, 10, mx.ApproxOptions(starts=8))
     kernel.append(("abs,n=10,starts=8", fingerprints(steps)))
     sets["kernel"] = kernel
+    flags = []
+    for gate in FLAG_GATES:
+        cfg = dataclasses.replace(cy.DEFAULTS, det_condition_gate=gate)
+        for n in range(2, 17):
+            for s in range(3):
+                steps = workloads.Steps()
+                steps.run("batch", cy.borchardt_batch, [n], 20, s, cfg=cfg)
+                pair = cy.random_cauchy_pair(n, np.random.default_rng(s))
+                steps.run("pair_flags", pair.conditioning_flags, cfg)
+                flags.append((f"gate={gate},n={n},seed={s}", fingerprints(steps)))
+    sets["flags"] = flags
     return sets
 
 
