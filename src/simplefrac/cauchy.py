@@ -14,6 +14,7 @@ common case and keep all the headline quantities real.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import itertools
@@ -41,6 +42,9 @@ _BATCH_CHUNK = 64
 
 # conditioning flags, in the order conditioning_flags reports them
 CONDITIONING_FLAGS = ("node-separation", "pole-interval-distance", "determinant-conditioning")
+# the flags a pair trips, by the bits 1, 2, 4 of its gates in that order
+_FLAG_SETS = [tuple(itertools.compress(CONDITIONING_FLAGS, (m & 1, m & 2, m & 4)))
+              for m in range(8)]
 
 
 @dataclass(frozen=True)
@@ -119,15 +123,19 @@ def _flag_rows(nodes: np.ndarray, poles: np.ndarray, b: np.ndarray,
     is decided by :func:`_cond_exceeds`."""
     k, n = nodes.shape
     hits = np.zeros((k, len(CONDITIONING_FLAGS)), dtype=bool)
+    # ufunc and method forms of np.diff, np.sort, min and any, without their
+    # Python wrappers, whose cost a chunk of a few draws would feel
     if n > 1:
-        sep = np.diff(np.sort(nodes, axis=1), axis=1).min(axis=1)
+        ordered = nodes.copy()
+        ordered.sort(axis=1)
+        sep = np.minimum.reduce(ordered[:, 1:] - ordered[:, :-1], axis=1)
         hits[:, 0] = sep < cfg.node_separation_gate
         hits[:, 2] = _cond_exceeds(nodes, poles, b, cfg.det_condition_gate)
     # np.hypot and math.hypot can round an ulp apart, which only a pole
     # within an ulp of the gate would show
     dist = np.hypot(np.maximum(np.abs(poles.real) - 1.0, 0.0), poles.imag)
-    hits[:, 1] = (dist < cfg.pole_interval_gate).any(axis=1)
-    return [tuple(itertools.compress(CONDITIONING_FLAGS, row)) for row in hits.tolist()]
+    hits[:, 1] = np.logical_or.reduce(dist < cfg.pole_interval_gate, axis=1)
+    return [_FLAG_SETS[bits] for bits in (hits @ (1, 2, 4)).tolist()]
 
 
 # least K * n of a stack of K matrices of size n for which _cond_exceeds
@@ -562,15 +570,68 @@ def _node_layout(n: int) -> tuple[np.ndarray, float]:
     return base, half
 
 
-def _jitter(u: np.ndarray, half: float) -> np.ndarray:
-    """Uniform doubles u in [0, 1) mapped to [-half, half) as
-    ``rng.uniform(-half, half)`` maps them: lo + (hi - lo) * u."""
-    return -half + (half - -half) * u
+def _nodes(n: int, u: np.ndarray) -> np.ndarray:
+    """The nodes of size-n draws from their jitter doubles u in [0, 1),
+    along the last axis: u mapped to [-h, h) as ``rng.uniform(-h, h)`` maps
+    it, -h + (h - -h) * u, added to the centres, sorted and clipped to
+    [-1, 1] (np.clip's ufuncs, without its Python wrapper)."""
+    base, half = _node_layout(n)
+    nodes = base + (-half + (half - -half) * u)
+    nodes.sort(axis=-1)
+    return np.minimum(np.maximum(nodes, -1.0, out=nodes), 1.0, out=nodes)
 
 
-def _jittered_nodes(base: np.ndarray, jitter: np.ndarray) -> np.ndarray:
-    """Sorted base + jitter, clipped to [-1, 1], along the last axis."""
-    return np.clip(np.sort(base + jitter, axis=-1), -1.0, 1.0)
+def _first_attempt(n: int, rng: np.random.Generator) -> tuple[np.ndarray, int, np.ndarray, bool]:
+    """The RNG calls of a size-n draw up to its first pole attempt: the node
+    jitter (redrawn from n = 17 on while two nodes lie within 1e-6), the
+    pair count p and the first 2 (n - p) pole doubles; and whether the
+    jitter's 200 attempts ran out."""
+    spent = True
+    for _ in range(200):
+        jitter = rng.random(n)
+        if n <= _JITTER_SAFE_N or np.diff(_nodes(n, jitter)).min() > 1e-6:
+            spent = False
+            break
+    p = int(rng.integers(0, n // 2 + 1))
+    return jitter, p, rng.random(2 * (n - p)), spent
+
+
+@functools.lru_cache(maxsize=64)
+def _pole_layout(n: int) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Per pair count p of a size-n draw, the copies each of its n - p pole
+    values makes, 1 per real pole and then 2 per pair; and the index pairs
+    j < k of n poles.  The arrays are read-only."""
+    out = [np.repeat([1, 2], [n - 2 * p, p]) for p in range(n // 2 + 1)], np.triu_indices(n, 1)
+    for a in (*out[0], *out[1]):
+        a.flags.writeable = False
+    return out
+
+
+def _pole_rows(n: int, ps, us, log_lo: float, log_span: float) -> tuple[np.ndarray, list[int]]:
+    """The poles (K, n) of K size-n draws, from each one's pair count p and
+    its 2 (n - p) doubles: a log-modulus and a sign coin per real pole, then
+    a log-modulus and an angle per pair, mapped to math.exp's moduli and to
+    cmath.rect(mag, theta), mag * cmath.exp(1j theta) to the bit, and its
+    conjugate.  Also the rows, ascending, with two poles within 1e-3 by
+    _min_pole_separation; np.abs is a faithful hypot, so only rows with two
+    poles within 2e-3 by it are swept.  numpy's method and ufunc forms skip
+    the Python wrappers, whose cost a chunk of a few draws would feel."""
+    copies, (j, k) = _pole_layout(n)
+    u = np.concatenate(us)
+    mag = np.fromiter(map(math.exp, (log_lo + log_span * u[::2]).tolist()), float, len(u) // 2)
+    second = u[1::2]
+    z = np.where(second < 0.5, mag, -mag).astype(complex)
+    if any(ps):
+        reps = np.concatenate([copies[p] for p in ps])
+        pair = reps == 2
+        theta = (0.1 + ((math.pi - 0.1) - 0.1) * second[pair]).tolist()
+        z[pair] = np.fromiter(map(cmath.rect, mag[pair].tolist(), theta), complex, len(theta))
+        z = z.repeat(reps)
+        z.imag[reps.cumsum()[pair] - 1] *= -1.0  # a pair's second pole
+    poles = z.reshape(len(ps), n)
+    near = np.logical_or.reduce(np.abs(poles[:, j] - poles[:, k]) <= 2e-3, axis=1).nonzero()[0]
+    return poles, [r for r in near.tolist()
+                   if _min_pole_separation(poles[r].tolist(), 1e-3) < math.inf]
 
 
 def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1, max_abs: float = 10.0
@@ -580,62 +641,59 @@ def _draw_pairs(ns, rng: np.random.Generator, min_abs: float = 1.1, max_abs: flo
 
     Returns, per size n, the indices into ``ns`` of its draws with their
     nodes (K, n) and poles (K, n), stacked in draw order, and whether the
-    last draw is spent.  A pole set is kept when no two poles lie within
-    1e-3 (extremal._min_pole_separation).  Each draw makes the RNG calls of
-    a single one, so the pairs do not depend on how many share the call.
-    The node jitters are drawn as ``rng.random(n)`` and mapped, with the
-    nodes, for all draws of a size at once, as ``rng.uniform(-h, h, n)``
-    maps the same doubles (:func:`_jitter`); from n = 17 on, a draw whose
-    nodes come within 1e-6 maps its own jitter to redraw it.  A spent
-    draw, one whose node or pole retries ran out, need not be a valid pair.
-    Drawing stops after it, and the caller validates it as a CauchyPair,
-    which raises the DomainError a single draw would, if and when it uses
-    it.
+    last draw is spent.  Each draw makes the RNG calls of a single one, so
+    the pairs do not depend on how many share the call.  The loop makes
+    each draw's calls up to its first pole attempt; a few array calls per
+    size then map the doubles to poles (:func:`_pole_rows`) and nodes
+    (:func:`_nodes`).  Only at the first draw whose poles crowd is the
+    generator rewound to its state before the loop, the draws before it
+    replayed and its poles redrawn, up to 200 attempts in all; drawing then
+    goes on after it in the same way.  A spent draw, one whose node or pole
+    attempts ran out, need not be a valid pair.  Drawing stops after it,
+    and the caller validates it as a CauchyPair, which raises the
+    DomainError a single draw would, if and when it uses it.
     """
     log_lo = math.log(min_abs)
-    log_span = math.log(max_abs) - log_lo
-    theta_lo = 0.1
-    theta_span = (math.pi - 0.1) - theta_lo
-    drawn: dict[int, tuple[list[int], list, list]] = {}
-    spent = False
-    for i, n in enumerate(ns):
-        base, half = _node_layout(n)
-        for _ in range(200):
-            jitter = rng.random(n)
-            if n <= _JITTER_SAFE_N or np.diff(
-                    _jittered_nodes(base, _jitter(jitter, half))).min() > 1e-6:
+    scale = (log_lo, math.log(max_abs) - log_lo)
+    kept: dict[int, list] = {}  # per size: (indices, jitters, poles) blocks in draw order
+    start, spent = 0, False
+    while start < len(ns) and not spent:
+        state = rng.bit_generator.state
+        drawn: dict[int, list] = {}  # per size: index, jitter, p, pole doubles, spent per draw
+        for i in range(start, len(ns)):
+            draw = (i, *_first_attempt(ns[i], rng))
+            drawn.setdefault(ns[i], []).append(draw)
+            if draw[4]:
                 break
-        else:
-            spent = True
-        n_pairs = int(rng.integers(0, n // 2 + 1))
-        n_real = n - 2 * n_pairs
-        for _ in range(200):
-            # per real pole: log-modulus, sign coin; per pair: log-modulus, angle
-            u = rng.random(2 * (n_real + n_pairs)).tolist()
-            poles: list[complex] = []
-            for k in range(0, 2 * n_real, 2):
-                mag = math.exp(log_lo + log_span * u[k])
-                poles.append(complex(mag if u[k + 1] < 0.5 else -mag, 0.0))
-            for k in range(2 * n_real, len(u), 2):
-                mag = math.exp(log_lo + log_span * u[k])
-                z = mag * cmath.exp(complex(0.0, theta_lo + theta_span * u[k + 1]))
-                poles.append(z)
-                poles.append(z.conjugate())
-            if _min_pole_separation(poles, 1e-3) == math.inf:
-                break
-        else:
-            spent = True
-        idx, jitters, pole_rows = drawn.setdefault(n, ([], [], []))
-        idx.append(i)
-        jitters.append(jitter)
-        pole_rows.append(poles)
-        if spent:
-            break
+        spent, stop = draw[4], len(ns)  # stop: the first draw whose poles crowd
+        for n, draws in drawn.items():
+            idx, jitters, ps, us, _ = zip(*draws)
+            poles, crowded = _pole_rows(n, ps, us, *scale)
+            if crowded:
+                stop = min(stop, idx[crowded[0]])
+            drawn[n] = idx, jitters, poles
+        for n, (idx, jitters, poles) in drawn.items():
+            if m := bisect.bisect_left(idx, stop):
+                kept.setdefault(n, []).append((idx[:m], jitters[:m], poles[:m]))
+        if stop < len(ns):
+            rng.bit_generator.state = state
+            for n in ns[start:stop]:
+                _first_attempt(n, rng)
+            n = ns[stop]
+            jitter, p, _, spent = _first_attempt(n, rng)
+            for _ in range(199):
+                poles, crowded = _pole_rows(n, [p], [rng.random(2 * (n - p))], *scale)
+                if not crowded:
+                    break
+            else:
+                spent = True
+            kept.setdefault(n, []).append(((stop,), (jitter,), poles))
+        start = stop + 1
     stacks = {}
-    for n, (idx, jitters, pole_rows) in drawn.items():
-        base, half = _node_layout(n)
-        stacks[n] = (idx, _jittered_nodes(base, _jitter(np.array(jitters), half)),
-                     np.array(pole_rows, dtype=complex))
+    for n, blocks in kept.items():
+        idx, jitters, poles = zip(*blocks)
+        stacks[n] = (list(itertools.chain(*idx)), _nodes(n, np.concatenate(jitters)),
+                     np.concatenate(poles))
     return stacks, spent
 
 
@@ -654,12 +712,11 @@ def random_cauchy_pair(n: int, rng: np.random.Generator,
     two nodes lie within 1e-6; up to n = 16 that cannot happen), one
     ``rng.integers`` for the number of conjugate pairs, and one
     ``rng.random`` of 2 * (n_real + n_pairs) doubles per pole attempt
-    (redrawn while two poles lie within 1e-3).  Each of those doubles is
-    mapped as ``rng.uniform(lo, hi)`` does, to lo + (hi - lo) * u: the same
-    values, in the same order, as ``rng.uniform(-h, h, n)`` for the jitter
-    and one ``rng.uniform`` call per pole value, at a fraction of the
-    cost.  This is the one-draw case of the chunk drawer
-    that :func:`borchardt_batch` uses, so a batch draws these same pairs.
+    (redrawn while two poles lie within 1e-3).  Each double is mapped as
+    ``rng.uniform(lo, hi)`` does, to lo + (hi - lo) * u.  This is the
+    one-draw case of the chunk drawer of :func:`borchardt_batch`, which
+    rewinds and replays the generator only where a pole set is redrawn, so
+    a batch draws these same pairs and leaves the generator where they do.
     """
     n = require_int("size n", n, 1)
     need = "pole moduli need 0 < min_abs <= max_abs < inf: "
@@ -762,8 +819,10 @@ def borchardt_batch(sizes, trials: int, seed: int, *,
     which is validated only when the tally reaches it, so a draw past the
     stop never raises.
     A chunk's draws of each size are held as (K, n) node and pole arrays,
-    the pairs :func:`random_cauchy_pair` would return.  They are flagged
-    with stacked numpy calls per size, and tallied from their flags alone;
+    the pairs :func:`random_cauchy_pair` would return, their poles mapped
+    per size from the stacked doubles of the RNG calls, with the generator
+    rewound and replayed only at a pole redraw (:func:`_draw_pairs`).  They
+    are flagged with stacked numpy calls per size, tallied from their flags;
     then the draws the tally checked, and no others, get their determinants
     and permanents, again stacked per size, and are folded in draw order.
     The cond(B) gate is decided from bounds L <= cond_2(B) <= cond_F(B)

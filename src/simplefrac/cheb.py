@@ -318,15 +318,28 @@ def solve_t_equals(n: int, c: float, *, cfg: Config = DEFAULTS) -> list[float]:
     return sorted(xr.tolist())
 
 
+def _ellipse_residuals(ellipse: EllipseParam, points) -> np.ndarray:
+    """The canonical-form residuals re^2/p^2 + im^2/(p^2-1) - 1 of a
+    sequence of complex points against the ellipse, as one array.  Raises
+    DomainError, naming the first point, where a residual is not a finite
+    float."""
+    z = np.asarray(points, dtype=complex)
+    p2 = ellipse.p * ellipse.p
+    with np.errstate(all="ignore"):
+        residual = z.real * z.real / p2 + z.imag * z.imag / (p2 - 1.0) - 1.0
+    bad = np.flatnonzero(~np.isfinite(residual))
+    if bad.size:
+        raise DomainError(f"ellipse residual out of float range at z = {points[bad[0]]!r}, "
+                          f"p = {ellipse.p}")
+    return residual
+
+
 def ellipse_classify(ellipse: EllipseParam, z, *, cfg: Config = DEFAULTS) -> EllipseClassification:
     """Classify z against the ellipse via the canonical-form residual
     re^2/p^2 + im^2/(p^2-1) - 1; |residual| <= cfg.ellipse_on_tol is ON.
     Raises DomainError where the residual is not a finite float."""
-    zc = require_complex("point z", z)
-    p2 = ellipse.p * ellipse.p
-    residual = zc.real * zc.real / p2 + zc.imag * zc.imag / (p2 - 1.0) - 1.0
-    if not math.isfinite(residual):
-        raise DomainError(f"ellipse residual out of float range at z = {z!r}, p = {ellipse.p}")
+    require_complex("point z", z)
+    residual = float(_ellipse_residuals(ellipse, (z,))[0])
     if abs(residual) <= cfg.ellipse_on_tol:
         loc = PointLocation.ON
     elif residual < 0.0:

@@ -21,7 +21,7 @@ import numpy as np
 from . import bernstein as bn
 from . import cauchy as cy
 from . import minimax as mx
-from .cheb import EllipseParam, chebyshev_points, ellipse_classify
+from .cheb import EllipseParam, _ellipse_residuals, chebyshev_points
 from .config import ENV_VAR, Config, load_config, non_defaults
 from .errors import DomainError, SimplefracError, TheoremRangeError, ToleranceNotMetError
 from .extremal import (
@@ -67,8 +67,7 @@ def _cmd_extremal(args, cfg: Config) -> tuple[RunReport, int]:
         )
     ea = EllipseParam(cls.a)
     rep.outputs["poles"] = list(rho.poles)
-    rep.outputs["ellipse_residuals"] = [ellipse_classify(ea, z, cfg=cfg).residual
-                                        for z in rho.poles]
+    rep.outputs["ellipse_residuals"] = _ellipse_residuals(ea, rho.poles).tolist()
     if args.weighted:
         alt, zeros = alternance_points_weighted(cls, cfg=cfg)
         rep.outputs["norm"] = extremal_weighted_norm(cls)

@@ -43,12 +43,11 @@ from ._optim import supremum_on_grid
 from .cheb import (
     ChebKind,
     EllipseParam,
-    PointLocation,
     _angles,
+    _ellipse_residuals,
     cheb_t,
     cheb_u,
     chebyshev_points,
-    ellipse_classify,
     eval_cheb,
     solve_t_equals,
 )
@@ -618,14 +617,12 @@ def verify_pole_annulus(
         candidate = build_candidate_unweighted(cls, cfg=cfg)
     n, a = cls.n, cls.a
     t = a * (3.0 * math.sqrt(n)) ** (-1.0 / n)
-    ea = EllipseParam(a)
-    ea_res = tuple(ellipse_classify(ea, z, cfg=cfg).residual for z in candidate.poles)
+    ea_res = tuple(_ellipse_residuals(EllipseParam(a), candidate.poles).tolist())
     all_in = all(res <= cfg.ellipse_closure_tol for res in ea_res)
     if t > 1.0:
-        et = EllipseParam(t)
-        et_cls = [ellipse_classify(et, z, cfg=cfg) for z in candidate.poles]
-        et_res = tuple(c.residual for c in et_cls)
-        all_out = all(c.location is PointLocation.OUTSIDE for c in et_cls)
+        et_res = tuple(_ellipse_residuals(EllipseParam(t), candidate.poles).tolist())
+        # ellipse_classify's OUTSIDE: neither ON, |res| <= tol, nor negative
+        all_out = all(res > cfg.ellipse_on_tol for res in et_res)
     else:
         et_res = None
         all_out = None

@@ -429,7 +429,8 @@ def _rho_from_coef(coef, x, fixed_pole: float | None, grad: bool = False, basis=
 
 
 # Lawson stops after _LAWSON_MAX_ITER iterations, or once its best grid
-# error has not fallen by a relative _LAWSON_STALL_RTOL for
+# error (of the iterates with no pole on the segment, or of all iterates
+# while none is such) has not fallen by a relative _LAWSON_STALL_RTOL for
 # _LAWSON_STALL_ITER iterations in a row.
 _LAWSON_MAX_ITER = 100
 _LAWSON_STALL_ITER = 40
@@ -466,7 +467,7 @@ def _lawson_fit(x, g, w, m: int, cfg: Config):
     lam = np.full(x.size, 1.0 / x.size)
     p_prev = np.ones(x.size)
     coef = np.ones(m + 1)
-    best_err, best_coef, stall, why = math.inf, None, 0, "iteration cap"
+    best_err, best_coef, least, stall, why = math.inf, None, math.inf, 0, "iteration cap"
     for it in range(1, _LAWSON_MAX_ITER + 1):
         weight = w * np.sqrt(lam) / p_prev
         if (weight > weight_max).any():
@@ -480,8 +481,12 @@ def _lawson_fit(x, g, w, m: int, cfg: Config):
             break
         err_vec = np.abs(w * (g - (deriv @ coef) / p))
         err = float(err_vec.max())
-        stall = 0 if err < best_err * (1.0 - _LAWSON_STALL_RTOL) else stall + 1
+        ref = least if best_coef is None else best_err
+        stall = 0 if err < ref * (1.0 - _LAWSON_STALL_RTOL) else stall + 1
+        least = min(least, err)
         if err < best_err and not _on_segment(_cheb_poles(coef), cfg).any():
+            if best_coef is None:
+                stall = 0
             best_err, best_coef = err, coef.copy()
         total = float((lam * err_vec).sum())
         if stall >= _LAWSON_STALL_ITER or total == 0.0:

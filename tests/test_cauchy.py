@@ -524,6 +524,75 @@ def test_random_pair_equal_moduli_bounds():
     assert all(abs(abs(z) - 2.0) <= 1e-15 for z in pair.poles)
 
 
+def outcome(nodes, poles):
+    """A draw's nodes and poles as hex, or the type and message of the error
+    it raises as a CauchyPair."""
+    try:
+        pair = CauchyPair(tuple(nodes), tuple(poles))
+    except DomainError as exc:
+        return DomainError, str(exc)
+    return "pair", exact(pair.nodes), exact(pair.poles)
+
+
+def reference_chunk(ns, rng, min_abs, max_abs):
+    """Successive random_cauchy_pair_reference draws for the sizes in ``ns``,
+    up to and including the first spent one, each as ``outcome`` gives it,
+    and whether that last one is spent.  A spent draw ran out of attempts,
+    so it raises, or its poles lie within 1e-3, or its nodes within 1e-6."""
+    out = []
+    for n in ns:
+        try:
+            pair = random_cauchy_pair_reference(n, rng, min_abs, max_abs)
+        except DomainError as exc:
+            out.append((DomainError, str(exc)))
+            return out, True
+        out.append(outcome(pair.nodes, pair.poles))
+        if (_min_pole_separation(pair.poles, 1e-3) < math.inf
+                or (n > 1 and np.diff(pair.nodes).min() <= 1e-6)):
+            return out, True
+    return out, False
+
+
+def same_state(a, b):
+    """Whether two bit generator states are equal, array parts included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(ns=st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=64),
+       moduli=st.sampled_from([(1.1, 10.0), (1.5, 1.6), (2.0, 2.0)]),
+       bit_generator=st.sampled_from(BIT_GENERATORS),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(ns=[10] * 64, moduli=(1.5, 1.6), bit_generator=np.random.PCG64, seed=0)  # redraws
+@example(ns=[8, 3, 10] * 20, moduli=(1.5, 1.6), bit_generator=np.random.MT19937, seed=1)
+@example(ns=[2, 3] * 10, moduli=(2.0, 2.0), bit_generator=np.random.Philox, seed=2)  # spent
+@example(ns=[18] * 30, moduli=(1.1, 10.0), bit_generator=np.random.SFC64, seed=3)
+def test_draw_pairs_matches_successive_reference_draws(ns, moduli, bit_generator, seed):
+    # each chunk draw, its redraws included, is the one-at-a-time draw, and
+    # the generator is left where the reference leaves it, for any bit
+    # generator the rewind restores
+    fast = np.random.Generator(bit_generator(seed))
+    slow = np.random.Generator(bit_generator(seed))
+    drawn, spent = _draw_pairs(ns, fast, *moduli)
+    want, want_spent = reference_chunk(ns, slow, *moduli)
+    assert spent == want_spent
+    assert sorted(drawn) == sorted(set(ns[: len(want)]))
+    got = [None] * len(want)
+    for n, (idx, nodes, poles) in drawn.items():
+        assert idx == [i for i, m in enumerate(ns[: len(want)]) if m == n]
+        assert nodes.shape == poles.shape == (len(idx), n)
+        for i, c, z in zip(idx, nodes.tolist(), poles.tolist()):
+            got[i] = outcome(c, z)
+    assert got == want
+    assert same_state(fast.bit_generator.state, slow.bit_generator.state)
+    assert fast.random() == slow.random()
+
+
 size_lists = st.one_of(
     st.integers(min_value=1, max_value=11).map(lambda n: [n]),
     st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4),

@@ -464,6 +464,34 @@ def test_ellipse_examples():
         ellipse_classify(EllipseParam(1e200), 1e200)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    p=st.floats(min_value=1.001, max_value=1e3),
+    zs=st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=12),
+)
+def test_ellipse_residuals_are_the_per_point_residuals(p, zs):
+    # the one array residual of verify_pole_annulus and the CLI has the
+    # scalar formula's bits, and its OUTSIDE rule is ellipse_classify's
+    e = EllipseParam(p)
+    p2 = p * p
+    got = cheb._ellipse_residuals(e, zs).tolist()
+    assert got == [z.real * z.real / p2 + z.imag * z.imag / (p2 - 1.0) - 1.0 for z in zs]
+    assert got == [ellipse_classify(e, z).residual for z in zs]
+    assert [r > DEFAULTS.ellipse_on_tol for r in got] == [
+        ellipse_classify(e, z).location is PointLocation.OUTSIDE for z in zs]
+
+
+def test_ellipse_residuals_name_the_first_point_out_of_range():
+    e = EllipseParam(1e200)
+    zs = (1.0 + 0j, complex(1e200, 0.0), complex(0.0, 1e300))
+    with pytest.raises(DomainError) as many:
+        cheb._ellipse_residuals(e, zs)
+    with pytest.raises(DomainError) as one:
+        ellipse_classify(e, zs[1])
+    assert str(many.value) == str(one.value)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     x=st.floats(min_value=-3.0, max_value=3.0),

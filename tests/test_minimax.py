@@ -257,6 +257,15 @@ def test_solver_answers_targets_near_the_float_limit(capfd):
     assert capfd.readouterr() == ("", "")
 
 
+def test_lawson_stalls_when_no_iterate_is_admissible():
+    # every iterate has a pole on the segment here; the stall once counted
+    # against their best error, inf, and never grew, so the fit ran all 100
+    # iterations.  It now counts against the least error seen
+    lawson = solve_best_ld(constant(1e200), 2).diagnostics[0]
+    assert "(stalled), best grid error inf" in lawson
+    assert int(lawson.split()[1]) < 100
+
+
 def test_solver_clips_newton_steps_to_the_box():
     # a Newton step once overflowed math.exp in a pole map here; Newton now
     # runs on P's Chebyshev coefficients and rejects non-finite trial steps

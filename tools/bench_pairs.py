@@ -10,7 +10,11 @@ runs first alternates from pair to pair, so a drift of the host hits both
 sides alike.  The output holds, per workload and side, the median and the
 interquartile range of every end-to-end metric named in the change's
 BENCHMARK.json, the per-pair values, the number of pairs the change won, and
-the Python, numpy and scipy versions and the core count of the host.
+the Python, numpy and scipy versions and the core count of the host.  Next to
+the pooled metrics, ``item_median_ms`` holds per op key (``batch,n=1``,
+``ryser,n=14``, ...) and side the median and IQR over the runs of each run's
+median op time, from the ``# item median ms:`` line that ``run.py`` prints, so
+a pooled ``op_p50_ms`` can be traced to the ops that moved it.
 """
 
 from __future__ import annotations
@@ -25,15 +29,20 @@ import sys
 from pathlib import Path
 
 SIDES = ("base", "change")
+ITEM_LINE = "# item median ms: "
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One ``perfbench/run.py`` run; its metrics and failure counts."""
+    """One ``perfbench/run.py`` run; its metrics, failure counts and median
+    op time in ms per op key."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    last = json.loads(lines[-1])
+    items = next(line for line in lines if line.startswith(ITEM_LINE))[len(ITEM_LINE):]
     return {"metrics": {k: m["value"] for k, m in last["metrics"].items()},
+            "items": {k: float(v) for k, v in (item.rsplit(" ", 1) for item in items.split(", "))},
             "attempted": last["attempted"], "failed": last["failed"], "correct": last["correct"]}
 
 
@@ -41,6 +50,18 @@ def quartiles(values: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 \
         else (values[0],) * 3
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def item_medians(runs: dict) -> dict:
+    """Per op key and side, the quartiles and the values of the runs' median
+    op times in ms."""
+    per: dict = {}
+    for side in SIDES:
+        for run in runs[side]:
+            for key, ms in run["items"].items():
+                per.setdefault(key, {}).setdefault(side, []).append(ms)
+    return {key: {side: {**quartiles(v), "runs": v} for side, v in sides.items()}
+            for key, sides in per.items()}
 
 
 def versions() -> dict:
@@ -89,6 +110,7 @@ def main(argv=None) -> int:
                 **{side: {**quartiles(values[side]), "runs": values[side]} for side in SIDES},
                 "change_won": sum(sign * (c - b) > 0.0 for b, c in zip(values["base"], values["change"])),
             }
+        entry["item_median_ms"] = item_medians(runs)
         entry["failed"] = {side: [r["failed"] for r in runs[side]] for side in SIDES}
         entry["correct"] = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
         report["workloads"][name] = entry

@@ -28,6 +28,11 @@ A ``flags`` set runs the determinant-conditioning gate on both sides of
 its closed-form bounds: ``borchardt_batch([n], 20, s)`` and
 ``random_cauchy_pair(n, default_rng(s)).conditioning_flags`` for n = 2..16
 and s = 0..2, each at gates 19, 1e3, 1e5 and 1e8.
+A ``draws`` set runs the Borchardt chunk drawer ``_draw_pairs`` on chunks of
+64 and 7 draws of mixed sizes n = 1..20 and of 64 draws of one size, seeds
+0..5, at pole moduli in [1.1, 10], in [1.5, 1.6], where poles crowd and
+are redrawn mid-chunk, and all 2, where draws run out of attempts; each
+with the generator's next double.
 A float is fingerprinted as ``float.hex`` and an array as the SHA-256 of its bytes, so
 two fingerprints match only if every bit does; a dataclass is keyed by its
 field names.  Prints each set's op count and its first mismatching op.  On
@@ -67,6 +72,10 @@ HYPOTHESIS_POLES = {
 # det_condition_gate values of the flags set: from one that flags nearly
 # every draw to one that flags nearly none
 FLAG_GATES = (19.0, 1e3, 1e5, 1e8)
+
+# pole modulus ranges of the draws set: the default, one where pole sets
+# crowd and are redrawn mid-chunk, and one where draws are spent
+DRAW_MODULI = ((1.1, 10.0), (1.5, 1.6), (2.0, 2.0))
 
 # degrees of the kernel set's generic fractions: their scan grids hold more
 # terms than one block of the pole-sum kernel
@@ -236,6 +245,16 @@ def dump(checkout: Path, seeds: list[int]) -> dict:
                 steps.run("pair_flags", pair.conditioning_flags, cfg)
                 flags.append((f"gate={gate},n={n},seed={s}", fingerprints(steps)))
     sets["flags"] = flags
+    draws = []
+    for lo, hi in DRAW_MODULI:
+        for s in range(6):
+            sizes = np.random.default_rng([s, 17]).integers(1, 21, 64).tolist()
+            for label, ns in (("mixed", sizes), ("mixed7", sizes[:7]), ("one", [sizes[0]] * 64)):
+                rng, steps = np.random.default_rng(s), workloads.Steps()
+                steps.run("chunk", cy._draw_pairs, ns, rng, lo, hi)
+                steps.run("next", rng.random)
+                draws.append((f"{label},moduli=[{lo},{hi}],seed={s}", fingerprints(steps)))
+    sets["draws"] = draws
     return sets
 
 
