@@ -6,8 +6,9 @@ Evaluation is split into two layers.  The scalar entry point
 while n log(|x| + sqrt(x^2-1)) <= 640, even far outside ``[-1, 1]``; past
 that bound a real point takes the exponential form, within about 5e-14
 relative.  One loop, :func:`_cheb_recurrence_dd`, serves it and the
-root polish of :func:`solve_t_equals`, which runs the rows [T, U] of all n
-roots together; it splits the constant 2x once per run, not per step.
+root polish of :func:`solve_t_equals`, which runs the rows [T, U] of its
+roots together, and after the first pass only the roots whose x moved; it
+splits the constant 2x once per run, not per step.
 The vectorized kernels :func:`cheb_t` / :func:`cheb_u` use the
 trigonometric form on the segment and the exponential form off it; they
 trade a few digits for speed and feed the grid scans.  Both read the
@@ -275,7 +276,16 @@ def solve_t_equals(n: int, c: float, *, cfg: Config = DEFAULTS) -> list[float]:
 
     Requires |c| < 1, which makes the roots simple and interior.  Roots come
     from the arccos representation and two Newton steps, all roots together.
-    Each is gated on backward error,
+    Each recurrence pass runs only on the roots whose x the step before
+    moved: the first Newton pass on all n, the second on those the first
+    step moved, the residual pass on those the second moved, and a pass
+    with no roots is skipped.  Every other root keeps the T_n and U_(n-1)
+    its last pass gave at the same x, the same bits, as the recurrence
+    gives a point the same bits alone or in a stack.  At c = 1/T_n(a) for
+    the paper sweep's n = 4..64 and a = 2, 3, 5 the first step moves some
+    roots and the second none, so two passes are run.
+
+    Each root is gated on backward error,
     |T_n(x) - c| <= cfg.solve_t_residual_tol * (1 + |x T_n'(x)|), with T_n'
     from the last Newton step: near +-1, |T_n'| is about n^2, and one ulp of
     x moves T_n by about n^2 eps there, so an absolute gate would reject
@@ -297,15 +307,23 @@ def solve_t_equals(n: int, c: float, *, cfg: Config = DEFAULTS) -> list[float]:
         raise ToleranceNotMetError(f"expected {n} roots of T_{n}(x) = {c}, enumerated {len(thetas)}")
 
     xr = np.array([math.cos(theta) for theta in thetas])
+    tn, deriv = np.empty(n), np.empty(n)  # T_n and T_n' = n U_(n-1) at xr
     live = np.ones(n, dtype=bool)  # a root whose derivative vanishes stops moving
+    moved = np.arange(n)  # the roots whose tn and deriv are not yet at xr
     for _ in range(2):
-        # one pass over the rows [T, U]: after n - 1 steps the U row's
-        # previous term is U_(n-1), with its own recurrence's bits
-        tn, un = _cheb_recurrence_dd(np.stack([xr, 2.0 * xr]), np.stack([xr, xr]), n - 1)
-        deriv = n * un[1]
+        if moved.size:
+            x = xr[moved]
+            # one pass over the rows [T, U]: after n - 1 steps the U row's
+            # previous term is U_(n-1), with its own recurrence's bits
+            t, u = _cheb_recurrence_dd(np.stack([x, 2.0 * x]), np.stack([x, x]), n - 1)
+            tn[moved], deriv[moved] = t[0], n * u[1]
         live &= deriv != 0.0
-        xr -= np.divide(tn[0] - c, deriv, out=np.zeros(n), where=live)
-    resid = np.abs(_cheb_recurrence_dd(xr, xr, n - 1)[0] - c)
+        x = xr - np.divide(tn - c, deriv, out=np.zeros(n), where=live)
+        # no root is ever -0.0, so a root changes bits only where it changes value
+        moved, xr = np.flatnonzero(x != xr), x
+    if moved.size:
+        tn[moved] = _cheb_recurrence_dd(xr[moved], xr[moved], n - 1)[0]
+    resid = np.abs(tn - c)
     bound = tol * (1.0 + np.abs(xr * deriv))
     bad = np.flatnonzero(resid > bound)
     if len(bad):

@@ -22,7 +22,9 @@ at the weighted poles.  The alternance criterion's pole hypotheses have one
 test, :func:`_check_pole_hypotheses`.
 
 Every closed form and bound here and in :mod:`simplefrac.bernstein` reads
-T_n(a), T_{n-2}(a), f(a) and the weighted level off :class:`FixedPoleClass`.
+T_n(a), T_{n-2}(a), f(a) and the weighted level off :class:`FixedPoleClass`,
+which also keeps the weighted extremal and the candidate, each built once
+per instance.
 """
 
 from __future__ import annotations
@@ -81,6 +83,14 @@ class FixedPoleClass:
     lazy because they exist over different ranges: at a = 3 the level is a
     float up to n = 405, T_n(a) only up to n = 403; f(a) exists wherever
     T_n(a) and T_{n-2}(a) do.
+
+    It also owns the class's two closed-form fractions, kept the same way:
+    the weighted extremal, and the unweighted candidate's Newton run with
+    the fraction built from it, so every routine that takes the class
+    reuses one build.  What is kept reads no config and no ``force``; the
+    gates that do run on every call.  An error is not kept, and what is
+    kept dies with the instance: nothing is shared between two instances.
+    None of it is a field, so eq, hash and repr see (n, a) only.
     """
 
     n: int
@@ -135,6 +145,33 @@ class FixedPoleClass:
                 f"log T_n(a) = {nlr - math.log(2.0):.6f}"
             )
         return level
+
+    @functools.cached_property
+    def _extremal(self) -> WeightedExtremalFraction:
+        """The weighted extremal, which build_extremal_weighted returns."""
+        n, a = self.n, self.a
+        tna = float(self.tn)  # first: where T_n(a) overflows, that is the error
+        return WeightedExtremalFraction(
+            poles=_joukowski_poles(n, a, _circle_points(n, a)),
+            n=n,
+            a=a,
+            level=self.level,
+            tna=tna,
+            within_theorem_range=a > SQRT2,
+        )
+
+    @functools.cached_property
+    def _candidate_run(self):
+        """The unweighted candidate's Newton run, which reads no config (see
+        _candidate_newton); build_candidate_unweighted gates it."""
+        return _candidate_newton(self.n, self.a, self.fa)
+
+    @functools.cached_property
+    def _candidate(self) -> UnweightedCandidateFraction:
+        """The unweighted candidate from the kept run, built once a gate passed."""
+        n, a = self.n, self.a
+        w = self._candidate_run[0]
+        return UnweightedCandidateFraction(poles=_joukowski_poles(n, a, w.tolist()), n=n, a=a, fa=self.fa)
 
     def require(self, what: str, a_min: float) -> None:
         """The range of the unweighted results: raise TheoremRangeError
@@ -490,24 +527,16 @@ def build_extremal_weighted(cls: FixedPoleClass, force: bool = False) -> Weighte
     a + sqrt(a^2 - 1); the set contains a and is conjugate-closed by
     construction.  The optimality theorem needs a > sqrt(2); smaller a > 1
     still constructs the fraction but raises unless ``force`` is given, in
-    which case the result is tagged ``within_theorem_range=False``.
+    which case the result is tagged ``within_theorem_range=False``.  The
+    fraction is built once per class instance and then returned again, the
+    same object whatever ``force``; the ``force`` gate runs on every call.
     """
-    n, a = cls.n, cls.a
-    within = a > SQRT2
-    if not within and not force:
+    if cls.a <= SQRT2 and not force:
         raise TheoremRangeError(
-            f"optimality requires a > sqrt(2) (= {SQRT2:.6f}); got a={a}. "
+            f"optimality requires a > sqrt(2) (= {SQRT2:.6f}); got a={cls.a}. "
             "Pass force=True to build anyway (construction is valid for a > 1)."
         )
-    tna = float(cls.tn)
-    return WeightedExtremalFraction(
-        poles=_joukowski_poles(n, a, _circle_points(n, a)),
-        n=n,
-        a=a,
-        level=cls.level,
-        tna=tna,
-        within_theorem_range=within,
-    )
+    return cls._extremal
 
 
 def alternance_points_weighted(
@@ -561,11 +590,31 @@ def build_candidate_unweighted(
     points.  Each pole must pass |Q(z)| <= cfg.candidate_root_residual_tol *
     max(1, |T_{n-1}(z)|).  A Q that is not finite on the way raises
     DomainError: w^n overflows from n = 403 at a = 3.
+
+    The Newton run, which reads no config, and the fraction are kept by the
+    class instance, so later calls (``verify_pole_annulus`` and
+    ``dvp_bracket`` on the class among them) return the same object.  The
+    range check and the residual gate, at the ``cfg`` given, run on every
+    call; an error is not kept.
     """
-    n, a = cls.n, cls.a
-    cls.require("the unweighted candidate", 1.0 + 1.0 / n)
+    cls.require("the unweighted candidate", 1.0 + 1.0 / cls.n)
     tol = cfg.candidate_root_residual_tol
-    fa = cls.fa
+    w, resid, scale = cls._candidate_run
+    with np.errstate(all="ignore"):
+        bad = ~(resid <= tol * scale)
+    if bad.any():
+        i = int(np.argmax(bad))
+        z = 0.5 * (complex(w[i]) + 1.0 / complex(w[i]))
+        raise ToleranceNotMetError(
+            f"candidate pole at {z} kept residual {resid[i]:.3e} > {tol:.1e} * scale", best=z
+        )
+    return cls._candidate
+
+
+def _candidate_newton(n: int, a: float, fa: float):
+    """The candidate's Newton run on Q in the Joukowski variable w, seeded at
+    the weighted extremal's circle points: the last w, and |Q| and
+    max(1, |T_{n-1}|) there, the two sides of the residual gate."""
     w = np.array(_circle_points(n, a))
     with np.errstate(all="ignore"):
         for _ in range(50):
@@ -575,15 +624,7 @@ def build_candidate_unweighted(
             if not np.any(np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(w)):
                 break
         q, dq = _q_joukowski(n, fa, w)
-        resid = np.abs(q)
-        bad = ~(resid <= tol * np.maximum(1.0, np.abs(dq)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        z = 0.5 * (complex(w[i]) + 1.0 / complex(w[i]))
-        raise ToleranceNotMetError(
-            f"candidate pole at {z} kept residual {resid[i]:.3e} > {tol:.1e} * scale", best=z
-        )
-    return UnweightedCandidateFraction(poles=_joukowski_poles(n, a, w.tolist()), n=n, a=a, fa=fa)
+        return w, np.abs(q), np.maximum(1.0, np.abs(dq))
 
 
 def lambda_bounds(cls: FixedPoleClass) -> LambdaBounds:
@@ -612,6 +653,8 @@ def verify_pole_annulus(
     Every pole must lie in the closure of E_a (residual <= cfg.ellipse_closure_tol);
     when t = a*(3*sqrt(n))^(-1/n) exceeds 1, every pole must also lie strictly
     outside E_t (None otherwise).  Per-pole canonical-form residuals are returned.
+    With no ``candidate``, the class's kept candidate is checked, through
+    :func:`build_candidate_unweighted` and its gate at ``cfg``.
     """
     if candidate is None:
         candidate = build_candidate_unweighted(cls, cfg=cfg)

@@ -290,6 +290,74 @@ def test_batched_polish_masks_a_zero_derivative(monkeypatch):
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+def record_polish(monkeypatch):
+    """Record each recurrence pass of solve_t_equals: its kind, a Newton
+    pass over the rows [T, U] or a residual pass over T alone, and its points."""
+    passes = []
+
+    def recorded(p1, x, steps, rec=cheb._cheb_recurrence_dd):
+        passes.append(("newton" if np.ndim(p1) == 2 else "residual", np.atleast_2d(x)[0].copy()))
+        return rec(p1, x, steps)
+
+    monkeypatch.setattr(cheb, "_cheb_recurrence_dd", recorded)
+    return passes
+
+
+def expected_polish(n, c, x0):
+    """The passes of a polish from the starts x0: a Newton pass over all
+    roots, a second over the roots the first step moved, then a residual pass
+    over the roots the second step moved, with each root's T_n and U_(n-1)
+    from its own recurrences; a pass with no roots is not made."""
+    passes, x = [("newton", x0)], x0
+    for kind in ("newton", "residual"):
+        tn = _cheb_recurrence_dd(x, x, n - 1)[0]
+        deriv = n * _cheb_recurrence_dd(2.0 * x, x, n - 1)[1]
+        moved = x - np.divide(tn - c, deriv, out=np.zeros(n), where=deriv != 0.0)
+        if (moved != x).any():
+            passes.append((kind, moved[moved != x]))
+        x = moved
+    return passes
+
+
+def hexes(passes):
+    return [(kind, [float(v).hex() for v in x]) for kind, x in passes]
+
+
+# the degrees and poles of the paper sweep, whose weighted alternance solves
+# T_n(x) = 1/T_n(a)
+PAPER_N, PAPER_A = (4, 6, 8, 12, 16, 24, 32, 48, 64), (2.0, 3.0, 5.0)
+
+
+@pytest.mark.parametrize("n", PAPER_N)
+@pytest.mark.parametrize("a", PAPER_A)
+def test_polish_reruns_only_the_roots_that_moved(monkeypatch, n, a):
+    # on the paper's inputs the first step moves some roots, the second none:
+    # two recurrence passes, the second over exactly the moved roots
+    c = 1.0 / eval_cheb(T, n, a)
+    passes = record_polish(monkeypatch)
+    solve_t_equals(n, c)
+    assert [kind for kind, _ in passes] == ["newton", "newton"]
+    assert len(passes[0][1]) == n and 0 < len(passes[1][1]) < n
+    assert hexes(passes) == hexes(expected_polish(n, c, passes[0][1]))
+
+
+def test_polish_checks_the_roots_the_second_step_moved(monkeypatch):
+    # a seeded search for an input whose second Newton step moves roots,
+    # which the paper's inputs never reach: the residual pass then covers
+    # exactly those roots
+    passes = record_polish(monkeypatch)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        n = int(rng.integers(4, 201))
+        c = float(rng.choice([-1.0, 1.0]) * (1.0 - 10.0 ** rng.uniform(-8.0, -1.0)))
+        passes.clear()
+        solve_t_equals(n, c)
+        if len(passes) == 3:
+            break
+    assert [kind for kind, _ in passes] == ["newton", "newton", "residual"]
+    assert hexes(passes) == hexes(expected_polish(n, c, passes[0][1]))
+
+
 def test_eval_cheb_overflow_is_a_domain_error():
     # at a = 3, T_n(a) overflows from n = 404 on (w^n of the exponential
     # form from n = 403 on)

@@ -7,6 +7,7 @@ import json
 import math
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -164,6 +165,62 @@ def test_class_computes_its_scalars_once(monkeypatch):
     assert [f.name for f in dataclasses.fields(cls)] == ["n", "a"]
     assert cls == FixedPoleClass(16, 3.0) and hash(cls) == hash(FixedPoleClass(16, 3.0))
     assert repr(cls) == "FixedPoleClass(n=16, a=3.0)"
+
+
+def test_class_builds_its_closed_form_fractions_once(monkeypatch, capsys):
+    # the candidate's Newton run and the weighted extremal are kept by the
+    # class; the gates that read cfg or force still run on every call
+    calls = []
+
+    def counted(n, fa, w):
+        calls.append(n)
+        return q_joukowski(n, fa, w)
+
+    q_joukowski = extremal._q_joukowski
+    monkeypatch.setattr(extremal, "_q_joukowski", counted)
+    cls = FixedPoleClass(16, 3.0)
+    cand = build_candidate_unweighted(cls)
+    run = len(calls)
+    assert run > 1
+    assert verify_pole_annulus(cls).poles == cand.poles
+    dvp_bracket(cls)
+    assert build_candidate_unweighted(cls) is cand
+    assert len(calls) == run
+    # the CLI's command builds its own class, and runs Newton once for it
+    calls.clear()
+    assert main(["candidate", "--n", "16", "--a", "3", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == run
+    # a tighter gate fails on the kept run, and leaves it kept
+    calls.clear()
+    tight = replace(DEFAULTS, candidate_root_residual_tol=0.0)
+    with pytest.raises(ToleranceNotMetError, match="kept residual"):
+        build_candidate_unweighted(cls, cfg=tight)
+    assert build_candidate_unweighted(cls) is cand and not calls
+    # a run that leaves the float range raises on every call: errors are not kept
+    far = FixedPoleClass(403, 3.0)
+    for k in (1, 2):
+        with pytest.raises(DomainError, match="leaves the float range"):
+            build_candidate_unweighted(far)
+        assert calls.count(403) == k
+    # the weighted extremal does not depend on force, and force=False still
+    # raises below sqrt(2) after a forced build
+    assert build_extremal_weighted(cls) is build_extremal_weighted(cls, force=True)
+    assert alternance_points_weighted(cls)[0].level == build_extremal_weighted(cls).level
+    low = FixedPoleClass(6, 1.2)
+    rho = build_extremal_weighted(low, force=True)
+    assert not rho.within_theorem_range
+    with pytest.raises(TheoremRangeError, match="optimality requires"):
+        build_extremal_weighted(low)
+    assert build_extremal_weighted(low, force=True) is rho
+    # the kept fractions are not fields: eq, hash and repr see (n, a) only
+    assert [f.name for f in dataclasses.fields(cls)] == ["n", "a"]
+    assert cls == FixedPoleClass(16, 3.0) and hash(cls) == hash(FixedPoleClass(16, 3.0))
+    assert repr(cls) == "FixedPoleClass(n=16, a=3.0)"
+    # and they die with the class
+    kept = [weakref.ref(v) for v in (cand, cls._candidate_run[0], build_extremal_weighted(cls))]
+    del cls, cand
+    assert [ref() for ref in kept] == [None] * 3
 
 
 def test_weighted_level_never_underflows():

@@ -33,6 +33,12 @@ A ``draws`` set runs the Borchardt chunk drawer ``_draw_pairs`` on chunks of
 0..5, at pole moduli in [1.1, 10], in [1.5, 1.6], where poles crowd and
 are redrawn mid-chunk, and all 2, where draws run out of attempts; each
 with the generator's next double.
+A ``polish`` set runs the root polish of ``solve_t_equals`` and
+``alternance_points_weighted`` on the paper sweep's grid, n = 4..64 and
+a = 2, 3, 5, and on 48 seeded inputs with n = 4..200 and c = +-1/T_n(a) within
+1e-8 to 1e-1 of +-1, each at residual gates from the default down to 0,
+which some roots fail.  The second Newton step moves roots at 35 of these c
+and at 36 of their negations, which the paper's grid never does.
 A float is fingerprinted as ``float.hex`` and an array as the SHA-256 of its bytes, so
 two fingerprints match only if every bit does; a dataclass is keyed by its
 field names.  Prints each set's op count and its first mismatching op.  On
@@ -48,6 +54,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +83,12 @@ FLAG_GATES = (19.0, 1e3, 1e5, 1e8)
 # pole modulus ranges of the draws set: the default, one where pole sets
 # crowd and are redrawn mid-chunk, and one where draws are spent
 DRAW_MODULI = ((1.1, 10.0), (1.5, 1.6), (2.0, 2.0))
+
+# the paper sweep's grid, and the residual gates of the polish set: the
+# default and three that some roots fail, so that their residuals and
+# bounds reach the error messages
+PAPER_GRID = tuple((n, a) for n in (4, 6, 8, 12, 16, 24, 32, 48, 64) for a in (2.0, 3.0, 5.0))
+POLISH_TOLS = (1e-13, 1e-16, 3e-17, 0.0)
 
 # degrees of the kernel set's generic fractions: their scan grids hold more
 # terms than one block of the pole-sum kernel
@@ -165,6 +178,7 @@ def dump(checkout: Path, seeds: list[int]) -> dict:
     import simplefrac
     import simplefrac.bernstein as bern
     import simplefrac.cauchy as cy
+    import simplefrac.cheb as cheb
     import simplefrac.extremal as ext
     import simplefrac.minimax as mx
     import workloads
@@ -255,6 +269,23 @@ def dump(checkout: Path, seeds: list[int]) -> dict:
                 steps.run("next", rng.random)
                 draws.append((f"{label},moduli=[{lo},{hi}],seed={s}", fingerprints(steps)))
     sets["draws"] = draws
+    polish = []
+    rng = np.random.default_rng(5)
+    near = []
+    for _ in range(48):
+        # a with T_n(a) = 1/(1 - d), so that c = 1/T_n(a) is about 1 - d
+        n, d = int(rng.integers(4, 201)), float(10.0 ** rng.uniform(-8.0, -1.0))
+        near.append((n, math.cosh(math.acosh(1.0 / (1.0 - d)) / n)))
+    for n, a in PAPER_GRID + tuple(near):
+        cls, steps = ext.FixedPoleClass(n, a), workloads.Steps()
+        c = 1.0 / cls.tn
+        for tol in POLISH_TOLS:
+            cfg = dataclasses.replace(ext.DEFAULTS, solve_t_residual_tol=tol)
+            steps.run(f"solve,tol={tol}", cheb.solve_t_equals, n, c, cfg=cfg)
+            steps.run(f"solve_negated,tol={tol}", cheb.solve_t_equals, n, -c, cfg=cfg)
+        steps.run("alternance", ext.alternance_points_weighted, cls)
+        polish.append((f"n={n},a={a!r}", fingerprints(steps)))
+    sets["polish"] = polish
     return sets
 
 
